@@ -114,13 +114,16 @@ func runCrashcheck(w io.Writer, o crashcheckOptions) int {
 	return bad
 }
 
-// clusterCrashcheckMain is the `-crashcheck -cluster` entry point: a
-// crash-point sweep over the cluster failover/resync path. One replica
-// crashes at every sampled event boundary (periodically a second replica of
+// clusterCrashcheckMain is the `-crashcheck -cluster [-simpar N]` entry
+// point: a crash-point sweep over the cluster failover/resync path. One
+// replica crashes at every sampled point (periodically a second replica of
 // the same shard fails during the first resync); no acknowledged write may
-// be lost and live replicas must converge byte-identically. Exits non-zero
-// on any violation.
-func clusterCrashcheckMain(seed int64, points, shards, replicas, objSize int) {
+// be lost and live replicas must converge byte-identically. Without
+// -simpar, points are event indices on the one-kernel deployment; with
+// -simpar N they are lookahead-window indices on the partitioned engine,
+// which are worker-count-stable, so the minimal repro replays at -simpar 1.
+// Exits non-zero on any violation.
+func clusterCrashcheckMain(seed int64, points, shards, replicas, objSize, workers int, mutant string) {
 	start := time.Now()
 	cfg := crashcheck.DefaultClusterConfig(seed)
 	if points > 0 {
@@ -131,54 +134,19 @@ func clusterCrashcheckMain(seed int64, points, shards, replicas, objSize int) {
 	if objSize > 0 {
 		cfg.ObjSize = objSize
 	}
-	res := crashcheck.ClusterSweep(cfg)
-	fmt.Printf("cluster %dx%d seed=%-4d points=%-4d events=%-6d failovers=%-4d resyncs=%-4d replays=%-5d shipped=%-5d violations=%d\n",
-		cfg.Shards, cfg.Replicas, res.Seed, res.Points, res.Events,
-		res.Failovers, res.Resyncs, res.Replayed, res.Shipped, res.ViolationCount)
-	for _, v := range res.Violations {
-		fmt.Printf("  VIOLATION %v\n", v)
-	}
-	if res.ViolationCount > len(res.Violations) {
-		fmt.Printf("  ... %d further violations truncated\n", res.ViolationCount-len(res.Violations))
-	}
-	if min := res.Minimal(); min != nil {
-		fmt.Printf("  minimal repro: -crashcheck -cluster -seed %d -points %d -shards %d -replicas %d  crash at {%v} (t=%v)\n",
-			min.Seed, cfg.Points, cfg.Shards, cfg.Replicas, min.Point, min.At)
-	}
-	fmt.Fprintf(os.Stderr, "[cluster crashcheck done in %v]\n", time.Since(start).Round(time.Millisecond))
-	if res.ViolationCount > 0 {
-		fmt.Fprintf(os.Stderr, "crashcheck: cluster sweep violated failover invariants\n")
-		os.Exit(1)
-	}
-}
-
-// partitionedCrashcheckMain is the `-crashcheck -cluster -simpar N` entry
-// point: the window-quiesce crash sweep over the partitioned (multi-kernel)
-// deployment. Crash points are lookahead-window indices, which are
-// worker-count-stable, so the minimal repro it prints replays at any
-// -simpar — including 1.
-func partitionedCrashcheckMain(seed int64, points, shards, replicas, objSize, workers int, mutant string) {
-	start := time.Now()
-	cfg := crashcheck.DefaultPartitionedConfig(seed)
-	if points > 0 {
-		cfg.Points = points
-	}
-	if shards > 0 {
-		cfg.Shards = shards
-	}
-	if replicas > 0 {
-		cfg.Replicas = replicas
-	}
-	if objSize > 0 {
-		cfg.ObjSize = objSize
-	}
-	if workers > 0 {
-		cfg.Workers = workers
-	}
+	cfg.Workers = workers
 	cfg.Mutant = mutant
-	res := crashcheck.PartitionedSweep(cfg)
-	fmt.Printf("partitioned %dx%d seed=%-4d workers=%d points=%-4d windows=%-6d failovers=%-4d resyncs=%-4d replays=%-5d shipped=%-5d pmfull=%-4d violations=%d\n",
-		cfg.Shards, cfg.Replicas, res.Seed, res.Workers, res.Points, res.Windows,
+	res, err := crashcheck.ClusterSweep(cfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	coord, simpar := "events", ""
+	if workers > 0 {
+		coord, simpar = "windows", " -simpar 1"
+	}
+	fmt.Printf("cluster %dx%d seed=%-4d workers=%d points=%-4d %s=%-6d failovers=%-4d resyncs=%-4d replays=%-5d shipped=%-5d pmfull=%-4d violations=%d\n",
+		cfg.Shards, cfg.Replicas, res.Seed, res.Workers, res.Points, coord, res.Events,
 		res.Failovers, res.Resyncs, res.Replayed, res.Shipped, res.PMFull, res.ViolationCount)
 	for _, v := range res.Violations {
 		fmt.Printf("  VIOLATION %v\n", v)
@@ -187,12 +155,20 @@ func partitionedCrashcheckMain(seed int64, points, shards, replicas, objSize, wo
 		fmt.Printf("  ... %d further violations truncated\n", res.ViolationCount-len(res.Violations))
 	}
 	if min := res.Minimal(); min != nil {
-		fmt.Printf("  minimal repro: -crashcheck -cluster -simpar 1 -seed %d -points %d -shards %d -replicas %d  crash at window %d (t=%v)\n",
-			min.Seed, cfg.Points, cfg.Shards, cfg.Replicas, min.Point.Event, min.At)
+		repro := fmt.Sprintf("-crashcheck -cluster%s -seed %d -points %d -shards %d -replicas %d",
+			simpar, min.Seed, cfg.Points, cfg.Shards, cfg.Replicas)
+		if mutant != "" {
+			repro += " -mutant " + mutant
+		}
+		crash := fmt.Sprintf("{%v}", min.Point)
+		if workers > 0 {
+			crash = fmt.Sprintf("window %d", min.Point.Event)
+		}
+		fmt.Printf("  minimal repro: %s  crash at %s (t=%v)\n", repro, crash, min.At)
 	}
-	fmt.Fprintf(os.Stderr, "[partitioned crashcheck done in %v]\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "[cluster crashcheck done in %v]\n", time.Since(start).Round(time.Millisecond))
 	if res.ViolationCount > 0 {
-		fmt.Fprintf(os.Stderr, "crashcheck: partitioned sweep violated failover invariants\n")
+		fmt.Fprintf(os.Stderr, "crashcheck: cluster sweep violated failover invariants\n")
 		os.Exit(1)
 	}
 }

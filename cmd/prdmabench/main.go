@@ -18,7 +18,7 @@
 //	prdmabench -cluster -shards 8 -replicas 5 -scale full       # bigger deployment
 //	prdmabench -crashcheck -cluster -points 20   # crash-point sweep over the cluster failover/resync path
 //	prdmabench -crashcheck -cluster -simpar 4 -points 12   # window-barrier sweep on the partitioned engine
-//	prdmabench -crashcheck -cluster -simpar 2 -mutant ackbug   # partitioned mutant-detection check (expect exit 1)
+//	prdmabench -crashcheck -cluster -mutant ackbug   # cluster mutant-detection check (expect exit 1; add -simpar N for the engine)
 //	prdmabench -matrix             # adversarial fault x YCSB A-F matrix, crashcheck asserted per cell
 //	prdmabench -matrix -faults partition,gray -workloads AB -points 6   # reduced cell set
 //	prdmabench -matrix -mutant ackbug   # mutant-detection check: expect exit 1
@@ -29,11 +29,12 @@
 //	prdmabench -crashcheck -pmpool -mutant leak   # seeded leak bug: the sweep must catch it (exit 1)
 //
 // -simpar selects the worker count for partitioned (multi-kernel) drivers.
-// With -crashcheck -cluster, -simpar N (N>0) switches the sweep to the
-// partitioned deployment: crashes land at lookahead-window barriers, whose
-// indices are worker-count-stable, so the minimal repro replays at -simpar 1.
-// The legacy single-host figure drivers still run the serial kernel and
-// accept -simpar as a no-op so harnesses can pass it uniformly.
+// With -crashcheck -cluster, -simpar N (N>0) switches the sweep's crash
+// coordinate from an event index on the one-kernel deployment to a
+// lookahead-window barrier on the partitioned engine; window indices are
+// worker-count-stable, so the minimal repro replays at -simpar 1. The
+// one-kernel figure drivers accept -simpar as a no-op so harnesses can pass
+// it uniformly.
 //
 // Experiment cells are independent deployments, so drivers fan them across
 // a worker pool (-parallel). Output is byte-identical at any setting; only
@@ -95,13 +96,13 @@ func main() {
 	clusterRun := flag.Bool("cluster", false, "run the sharded replicated-KV failover figure (or, with -crashcheck, the cluster crash-point sweep)")
 	shards := flag.Int("shards", 4, "cluster: number of shard groups")
 	replicas := flag.Int("replicas", 3, "cluster: replication factor per shard")
-	simpar := flag.Int("simpar", 0, "parallel simulation workers for partitioned drivers (0 = serial legacy kernel; with -crashcheck -cluster, N>0 runs the window-barrier partitioned crash sweep)")
+	simpar := flag.Int("simpar", 0, "parallel simulation workers for partitioned drivers (0 = one kernel; with -crashcheck -cluster, N>0 crashes at window barriers on the partitioned engine instead of at event indices)")
 	parscale := flag.Bool("parscale", false, "run the parallel-kernel scaling ladder (workers 1/2/4/8 over the 8-shard partitioned cluster) plus the open-loop population smoke; write BENCH_PR7-style JSON with -json")
 	logclients := flag.Int("logclients", 1_000_000, "parscale: logical client population for the open-loop smoke")
 	matrixRun := flag.Bool("matrix", false, "run the adversarial fault x YCSB workload matrix (cluster crash-point sweep per cell)")
 	faults := flag.String("faults", "", "matrix: comma-separated adversary names (default: every builtin; see -matrix -faults help)")
 	workloads := flag.String("workloads", "", "matrix: YCSB workload letters, e.g. ABF (default: A-F)")
-	mutant := flag.String("mutant", "", "matrix / partitioned / pmpool crashcheck: seed a known bug class (ackbug|resurrect|leak); the sweep must then fail (exit 1)")
+	mutant := flag.String("mutant", "", "matrix / cluster crashcheck (ackbug|resurrect) or pmpool crashcheck (leak): seed a known bug class; the sweep must then fail (exit 1)")
 	pmpoolRun := flag.Bool("pmpool", false, "run the remote PM pool figures (or, with -crashcheck, the pool crash-point sweep)")
 	flag.Parse()
 	flagSet := map[string]bool{}
@@ -174,11 +175,7 @@ func main() {
 		if pointsSet {
 			pts = *points
 		}
-		if *simpar > 0 {
-			partitionedCrashcheckMain(int64(*seed), pts, *shards, *replicas, *objsize, *simpar, *mutant)
-		} else {
-			clusterCrashcheckMain(int64(*seed), pts, *shards, *replicas, *objsize)
-		}
+		clusterCrashcheckMain(int64(*seed), pts, *shards, *replicas, *objsize, *simpar, *mutant)
 		if *memprofile != "" {
 			if err := writeHeapProfile(*memprofile); err != nil {
 				fmt.Fprintln(os.Stderr, err)

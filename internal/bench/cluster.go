@@ -24,7 +24,7 @@ func (o Options) ClusterFigures(shards, replicas int) []Table {
 // clusterFig is one completed cluster run plus its phase boundaries.
 type clusterFig struct {
 	p            kv.Params
-	c            *kv.Cluster
+	c            *kv.PCluster
 	ct           *kv.Controller
 	res          *kv.LoadResult
 	ops, clients int
@@ -60,30 +60,16 @@ func (o Options) clusterFigRun(shards, replicas int) *clusterFig {
 		panic(err)
 	}
 	f.c = c
-	f.ct = c.StartController()
-
-	// Crash script: once 20% of operations have completed, kill shard 0's
-	// primary. Triggering on the op count (not wall time) keeps the crash
-	// placement meaningful at every scale, and is just as deterministic.
-	k.Go("crash-script", func(sp *sim.Proc) {
-		target := int64(f.ops / 5)
-		for {
-			var total int64
-			for _, sh := range c.Shards {
-				total += sh.Puts + sh.Gets
-			}
-			if total >= target {
-				break
-			}
-			sp.Sleep(20 * time.Microsecond)
-		}
-		f.victim = c.Shards[0].Primary
-		f.crashAt = sp.Now()
-		c.CrashReplica(0, f.victim)
+	if f.ct, err = c.StartController(); err != nil {
+		panic(err)
+	}
+	// Crash shard 0's primary once 20% of operations have completed.
+	c.CrashPrimaryAfter(0, int64(f.ops/5), func(victim int, at sim.Time) {
+		f.victim, f.crashAt = victim, at
 	})
 
 	k.Go("cluster-bench", func(mp *sim.Proc) {
-		res, err := c.RunLoad(mp, kv.Load{
+		res, err := c.RunLoadFrom(mp, kv.Load{
 			Clients:  f.clients,
 			Ops:      f.ops,
 			ReadFrac: 0.5,
@@ -174,8 +160,8 @@ func (f *clusterFig) shardTable() Table {
 		Header: []string{"shard", "puts", "gets", "retries", "p50 (us)", "p99 (us)"},
 		Notes:  "the consistent-hash ring spreads the zipfian keyspace; only the crashed shard accumulates retries",
 	}
-	for i, sh := range f.c.Shards {
-		lat := stats.NewLatency(len(f.res.Samples) / len(f.c.Shards))
+	for i := range f.c.Groups {
+		lat := stats.NewLatency(len(f.res.Samples) / len(f.c.Groups))
 		for _, s := range f.res.Samples {
 			if s.Shard == i {
 				lat.Add(s.Dur)
@@ -185,11 +171,12 @@ func (f *clusterFig) shardTable() Table {
 		if lat.Count() > 0 {
 			p50, p99 = fmtUS(lat.Percentile(50)), fmtUS(lat.Percentile(99))
 		}
+		puts, gets := f.c.ShardOps(i)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", i),
-			fmt.Sprintf("%d", sh.Puts),
-			fmt.Sprintf("%d", sh.Gets),
-			fmt.Sprintf("%d", sh.Retries),
+			fmt.Sprintf("%d", puts),
+			fmt.Sprintf("%d", gets),
+			fmt.Sprintf("%d", f.c.Groups[i].Retries),
 			p50, p99,
 		})
 	}
@@ -199,7 +186,7 @@ func (f *clusterFig) shardTable() Table {
 func (f *clusterFig) controlTable() Table {
 	var failovers, promotions, resyncs, replayed, shipped int64
 	var detect, resyncWall time.Duration
-	for _, sh := range f.c.Shards {
+	for _, sh := range f.c.Groups {
 		failovers += sh.Failovers
 		promotions += sh.Promotions
 		resyncs += sh.Resyncs

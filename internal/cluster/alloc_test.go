@@ -10,7 +10,7 @@ import (
 // AllocsPerRun tests share it.
 type putBench struct {
 	k *sim.Kernel
-	c *Cluster
+	c *PCluster
 }
 
 func newPutBench() (*putBench, error) {
@@ -34,7 +34,7 @@ func (b *putBench) puts(n int, payload []byte) error {
 	var firstErr error
 	b.k.Go("driver", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
-			if err := b.c.Put(p, uint64(i%64), 0, payload); err != nil && firstErr == nil {
+			if err := b.c.PutOn(p, 0, uint64(i%64), 0, payload); err != nil && firstErr == nil {
 				firstErr = err
 				return
 			}

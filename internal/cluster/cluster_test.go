@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -25,10 +26,13 @@ func TestClusterPutGetConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct := c.StartController()
+	ct, err := c.StartController()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var res *LoadResult
 	k.Go("main", func(p *sim.Proc) {
-		res, err = c.RunLoad(p, Load{Clients: 8, Ops: 400, ReadFrac: 0.5, Verify: true, Seed: 3})
+		res, err = c.RunLoadFrom(p, Load{Clients: 8, Ops: 400, ReadFrac: 0.5, Verify: true, Seed: 3})
 		if err != nil {
 			t.Error(err)
 		}
@@ -60,14 +64,19 @@ func TestClusterFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct := c.StartController()
+	ct, err := c.StartController()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var res *LoadResult
 	k.Go("main", func(mp *sim.Proc) {
 		// Crash shard 0's primary once traffic is flowing.
 		k.AfterFunc(500*time.Microsecond, func() {
-			c.CrashReplica(0, c.Shards[0].Primary)
+			victim := c.Groups[0].Primary
+			c.CrashReplica(0, victim)
+			k.AfterFunc(p.Restart, func() { c.RestartReplica(0, victim) })
 		})
-		res, err = c.RunLoad(mp, Load{Clients: 8, Ops: 1200, ReadFrac: 0.5, Verify: true, Seed: 7})
+		res, err = c.RunLoadFrom(mp, Load{Clients: 8, Ops: 1200, ReadFrac: 0.5, Verify: true, Seed: 7})
 		if err != nil {
 			t.Error(err)
 		}
@@ -87,7 +96,7 @@ func TestClusterFailover(t *testing.T) {
 	if res.BadReads != 0 {
 		t.Fatalf("%d reads returned invalid payloads", res.BadReads)
 	}
-	sh := c.Shards[0]
+	sh := c.Groups[0]
 	if sh.Failovers == 0 {
 		t.Fatal("controller never detected the crash")
 	}
@@ -125,7 +134,7 @@ func TestClusterOpenLoop(t *testing.T) {
 				l.OpenLoop = true
 				l.Rate = 2e6 // well past 4 workers' capacity: queueing builds
 			}
-			res, err = c.RunLoad(p, l)
+			res, err = c.RunLoadFrom(p, l)
 			if err != nil {
 				t.Error(err)
 			}
@@ -166,4 +175,61 @@ func TestClusterRouting(t *testing.T) {
 	if len(seen) != c.P.Shards {
 		t.Fatalf("only %d of %d shards received keys", len(seen), c.P.Shards)
 	}
+}
+
+// flipAckedByte corrupts one byte of gateway 0's lowest acknowledged key of
+// shard 0 in replica r's PM, so only that replica diverges from the record.
+func flipAckedByte(t *testing.T, c *PCluster, r int) {
+	t.Helper()
+	keys := c.sortedWroteKeys(c.Groups[0])
+	if len(keys) == 0 {
+		t.Fatal("shard 0 has no acknowledged write to corrupt")
+	}
+	rep := c.Groups[0].Replicas[r]
+	addr := rep.Store.Addr(keyIndex(keys[0], c.P.Objects))
+	b := rep.Host.PM.ReadBytes(addr, 1)
+	rep.Host.PM.WriteRaw(addr, []byte{b[0] ^ 0xff})
+}
+
+// TestCheckConsistencyCatchesDivergence pins the negative path of the
+// consistency checker on both deployment shapes: one flipped byte of an
+// acked slot in a live replica's PM must be reported as a divergence.
+func TestCheckConsistencyCatchesDivergence(t *testing.T) {
+	l := Load{Clients: 4, Ops: 200, ReadFrac: 0.3, Verify: true, Seed: 5}
+	check := func(t *testing.T, c *PCluster) {
+		t.Helper()
+		if err := c.CheckConsistency(); err != nil {
+			t.Fatalf("clean run reported %v", err)
+		}
+		flipAckedByte(t, c, 1)
+		err := c.CheckConsistency()
+		if err == nil || !strings.Contains(err.Error(), "diverged") {
+			t.Fatalf("corrupted replica: got %v, want a divergence", err)
+		}
+	}
+	t.Run("New", func(t *testing.T) {
+		k := sim.New()
+		c, err := New(k, quickParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		k.Go("main", func(p *sim.Proc) {
+			if _, err := c.RunLoadFrom(p, l); err != nil {
+				t.Error(err)
+			}
+		})
+		k.Run()
+		check(t, c)
+	})
+	t.Run("NewPartitioned", func(t *testing.T) {
+		c, err := NewPartitioned(2, partParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.RunLoad(l); err != nil {
+			t.Fatal(err)
+		}
+		check(t, c)
+		c.Eng.Shutdown()
+	})
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"time"
 
 	"prdma/internal/replicate"
@@ -17,7 +18,8 @@ type Event struct {
 }
 
 // Controller is the membership/failover controller: a sim-timer-driven
-// failure detector plus the promotion and resync choreography.
+// failure detector plus the promotion and resync choreography, running as a
+// proc on the (single) gateway kernel.
 //
 // Detection: the controller polls every replica's liveness each CheckEvery
 // (a heartbeat stand-in). On a crash it marks the replica down on every
@@ -35,8 +37,24 @@ type Event struct {
 // continues; the final round runs with every pooled client held, so no
 // write can be in flight when the replica is readmitted — MarkUp therefore
 // never misses an acknowledged write.
+//
+// Topology restriction: a single gateway. Every client-side structure the
+// controller touches — the connection pool, the acknowledged-write record,
+// the membership marks — must live on one kernel.
+//
+// Serialization contract on an engine: crashes are injected by the driver
+// at window barriers inside a serialized engine span (CrashReplica), and
+// the driver holds the Serialize token until the cluster reports Healthy.
+// Every controller action that reaches across partitions outside the
+// lookahead discipline — re-establishing connections (server-side log
+// recovery driven from a gateway proc), polling a victim's engine queue
+// depth, the readmission barrier — therefore executes inside serialized
+// windows, where the engine provides the same global event order a single
+// kernel would. The crash-free detector poll only reads replica liveness,
+// which changes exclusively at barriers, so parallel windows never observe
+// a torn update.
 type Controller struct {
-	C       *Cluster
+	C       *PCluster
 	Events  []Event
 	stopped bool
 
@@ -45,14 +63,19 @@ type Controller struct {
 	// catch-up image ships — the one instant where the replica's durable
 	// state reflects exactly what it persisted on its own. The crash-point
 	// sweep audits the §4.2 per-replica ack contract there.
-	AuditReplay func(p *sim.Proc, sh *Shard, r int)
+	AuditReplay func(p *sim.Proc, grp *PGroup, r int)
 }
 
-// StartController begins failure detection on a dedicated proc.
-func (c *Cluster) StartController() *Controller {
+// StartController begins failure detection on a dedicated gateway proc.
+// The deployment needs a single gateway (New, or NewPartitioned with
+// Gateways == 1 — only then are the controller connections built).
+func (c *PCluster) StartController() (*Controller, error) {
+	if len(c.Gateways) != 1 || c.Groups[0].ctl == nil {
+		return nil, errors.New("cluster: failover controller needs a single gateway")
+	}
 	ct := &Controller{C: c}
-	c.K.Go("failover-ctl", ct.loop)
-	return ct
+	c.Gateways[0].K.Go("failover-ctl", ct.loop)
+	return ct, nil
 }
 
 // Stop ends detection after the current poll; outstanding resyncs finish.
@@ -76,15 +99,15 @@ func (ct *Controller) LastEvent(kind string) sim.Time {
 
 func (ct *Controller) loop(p *sim.Proc) {
 	for !ct.stopped {
-		for _, sh := range ct.C.Shards {
-			for r, rep := range sh.Replicas {
+		for _, grp := range ct.C.Groups {
+			for r, rep := range grp.Replicas {
 				switch {
-				case !rep.alive && !sh.ctl.Down(r):
-					ct.detect(p, sh, r)
-				case rep.alive && sh.ctl.Down(r) && !sh.resyncing[r]:
-					sh.resyncing[r] = true
-					s, rr := sh, r
-					ct.C.K.Go("resync", func(rp *sim.Proc) { ct.resync(rp, s, rr) })
+				case !rep.alive && !grp.ctl.Down(r):
+					ct.detect(p, grp, r)
+				case rep.alive && grp.ctl.Down(r) && !grp.resyncing[r]:
+					grp.resyncing[r] = true
+					g, rr := grp, r
+					p.K.Go("resync", func(rp *sim.Proc) { ct.resync(rp, g, rr) })
 				}
 			}
 		}
@@ -95,33 +118,33 @@ func (ct *Controller) loop(p *sim.Proc) {
 // detect marks the replica down across every client and promotes a new
 // primary if the victim held the role. No yields before the marks: the
 // membership flip is atomic under the cooperative scheduler.
-func (ct *Controller) detect(p *sim.Proc, sh *Shard, r int) {
+func (ct *Controller) detect(p *sim.Proc, grp *PGroup, r int) {
 	now := p.Now()
-	if sh.pendingSince[r] == 0 {
-		sh.pendingSince[r] = now
+	if grp.pendingSince[r] == 0 {
+		grp.pendingSince[r] = now
 	}
-	sh.ctl.MarkDown(r)
-	for _, cl := range sh.clients {
+	grp.ctl.MarkDown(r)
+	for _, cl := range ct.C.Gateways[0].clients[grp.ID] {
 		cl.MarkDown(r)
 	}
-	sh.Failovers++
-	sh.DetectLag += now.Sub(sh.Replicas[r].crashedAt)
-	ct.event(now, "detect", sh.ID, r)
-	if sh.Primary == r {
-		ct.promote(sh, r)
+	grp.Failovers++
+	grp.DetectLag += now.Sub(grp.Replicas[r].crashedAt)
+	ct.event(now, "detect", grp.ID, r)
+	if grp.Primary == r {
+		ct.promote(p.K, grp, r)
 	}
 }
 
-// promote elects the next live, in-sync replica as the shard primary and
+// promote elects the next live, in-sync replica as the group primary and
 // records the promotion once the new primary's redo log has replayed
 // (engine queue drained — its backlog is applied, so it serves the full
 // acknowledged prefix).
-func (ct *Controller) promote(sh *Shard, down int) {
-	n := len(sh.Replicas)
+func (ct *Controller) promote(k *sim.Kernel, grp *PGroup, down int) {
+	n := len(grp.Replicas)
 	next := -1
 	for off := 1; off < n; off++ {
 		i := (down + off) % n
-		if sh.Replicas[i].alive && !sh.ctl.Down(i) {
+		if grp.Replicas[i].alive && !grp.ctl.Down(i) {
 			next = i
 			break
 		}
@@ -129,14 +152,14 @@ func (ct *Controller) promote(sh *Shard, down int) {
 	if next < 0 {
 		return // no live replica; the shard is unavailable until a restart
 	}
-	sh.Primary = next
-	sh.Promotions++
-	ct.C.K.Go("promote-drain", func(p *sim.Proc) {
-		rep := sh.Replicas[next]
+	grp.Primary = next
+	grp.Promotions++
+	k.Go("promote-drain", func(p *sim.Proc) {
+		rep := grp.Replicas[next]
 		for rep.alive && rep.Engine.QueueDepth() > 0 {
 			p.Sleep(20 * time.Microsecond)
 		}
-		ct.event(p.Now(), "promote", sh.ID, next)
+		ct.event(p.Now(), "promote", grp.ID, next)
 	})
 }
 
@@ -144,37 +167,40 @@ func (ct *Controller) promote(sh *Shard, down int) {
 // keeping the replica marked down and its pendingSince floor — if the
 // replica crashes again mid-resync; the detector loop restarts the
 // procedure after the next restart.
-func (ct *Controller) resync(p *sim.Proc, sh *Shard, r int) {
-	defer func() { sh.resyncing[r] = false }()
+func (ct *Controller) resync(p *sim.Proc, grp *PGroup, r int) {
+	defer func() { grp.resyncing[r] = false }()
 	// One resync at a time per shard: the readmission barrier below holds
 	// the whole connection pool.
-	for sh.resyncBusy {
+	for grp.resyncBusy {
 		p.Sleep(50 * time.Microsecond)
 	}
-	sh.resyncBusy = true
-	defer func() { sh.resyncBusy = false }()
+	grp.resyncBusy = true
+	defer func() { grp.resyncBusy = false }()
 
-	rep := sh.Replicas[r]
+	gw := ct.C.Gateways[0]
+	pool := gw.pools[grp.ID]
+	clients := gw.clients[grp.ID]
+	rep := grp.Replicas[r]
 	start := p.Now()
-	ct.event(start, "resync-start", sh.ID, r)
-	abort := func() { ct.event(p.Now(), "resync-abort", sh.ID, r) }
+	ct.event(start, "resync-start", grp.ID, r)
+	abort := func() { ct.event(p.Now(), "resync-abort", grp.ID, r) }
 
 	// hold collects the whole connection pool behind the quiesce gate (new
-	// operations divert at Shard.acquire, so this completes in bounded time
-	// under load); release readmits it.
-	held := make([]*replicate.Client, 0, len(sh.clients))
+	// operations divert at acquire, so this completes in bounded time under
+	// load); release readmits it.
+	held := make([]*replicate.Client, 0, len(clients))
 	hold := func() {
-		sh.quiesce = true
+		grp.quiesce = true
 		held = held[:0]
-		for range sh.clients {
-			held = append(held, sh.pool.Pop(p))
+		for range clients {
+			held = append(held, pool.Pop(p))
 		}
 	}
 	release := func() {
 		for _, cl := range held {
-			sh.pool.Push(cl)
+			pool.Push(cl)
 		}
-		sh.quiesce = false
+		grp.quiesce = false
 	}
 
 	// 1. Rebuild every connection to the victim — the controller's and the
@@ -183,22 +209,22 @@ func (ct *Controller) resync(p *sim.Proc, sh *Shard, r int) {
 	// overwrote, so every replay must land in the victim's engine before
 	// the first shipped image: the latest acknowledged image is then always
 	// the last write to apply.
-	shipFloor := sh.pendingSince[r].Add(-ct.C.P.Grace)
-	shippedAt := make(map[uint64]sim.Time, len(sh.wrote))
+	shipFloor := grp.pendingSince[r].Add(-ct.C.P.Grace)
+	shippedAt := make(map[uint64]sim.Time, len(gw.wrote[grp.ID]))
 	if ct.C.P.MutantResurrect {
 		// Seeded bug (see Params.MutantResurrect): ship one round of images
 		// first, so the replay below can land older versions on top of them.
-		n, err := ct.ship(p, sh, r, shipFloor, shippedAt)
+		n, err := ct.ship(p, grp, r, shipFloor, shippedAt)
 		if err != nil || !rep.alive {
 			abort()
 			return
 		}
-		sh.Shipped += int64(n)
+		grp.Shipped += int64(n)
 	}
 	hold()
-	sh.Replayed += int64(ct.reestablish(p, sh.ctl, r))
+	grp.Replayed += int64(reestablish(p, grp.ctl, r))
 	for _, cl := range held {
-		sh.Replayed += int64(ct.reestablish(p, cl, r))
+		grp.Replayed += int64(reestablish(p, cl, r))
 	}
 	release()
 	if !rep.alive {
@@ -208,11 +234,11 @@ func (ct *Controller) resync(p *sim.Proc, sh *Shard, r int) {
 	if ct.AuditReplay != nil {
 		// Let the engine apply the replayed backlog, then audit before the
 		// first repair image can paper over a durability lie.
-		if !ct.waitApplied(p, rep) {
+		if !waitApplied(p, rep) {
 			abort()
 			return
 		}
-		ct.AuditReplay(p, sh, r)
+		ct.AuditReplay(p, grp, r)
 	}
 
 	// 2. Catch-up ship rounds while traffic continues: latest acknowledged
@@ -221,12 +247,12 @@ func (ct *Controller) resync(p *sim.Proc, sh *Shard, r int) {
 	// writes that landed during the previous one), so they are capped — the
 	// barrier's final round below closes the gap, these only shrink it.
 	for round := 0; ; round++ {
-		n, err := ct.ship(p, sh, r, shipFloor, shippedAt)
+		n, err := ct.ship(p, grp, r, shipFloor, shippedAt)
 		if err != nil || !rep.alive {
 			abort()
 			return
 		}
-		sh.Shipped += int64(n)
+		grp.Shipped += int64(n)
 		if n == 0 || round >= 3 {
 			break
 		}
@@ -237,34 +263,35 @@ func (ct *Controller) resync(p *sim.Proc, sh *Shard, r int) {
 	// the victim to apply, then readmit everywhere — MarkUp therefore never
 	// misses an acknowledged write.
 	hold()
-	n, err := ct.ship(p, sh, r, shipFloor, shippedAt)
+	n, err := ct.ship(p, grp, r, shipFloor, shippedAt)
 	if err != nil || !rep.alive {
 		release()
 		abort()
 		return
 	}
-	sh.Shipped += int64(n)
-	if !ct.waitApplied(p, rep) {
+	grp.Shipped += int64(n)
+	if !waitApplied(p, rep) {
 		release()
 		abort()
 		return
 	}
-	sh.ctl.MarkUp(r)
+	grp.ctl.MarkUp(r)
 	for _, cl := range held {
 		cl.MarkUp(r)
 	}
-	sh.pendingSince[r] = 0
+	grp.pendingSince[r] = 0
 	release()
-	sh.Resyncs++
-	sh.ResyncTime += p.Now().Sub(start)
-	ct.event(p.Now(), "resync-done", sh.ID, r)
+	grp.Resyncs++
+	grp.ResyncTime += p.Now().Sub(start)
+	ct.event(p.Now(), "resync-done", grp.ID, r)
 }
 
 // reestablish rebuilds one client's connection to replica r, replaying its
-// durable redo-log backlog server-side. A cross-partition refusal (engine
-// mode outside a serialized span) replays nothing; the partitioned
-// controller serializes before resyncing, so it never trips this.
-func (ct *Controller) reestablish(p *sim.Proc, cl *replicate.Client, r int) int {
+// durable redo-log backlog server-side. On an engine the driver's
+// serialized crash span makes the cross-partition Reestablish legal; a
+// refusal (misuse outside a serialized span) replays nothing and surfaces
+// as a lost-write violation downstream.
+func reestablish(p *sim.Proc, cl *replicate.Client, r int) int {
 	rec, ok := cl.Replica(r).(rpc.Recoverable)
 	if !ok {
 		return 0
@@ -285,11 +312,12 @@ const shipWindow = 16
 // or after floor and not yet shipped at its current version, pipelined
 // shipWindow deep on the controller's dedicated connection. Keys go in
 // ascending order — deterministic for a fixed seed.
-func (ct *Controller) ship(p *sim.Proc, sh *Shard, r int, floor sim.Time, shippedAt map[uint64]sim.Time) (int, error) {
-	ac, ok := sh.ctl.Replica(r).(rpc.AsyncClient)
+func (ct *Controller) ship(p *sim.Proc, grp *PGroup, r int, floor sim.Time, shippedAt map[uint64]sim.Time) (int, error) {
+	ac, ok := grp.ctl.Replica(r).(rpc.AsyncClient)
 	if !ok {
 		return 0, nil
 	}
+	wrote := ct.C.Gateways[0].wrote[grp.ID]
 	var reqs [shipWindow]rpc.Request
 	pend := make([]*rpc.Pending, 0, shipWindow)
 	drain := func() error {
@@ -302,8 +330,8 @@ func (ct *Controller) ship(p *sim.Proc, sh *Shard, r int, floor sim.Time, shippe
 		return nil
 	}
 	n := 0
-	for _, key := range sh.sortedWroteKeys() {
-		w := sh.wrote[key]
+	for _, key := range ct.C.sortedWroteKeys(grp) {
+		w := wrote[key]
 		if w.at < floor || shippedAt[key] == w.at {
 			continue
 		}
@@ -327,8 +355,9 @@ func (ct *Controller) ship(p *sim.Proc, sh *Shard, r int, floor sim.Time, shippe
 }
 
 // waitApplied waits until the replica's engine queue is drained and its
-// workers have had time to finish in-flight applies.
-func (ct *Controller) waitApplied(p *sim.Proc, rep *Replica) bool {
+// workers have had time to finish in-flight applies (on an engine, a
+// cross-partition read: serialized crash span only).
+func waitApplied(p *sim.Proc, rep *Replica) bool {
 	for rep.Engine.QueueDepth() > 0 {
 		if !rep.alive {
 			return false

@@ -125,9 +125,12 @@ func snapWriter(zip uint64, client, clients int, keySpace int64) uint64 {
 	return k
 }
 
-// RunLoad drives the workload to completion from proc p and returns the
-// samples. The failover controller (if any) keeps running; stop it after.
-func (c *Cluster) RunLoad(p *sim.Proc, l Load) (*LoadResult, error) {
+// RunLoadFrom is the one-kernel load generator: it drives the workload to
+// completion from proc p, with every client proc on gateway 0's kernel, and
+// returns the samples. Unlike the partitioned RunLoad it supports YCSB
+// workload mixes, and its closed loop shares one op counter across clients.
+// The failover controller (if any) keeps running; stop it after.
+func (c *PCluster) RunLoadFrom(p *sim.Proc, l Load) (*LoadResult, error) {
 	if l.Clients <= 0 || l.Ops <= 0 {
 		return nil, fmt.Errorf("cluster: load needs Clients>0, Ops>0")
 	}
@@ -174,13 +177,13 @@ func (c *Cluster) RunLoad(p *sim.Proc, l Load) (*LoadResult, error) {
 			if l.Verify {
 				fill(payload, key, ver)
 			}
-			if err := c.Put(wp, key, ver, payload); err != nil {
+			if err := c.PutOn(wp, 0, key, ver, payload); err != nil {
 				res.Errors++
 				return
 			}
 			res.Writes++
 		} else {
-			data, err := c.Get(wp, key, c.P.ObjSize)
+			data, err := c.GetOn(wp, 0, key, c.P.ObjSize)
 			if err != nil {
 				res.Errors++
 				return
@@ -205,7 +208,7 @@ func (c *Cluster) RunLoad(p *sim.Proc, l Load) (*LoadResult, error) {
 		}
 		for i := 0; i < n; i++ {
 			k := (key + uint64(i)) % uint64(l.KeySpace)
-			data, err := c.Get(wp, k, c.P.ObjSize)
+			data, err := c.GetOn(wp, 0, k, c.P.ObjSize)
 			if err != nil {
 				res.Errors++
 				return
@@ -221,7 +224,8 @@ func (c *Cluster) RunLoad(p *sim.Proc, l Load) (*LoadResult, error) {
 		res.Samples = append(res.Samples, Sample{At: now, Dur: now.Sub(start), Shard: c.Ring.Shard(key)})
 	}
 
-	wg := sim.NewWaitGroup(c.K)
+	k := c.Gateways[0].K
+	wg := sim.NewWaitGroup(k)
 	if l.OpenLoop && l.Workload != 0 {
 		return nil, fmt.Errorf("cluster: YCSB workloads run closed-loop only")
 	}
@@ -235,11 +239,11 @@ func (c *Cluster) RunLoad(p *sim.Proc, l Load) (*LoadResult, error) {
 			write bool
 			stop  bool
 		}
-		queue := sim.NewChan[arrival](c.K)
+		queue := sim.NewChan[arrival](k)
 		for w := 0; w < l.Clients; w++ {
 			wg.Add(1)
 			client := w
-			c.K.Go("load-worker", func(wp *sim.Proc) {
+			k.Go("load-worker", func(wp *sim.Proc) {
 				defer wg.Done()
 				for {
 					a := queue.Pop(wp)
@@ -251,7 +255,7 @@ func (c *Cluster) RunLoad(p *sim.Proc, l Load) (*LoadResult, error) {
 			})
 		}
 		wg.Add(1)
-		c.K.Go("load-arrivals", func(ap *sim.Proc) {
+		k.Go("load-arrivals", func(ap *sim.Proc) {
 			defer wg.Done()
 			rng := sim.NewRand(l.Seed ^ 0xa11a)
 			zipf := ycsb.NewZipfian(rng, l.KeySpace, l.Theta)
@@ -277,7 +281,7 @@ func (c *Cluster) RunLoad(p *sim.Proc, l Load) (*LoadResult, error) {
 		for w := 0; w < l.Clients; w++ {
 			wg.Add(1)
 			client := w
-			c.K.Go("ycsb-client", func(wp *sim.Proc) {
+			k.Go("ycsb-client", func(wp *sim.Proc) {
 				defer wg.Done()
 				gen := ycsb.NewGenerator(l.Workload, ycsb.Config{
 					Records:   int(l.KeySpace),
@@ -309,7 +313,7 @@ func (c *Cluster) RunLoad(p *sim.Proc, l Load) (*LoadResult, error) {
 		for w := 0; w < l.Clients; w++ {
 			wg.Add(1)
 			client := w
-			c.K.Go("load-client", func(wp *sim.Proc) {
+			k.Go("load-client", func(wp *sim.Proc) {
 				defer wg.Done()
 				rng := sim.NewRand(l.Seed ^ (uint64(client)+1)*0x9e3779b97f4a7c15)
 				zipf := ycsb.NewZipfian(rng, l.KeySpace, l.Theta)

@@ -1,505 +1,21 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"sort"
 	"time"
 
-	"prdma/internal/fabric"
-	"prdma/internal/host"
-	"prdma/internal/replicate"
-	"prdma/internal/rpc"
 	"prdma/internal/sim"
 	"prdma/internal/ycsb"
 )
 
-// This file is the partitioned (engine-mode) cluster deployment: the same
-// sharded, replicated durable KV as New, but spread over the kernels of one
-// sim.Engine so independent partitions can execute on parallel workers.
-//
-// Partition layout: gateway g is engine kernel g, shard group s (all of its
-// replicas) is kernel Gateways+s. Every client↔replica connection crosses a
-// partition boundary and therefore runs the rpc layer's engine mode; all
-// four durable RPC families are supported — the per-family redo-log
-// ownership split lives in rpc.NewDurable. Bookkeeping is per gateway:
-// acknowledged-write records, counters and samples are owned by their
-// gateway's kernel and merged canonically after the engine drains, so no
-// shared mutable state crosses kernels on the data plane.
-//
-// Crash/recovery is supported with one topology restriction: the failover
-// controller (StartController, pfailover.go) requires Gateways == 1, so
-// every client-side structure it touches lives on a single kernel. Crash
-// injection is driver-driven at window barriers — CrashReplica and
-// RestartReplica run only from driver context inside a serialized engine
-// span (sim.Engine.Serialize), where a global event order exists. The
-// crash-free data plane keeps its parallel window execution, and a
-// Gateways>1 deployment is byte-identical to what it was before failover
-// support existed (the controller connection is only built for Gateways==1).
-
-// PGroup is one shard group's partition: a kernel hosting all its replicas.
-//
-// The controller fields below the kernel handle are populated only in a
-// Gateways==1 deployment (NewPartitioned builds the ctl connection then).
-// Despite living next to the server-side replicas, they are client-side
-// state: every one of them is owned by the gateway kernel's procs — or by
-// the driver at a window barrier — and is never touched by the group's own
-// kernel.
-type PGroup struct {
-	ID       int
-	K        *sim.Kernel
-	Replicas []*Replica
-
-	// ctl is the controller's dedicated replicated connection (never
-	// pooled); nil unless Gateways == 1.
-	ctl *replicate.Client
-
-	// pendingSince/resyncing/resyncBusy/quiesce mirror Shard's failover
-	// bookkeeping (see Shard); Primary is the current primary replica.
-	pendingSince []sim.Time
-	resyncing    []bool
-	resyncBusy   bool
-	quiesce      bool
-	Primary      int
-
-	// ackAudit mirrors Shard.ackAudit: per replica, the highest payload
-	// version durably acknowledged per store slot (EnableAckAudit).
-	ackAudit []map[uint64]uint32
-
-	// keys is the sorted-key scratch for deterministic ship iteration.
-	keys []uint64
-
-	// Controller counters (same meaning as on Shard).
-	Failovers, Promotions, Resyncs,
-	Shipped, Replayed, Retries int64
-	DetectLag, ResyncTime time.Duration
-}
-
-// PGateway is one client-side partition: a gateway host plus its per-shard
-// connection pools and gateway-local bookkeeping.
-type PGateway struct {
-	ID   int
-	K    *sim.Kernel
-	Host *host.Host
-
-	pools   []*sim.Chan[*replicate.Client] // per shard
-	clients [][]*replicate.Client          // per shard: the pooled clients, for membership marks
-	wrote   []map[uint64]*wroteRec         // per shard: writes acked via this gateway
-
-	Puts, Gets int64
-}
-
-// PCluster is the partitioned deployment.
-type PCluster struct {
-	Eng  *sim.Engine
-	P    Params
-	Net  *fabric.Network
-	Ring *Ring
-
-	Gateways []*PGateway
-	Groups   []*PGroup
-}
-
-// CoordStats reports the deployment's window-coordination counters: how
-// many conservative windows ran, how many of those fused (solo-kernel
-// windows executed without a barrier), how many idle kernel dispatches were
-// skipped, how many windows actually entered the worker barrier, and the
-// cross-transfer slab hit rate. All values are deterministic at any worker
-// count; read them after the load completes, before Shutdown.
-func (c *PCluster) CoordStats() (windows, fused, idleSkips, barriers uint64, slabHits, slabMisses int64) {
-	slabHits, slabMisses = c.Net.XferSlabStats()
-	return c.Eng.Windows(), c.Eng.Fused(), c.Eng.IdleSkips(), c.Eng.Barriers(), slabHits, slabMisses
-}
-
-// NewPartitioned builds the partitioned cluster on a fresh engine with the
-// given worker count. The engine's lookahead is the fabric's one-way
-// propagation delay — the minimum cross-partition latency, so no message can
-// ever need delivery inside the current window.
-func NewPartitioned(workers int, p Params) (*PCluster, error) {
-	if p.Shards <= 0 || p.Replicas <= 0 || p.PoolSize <= 0 {
-		return nil, errors.New("cluster: Shards, Replicas, PoolSize must be positive")
-	}
-	if p.Gateways <= 0 {
-		return nil, errors.New("cluster: partitioned deployment needs Gateways > 0")
-	}
-	if !p.Kind.Durable() {
-		return nil, fmt.Errorf("cluster: partitioned deployment needs a durable RPC family (engine mode), not %v", p.Kind)
-	}
-	c := &PCluster{
-		Eng:  sim.NewEngine(p.Net.Lookahead(), workers),
-		P:    p,
-		Ring: NewRing(p.Shards, p.VNodes, p.Seed),
-	}
-	for g := 0; g < p.Gateways; g++ {
-		c.Gateways = append(c.Gateways, &PGateway{ID: g, K: c.Eng.NewKernel()})
-	}
-	c.Net = fabric.New(c.Gateways[0].K, p.Net, p.Seed^0x5eed)
-	for g, gw := range c.Gateways {
-		gw.Host = host.New(gw.K, fmt.Sprintf("gw%d", g), c.Net, p.HostP, p.PM, p.NIC)
-	}
-	for s := 0; s < p.Shards; s++ {
-		grp := &PGroup{ID: s, K: c.Eng.NewKernel()}
-		for r := 0; r < p.Replicas; r++ {
-			h := host.New(grp.K, fmt.Sprintf("s%dr%d", s, r), c.Net, p.HostP, p.PM, p.NIC)
-			store, err := rpc.NewStore(h, p.Objects, p.ObjSize)
-			if err != nil {
-				return nil, err
-			}
-			if !p.MutantResurrect {
-				// Same stale-write guard as the serial cluster (see New);
-				// the resurrect mutant disables it to seed the bug class.
-				store.VersionAt = 8
-			}
-			engine := rpc.NewServer(h, store, p.Cfg)
-			grp.Replicas = append(grp.Replicas, &Replica{Host: h, Store: store, Engine: engine, alive: true})
-		}
-		c.Groups = append(c.Groups, grp)
-	}
-	for _, gw := range c.Gateways {
-		gw.pools = make([]*sim.Chan[*replicate.Client], p.Shards)
-		gw.clients = make([][]*replicate.Client, p.Shards)
-		gw.wrote = make([]map[uint64]*wroteRec, p.Shards)
-		for s, grp := range c.Groups {
-			gw.pools[s] = sim.NewChan[*replicate.Client](gw.K)
-			gw.wrote[s] = make(map[uint64]*wroteRec)
-			for i := 0; i < p.PoolSize; i++ {
-				var raw []rpc.Client
-				for _, rep := range grp.Replicas {
-					raw = append(raw, rpc.New(p.Kind, gw.Host, rep.Engine, p.Cfg))
-				}
-				rc, err := replicate.New(gw.K, p.Policy, raw)
-				if err != nil {
-					return nil, err
-				}
-				gw.clients[s] = append(gw.clients[s], rc)
-				gw.pools[s].Push(rc)
-			}
-		}
-	}
-	if p.Gateways == 1 {
-		// Failover support: one dedicated controller connection per shard,
-		// plus the membership bookkeeping the controller needs. Built only
-		// for the single-gateway topology so multi-gateway deployments keep
-		// their pre-failover event stream byte for byte.
-		gw := c.Gateways[0]
-		for _, grp := range c.Groups {
-			var raw []rpc.Client
-			for _, rep := range grp.Replicas {
-				raw = append(raw, rpc.New(p.Kind, gw.Host, rep.Engine, p.Cfg))
-			}
-			rc, err := replicate.New(gw.K, p.Policy, raw)
-			if err != nil {
-				return nil, err
-			}
-			grp.ctl = rc
-			grp.pendingSince = make([]sim.Time, p.Replicas)
-			grp.resyncing = make([]bool, p.Replicas)
-		}
-	}
-	return c, nil
-}
-
-// Now returns the latest kernel clock in the deployment — the driver's time
-// reference at a window barrier (kernels may sit at slightly different
-// clocks there; the maximum is monotone across barriers).
-func (c *PCluster) Now() sim.Time {
-	var t sim.Time
-	for _, k := range c.Eng.Kernels() {
-		if now := k.Now(); now > t {
-			t = now
-		}
-	}
-	return t
-}
-
-// CrashReplica fails replica r of shard s: the host loses volatile state (PM
-// survives), the engine drops its queue, the store forgets its version
-// watermarks. Driver context only, at a window barrier, inside a serialized
-// engine span — the crash mutates server-kernel state and flips liveness the
-// gateway-side controller polls, which is only sound where a global event
-// order exists. The caller owns the restart (RestartReplica at a later
-// barrier) and must hold the Serialize token until the cluster is Healthy.
-func (c *PCluster) CrashReplica(s, r int) {
-	if !c.Eng.Serialized() {
-		panic("cluster: CrashReplica outside a serialized engine span")
-	}
-	rep := c.Groups[s].Replicas[r]
-	if !rep.alive {
-		return
-	}
-	rep.alive = false
-	rep.crashedAt = c.Groups[s].K.Now()
-	rep.Host.Crash()
-	rep.Engine.Crash()
-	rep.Store.Crash()
-}
-
-// RestartReplica brings a crashed replica back. Driver context only, at a
-// window barrier at least P.Restart past the crash (the caller models the
-// restart latency by choosing the barrier).
-func (c *PCluster) RestartReplica(s, r int) {
-	rep := c.Groups[s].Replicas[r]
-	if rep.alive {
-		return
-	}
-	rep.Host.Restart()
-	rep.alive = true
-	rep.Restarts++
-}
-
-// Healthy reports whether every replica is up and — when a controller is
-// installed — readmitted (no down marks, no resync in flight).
-func (c *PCluster) Healthy() bool {
-	for _, grp := range c.Groups {
-		for r, rep := range grp.Replicas {
-			if !rep.alive {
-				return false
-			}
-			if grp.ctl != nil && (grp.ctl.Down(r) || grp.resyncing[r]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// EnableAckAudit mirrors Cluster.EnableAckAudit for the partitioned
-// deployment: per shard and replica, record the highest payload version each
-// replica durably acknowledges per store slot. Gateways == 1 only — the
-// audit maps hang off the shard groups but are written by gateway-kernel
-// callbacks, which is single-writer only with a single gateway.
-func (c *PCluster) EnableAckAudit() {
-	if c.P.Gateways != 1 {
-		panic("cluster: EnableAckAudit on a partitioned deployment needs Gateways == 1")
-	}
-	gw := c.Gateways[0]
-	for s, grp := range c.Groups {
-		grp := grp
-		grp.ackAudit = make([]map[uint64]uint32, c.P.Replicas)
-		for r := range grp.ackAudit {
-			grp.ackAudit[r] = make(map[uint64]uint32)
-		}
-		tag := func(req *rpc.Request) uint64 {
-			if len(req.Payload) < 12 {
-				return req.Key << 32
-			}
-			return req.Key<<32 | uint64(binary.LittleEndian.Uint32(req.Payload[8:]))
-		}
-		onDurable := func(replica int, t uint64, at sim.Time) {
-			slot, ver := t>>32, uint32(t)
-			if ver == 0 {
-				return // unversioned payload: nothing to audit
-			}
-			if ver > grp.ackAudit[replica][slot] {
-				grp.ackAudit[replica][slot] = ver
-			}
-		}
-		for _, cl := range gw.clients[s] {
-			cl.WriteTag, cl.OnDurable = tag, onDurable
-		}
-	}
-}
-
-// AckedVersions returns replica r's durably-acknowledged version record
-// (nil unless EnableAckAudit ran).
-func (grp *PGroup) AckedVersions(r int) map[uint64]uint32 {
-	if grp.ackAudit == nil {
-		return nil
-	}
-	return grp.ackAudit[r]
-}
-
-// PMFull totals the replicas' PM-exhaustion backpressure drops — writes that
-// could not be homed because the arena ran out. Surfaced as a stat so a
-// sizing mistake reads as backpressure, not a panic.
-func (c *PCluster) PMFull() int64 {
-	var n int64
-	for _, grp := range c.Groups {
-		for _, rep := range grp.Replicas {
-			n += rep.Store.PMFull
-		}
-	}
-	return n
-}
-
-// sortedWroteKeys fills grp.keys with gateway 0's recorded key set for this
-// shard in ascending order (controller ship iteration; Gateways == 1).
-func (c *PCluster) sortedWroteKeys(grp *PGroup) []uint64 {
-	wrote := c.Gateways[0].wrote[grp.ID]
-	grp.keys = grp.keys[:0]
-	for k := range wrote {
-		grp.keys = append(grp.keys, k)
-	}
-	sort.Slice(grp.keys, func(i, j int) bool { return grp.keys[i] < grp.keys[j] })
-	return grp.keys
-}
-
-func (gw *PGateway) record(shard int, key uint64, ver uint32, payload []byte, at sim.Time) {
-	rec := gw.wrote[shard][key]
-	if rec == nil {
-		rec = &wroteRec{buf: make([]byte, 0, len(payload))}
-		gw.wrote[shard][key] = rec
-	}
-	rec.buf = append(rec.buf[:0], payload...)
-	rec.ver = ver
-	rec.at = at
-}
-
-// acquire checks out a pooled client for shard s via gateway g, yielding to
-// a controller's readmission barrier first (see Shard.acquire). Without a
-// controller quiesce is never set and this is a plain pool pop.
-func (c *PCluster) acquire(p *sim.Proc, g, s int) *replicate.Client {
-	for c.Groups[s].quiesce {
-		p.Sleep(20 * time.Microsecond)
-	}
-	return c.Gateways[g].pools[s].Pop(p)
-}
-
-// PutOn routes one durable replicated write through gateway g. p must be a
-// proc on that gateway's kernel. Without a failover controller the crash-free
-// topology needs no retry loop — an error is a bug, not a failover window —
-// and the path stays exactly the pre-failover event stream. With a
-// controller installed (Gateways == 1), writes retry across failover windows
-// the way the serial cluster's Put does.
-func (c *PCluster) PutOn(p *sim.Proc, g int, key uint64, ver uint32, payload []byte) error {
-	gw := c.Gateways[g]
-	s := c.Ring.Shard(key)
-	grp := c.Groups[s]
-	req := rpc.Request{Op: rpc.OpWrite, Key: keyIndex(key, c.P.Objects), Size: len(payload), Payload: payload}
-	if grp.ctl == nil {
-		cl := gw.pools[s].Pop(p)
-		at, _, err := cl.Write(p, &req)
-		gw.pools[s].Push(cl)
-		if err != nil {
-			return fmt.Errorf("cluster: put key %d via gw %d: %w", key, g, err)
-		}
-		gw.Puts++
-		gw.record(s, key, ver, payload, at)
-		return nil
-	}
-	for attempt := 0; ; attempt++ {
-		cl := c.acquire(p, g, s)
-		at, _, err := cl.WriteTimeout(p, &req, c.P.Retry*8)
-		gw.pools[s].Push(cl)
-		if err == nil {
-			gw.Puts++
-			gw.record(s, key, ver, payload, at)
-			return nil
-		}
-		if attempt >= putAttempts(c.P) {
-			return fmt.Errorf("cluster: put key %d via gw %d failed after %d attempts: %w", key, g, attempt+1, err)
-		}
-		grp.Retries++
-		p.Sleep(c.P.Retry)
-	}
-}
-
-// GetOn routes one read through gateway g (p on that gateway's kernel),
-// retrying across failover windows when a controller is installed.
-func (c *PCluster) GetOn(p *sim.Proc, g int, key uint64, size int) ([]byte, error) {
-	gw := c.Gateways[g]
-	s := c.Ring.Shard(key)
-	grp := c.Groups[s]
-	req := rpc.Request{Op: rpc.OpRead, Key: keyIndex(key, c.P.Objects), Size: size, Payload: empty}
-	if grp.ctl == nil {
-		cl := gw.pools[s].Pop(p)
-		resp, err := cl.Read(p, &req)
-		gw.pools[s].Push(cl)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: get key %d via gw %d: %w", key, g, err)
-		}
-		gw.Gets++
-		return resp.Data, nil
-	}
-	for attempt := 0; ; attempt++ {
-		cl := c.acquire(p, g, s)
-		resp, err := cl.ReadTimeout(p, &req, c.P.Retry*8)
-		gw.pools[s].Push(cl)
-		if err == nil {
-			gw.Gets++
-			return resp.Data, nil
-		}
-		if attempt >= putAttempts(c.P) {
-			return nil, fmt.Errorf("cluster: get key %d via gw %d failed after %d attempts: %w", key, g, attempt+1, err)
-		}
-		grp.Retries++
-		p.Sleep(c.P.Retry)
-	}
-}
-
-// Puts and Gets total the per-gateway counters.
-func (c *PCluster) Puts() int64 {
-	var n int64
-	for _, gw := range c.Gateways {
-		n += gw.Puts
-	}
-	return n
-}
-
-func (c *PCluster) Gets() int64 {
-	var n int64
-	for _, gw := range c.Gateways {
-		n += gw.Gets
-	}
-	return n
-}
-
-// CheckConsistency verifies, after the engine drains, that the last
-// acknowledged write per store slot is resident and byte-identical on every
-// replica of its shard. Acknowledged-write records are merged across
-// gateways with a deterministic (time, key, gateway) tie-break.
-func (c *PCluster) CheckConsistency() error {
-	buf := make([]byte, c.P.ObjSize)
-	for s, grp := range c.Groups {
-		type lastRec struct {
-			key uint64
-			gw  int
-			rec *wroteRec
-		}
-		lastPerSlot := make(map[uint64]lastRec)
-		for g, gw := range c.Gateways {
-			keys := make([]uint64, 0, len(gw.wrote[s]))
-			for k := range gw.wrote[s] {
-				keys = append(keys, k)
-			}
-			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-			for _, key := range keys {
-				rec := gw.wrote[s][key]
-				slot := keyIndex(key, c.P.Objects)
-				prev, ok := lastPerSlot[slot]
-				if !ok || rec.at > prev.rec.at ||
-					(rec.at == prev.rec.at && (key > prev.key || (key == prev.key && g > prev.gw))) {
-					lastPerSlot[slot] = lastRec{key: key, gw: g, rec: rec}
-				}
-			}
-		}
-		slots := make([]uint64, 0, len(lastPerSlot))
-		for slot := range lastPerSlot {
-			slots = append(slots, slot)
-		}
-		sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
-		for _, slot := range slots {
-			want := lastPerSlot[slot].rec.buf
-			for r, rep := range grp.Replicas {
-				if !rep.alive {
-					continue
-				}
-				if !rep.Store.Has(slot) {
-					return fmt.Errorf("shard %d replica %d: acked slot %d missing", s, r, slot)
-				}
-				got := rep.Host.PM.ReadBytesInto(rep.Store.Addr(slot), buf[:len(want)])
-				if !bytes.Equal(got, want) {
-					return fmt.Errorf("shard %d replica %d: acked slot %d diverged", s, r, slot)
-				}
-			}
-		}
-	}
-	return nil
-}
+// This file is the partitioned load driver: per-gateway client procs on the
+// kernels of a NewPartitioned deployment, with every gateway's samples,
+// counters and verification state owned by its own kernel and merged
+// canonically after the engine drains, so no shared mutable state crosses
+// kernels on the data plane.
 
 // PLoadResult aggregates a partitioned load run. Everything in it is a pure
 // function of the simulation, so Fingerprint is comparable across worker
@@ -631,8 +147,8 @@ func (r *PLoadRun) Collect() *PLoadResult {
 // RunLoad drives the partitioned workload: it spawns per-gateway client
 // procs, runs the engine to completion, and merges the per-gateway results
 // canonically (by completion time, then gateway). Closed loop and the plain
-// open-loop mix are supported; YCSB workload mixes stay on the serial
-// cluster.
+// open-loop mix are supported; YCSB workload mixes stay on the one-kernel
+// generator (RunLoadFrom).
 //
 // In open loop, Load.LogicalClients (when > over the worker count) models a
 // client population far larger than the service-worker pool: the aggregate
@@ -657,7 +173,7 @@ func (c *PCluster) StartLoad(l Load) (*PLoadRun, error) {
 		return nil, fmt.Errorf("cluster: load needs Clients>0, Ops>0")
 	}
 	if l.Workload != 0 {
-		return nil, fmt.Errorf("cluster: YCSB workloads run on the serial cluster only")
+		return nil, fmt.Errorf("cluster: YCSB workloads run on the one-kernel generator (RunLoadFrom) only")
 	}
 	G := c.P.Gateways
 	if l.KeySpace <= 0 {

@@ -211,10 +211,10 @@ func TestPartitionedFailoverRecovery(t *testing.T) {
 	c.Eng.Shutdown()
 }
 
-// TestPartitionedMatchesSerialSemantics sanity-checks the data plane against
-// the serial cluster: same op mix, both end consistent with all reads
-// verified (timings differ — the topologies are different — but semantics
-// must not).
+// TestPartitionedMatchesSerialSemantics sanity-checks the partitioned data
+// plane against the one-kernel cluster's semantics: the same op mix ends
+// consistent with all reads verified (timings differ — the topologies are
+// different — but semantics must not).
 func TestPartitionedMatchesSerialSemantics(t *testing.T) {
 	l := Load{Clients: 4, Ops: 200, ReadFrac: 0.3, Verify: true, Seed: 9}
 	res, cerr := runPart(t, 2, l)

@@ -1,10 +1,9 @@
 // Cluster mode: the crash-point sweep applied to a sharded, replicated
 // deployment (internal/cluster). Each point replays the same cluster
-// workload, crashes one replica at a chosen event boundary — landing
-// anywhere in the issue/failover/resync state space — optionally crashes a
-// second replica of the same shard while the first resync is in flight,
-// lets the failover controller run to completion, and asserts the cluster
-// contract:
+// workload, crashes one replica at a chosen coordinate — landing anywhere
+// in the issue/failover/resync state space — optionally crashes a second
+// replica of the same shard while the first resync is in flight, lets the
+// failover controller run to completion, and asserts the cluster contract:
 //
 //  1. No acknowledged write is lost: every Put that returned success is
 //     present, untorn, on every live replica of its shard.
@@ -16,10 +15,25 @@
 //     settle horizon.
 //  4. Read sanity: every read during the run returned a well-formed
 //     payload no newer than the issued history.
+//
+// The crash coordinate depends on the deployment. On one kernel (Workers ==
+// 0, cluster.New) it is "after event i". Under parallel execution no global
+// event index is stable — worker threads interleave events inside a window
+// — but window barriers are: every boundary is a global quiesce point, and
+// with identical inputs the i-th window covers the same events in every run
+// at any worker count. So with Workers ≥ 1 (cluster.NewPartitioned) the
+// sweep crashes "at window i" instead, injecting the crash at that barrier
+// inside a serialized engine span. The driver holds the Serialize token —
+// and with it the single-kernel-equivalent global event order the failover
+// choreography needs — from the crash until the cluster is healthy again,
+// firing restarts and second crashes at the first barrier past their due
+// time. A violation's minimal repro is its (seed, coordinate) pair, and a
+// window found at Workers=8 replays at Workers=1.
 package crashcheck
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -32,11 +46,11 @@ import (
 	"prdma/internal/ycsb"
 )
 
-// ClusterConfig parameterizes one cluster-mode sweep.
+// ClusterConfig parameterizes one cluster sweep.
 type ClusterConfig struct {
 	// Seed drives the workload, the placement ring, and point selection.
 	Seed int64
-	// Points is how many event-boundary crash points to sweep.
+	// Points is how many crash points to sweep.
 	Points int
 	// SecondCrashEvery arms a second crash — a different replica of the
 	// same shard, timed to land during the first resync window — at every
@@ -44,19 +58,26 @@ type ClusterConfig struct {
 	SecondCrashEvery int
 	// Ops and Clients size the closed-loop verified workload.
 	Ops, Clients int
-	// Shards and Replicas shape the deployment.
+	// Shards and Replicas shape the deployment (one gateway: the failover
+	// controller requires it).
 	Shards, Replicas int
 	// ObjSize is the object size in bytes (≥ 16 for versioned payloads).
 	ObjSize int
+	// Workers selects the crash coordinate: 0 crashes at an event index on
+	// the one-kernel deployment; N ≥ 1 crashes at a window index on the
+	// partitioned deployment run by an N-worker engine. Window indices are
+	// worker-count-stable, so a violation found at Workers=8 replays at
+	// Workers=1.
+	Workers int
 
 	// Fault, when set, installs a deterministic fabric adversary (the same
 	// spec and seed for the reference run and every crash point). Fault
 	// runs shorten the RC retransmit interval and raise the retry budget
 	// so sub-millisecond partitions are ridden out by retransmission
-	// instead of killing queue pairs.
+	// instead of killing queue pairs. Workers == 0 only.
 	Fault *fabric.FaultSpec
 	// Workload, when set, drives the load from a YCSB core workload
-	// (ycsb.A..ycsb.F) instead of the default 70/30 mix.
+	// (ycsb.A..ycsb.F) instead of the default 70/30 mix. Workers == 0 only.
 	Workload ycsb.Workload
 	// Mutant seeds a known bug class for the detection check: "ackbug"
 	// (flush ACK before the durability horizon) or "resurrect" (stale
@@ -105,19 +126,23 @@ type RefStats struct {
 	Resends, FaultDrops, Duplicated, Reordered, StaleDrops, Retries int64
 }
 
-// ClusterResult summarizes one cluster sweep.
+// ClusterResult summarizes one cluster sweep. Point.Event holds the crash
+// coordinate: an event index (Workers == 0) or a window index.
 type ClusterResult struct {
-	Seed   int64
-	Points int
-	// Events is the event count of the crash-free reference load.
+	Seed    int64
+	Workers int
+	Points  int
+	// Events is the coordinate space the points were sampled from: the
+	// crash-free reference load's event count (Workers == 0) or window
+	// count (Workers ≥ 1).
 	Events uint64
 	// Ref measures the crash-free reference run.
 	Ref RefStats
 	// Failovers/Resyncs/Replayed/Shipped total the controller work across
-	// all points.
-	Failovers, Resyncs, Replayed, Shipped int64
-	Violations                            []ClusterViolation
-	ViolationCount                        int
+	// all points; PMFull the PM-exhaustion backpressure drops.
+	Failovers, Resyncs, Replayed, Shipped, PMFull int64
+	Violations                                    []ClusterViolation
+	ViolationCount                                int
 }
 
 // Minimal returns the earliest-crash violation, nil when clean.
@@ -132,27 +157,33 @@ func (r *ClusterResult) Minimal() *ClusterViolation {
 	return min
 }
 
-// clusterRun is one deployment plus its workload driver.
+// clusterRun is one deployment plus its workload driver. With Workers == 0
+// k is the one kernel and a proc drives the load; otherwise load is the
+// in-flight partitioned workload and the sweep driver steps the engine.
 type clusterRun struct {
-	k   *sim.Kernel
-	c   *cluster.Cluster
-	ct  *cluster.Controller
-	res *cluster.LoadResult
-	err error
+	c    *cluster.PCluster
+	k    *sim.Kernel
+	ct   *cluster.Controller
+	load *cluster.PLoadRun
+	res  *cluster.LoadResult
+	err  error
 
-	loadDone      bool
-	loadEndEvents uint64
+	loadDone bool
+	// loadEnd is the crash coordinate at which the load completed.
+	loadEnd uint64
 
 	// auditMsgs collects §4.2 ack-contract breaks observed by the
 	// post-replay audit (see auditReplay).
 	auditMsgs []string
 }
 
-func newClusterRun(cfg ClusterConfig) *clusterRun {
-	k := sim.New()
+// newClusterRun builds the deployment for cfg's coordinate, lets tune
+// adjust it before anything runs, and starts the controller and the load.
+func newClusterRun(cfg ClusterConfig, tune func(*cluster.PCluster)) (*clusterRun, error) {
 	p := cluster.DefaultParams()
 	p.Shards = cfg.Shards
 	p.Replicas = cfg.Replicas
+	p.Gateways = 1
 	p.PoolSize = 2
 	p.Objects = 128
 	p.ObjSize = cfg.ObjSize
@@ -173,31 +204,248 @@ func newClusterRun(cfg ClusterConfig) *clusterRun {
 	case "resurrect":
 		p.MutantResurrect = true
 	}
-	r := &clusterRun{k: k}
-	c, err := cluster.New(k, p)
+	r := &clusterRun{}
+	var err error
+	if cfg.Workers == 0 {
+		r.k = sim.New()
+		r.c, err = cluster.New(r.k, p)
+	} else {
+		r.c, err = cluster.NewPartitioned(cfg.Workers, p)
+	}
 	if err != nil {
-		panic(err)
+		return nil, err
+	}
+	if tune != nil {
+		tune(r.c)
 	}
 	if cfg.Fault != nil {
-		c.Net.SetInjector(fabric.NewInjector(*cfg.Fault, (uint64(cfg.Seed)|1)^0xfa175eed))
+		r.c.Net.SetInjector(fabric.NewInjector(*cfg.Fault, (uint64(cfg.Seed)|1)^0xfa175eed))
 	}
-	r.c = c
-	c.EnableAckAudit()
-	r.ct = c.StartController()
+	r.c.EnableAckAudit()
+	if r.ct, err = r.c.StartController(); err != nil {
+		return nil, err
+	}
 	r.ct.AuditReplay = r.auditReplay
-	k.Go("cluster-load", func(mp *sim.Proc) {
-		r.res, r.err = c.RunLoad(mp, cluster.Load{
-			Clients:  cfg.Clients,
-			Ops:      cfg.Ops,
-			ReadFrac: 0.3,
-			Workload: cfg.Workload,
-			Verify:   true,
-			Seed:     uint64(cfg.Seed) | 1,
-		})
+	load := cluster.Load{
+		Clients:  cfg.Clients,
+		Ops:      cfg.Ops,
+		ReadFrac: 0.3,
+		Workload: cfg.Workload,
+		Verify:   true,
+		Seed:     uint64(cfg.Seed) | 1,
+	}
+	if r.k == nil {
+		r.load, err = r.c.StartLoad(load)
+		return r, err
+	}
+	r.k.Go("cluster-load", func(mp *sim.Proc) {
+		r.res, r.err = r.c.RunLoadFrom(mp, load)
 		r.loadDone = true
-		r.loadEndEvents = k.Fired()
+		r.loadEnd = r.k.Fired()
 	})
-	return r
+	return r, nil
+}
+
+func (r *clusterRun) done() bool {
+	if r.load != nil {
+		return r.load.Done()
+	}
+	return r.loadDone
+}
+
+func (r *clusterRun) shutdown() {
+	if r.k != nil {
+		r.k.Shutdown()
+	} else {
+		r.c.Eng.Shutdown()
+	}
+}
+
+// horizon bounds a windowed run's settle phase from t. The controller polls
+// forever, so the engine never quiesces on its own; sim time bounds the run.
+func horizon(t sim.Time) sim.Time { return t.Add(120 * time.Millisecond) }
+
+// reference runs the crash-free load to completion (or the horizon) and
+// leaves loadEnd at the coordinate where it finished.
+func (r *clusterRun) reference() {
+	if r.k != nil {
+		r.settle()
+		return
+	}
+	end := horizon(0)
+	for !(r.load.Done() && r.c.Healthy()) && r.c.Now() < end {
+		if r.c.Eng.RunWindows(16) == 0 {
+			break
+		}
+		if r.loadEnd == 0 && r.load.Done() {
+			r.loadEnd = r.c.Eng.Windows()
+		}
+	}
+	r.drain(end)
+}
+
+// crashAt replays the load up to pt, crashes the coordinate's victim (and,
+// at second-crash points, a second replica of the same shard while the
+// first victim's recovery/resync is typically in flight), and settles. It
+// returns the crash time.
+func (r *clusterRun) crashAt(pt Point, shards, replicas int) sim.Time {
+	// The victim cycles deterministically through every (shard, replica)
+	// pair as the coordinate advances.
+	s := int(pt.Event) % shards
+	victim := int(pt.Event/uint64(shards)) % replicas
+	second := (victim + 1) % replicas
+	secondAfter := r.c.P.Restart + time.Duration(pt.Event%40)*50*time.Microsecond
+
+	if r.k != nil {
+		r.k.RunEvents(pt.Event)
+		at := r.k.Now()
+		r.crashNow(s, victim)
+		if pt.SecondCrash {
+			r.k.AfterFunc(secondAfter, func() { r.crashNow(s, second) })
+		}
+		r.settle()
+		return at
+	}
+
+	r.stepTo(pt.Event)
+	at := r.c.Now()
+	// The driver holds the Serialize token across the whole crash/recovery
+	// span: every post-crash window runs single-kernel equivalent, which is
+	// what legalizes the controller's cross-partition reestablish/quiesce/
+	// drain choreography.
+	r.c.Eng.Serialize()
+	pend := []injection{{due: at, crash: true, s: s, r: victim}}
+	if pt.SecondCrash {
+		pend = append(pend, injection{due: at.Add(secondAfter), crash: true, s: s, r: second})
+	}
+	end := horizon(at)
+	r.settleWindows(pend, end)
+	r.drain(end)
+	r.c.Eng.Unserialize()
+	return at
+}
+
+// crashNow crashes a one-kernel replica and arms its restart P.Restart
+// later.
+func (r *clusterRun) crashNow(s, ri int) {
+	if !r.c.Groups[s].Replicas[ri].Alive() {
+		return
+	}
+	r.c.CrashReplica(s, ri)
+	r.k.AfterFunc(r.c.P.Restart, func() { r.c.RestartReplica(s, ri) })
+}
+
+// settle advances a one-kernel run until the load completes and the
+// cluster is healthy again (or the bounded horizon passes), then gives the
+// engines a final apply window.
+func (r *clusterRun) settle() {
+	for i := 0; i < 60 && !(r.loadDone && r.c.Healthy()); i++ {
+		r.k.RunUntil(r.k.Now().Add(2 * time.Millisecond))
+	}
+	r.k.RunUntil(r.k.Now().Add(3 * time.Millisecond))
+}
+
+// stepTo advances the engine to exactly window w (a no-op if already past).
+func (r *clusterRun) stepTo(w uint64) {
+	for r.c.Eng.Windows() < w {
+		n := int(w - r.c.Eng.Windows())
+		if n > 4096 {
+			n = 4096
+		}
+		if r.c.Eng.RunWindows(n) == 0 {
+			return // quiescent before w: crash lands on a drained engine
+		}
+	}
+}
+
+// injection is a driver-side pending intervention, fired at the first window
+// barrier at or past its due time. Crashes enqueue the victim's restart
+// P.Restart later — only barriers may flip replica liveness on an engine.
+type injection struct {
+	due   sim.Time
+	crash bool
+	s, r  int
+}
+
+// settleWindows fires due injections and steps windows until every
+// injection has fired, the load has finished, and the cluster is healthy —
+// or the horizon passes. Returns at a window barrier.
+func (r *clusterRun) settleWindows(pend []injection, end sim.Time) {
+	for {
+		now := r.c.Now()
+		for i := 0; i < len(pend); {
+			inj := pend[i]
+			if inj.due > now {
+				i++
+				continue
+			}
+			pend = append(pend[:i], pend[i+1:]...)
+			if inj.crash {
+				r.c.CrashReplica(inj.s, inj.r)
+				pend = append(pend, injection{due: now.Add(r.c.P.Restart), s: inj.s, r: inj.r})
+			} else {
+				r.c.RestartReplica(inj.s, inj.r)
+			}
+			i = 0
+		}
+		if len(pend) == 0 && r.load.Done() && r.c.Healthy() {
+			return
+		}
+		if now >= end {
+			return
+		}
+		if r.c.Eng.RunWindows(16) == 0 {
+			return
+		}
+	}
+}
+
+// drain stops the controller and runs the engine quiescent (bounded, in case
+// an auxiliary proc is still polling), then collects the load result.
+func (r *clusterRun) drain(end sim.Time) {
+	r.ct.Stop()
+	for r.c.Now() < end && r.c.Eng.RunWindows(256) != 0 {
+	}
+	pr := r.load.Collect()
+	r.res = &cluster.LoadResult{
+		Samples: pr.Samples, End: pr.End,
+		Writes: pr.Writes, Reads: pr.Reads, BadReads: pr.BadReads, Errors: pr.Errors,
+	}
+}
+
+// auditReplay holds a rejoining replica to its §4.2 ack contract at the
+// one instant its durable state is exactly what it persisted itself:
+// after its redo-log backlogs replayed and applied, before any catch-up
+// image ships. Every slot version the replica durably acknowledged must
+// be resident at that version or newer — a flush ACK that replay cannot
+// honor was a durability lie (the ack-before-durable bug class).
+func (r *clusterRun) auditReplay(p *sim.Proc, grp *cluster.PGroup, ri int) {
+	acked := grp.AckedVersions(ri)
+	if len(acked) == 0 {
+		return
+	}
+	rep := grp.Replicas[ri]
+	slots := make([]uint64, 0, len(acked))
+	for slot := range acked {
+		slots = append(slots, slot)
+	}
+	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
+	buf := make([]byte, 12)
+	for _, slot := range slots {
+		want := acked[slot]
+		if !rep.Store.Has(slot) {
+			r.auditMsgs = append(r.auditMsgs, fmt.Sprintf(
+				"ack audit: shard %d replica %d slot %d: durably acked ver %d but replay restored nothing",
+				grp.ID, ri, slot, want))
+			continue
+		}
+		got := binary.LittleEndian.Uint32(rep.Host.PM.ReadBytesInto(rep.Store.Addr(slot), buf)[8:12])
+		if got < want {
+			r.auditMsgs = append(r.auditMsgs, fmt.Sprintf(
+				"ack audit: shard %d replica %d slot %d: durably acked ver %d but replay restored ver %d",
+				grp.ID, ri, slot, want, got))
+		}
+	}
 }
 
 // refStats extracts the performance row from a settled crash-free run.
@@ -210,8 +458,8 @@ func (r *clusterRun) refStats() RefStats {
 	st.FaultDrops = net.DroppedFault
 	st.Duplicated = net.Duplicated
 	st.Reordered = net.Reordered
-	for _, sh := range r.c.Shards {
-		st.Retries += sh.Retries
+	for _, grp := range r.c.Groups {
+		st.Retries += grp.Retries
 	}
 	if r.res == nil || len(r.res.Samples) == 0 {
 		return st
@@ -228,65 +476,20 @@ func (r *clusterRun) refStats() RefStats {
 	return st
 }
 
-// auditReplay holds a rejoining replica to its §4.2 ack contract at the
-// one instant its durable state is exactly what it persisted itself:
-// after its redo-log backlogs replayed and applied, before any catch-up
-// image ships. Every slot version the replica durably acknowledged must
-// be resident at that version or newer — a flush ACK that replay cannot
-// honor was a durability lie (the ack-before-durable bug class).
-func (r *clusterRun) auditReplay(p *sim.Proc, sh *cluster.Shard, ri int) {
-	acked := sh.AckedVersions(ri)
-	if len(acked) == 0 {
-		return
-	}
-	rep := sh.Replicas[ri]
-	slots := make([]uint64, 0, len(acked))
-	for slot := range acked {
-		slots = append(slots, slot)
-	}
-	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
-	buf := make([]byte, 12)
-	for _, slot := range slots {
-		want := acked[slot]
-		if !rep.Store.Has(slot) {
-			r.auditMsgs = append(r.auditMsgs, fmt.Sprintf(
-				"ack audit: shard %d replica %d slot %d: durably acked ver %d but replay restored nothing",
-				sh.ID, ri, slot, want))
-			continue
-		}
-		got := binary.LittleEndian.Uint32(rep.Host.PM.ReadBytesInto(rep.Store.Addr(slot), buf)[8:12])
-		if got < want {
-			r.auditMsgs = append(r.auditMsgs, fmt.Sprintf(
-				"ack audit: shard %d replica %d slot %d: durably acked ver %d but replay restored ver %d",
-				sh.ID, ri, slot, want, got))
-		}
-	}
-}
-
-// settle advances the run until the load completes and the cluster is
-// healthy again (or the bounded horizon passes), then gives the engines a
-// final apply window. The controller polls forever, so the event queue
-// never drains; time bounds the run instead.
-func (r *clusterRun) settle() {
-	for i := 0; i < 60 && !(r.loadDone && r.c.Healthy()); i++ {
-		r.k.RunUntil(r.k.Now().Add(2 * time.Millisecond))
-	}
-	r.k.RunUntil(r.k.Now().Add(3 * time.Millisecond))
-}
-
-// verify checks the cluster contract after settle.
+// verify checks the cluster contract after the run settled.
 func (r *clusterRun) verify() []string {
 	var out []string
 	bad := func(format string, a ...any) {
 		out = append(out, fmt.Sprintf(format, a...))
 	}
 	out = append(out, r.auditMsgs...)
-	if !r.loadDone {
+	if !r.done() {
 		bad("workload never finished before the settle horizon")
 		return out
 	}
 	if r.err != nil {
 		bad("load error: %v", r.err)
+		return out
 	}
 	if r.res.Errors != 0 {
 		bad("%d operations failed permanently", r.res.Errors)
@@ -306,24 +509,34 @@ func (r *clusterRun) verify() []string {
 }
 
 func (r *clusterRun) counters(res *ClusterResult) {
-	for _, sh := range r.c.Shards {
-		res.Failovers += sh.Failovers
-		res.Resyncs += sh.Resyncs
-		res.Replayed += sh.Replayed
-		res.Shipped += sh.Shipped
+	for _, grp := range r.c.Groups {
+		res.Failovers += grp.Failovers
+		res.Resyncs += grp.Resyncs
+		res.Replayed += grp.Replayed
+		res.Shipped += grp.Shipped
 	}
+	res.PMFull += r.c.PMFull()
 }
 
-// ClusterSweep runs the crash-free reference to size the event space, then
-// replays the cluster workload once per crash point.
-func ClusterSweep(cfg ClusterConfig) ClusterResult {
-	res := ClusterResult{Seed: cfg.Seed}
+// ClusterSweep runs the crash-free reference to size the coordinate space,
+// then replays the cluster workload once per crash point.
+func ClusterSweep(cfg ClusterConfig) (ClusterResult, error) {
+	return clusterSweep(cfg, nil)
+}
 
-	ref := newClusterRun(cfg)
-	ref.settle()
-	res.Events = ref.loadEndEvents
-	res.Ref = ref.refStats()
-	record := func(r *clusterRun, pt Point, at sim.Time, msgs []string) {
+// clusterSweep is ClusterSweep with a hook that adjusts every deployment
+// before it runs.
+func clusterSweep(cfg ClusterConfig, tune func(*cluster.PCluster)) (ClusterResult, error) {
+	res := ClusterResult{Seed: cfg.Seed, Workers: cfg.Workers}
+	if cfg.Workers > 0 && (cfg.Fault != nil || cfg.Workload != 0) {
+		return res, errors.New("crashcheck: Fault and Workload need the event coordinate (Workers == 0)")
+	}
+	switch cfg.Mutant {
+	case "", "ackbug", "resurrect":
+	default:
+		return res, fmt.Errorf("crashcheck: unknown cluster mutant %q (ackbug, resurrect)", cfg.Mutant)
+	}
+	record := func(pt Point, at sim.Time, msgs []string) {
 		for _, msg := range msgs {
 			res.ViolationCount++
 			if len(res.Violations) < maxViolations {
@@ -333,45 +546,45 @@ func ClusterSweep(cfg ClusterConfig) ClusterResult {
 			}
 		}
 	}
-	record(ref, Point{}, ref.k.Now(), ref.verify())
-	ref.k.Shutdown()
+
+	ref, err := newClusterRun(cfg, tune)
+	if err != nil {
+		return res, err
+	}
+	ref.reference()
+	res.Events = ref.loadEnd
+	res.Ref = ref.refStats()
+	record(Point{}, ref.c.Now(), ref.verify())
+	ref.shutdown()
 
 	points := pickClusterPoints(cfg, res.Events)
 	res.Points = len(points)
-	restart := cluster.DefaultParams().Restart
 	for _, pt := range points {
-		r := newClusterRun(cfg)
-		r.k.RunEvents(pt.Event)
-		at := r.k.Now()
-		// The victim cycles deterministically through every (shard,
-		// replica) pair as the event index advances.
-		s := int(pt.Event) % cfg.Shards
-		rep := int(pt.Event/uint64(cfg.Shards)) % cfg.Replicas
-		r.c.CrashReplica(s, rep)
-		if pt.SecondCrash {
-			// A second replica of the same shard fails while the first
-			// victim's recovery/resync is typically in flight.
-			delta := time.Duration(pt.Event%40) * 50 * time.Microsecond
-			second := (rep + 1) % cfg.Replicas
-			r.k.AfterFunc(restart+delta, func() { r.c.CrashReplica(s, second) })
+		r, err := newClusterRun(cfg, tune)
+		if err != nil {
+			return res, err
 		}
-		r.settle()
+		at := r.crashAt(pt, cfg.Shards, cfg.Replicas)
 		r.counters(&res)
-		record(r, pt, at, r.verify())
-		r.k.Shutdown()
+		record(pt, at, r.verify())
+		r.shutdown()
 	}
-	return res
+	return res, nil
 }
 
-// pickClusterPoints samples distinct event boundaries across the reference
-// load's event space.
-func pickClusterPoints(cfg ClusterConfig, events uint64) []Point {
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x7E57C0DE))
-	lo := uint64(50)
-	if events <= lo+2 {
+// pickClusterPoints samples distinct crash coordinates across the
+// reference load's coordinate space. The floor skips the setup transient;
+// the rng salt keeps the two coordinates' point sets independent.
+func pickClusterPoints(cfg ClusterConfig, space uint64) []Point {
+	salt, lo := int64(0x7E57C0DE), uint64(50)
+	if cfg.Workers > 0 {
+		salt, lo = 0x9A27170, 20
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed ^ salt))
+	if space <= lo+2 {
 		lo = 1
 	}
-	span := int64(events - lo)
+	span := int64(space - lo)
 	if span <= 0 {
 		span = 1
 	}

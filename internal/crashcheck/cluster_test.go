@@ -1,55 +1,152 @@
 package crashcheck
 
 import (
+	"fmt"
 	"testing"
+
+	"prdma/internal/cluster"
+	"prdma/internal/fabric"
+	"prdma/internal/ycsb"
 )
 
-// TestClusterSweepClean sweeps a reduced point set over the cluster
-// failover/resync path: no acknowledged write may be lost and replicas
-// must converge byte-identically at every crash placement.
-func TestClusterSweepClean(t *testing.T) {
+// sweepCfg returns a reduced cluster sweep at the given crash coordinate
+// (workers 0: event index on one kernel; else window index on an engine).
+func sweepCfg(t *testing.T, seed int64, points, secondEvery, workers int) ClusterConfig {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("cluster sweep is seconds-long")
 	}
-	cfg := DefaultClusterConfig(1)
-	cfg.Points = 12
-	cfg.SecondCrashEvery = 4
-	res := ClusterSweep(cfg)
-	if res.ViolationCount != 0 {
-		for _, v := range res.Violations {
-			t.Error(v)
-		}
-		t.Fatalf("%d violations over %d points (minimal: %v)",
-			res.ViolationCount, res.Points, res.Minimal())
+	cfg := DefaultClusterConfig(seed)
+	cfg.Points = points
+	cfg.SecondCrashEvery = secondEvery
+	cfg.Workers = workers
+	return cfg
+}
+
+func mustSweep(t *testing.T, cfg ClusterConfig, tune func(*cluster.PCluster)) ClusterResult {
+	t.Helper()
+	res, err := clusterSweep(cfg, tune)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Points != 12 {
-		t.Fatalf("swept %d points, want 12", res.Points)
-	}
-	if res.Failovers == 0 {
-		t.Fatal("no crash was ever detected — the sweep tested nothing")
-	}
-	if res.Resyncs == 0 {
-		t.Fatal("no resync completed — readmission path untested")
-	}
-	if res.Shipped == 0 {
-		t.Fatal("log shipping never ran")
+	return res
+}
+
+// sameOutcome compares the coordinate-independent summary of two sweeps.
+func sameOutcome(a, b ClusterResult) bool {
+	return a.Points == b.Points && a.Events == b.Events && a.Failovers == b.Failovers &&
+		a.Resyncs == b.Resyncs && a.Shipped == b.Shipped && a.Replayed == b.Replayed &&
+		a.PMFull == b.PMFull && a.ViolationCount == b.ViolationCount
+}
+
+// TestClusterSweepClean sweeps a reduced point set over the cluster
+// failover/resync path at both crash coordinates — event boundaries on one
+// kernel, window barriers on a 2-worker engine: no acknowledged write may
+// be lost and replicas must converge byte-identically at every crash
+// placement.
+func TestClusterSweepClean(t *testing.T) {
+	for _, tc := range []struct{ workers, points int }{{0, 12}, {2, 8}} {
+		t.Run(fmt.Sprintf("workers=%d", tc.workers), func(t *testing.T) {
+			res := mustSweep(t, sweepCfg(t, 1, tc.points, 4, tc.workers), nil)
+			if res.ViolationCount != 0 {
+				for _, v := range res.Violations {
+					t.Error(v)
+				}
+				t.Fatalf("%d violations over %d points (minimal: %v)",
+					res.ViolationCount, res.Points, res.Minimal())
+			}
+			if res.Points != tc.points {
+				t.Fatalf("swept %d points, want %d", res.Points, tc.points)
+			}
+			if res.Failovers == 0 {
+				t.Fatal("no crash was ever detected — the sweep tested nothing")
+			}
+			if res.Resyncs == 0 {
+				t.Fatal("no resync completed — readmission path untested")
+			}
+			if res.Shipped == 0 {
+				t.Fatal("log shipping never ran")
+			}
+		})
 	}
 }
 
-// TestClusterSweepDeterministic replays one point twice and expects
-// identical outcomes (event count, controller work, violations).
+// TestClusterSweepDeterministic replays the same event-coordinate sweep
+// twice and expects identical outcomes (event count, controller work,
+// violations).
 func TestClusterSweepDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster sweep is seconds-long")
-	}
-	cfg := DefaultClusterConfig(7)
-	cfg.Points = 3
-	cfg.SecondCrashEvery = 0
-	a := ClusterSweep(cfg)
-	b := ClusterSweep(cfg)
-	if a.Events != b.Events || a.Failovers != b.Failovers ||
-		a.Resyncs != b.Resyncs || a.Shipped != b.Shipped ||
-		a.Replayed != b.Replayed || a.ViolationCount != b.ViolationCount {
+	cfg := sweepCfg(t, 7, 3, 0, 0)
+	a := mustSweep(t, cfg, nil)
+	b := mustSweep(t, cfg, nil)
+	if !sameOutcome(a, b) {
 		t.Fatalf("sweep not deterministic:\n  a=%+v\n  b=%+v", a, b)
+	}
+}
+
+// TestPartitionedSweepWorkerStable pins the window coordinate's claim: the
+// same sweep at different worker counts crashes at the same windows, drives
+// the same failover work, and reaches the same verdicts — a violation found
+// under parallel execution replays serially from its (seed, window) pair.
+func TestPartitionedSweepWorkerStable(t *testing.T) {
+	cfg := sweepCfg(t, 7, 3, 0, 1)
+	a := mustSweep(t, cfg, nil)
+	cfg.Workers = 4
+	b := mustSweep(t, cfg, nil)
+	if !sameOutcome(a, b) {
+		t.Fatalf("sweep not worker-count-stable:\n  workers=1 %+v\n  workers=4 %+v", a, b)
+	}
+}
+
+// TestPartitionedSweepFusionStable pins the (seed, window) repro contract
+// across the engine's window-fusion optimization: fusion changes how windows
+// execute (solo stretches run without barriers), never which events the
+// i-th window covers, so the identical sweep — same crash windows, same
+// failover work, same verdicts — must come out of engines with fusion off
+// and on.
+func TestPartitionedSweepFusionStable(t *testing.T) {
+	cfg := sweepCfg(t, 5, 3, 2, 2)
+	off := mustSweep(t, cfg, func(c *cluster.PCluster) { c.Eng.SetWindowFusion(false) })
+	on := mustSweep(t, cfg, nil)
+	if !sameOutcome(off, on) {
+		t.Fatalf("sweep not fusion-stable:\n  fusion=off %+v\n  fusion=on  %+v", off, on)
+	}
+}
+
+// TestClusterMutantsCaught seeds both known bug classes and expects the
+// sweep to flag each within a handful of points at both crash coordinates.
+// The event-index ackbug case uses 1 KiB objects: at 64 B an entry's
+// ack-before-durable window is well under a microsecond, and six event
+// boundaries almost never land inside one.
+func TestClusterMutantsCaught(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		for _, mutant := range []string{"ackbug", "resurrect"} {
+			t.Run(fmt.Sprintf("workers=%d/%s", workers, mutant), func(t *testing.T) {
+				cfg := sweepCfg(t, 3, 6, 0, workers)
+				cfg.Mutant = mutant
+				if workers == 0 && mutant == "ackbug" {
+					cfg.ObjSize = 1024
+				}
+				res := mustSweep(t, cfg, nil)
+				if res.ViolationCount == 0 {
+					t.Fatalf("seeded %q mutant survived %d crash points undetected", mutant, res.Points)
+				}
+			})
+		}
+	}
+}
+
+// TestClusterSweepRejectsEventOnlyOptions pins the config contract: the
+// fabric adversary and YCSB mixes exist only at the event coordinate.
+func TestClusterSweepRejectsEventOnlyOptions(t *testing.T) {
+	cfg := DefaultClusterConfig(1)
+	cfg.Workers = 2
+	cfg.Fault = &fabric.FaultSpec{Name: "none"}
+	if _, err := ClusterSweep(cfg); err == nil {
+		t.Fatal("Fault with Workers > 0 did not error")
+	}
+	cfg.Fault = nil
+	cfg.Workload = ycsb.A
+	if _, err := ClusterSweep(cfg); err == nil {
+		t.Fatal("Workload with Workers > 0 did not error")
 	}
 }

@@ -316,9 +316,6 @@ func newRun(cfg Config, withMonitor bool) *run {
 	rcfg := rpc.DefaultConfig()
 	rcfg.Workers = 1 // single applier keeps per-key apply order = seq order
 	rcfg.ProcessingTime = 3 * time.Microsecond
-	// Sparse flyweights are forced off under the sweep: torn-write probes
-	// inspect raw entry bytes, which a sparse gap leaves unmaterialized.
-	rcfg.SparsePayloads = false
 	// A small ring forces wraps, lazy control-word lag, and ring-full
 	// throttling — the recovery states worth crashing into.
 	rcfg.LogBytes = int64(16 * (cfg.ObjSize + 64))

@@ -136,7 +136,6 @@ func newPMPoolRun(cfg PMPoolConfig, withMonitor bool) *pmpoolRun {
 
 	rcfg := rpc.DefaultConfig()
 	rcfg.ProcessingTime = 3 * time.Microsecond
-	rcfg.SparsePayloads = false
 	// A small ring forces wraps and ring-full throttling during the sweep.
 	rcfg.LogBytes = 16 * (1024 + 64)
 

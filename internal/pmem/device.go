@@ -113,7 +113,7 @@ type Device struct {
 	TornWrites   int64
 	// SparseSkippedBytes counts bytes that were timed but never
 	// materialized because they fell in a segment gap (redo-log entry
-	// padding, SparsePayload flyweight bodies).
+	// padding between payload and commit word).
 	SparseSkippedBytes int64
 }
 
@@ -266,24 +266,14 @@ func (d *Device) PersistParts(at sim.Time, addr int64, n int, head, body []byte,
 	return d.PersistSegs(at, addr, n, head, body, nil, path)
 }
 
-// PersistTail persists head at the start and tail at the very end of the
-// n-byte range, leaving the gap unmaterialized: it is timed (and may tear)
-// like any n-byte write, but its bytes are never written and read back as
-// zero. This is the SparsePayload append path: a log entry whose payload is
-// a flyweight persists only its header prefix and commit trailer. Tails of
-// at most AtomicUnit bytes are staged; larger heads/tails alias the caller's
-// buffer until completion.
-func (d *Device) PersistTail(at sim.Time, addr int64, n int, head, tail []byte, path Path) sim.Time {
-	return d.PersistSegs(at, addr, n, head, nil, tail, path)
-}
-
 // PersistSegs is the shared persist core: contents are the concatenation
 // head ++ body ++ unmaterialized-gap ++ tail with the tail ending at offset
 // n. A nil head with nil body and tail is timing-only traffic (no content
 // events at all, as before). Gap bytes are timed but never written; on
 // reused ring space they keep whatever the previous lap left, which is safe
-// exactly when no reader addresses them (redo-log entry padding, flyweight
-// payload bodies).
+// exactly when no reader addresses them (redo-log entry padding). Tails of
+// at most AtomicUnit bytes are staged; larger heads/tails alias the caller's
+// buffer until completion.
 func (d *Device) PersistSegs(at sim.Time, addr int64, n int, head, body, tail []byte, path Path) sim.Time {
 	content := len(head) + len(body) + len(tail)
 	if content > n {

@@ -269,7 +269,6 @@ type nicJob struct {
 	addr    int64
 	nb      int
 	data    []byte
-	tail    []byte
 	imm     uint32
 	seq     uint64
 	srcQP   int
@@ -309,9 +308,9 @@ func (j *nicJob) run() {
 	// Snapshot and recycle first: the body below may schedule further
 	// pooled work that reuses this slot.
 	n, kind, epoch, q, m := j.n, j.kind, j.epoch, j.q, j.m
-	addr, nb, data, tail := j.addr, j.nb, j.data, j.tail
+	addr, nb, data := j.addr, j.nb, j.data
 	imm, seq, srcQP, logAddr, durable := j.imm, j.seq, j.srcQP, j.logAddr, j.durable
-	j.q, j.m, j.data, j.tail = nil, nil, nil, nil
+	j.q, j.m, j.data = nil, nil, nil
 	n.jobFree = append(n.jobFree, j)
 
 	if kind == jServeRead {
@@ -331,14 +330,8 @@ func (j *nicJob) run() {
 		n.flushAck(q, seq)
 	case jApplyDRAM:
 		n.DRAM.Write(addr, data)
-		if tail != nil {
-			n.DRAM.Write(addr+int64(nb-len(tail)), tail)
-		}
 	case jApplyLLC:
 		n.LLC.InstallDirty(addr, nb, data)
-		if tail != nil {
-			n.LLC.InstallDirty(addr+int64(nb-len(tail)), len(tail), tail)
-		}
 	case jArrival:
 		q.Arrivals.Push(Arrival{Addr: addr, N: nb, Data: data,
 			At: n.K.Now(), Durable: durable, SrcQP: srcQP})
@@ -373,9 +366,9 @@ func (n *NIC) scheduleFlushAck(at sim.Time, q *QP, seq uint64) {
 
 // scheduleApply stages the DMA memory effect (DRAM write or dirty-LLC
 // install) of an inbound message at `at`.
-func (n *NIC) scheduleApply(at sim.Time, kind uint8, addr int64, nb int, data, tail []byte) {
+func (n *NIC) scheduleApply(at sim.Time, kind uint8, addr int64, nb int, data []byte) {
 	j := n.newNICJob(kind)
-	j.addr, j.nb, j.data, j.tail = addr, nb, data, tail
+	j.addr, j.nb, j.data = addr, nb, data
 	n.K.Schedule(at, j.fn)
 }
 
@@ -533,7 +526,7 @@ func (n *NIC) inboundWrite(q *QP, m *wireMsg) {
 
 	// Snapshot the message: m is pooled and may be recycled before the
 	// events scheduled below fire.
-	addr, nb, data, tail := m.Addr, m.N, m.Data, m.Tail
+	addr, nb, data := m.Addr, m.N, m.Data
 	seq, flush := m.Seq, m.Flush
 
 	kind := n.mrKind(addr)
@@ -551,24 +544,17 @@ func (n *NIC) inboundWrite(q *QP, m *wireMsg) {
 
 	switch {
 	case kind == MemDRAM:
-		n.scheduleApply(pcieDone, jApplyDRAM, addr, nb, data, tail)
+		n.scheduleApply(pcieDone, jApplyDRAM, addr, nb, data)
 		dj.durable = 0
 		n.K.Schedule(pcieDone, dj.fn)
 	case n.Params.DDIO && !flush:
 		// DDIO steers the DMA into the volatile LLC (§2.3): fast and
-		// CPU-visible, but not durable until a CPU clflush. A sparse image
-		// dirties the same lines as a materialized one (timing-identical
-		// flushes); only the head and trailer bytes carry content.
-		n.scheduleApply(pcieDone, jApplyLLC, addr, nb, data, tail)
+		// CPU-visible, but not durable until a CPU clflush.
+		n.scheduleApply(pcieDone, jApplyLLC, addr, nb, data)
 		dj.durable = 0
 		n.K.Schedule(pcieDone, dj.fn)
 	default:
-		var durable sim.Time
-		if tail != nil {
-			durable = n.PM.PersistTail(pcieDone, addr, nb, data, tail, pmem.DMA)
-		} else {
-			durable = n.PM.Persist(pcieDone, addr, nb, data, pmem.DMA)
-		}
+		durable := n.PM.Persist(pcieDone, addr, nb, data, pmem.DMA)
 		if durable > q.lastDurable {
 			q.lastDurable = durable
 		}
@@ -585,14 +571,14 @@ func (n *NIC) inboundWrite(q *QP, m *wireMsg) {
 			// Chained QPs forward every inbound write to the next
 			// replica (HyperLoop forwards the whole write stream).
 			if !flush {
-				q.ChainNext.WriteTailAsync(addr, nb, data, tail)
+				q.ChainNext.WriteAsync(addr, nb, data)
 				return
 			}
 			// HyperLoop-style group offload (§4.5): forward the write
 			// down the replica chain NIC-to-NIC and ACK the origin only
 			// when the local persist and the whole downstream chain are
 			// durable.
-			fwd := q.ChainNext.WriteFlushTailAsync(addr, nb, data, tail)
+			fwd := q.ChainNext.WriteFlushAsync(addr, nb, data)
 			fwd.Then(func(sim.Time) {
 				if n.epoch != epoch {
 					return
@@ -658,7 +644,7 @@ func (n *NIC) inboundSend(q *QP, m *wireMsg) {
 // placeSend performs the DMA chain for a send whose buffer is known. It
 // only uses m synchronously; scheduled events snapshot the fields.
 func (n *NIC) placeSend(q *QP, m *wireMsg, buf RecvBuf) {
-	nb, data, tail := m.N, m.Data, m.Tail
+	nb, data := m.N, m.Data
 	seq, srcQP, flush := m.Seq, m.SrcQP, m.Flush
 	kind := n.mrKind(buf.Addr)
 	pcieDone := n.pcie.Reserve(n.pcieCost(nb))
@@ -666,15 +652,10 @@ func (n *NIC) placeSend(q *QP, m *wireMsg, buf RecvBuf) {
 	var visible, durable sim.Time
 	switch {
 	case kind == MemDRAM:
-		n.scheduleApply(pcieDone, jApplyDRAM, buf.Addr, nb, data, tail)
+		n.scheduleApply(pcieDone, jApplyDRAM, buf.Addr, nb, data)
 		visible, durable = pcieDone, 0
 	default:
-		var d sim.Time
-		if tail != nil {
-			d = n.PM.PersistTail(pcieDone, buf.Addr, nb, data, tail, pmem.DMA)
-		} else {
-			d = n.PM.Persist(pcieDone, buf.Addr, nb, data, pmem.DMA)
-		}
+		d := n.PM.Persist(pcieDone, buf.Addr, nb, data, pmem.DMA)
 		if d > q.lastDurable {
 			q.lastDurable = d
 		}
@@ -690,12 +671,7 @@ func (n *NIC) placeSend(q *QP, m *wireMsg, buf RecvBuf) {
 		logAddr = q.FlushSink(nb)
 		lookupDone := pcieDone.Add(n.Params.AddrLookup)
 		dma2 := n.pcie.ReserveAt(lookupDone, n.pcieCost(nb))
-		var d sim.Time
-		if tail != nil {
-			d = n.PM.PersistTail(dma2, logAddr, nb, data, tail, pmem.DMA)
-		} else {
-			d = n.PM.Persist(dma2, logAddr, nb, data, pmem.DMA)
-		}
+		d := n.PM.Persist(dma2, logAddr, nb, data, pmem.DMA)
 		if d > q.lastDurable {
 			q.lastDurable = d
 		}

@@ -229,18 +229,9 @@ func (q *QP) localCompleteFuture(m *wireMsg, size int) *sim.Future[sim.Time] {
 // returns a future resolved at the work completion: the RC ACK (data staged
 // in remote SRAM — not durable!), or local wire-out for UC/UD.
 func (q *QP) WriteAsync(raddr int64, n int, data []byte) *sim.Future[sim.Time] {
-	return q.WriteTailAsync(raddr, n, data, nil)
-}
-
-// WriteTailAsync is WriteAsync for a sparse image: data lands at raddr and
-// tail at raddr+n-len(tail); the gap between them is timed like any other
-// byte but never materialized (see pmem.PersistSegs). A nil tail is a plain
-// write. The simulated wire still carries n bytes either way — sparseness
-// elides host-memory work, not modeled traffic, so results are identical.
-func (q *QP) WriteTailAsync(raddr int64, n int, data, tail []byte) *sim.Future[sim.Time] {
 	m := q.nic.newWireMsg()
 	m.Kind, m.SrcQP, m.DstQP, m.Seq = wWrite, q.ID, q.remoteQP, q.nextSeq()
-	m.Addr, m.N, m.Data, m.Tail = raddr, n, data, tail
+	m.Addr, m.N, m.Data = raddr, n, data
 	if q.Transport != RC {
 		return q.localCompleteFuture(m, q.wireSize(n))
 	}
@@ -283,17 +274,11 @@ func (q *QP) WriteImm(p *sim.Proc, raddr int64, n int, data []byte, imm uint32) 
 // 1-byte RDMA read of the last written byte follows the write; RC ordering
 // makes the read drain the pending DMA, so its response implies durability.
 func (q *QP) WriteFlushAsync(raddr int64, n int, data []byte) *sim.Future[sim.Time] {
-	return q.WriteFlushTailAsync(raddr, n, data, nil)
-}
-
-// WriteFlushTailAsync is WriteFlushAsync for a sparse image (see
-// WriteTailAsync); a nil tail is a plain write+flush.
-func (q *QP) WriteFlushTailAsync(raddr int64, n int, data, tail []byte) *sim.Future[sim.Time] {
 	if q.Transport != RC {
 		panic("rnic: WFlush requires RC")
 	}
 	if q.nic.Params.EmulateFlush {
-		q.WriteTailAsync(raddr, n, data, tail)
+		q.WriteAsync(raddr, n, data)
 		durable := sim.NewFuture[sim.Time](q.nic.K)
 		rd := q.ReadAsync(raddr+int64(n)-1, 1)
 		k := q.nic.K
@@ -302,7 +287,7 @@ func (q *QP) WriteFlushTailAsync(raddr int64, n int, data, tail []byte) *sim.Fut
 	}
 	m := q.nic.newWireMsg()
 	m.Kind, m.SrcQP, m.DstQP, m.Seq = wWrite, q.ID, q.remoteQP, q.nextSeq()
-	m.Addr, m.N, m.Data, m.Tail, m.Flush = raddr, n, data, tail, true
+	m.Addr, m.N, m.Data, m.Flush = raddr, n, data, true
 	f := sim.NewFuture[sim.Time](q.nic.K)
 	q.flushes[m.Seq] = f
 	q.reliablePost(m, q.wireSize(n), f)
@@ -318,18 +303,12 @@ func (q *QP) WriteFlush(p *sim.Proc, raddr int64, n int, data []byte) sim.Time {
 // local wire-out for UC/UD. UD payloads above the MTU panic; RPC layers must
 // segment or avoid them (the paper caps FaSST at 4 KB for this reason).
 func (q *QP) SendAsync(n int, data []byte) *sim.Future[sim.Time] {
-	return q.SendTailAsync(n, data, nil)
-}
-
-// SendTailAsync is SendAsync for a sparse image (see WriteTailAsync); a nil
-// tail is a plain send.
-func (q *QP) SendTailAsync(n int, data, tail []byte) *sim.Future[sim.Time] {
 	if q.Transport == UD && n > UDMTU {
 		panic(fmt.Sprintf("rnic: UD payload %d exceeds MTU %d", n, UDMTU))
 	}
 	m := q.nic.newWireMsg()
 	m.Kind, m.SrcQP, m.DstQP, m.Seq = wSend, q.ID, q.remoteQP, q.nextSeq()
-	m.N, m.Data, m.Tail = n, data, tail
+	m.N, m.Data = n, data
 	if q.Transport != RC {
 		return q.localCompleteFuture(m, q.wireSize(n))
 	}
@@ -353,17 +332,11 @@ func (q *QP) Send(p *sim.Proc, n int, data []byte) sim.Time {
 // themselves live in PM, the sender waits the paper's 7 µs address-lookup
 // emulation, then issues a 1-byte read against FlushProbe to drain the DMA.
 func (q *QP) SendFlushAsync(n int, data []byte) *sim.Future[sim.Time] {
-	return q.SendFlushTailAsync(n, data, nil)
-}
-
-// SendFlushTailAsync is SendFlushAsync for a sparse image (see
-// WriteTailAsync); a nil tail is a plain send+flush.
-func (q *QP) SendFlushTailAsync(n int, data, tail []byte) *sim.Future[sim.Time] {
 	if q.Transport != RC {
 		panic("rnic: SFlush requires RC")
 	}
 	if q.nic.Params.EmulateFlush {
-		q.SendTailAsync(n, data, tail)
+		q.SendAsync(n, data)
 		durable := sim.NewFuture[sim.Time](q.nic.K)
 		k := q.nic.K
 		probe := q.FlushProbe
@@ -375,7 +348,7 @@ func (q *QP) SendFlushTailAsync(n int, data, tail []byte) *sim.Future[sim.Time] 
 	}
 	m := q.nic.newWireMsg()
 	m.Kind, m.SrcQP, m.DstQP, m.Seq = wSend, q.ID, q.remoteQP, q.nextSeq()
-	m.N, m.Data, m.Tail, m.Flush = n, data, tail, true
+	m.N, m.Data, m.Flush = n, data, true
 	f := sim.NewFuture[sim.Time](q.nic.K)
 	q.flushes[m.Seq] = f
 	q.reliablePost(m, q.wireSize(n), f)

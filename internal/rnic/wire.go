@@ -42,7 +42,7 @@ func (k wireKind) String() string {
 // (see newWireMsg): every holder that can outlive the current event — the
 // fabric in flight, the rx pipeline, an RNR queue, a retransmit timer —
 // takes a ref and drops it when done, and the message recycles at zero.
-// Data/Tail are views into caller-owned buffers; the pool never owns them.
+// Data is a view into a caller-owned buffer; the pool never owns it.
 type wireMsg struct {
 	Kind         wireKind
 	SrcQP, DstQP int
@@ -50,7 +50,6 @@ type wireMsg struct {
 	Addr         int64  // target address (write/read)
 	N            int    // payload length
 	Data         []byte // nil for timing-only payloads
-	Tail         []byte // sparse image trailer, persisted at Addr+N-len(Tail)
 	Imm          uint32 // immediate value (write-imm)
 	Flush        bool   // piggy-backed native flush request
 	Tag          uint64 // notify tag
@@ -82,8 +81,8 @@ func (n *NIC) newWireMsg() *wireMsg {
 // between engine partitions the fabric detaches it from the sending NIC's
 // pool with a deep copy. The clone has no owning NIC, so the receiver's
 // ref/unref calls are no-ops and the garbage collector owns its lifetime;
-// Data and Tail are copied because the originals view sender buffers that
-// the sender is free to reuse the moment its release hook fires.
+// Data is copied because the original views a sender buffer that the sender
+// is free to reuse the moment its release hook fires.
 func (m *wireMsg) CloneForTransfer() interface{} {
 	c := &wireMsg{}
 	*c = *m
@@ -91,17 +90,14 @@ func (m *wireMsg) CloneForTransfer() interface{} {
 	if m.Data != nil {
 		c.Data = append([]byte(nil), m.Data...)
 	}
-	if m.Tail != nil {
-		c.Tail = append([]byte(nil), m.Tail...)
-	}
 	return c
 }
 
 // CloneForTransferPooled implements fabric.TransferPooled: like
 // CloneForTransfer, but the clone struct recycles through the fabric's
 // transfer slab. prev is the clone this slab slot carried on its previous
-// crossing (nil on the first); its struct is reused, but Data/Tail are
-// always copied fresh — receivers retain those slices past the reference
+// crossing (nil on the first); its struct is reused, but Data is always
+// copied fresh — receivers retain that slice past the reference
 // count (deferred PCIe applies, Arrival/Recv channel pushes, read futures),
 // so buffer reuse would corrupt messages still being consumed. The clone
 // carries one reference for the in-flight delivery; receiver-side ref/unref
@@ -116,9 +112,6 @@ func (m *wireMsg) CloneForTransferPooled(prev interface{}, release func()) inter
 	c.xrel = release
 	if m.Data != nil {
 		c.Data = append([]byte(nil), m.Data...)
-	}
-	if m.Tail != nil {
-		c.Tail = append([]byte(nil), m.Tail...)
 	}
 	return c
 }
@@ -148,9 +141,9 @@ func (m *wireMsg) unref() {
 		panic("rnic: wireMsg over-released")
 	}
 	if rel := m.xrel; rel != nil {
-		// Pooled transfer clone: drop the buffer views (fresh copies come
+		// Pooled transfer clone: drop the buffer view (a fresh copy comes
 		// with the next crossing) and hand the struct back to its slab slot.
-		m.Data, m.Tail, m.xrel = nil, nil, nil
+		m.Data, m.xrel = nil, nil
 		rel()
 		return
 	}

@@ -8,7 +8,7 @@ import "testing"
 // later clone into the same slab slot reuses the struct.
 func TestCloneForTransferPooledReusesStruct(t *testing.T) {
 	src := &wireMsg{Kind: wWrite, SrcQP: 3, DstQP: 4, Seq: 9, Addr: 0x100, N: 3,
-		Data: []byte{1, 2, 3}, Tail: []byte{7}}
+		Data: []byte{1, 2, 3}}
 	released := 0
 	rel := func() { released++ }
 
@@ -16,7 +16,7 @@ func TestCloneForTransferPooledReusesStruct(t *testing.T) {
 	if c == src || c.Kind != wWrite || c.Seq != 9 || c.refs != 1 || c.nic != nil {
 		t.Fatalf("bad clone: %+v", c)
 	}
-	if &c.Data[0] == &src.Data[0] || &c.Tail[0] == &src.Tail[0] {
+	if &c.Data[0] == &src.Data[0] {
 		t.Fatal("clone must not share buffers with the source")
 	}
 	src.Data[0] = 99 // sender reuses its buffer; the clone must not see it
@@ -37,7 +37,7 @@ func TestCloneForTransferPooledReusesStruct(t *testing.T) {
 	if released != 1 {
 		t.Fatalf("release fired %d times, want 1", released)
 	}
-	if c.Data != nil || c.Tail != nil || c.xrel != nil {
+	if c.Data != nil || c.xrel != nil {
 		t.Fatalf("parked clone retains buffers: %+v", c)
 	}
 
@@ -53,7 +53,7 @@ func TestCloneForTransferPooledReusesStruct(t *testing.T) {
 
 // TestCloneForTransferPooledAllocs pins the allocation cost of a pooled
 // clone: zero for timing-only messages (the vast majority of crossings),
-// exactly the fresh Data/Tail copies for data-carrying ones — buffers are
+// exactly the fresh Data copy for data-carrying ones — buffers are
 // never recycled because receivers retain them past the reference count.
 func TestCloneForTransferPooledAllocs(t *testing.T) {
 	rel := func() {}

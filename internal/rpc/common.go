@@ -20,9 +20,8 @@ const respHeaderBytes = 16
 
 // Contents markers carried in request-header byte 25.
 const (
-	contentsNone   = 0 // synthetic payload: timed but never materialized
-	contentsReal   = 1 // payload bytes follow (or: reads want contents back)
-	contentsSparse = 2 // uniform flyweight: fill byte in b[26], Size bytes
+	contentsNone = 0 // synthetic payload: timed but never materialized
+	contentsReal = 1 // payload bytes follow (or: reads want contents back)
 )
 
 // reqImageBytes returns the materialized length of a request's wire image —
@@ -35,16 +34,15 @@ func reqImageBytes(req *Request) int {
 }
 
 // putReqHeader writes the 32-byte request header into b. flag is the
-// contents marker for byte 25; fill is the sparse fill byte (byte 26).
-// Every pad byte is written so a reused scratch buffer yields the same
-// image a fresh allocation would.
-func putReqHeader(b []byte, seq uint64, req *Request, flag, fill byte) {
+// contents marker for byte 25. Every pad byte is written so a reused
+// scratch buffer yields the same image a fresh allocation would.
+func putReqHeader(b []byte, seq uint64, req *Request, flag byte) {
 	binary.LittleEndian.PutUint64(b[0:], seq)
 	binary.LittleEndian.PutUint64(b[8:], req.Key)
 	binary.LittleEndian.PutUint32(b[16:], uint32(req.Size))
 	binary.LittleEndian.PutUint32(b[20:], uint32(req.ScanLen))
 	b[24] = byte(req.Op)
-	b[25], b[26], b[27] = flag, fill, 0
+	b[25], b[26], b[27] = flag, 0, 0
 	binary.LittleEndian.PutUint32(b[28:], 0)
 }
 
@@ -55,7 +53,7 @@ func encodeReqInto(b []byte, seq uint64, req *Request) []byte {
 	if req.Payload != nil {
 		flag = contentsReal // "real contents": the server materializes results
 	}
-	putReqHeader(b, seq, req, flag, 0)
+	putReqHeader(b, seq, req, flag)
 	if carriesPayload(req.Op) {
 		copy(b[reqHeaderBytes:], req.Payload)
 	}
@@ -76,15 +74,6 @@ func decodeReq(b []byte) (uint64, *Request) {
 		Size:    int(binary.LittleEndian.Uint32(b[16:])),
 		ScanLen: int(binary.LittleEndian.Uint32(b[20:])),
 		Op:      Op(b[24]),
-	}
-	if b[25] == contentsSparse {
-		// Sparse flyweight: the wire (and any log bytes beyond the header
-		// run) carries no payload image; the contents are Size copies of
-		// the fill byte. Decoding from a recovered log entry also lands
-		// here, which is what makes sparse entries replay correctly even
-		// though their payload gap may cover stale reused ring bytes.
-		req.Sparse = pmem.SparsePayload{Fill: b[26], Len: req.Size}
-		return seq, req
 	}
 	if len(b) > reqHeaderBytes {
 		pl := b[reqHeaderBytes:]

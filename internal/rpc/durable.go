@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"prdma/internal/host"
-	"prdma/internal/pmem"
 	"prdma/internal/redolog"
 	"prdma/internal/rnic"
 	"prdma/internal/sim"
@@ -254,30 +253,18 @@ func (c *durableClient) admit(p *sim.Proc, n int, mutating bool) (uint64, int64,
 }
 
 // encodeEntry builds the redo-log entry image for req in a pooled
-// per-connection buffer (released when seq's response completes) and returns
-// (image, tail). In sparse mode the image is the 48-byte header run and tail
-// the 8-byte commit word — the payload travels and persists as an
-// unmaterialized gap, per wireMsg.Tail semantics. Otherwise tail is nil and
-// the image is the full entry (or the short header-only prefix for
-// synthetic payloads), exactly what redolog.Encode would have produced.
-func (c *durableClient) encodeEntry(seq uint64, req *Request, n int, sparse bool) ([]byte, []byte) {
+// per-connection buffer (released when seq's response completes): the full
+// entry, or the short header-only prefix for synthetic payloads — exactly
+// what redolog.Encode would have produced.
+func (c *durableClient) encodeEntry(seq uint64, req *Request, n int) []byte {
 	op := byte(req.Op)
-	if sparse {
-		b := c.getImage(seq, redolog.HeaderBytes+reqHeaderBytes+redolog.CommitBytes)
-		redolog.PutHeader(b, seq, op, n)
-		putReqHeader(b[redolog.HeaderBytes:], seq, req, contentsSparse, 0)
-		head := b[:redolog.HeaderBytes+reqHeaderBytes]
-		tail := b[redolog.HeaderBytes+reqHeaderBytes:]
-		redolog.PutCommit(tail, seq, op, n)
-		return head, tail
-	}
 	reqLen := reqImageBytes(req)
 	if reqLen < n {
 		// Synthetic short image: header run only, never recoverable.
 		b := c.getImage(seq, redolog.HeaderBytes+reqLen)
 		redolog.PutHeader(b, seq, op, n)
 		encodeReqInto(b[redolog.HeaderBytes:], seq, req)
-		return b, nil
+		return b
 	}
 	foot := int(redolog.EntrySize(n))
 	b := c.getImage(seq, foot)
@@ -287,14 +274,7 @@ func (c *durableClient) encodeEntry(seq uint64, req *Request, n int, sparse bool
 		b[i] = 0 // pad bytes: a reused buffer must equal a fresh image
 	}
 	redolog.PutCommit(b[foot-redolog.CommitBytes:], seq, op, n)
-	return b, nil
-}
-
-// sparseOK reports whether req may travel as a sparse flyweight: opt-in,
-// mutating, with a fully materialized uniform-zero payload.
-func (c *durableClient) sparseOK(req *Request) bool {
-	return c.cfg.SparsePayloads && req.Op == OpWrite && req.Payload != nil &&
-		len(req.Payload) == req.Size && pmem.Uniform(req.Payload, 0)
+	return b
 }
 
 // dispatch transmits a prepared log-entry image per the client's family and
@@ -313,7 +293,7 @@ func (c *durableClient) sparseOK(req *Request) bool {
 // earlier. An entry landing in another request's slot — or acknowledged
 // ahead of a predecessor that is still in flight — loses acknowledged
 // writes when a crash hits (the crash-point sweep catches both).
-func (c *durableClient) dispatch(p *sim.Proc, seq uint64, addr int64, entryBytes int, image, tail []byte, mutating bool) *sim.Future[sim.Time] {
+func (c *durableClient) dispatch(p *sim.Proc, seq uint64, addr int64, entryBytes int, image []byte, mutating bool) *sim.Future[sim.Time] {
 	// Non-mutating requests ride the DRAM message ring instead of the PM
 	// log: they keep FIFO order (same QP) but skip the persist machinery
 	// entirely. They carry a sequence number but own no log bytes — a read
@@ -333,10 +313,10 @@ func (c *durableClient) dispatch(p *sim.Proc, seq uint64, addr int64, entryBytes
 	}
 	switch c.kind {
 	case WFlushRPC:
-		return c.cq.WriteFlushTailAsync(addr, entryBytes, image, tail)
+		return c.cq.WriteFlushAsync(addr, entryBytes, image)
 	case WRFlushRPC:
 		durF := c.cq.ExpectNotify(seq)
-		c.cq.WriteTailAsync(addr, entryBytes, image, tail)
+		c.cq.WriteAsync(addr, entryBytes, image)
 		return durF
 	case SFlushRPC:
 		if nativeSFlush(c.kind, c.srv) {
@@ -354,13 +334,13 @@ func (c *durableClient) dispatch(p *sim.Proc, seq uint64, addr int64, entryBytes
 			// Emulated SFlush: the receive buffer IS the log slot.
 			c.postRecvServer(addr, entryBytes)
 		}
-		return c.cq.SendFlushTailAsync(entryBytes, image, tail)
+		return c.cq.SendFlushAsync(entryBytes, image)
 	default: // SRFlushRPC
 		// Receive buffers are log-resident PM slots; the NIC persists
 		// on placement and the server CPU notifies.
 		c.postRecvServer(addr, entryBytes)
 		durF := c.cq.ExpectNotify(seq)
-		c.cq.SendTailAsync(entryBytes, image, tail)
+		c.cq.SendAsync(entryBytes, image)
 		return durF
 	}
 }
@@ -395,10 +375,10 @@ func (c *durableClient) issue(p *sim.Proc, req *Request) (uint64, *sim.Future[si
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	image, tail := c.encodeEntry(seq, req, n, c.sparseOK(req))
+	image := c.encodeEntry(seq, req, n)
 	entryBytes := int(redolog.EntrySize(n))
 	respF := c.await(seq)
-	durF := c.dispatch(p, seq, addr, entryBytes, image, tail, mutating)
+	durF := c.dispatch(p, seq, addr, entryBytes, image, mutating)
 	return seq, durF, respF, nil
 }
 
@@ -460,10 +440,10 @@ func (c *durableClient) CallBatch(p *sim.Proc, reqs []*Request) ([]*Response, er
 		return nil, err
 	}
 	c.stash(seq, reqs)
-	image, _ := c.encodeEntry(seq, breq, n, false)
+	image := c.encodeEntry(seq, breq, n)
 	entryBytes := int(redolog.EntrySize(n))
 	respF := c.await(seq)
-	durF := c.dispatch(p, seq, addr, entryBytes, image, nil, hasWrite)
+	durF := c.dispatch(p, seq, addr, entryBytes, image, hasWrite)
 	done := sim.NewFuture[sim.Time](p.K)
 	respF.Then(func(rm respMsg) { done.Complete(rm.at) })
 	dur := durF.Wait(p)

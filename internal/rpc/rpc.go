@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"time"
 
-	"prdma/internal/pmem"
 	"prdma/internal/sim"
 )
 
@@ -61,10 +60,6 @@ type Request struct {
 	// Payload may be nil: synthetic benchmark traffic that is timed but
 	// not materialized.
 	Payload []byte
-	// Sparse, when Len > 0, is the decoded flyweight of a uniform payload
-	// transmitted in SparsePayloads mode; Payload is then nil and the
-	// contents are Len copies of Fill. Set by decodeReq, never by callers.
-	Sparse pmem.SparsePayload
 	// ScanLen is the object count for OpScan.
 	ScanLen int
 }
@@ -226,14 +221,6 @@ type Config struct {
 	RFPPollInterval time.Duration
 	// LITESyscall is LITE's extra kernel-crossing cost per operation.
 	LITESyscall time.Duration
-	// SparsePayloads, when true, ships uniform-zero write payloads on the
-	// durable paths as sparse flyweights: the wire, DMA and persist still
-	// model the full payload size (timing and figure outputs are identical),
-	// but only the entry header run and commit word are materialized, and
-	// the server reconstructs the contents from the flyweight. Off by
-	// default; the crash-point checker forces it off because its torn-write
-	// probes inspect raw entry bytes.
-	SparsePayloads bool
 }
 
 // DefaultConfig returns the paper-matched defaults.

@@ -34,11 +34,6 @@ type Store struct {
 	// verBuf is the scratch for the guard's PM version read-back.
 	verBuf [4]byte
 
-	// sparseBuf is the scratch that materializes sparse-flyweight payloads
-	// before they are persisted; PersistSync outlives the device's use of
-	// it, so one buffer per store suffices.
-	sparseBuf []byte
-
 	// Reads/Writes/Scans count applied operations; StaleDrops counts
 	// version-guarded writes rejected as older than the resident object.
 	Reads, Writes, Scans int64
@@ -116,11 +111,7 @@ func (s *Store) ApplyFromBuffer(p *sim.Proc, req *Request) []byte {
 		}
 		s.Writes++
 		s.H.Memcpy(p, req.Size)
-		payload := req.Payload
-		if req.Sparse.Len > 0 {
-			payload = s.materialize(req.Sparse)
-		}
-		s.H.PM.PersistSync(p, addr, req.Size, payload, pmem.CPU)
+		s.H.PM.PersistSync(p, addr, req.Size, req.Payload, pmem.CPU)
 		return nil
 	case OpScan:
 		s.Scans++
@@ -205,17 +196,6 @@ func (s *Store) readRange(p *sim.Proc, req *Request) []byte {
 		out = append(out, s.H.PM.ReadSync(p, addr, req.Size)...)
 	}
 	return out
-}
-
-// materialize expands a sparse flyweight into the store's scratch buffer,
-// valid until the next call (PersistSync blocks past the device's use).
-func (s *Store) materialize(sp pmem.SparsePayload) []byte {
-	if cap(s.sparseBuf) < sp.Len {
-		s.sparseBuf = make([]byte, sp.Len)
-	}
-	b := s.sparseBuf[:sp.Len]
-	sp.Materialize(b)
-	return b
 }
 
 // readTiming pays a media read's latency without materializing contents.

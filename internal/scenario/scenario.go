@@ -373,30 +373,19 @@ func (s *Spec) runCluster(kind rpc.Kind) (*Report, error) {
 	if fault != nil {
 		c.Net.SetInjector(fabric.NewInjector(*fault, s.Seed^0xfa175eed))
 	}
-	ct := c.StartController()
+	ct, err := c.StartController()
+	if err != nil {
+		return nil, err
+	}
 	crashes := 0
 	if cs.CrashPrimary {
-		k.Go("crash-script", func(sp *sim.Proc) {
-			target := int64(s.Ops / 5)
-			for {
-				var total int64
-				for _, sh := range c.Shards {
-					total += sh.Puts + sh.Gets
-				}
-				if total >= target {
-					break
-				}
-				sp.Sleep(20 * time.Microsecond)
-			}
-			c.CrashReplica(0, c.Shards[0].Primary)
-			crashes++
-		})
+		c.CrashPrimaryAfter(0, int64(s.Ops/5), func(int, sim.Time) { crashes++ })
 	}
 	var res *cluster.LoadResult
 	var loadErr error
 	healthy := true
 	k.Go("driver", func(mp *sim.Proc) {
-		res, loadErr = c.RunLoad(mp, cluster.Load{
+		res, loadErr = c.RunLoadFrom(mp, cluster.Load{
 			Clients:  s.Clients,
 			Ops:      s.Ops,
 			ReadFrac: s.ReadFraction,
@@ -445,9 +434,10 @@ func (s *Spec) runCluster(kind rpc.Kind) (*Report, error) {
 		Crashes: crashes,
 	}
 	rep.Counters = map[string]int64{}
-	for _, sh := range c.Shards {
-		rep.Counters["puts"] += sh.Puts
-		rep.Counters["gets"] += sh.Gets
+	for i, sh := range c.Groups {
+		puts, gets := c.ShardOps(i)
+		rep.Counters["puts"] += puts
+		rep.Counters["gets"] += gets
 		rep.Counters["retries"] += sh.Retries
 		rep.Counters["failovers"] += sh.Failovers
 		rep.Counters["promotions"] += sh.Promotions

@@ -119,8 +119,8 @@ type crossMsg struct {
 // barSpinRounds seeds Engine.spin: how many Gosched rounds a helper spins on
 // the generation before parking on the condvar. A var so tests can force the
 // park path (set to 0 around engine construction) and hammer the
-// park/broadcast handshake under -race; like windowFusionDefault it must not
-// change concurrently with engine construction.
+// park/broadcast handshake under -race; it must not change concurrently
+// with engine construction.
 var barSpinRounds = 256
 
 // barStallTimeout bounds the coordinator's wait for helpers to finish a
@@ -128,15 +128,6 @@ var barSpinRounds = 256
 // lost helper (or a barrier-protocol bug); the coordinator panics with the
 // barrier state instead of spinning silently forever.
 const barStallTimeout = 30 * time.Second
-
-// windowFusionDefault seeds the fusion flag of new engines. Tests flip it
-// via SetDefaultWindowFusion for before/after comparisons; it is not safe to
-// change concurrently with engine construction.
-var windowFusionDefault = true
-
-// SetDefaultWindowFusion sets whether newly created engines fuse windows.
-// A test knob: production engines always run with fusion on.
-func SetDefaultWindowFusion(on bool) { windowFusionDefault = on }
 
 // NewEngine returns an engine with the given lookahead (the minimum
 // cross-partition delay any Post will honor) and worker goroutine count.
@@ -149,7 +140,7 @@ func NewEngine(lookahead time.Duration, workers int) *Engine {
 	if workers < 1 {
 		workers = 1
 	}
-	return &Engine{lookahead: Time(lookahead), workers: workers, deadline: -1, fusion: windowFusionDefault, spin: barSpinRounds}
+	return &Engine{lookahead: Time(lookahead), workers: workers, deadline: -1, fusion: true, spin: barSpinRounds}
 }
 
 // NewKernel adds a partition to the engine and returns its kernel. Create
