@@ -68,23 +68,24 @@ func (o Options) clusterFigRun(shards, replicas int) *clusterFig {
 		f.victim, f.crashAt = victim, at
 	})
 
+	load, err := c.StartLoad(kv.Load{
+		Clients:  f.clients,
+		Ops:      f.ops,
+		ReadFrac: 0.5,
+		Verify:   true,
+		Seed:     o.Seed,
+	})
+	if err != nil {
+		panic(err)
+	}
 	k.Go("cluster-bench", func(mp *sim.Proc) {
-		res, err := c.RunLoadFrom(mp, kv.Load{
-			Clients:  f.clients,
-			Ops:      f.ops,
-			ReadFrac: 0.5,
-			Verify:   true,
-			Seed:     o.Seed,
-		})
-		if err != nil {
-			panic(err)
-		}
-		f.res = res
+		load.Wait(mp)
 		f.healthy = c.AwaitHealthy(mp, 200*time.Millisecond)
 		mp.Sleep(2 * time.Millisecond) // engines apply their tails
 		f.ct.Stop()
 	})
 	k.Run()
+	f.res = load.Collect()
 	f.resyncDoneAt = f.ct.LastEvent("resync-done")
 	f.consistency = c.CheckConsistency()
 	k.Shutdown() // tables below read counters and samples only; reap the parked procs
@@ -99,7 +100,7 @@ func (f *clusterFig) phaseTable() Table {
 		Header: []string{"phase", "ops", "p50 (us)", "p99 (us)", "KOPS"},
 		Notes:  "failover = crash..resync-done: shard-0 ops ride retry loops until the survivors serve the quorum, the other shards are untouched; post returns to baseline with the victim readmitted",
 	}
-	// Every sample falls in exactly one phase: [Start, crash), [crash,
+	// Every sample falls in exactly one phase: [0, crash), [crash,
 	// resync-done), [resync-done, End]. When the load drains before the
 	// victim is readmitted, the post phase is empty and the failover phase
 	// runs to the end of the load.
@@ -112,7 +113,7 @@ func (f *clusterFig) phaseTable() Table {
 		name     string
 		from, to sim.Time
 	}{
-		{"pre-failover", f.res.Start, f.crashAt},
+		{"pre-failover", 0, f.crashAt},
 		{"failover", f.crashAt, resyncEnd},
 		{"post-failover", resyncEnd, end},
 	}
@@ -149,7 +150,7 @@ func (f *clusterFig) phaseTable() Table {
 		fmt.Sprintf("%d", total.Count()),
 		fmtUS(total.Percentile(50)),
 		fmtUS(total.Percentile(99)),
-		fmt.Sprintf("%.1f", stats.Throughput{Ops: total.Count(), Elapsed: f.res.End.Sub(f.res.Start)}.KOPS()),
+		fmt.Sprintf("%.1f", stats.Throughput{Ops: total.Count(), Elapsed: f.res.End.Duration()}.KOPS()),
 	})
 	return t
 }
@@ -213,7 +214,7 @@ func (f *clusterFig) controlTable() Table {
 		Notes:  "detect lag is crash→MarkDown; resync ships the deduplicated acked-write log, then readmits behind the pool barrier so no in-flight write is missed",
 	}
 	t.Rows = [][]string{
-		{"crash at (us into run)", fmtUS(f.crashAt.Sub(f.res.Start))},
+		{"crash at (us into run)", fmtUS(f.crashAt.Duration())},
 		{"failovers detected", fmt.Sprintf("%d", failovers)},
 		{"mean detect lag (us)", fmtUS(meanDetect)},
 		{"promotions", fmt.Sprintf("%d", promotions)},

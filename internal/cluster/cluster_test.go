@@ -18,6 +18,29 @@ func quickParams() Params {
 	return p
 }
 
+// runWithController drives l on a one-kernel deployment under a running
+// failover controller: a driver proc waits out the load, awaits full health,
+// gives the engines an apply window, and stops the controller.
+func runWithController(t *testing.T, k *sim.Kernel, c *PCluster, l Load) (res *LoadResult, ct *Controller, healthy bool) {
+	t.Helper()
+	ct, err := c.StartController()
+	if err != nil {
+		t.Fatal(err)
+	}
+	load, err := c.StartLoad(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.Go("main", func(p *sim.Proc) {
+		load.Wait(p)
+		healthy = c.AwaitHealthy(p, 50*time.Millisecond)
+		p.Sleep(2 * time.Millisecond) // engines apply
+		ct.Stop()
+	})
+	k.Run()
+	return load.Collect(), ct, healthy
+}
+
 // TestClusterPutGetConverges drives a healthy cluster and checks every
 // acknowledged write is byte-identical on all replicas once settled.
 func TestClusterPutGetConverges(t *testing.T) {
@@ -26,22 +49,9 @@ func TestClusterPutGetConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := c.StartController()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res *LoadResult
-	k.Go("main", func(p *sim.Proc) {
-		res, err = c.RunLoadFrom(p, Load{Clients: 8, Ops: 400, ReadFrac: 0.5, Verify: true, Seed: 3})
-		if err != nil {
-			t.Error(err)
-		}
-		p.Sleep(2 * time.Millisecond) // engines apply
-		ct.Stop()
-	})
-	k.Run()
-	if res == nil || len(res.Samples) != 400 {
-		t.Fatalf("samples: got %v", res)
+	res, _, _ := runWithController(t, k, c, Load{Clients: 8, Ops: 400, ReadFrac: 0.5, Verify: true, Seed: 3})
+	if len(res.Samples) != 400 {
+		t.Fatalf("samples: got %d, want 400", len(res.Samples))
 	}
 	if res.Errors != 0 || res.BadReads != 0 {
 		t.Fatalf("errors=%d badReads=%d", res.Errors, res.BadReads)
@@ -51,6 +61,32 @@ func TestClusterPutGetConverges(t *testing.T) {
 	}
 	if res.Writes == 0 || res.Reads == 0 {
 		t.Fatalf("degenerate mix: %d writes %d reads", res.Writes, res.Reads)
+	}
+}
+
+// TestClusterOpenLoopVerified drives a verified open loop on one kernel under
+// a controller. The arrival rate overloads the workers, so several of them
+// serve the same logical client at once: every read must still verify and
+// the replicas must converge.
+func TestClusterOpenLoopVerified(t *testing.T) {
+	k := sim.New()
+	c, err := New(k, quickParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := Load{Clients: 8, Ops: 600, ReadFrac: 0.3, OpenLoop: true, Rate: 2e6, Verify: true, Seed: 13}
+	res, _, healthy := runWithController(t, k, c, l)
+	if !healthy {
+		t.Fatal("cluster not healthy after the load")
+	}
+	if len(res.Samples) != l.Ops {
+		t.Fatalf("%d samples, want %d", len(res.Samples), l.Ops)
+	}
+	if res.Errors != 0 || res.BadReads != 0 {
+		t.Fatalf("errors=%d badReads=%d", res.Errors, res.BadReads)
+	}
+	if err := c.CheckConsistency(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -64,31 +100,15 @@ func TestClusterFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := c.StartController()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res *LoadResult
-	k.Go("main", func(mp *sim.Proc) {
-		// Crash shard 0's primary once traffic is flowing.
-		k.AfterFunc(500*time.Microsecond, func() {
-			victim := c.Groups[0].Primary
-			c.CrashReplica(0, victim)
-			k.AfterFunc(p.Restart, func() { c.RestartReplica(0, victim) })
-		})
-		res, err = c.RunLoadFrom(mp, Load{Clients: 8, Ops: 1200, ReadFrac: 0.5, Verify: true, Seed: 7})
-		if err != nil {
-			t.Error(err)
-		}
-		if !c.AwaitHealthy(mp, 50*time.Millisecond) {
-			t.Error("cluster never became healthy again")
-		}
-		mp.Sleep(2 * time.Millisecond)
-		ct.Stop()
+	// Crash shard 0's primary once traffic is flowing.
+	k.AfterFunc(500*time.Microsecond, func() {
+		victim := c.Groups[0].Primary
+		c.CrashReplica(0, victim)
+		k.AfterFunc(p.Restart, func() { c.RestartReplica(0, victim) })
 	})
-	k.Run()
-	if res == nil {
-		t.Fatal("no result")
+	res, ct, healthy := runWithController(t, k, c, Load{Clients: 8, Ops: 1200, ReadFrac: 0.5, Verify: true, Seed: 7})
+	if !healthy {
+		t.Error("cluster never became healthy again")
 	}
 	if res.Errors != 0 {
 		t.Fatalf("%d operations failed permanently", res.Errors)
@@ -127,20 +147,16 @@ func TestClusterOpenLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var res *LoadResult
-		k.Go("main", func(p *sim.Proc) {
-			l := Load{Clients: 4, Ops: 300, ReadFrac: 0.5, Seed: 11}
-			if open {
-				l.OpenLoop = true
-				l.Rate = 2e6 // well past 4 workers' capacity: queueing builds
-			}
-			res, err = c.RunLoadFrom(p, l)
-			if err != nil {
-				t.Error(err)
-			}
-		})
-		k.Run()
-		if res == nil || len(res.Samples) != 300 {
+		l := Load{Clients: 4, Ops: 300, ReadFrac: 0.5, Seed: 11}
+		if open {
+			l.OpenLoop = true
+			l.Rate = 2e6 // well past 4 workers' capacity: queueing builds
+		}
+		res, err := c.RunLoad(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Samples) != 300 {
 			t.Fatal("missing samples")
 		}
 		var sum time.Duration
@@ -213,12 +229,9 @@ func TestCheckConsistencyCatchesDivergence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		k.Go("main", func(p *sim.Proc) {
-			if _, err := c.RunLoadFrom(p, l); err != nil {
-				t.Error(err)
-			}
-		})
-		k.Run()
+		if _, err := c.RunLoad(l); err != nil {
+			t.Fatal(err)
+		}
 		check(t, c)
 	})
 	t.Run("NewPartitioned", func(t *testing.T) {

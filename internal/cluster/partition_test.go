@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"prdma/internal/rpc"
+	"prdma/internal/sim"
+	"prdma/internal/ycsb"
 )
 
 func partParams() Params {
@@ -20,7 +22,7 @@ func partParams() Params {
 
 // runPart builds a partitioned cluster at the given worker count, drives l,
 // and returns (result, consistency error).
-func runPart(t *testing.T, workers int, l Load) (*PLoadResult, error) {
+func runPart(t *testing.T, workers int, l Load) (*LoadResult, error) {
 	t.Helper()
 	c, err := NewPartitioned(workers, partParams())
 	if err != nil {
@@ -102,7 +104,7 @@ func TestPartitionedAllDurableFamilies(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			p := partParams()
 			p.Kind = kind
-			run := func(workers int) (*PLoadResult, error) {
+			run := func(workers int) (*LoadResult, error) {
 				c, err := NewPartitioned(workers, p)
 				if err != nil {
 					t.Fatal(err)
@@ -211,23 +213,83 @@ func TestPartitionedFailoverRecovery(t *testing.T) {
 	c.Eng.Shutdown()
 }
 
-// TestPartitionedMatchesSerialSemantics sanity-checks the partitioned data
-// plane against the one-kernel cluster's semantics: the same op mix ends
-// consistent with all reads verified (timings differ — the topologies are
-// different — but semantics must not).
+// TestPartitionedMatchesSerialSemantics pins the one load generator's
+// semantics on both deployments: every mix — the plain 70/30 closed loop
+// and YCSB A (updates), E (scans and inserts) and F (read-modify-writes) —
+// ends consistent with every read verified and every issued op accounted
+// for (timings differ — the topologies are different — but semantics must
+// not).
 func TestPartitionedMatchesSerialSemantics(t *testing.T) {
-	l := Load{Clients: 4, Ops: 200, ReadFrac: 0.3, Verify: true, Seed: 9}
-	res, cerr := runPart(t, 2, l)
-	if cerr != nil {
-		t.Fatalf("partitioned consistency: %v", cerr)
+	deployments := []struct {
+		name  string
+		build func() (*PCluster, error)
+	}{
+		// The New rows also pin RunLoad on one kernel, with no engine to run.
+		{"New", func() (*PCluster, error) { return New(sim.New(), partParams()) }},
+		{"NewPartitioned", func() (*PCluster, error) { return NewPartitioned(2, partParams()) }},
 	}
-	if res.Errors != 0 || res.BadReads != 0 {
-		t.Fatalf("partitioned: errors=%d badReads=%d", res.Errors, res.BadReads)
+	for _, wl := range []ycsb.Workload{0, ycsb.A, ycsb.E, ycsb.F} {
+		for _, d := range deployments {
+			name := "plain"
+			if wl != 0 {
+				name = "ycsb" + wl.String()
+			}
+			t.Run(name+"/"+d.name, func(t *testing.T) {
+				l := Load{Clients: 4, Ops: 200, ReadFrac: 0.3, KeySpace: 256, Theta: 0.99, Workload: wl, Verify: true, Seed: 9}
+				c, err := d.build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := c.RunLoad(l)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Errors != 0 || res.BadReads != 0 {
+					t.Fatalf("errors=%d badReads=%d", res.Errors, res.BadReads)
+				}
+				samples, ops := expectedOps(l)
+				if len(res.Samples) != samples || res.Writes+res.Reads != ops {
+					t.Fatalf("%d samples, writes=%d reads=%d; want %d samples, %d ops",
+						len(res.Samples), res.Writes, res.Reads, samples, ops)
+				}
+				if res.End <= 0 || res.Throughput() <= 0 {
+					t.Fatalf("degenerate timing end=%v", res.End)
+				}
+				if err := c.CheckConsistency(); err != nil {
+					t.Fatalf("consistency: %v", err)
+				}
+				if c.Eng != nil {
+					c.Eng.Shutdown()
+				}
+			})
+		}
 	}
-	if res.Writes+res.Reads != l.Ops {
-		t.Fatalf("partitioned: writes=%d reads=%d, want total %d", res.Writes, res.Reads, l.Ops)
+}
+
+// expectedOps replays l's closed-loop client quotas and returns how many
+// samples and how many single-key reads plus writes the run must complete:
+// one each per plain op, a read and a write per read-modify-write, one
+// sample but ScanLen reads per scan.
+func expectedOps(l Load) (samples, ops int) {
+	if l.Workload == 0 {
+		return l.Ops, l.Ops
 	}
-	if res.End <= 0 || res.Throughput() <= 0 {
-		t.Fatalf("partitioned: degenerate timing end=%v", res.End)
+	for client := 0; client < l.Clients; client++ {
+		quota := l.Ops / l.Clients
+		if client < l.Ops%l.Clients {
+			quota++
+		}
+		gen := ycsbGenerator(l, client, partParams().ObjSize)
+		for i := 0; i < quota; i++ {
+			for _, r := range gen.Next() {
+				samples++
+				if r.Op == rpc.OpScan {
+					ops += r.ScanLen
+				} else {
+					ops++
+				}
+			}
+		}
 	}
+	return samples, ops
 }

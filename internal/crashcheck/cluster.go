@@ -35,7 +35,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -77,7 +76,7 @@ type ClusterConfig struct {
 	// instead of killing queue pairs. Workers == 0 only.
 	Fault *fabric.FaultSpec
 	// Workload, when set, drives the load from a YCSB core workload
-	// (ycsb.A..ycsb.F) instead of the default 70/30 mix. Workers == 0 only.
+	// (ycsb.A..ycsb.F) instead of the default 70/30 mix.
 	Workload ycsb.Workload
 	// Mutant seeds a known bug class for the detection check: "ackbug"
 	// (flush ACK before the durability horizon) or "resurrect" (stale
@@ -157,18 +156,14 @@ func (r *ClusterResult) Minimal() *ClusterViolation {
 	return min
 }
 
-// clusterRun is one deployment plus its workload driver. With Workers == 0
-// k is the one kernel and a proc drives the load; otherwise load is the
-// in-flight partitioned workload and the sweep driver steps the engine.
+// clusterRun is one deployment plus its in-flight load. With Workers == 0
+// k is the one kernel and a proc waits out the load; otherwise the sweep
+// driver steps the engine.
 type clusterRun struct {
 	c    *cluster.PCluster
 	k    *sim.Kernel
 	ct   *cluster.Controller
-	load *cluster.PLoadRun
-	res  *cluster.LoadResult
-	err  error
-
-	loadDone bool
+	load *cluster.LoadRun
 	// loadEnd is the crash coordinate at which the load completed.
 	loadEnd uint64
 
@@ -234,23 +229,16 @@ func newClusterRun(cfg ClusterConfig, tune func(*cluster.PCluster)) (*clusterRun
 		Verify:   true,
 		Seed:     uint64(cfg.Seed) | 1,
 	}
-	if r.k == nil {
-		r.load, err = r.c.StartLoad(load)
-		return r, err
+	if r.load, err = r.c.StartLoad(load); err != nil {
+		return nil, err
 	}
-	r.k.Go("cluster-load", func(mp *sim.Proc) {
-		r.res, r.err = r.c.RunLoadFrom(mp, load)
-		r.loadDone = true
-		r.loadEnd = r.k.Fired()
-	})
+	if r.k != nil {
+		r.k.Go("cluster-load", func(mp *sim.Proc) {
+			r.load.Wait(mp)
+			r.loadEnd = r.k.Fired()
+		})
+	}
 	return r, nil
-}
-
-func (r *clusterRun) done() bool {
-	if r.load != nil {
-		return r.load.Done()
-	}
-	return r.loadDone
 }
 
 func (r *clusterRun) shutdown() {
@@ -339,7 +327,7 @@ func (r *clusterRun) crashNow(s, ri int) {
 // cluster is healthy again (or the bounded horizon passes), then gives the
 // engines a final apply window.
 func (r *clusterRun) settle() {
-	for i := 0; i < 60 && !(r.loadDone && r.c.Healthy()); i++ {
+	for i := 0; i < 60 && !(r.load.Done() && r.c.Healthy()); i++ {
 		r.k.RunUntil(r.k.Now().Add(2 * time.Millisecond))
 	}
 	r.k.RunUntil(r.k.Now().Add(3 * time.Millisecond))
@@ -401,15 +389,10 @@ func (r *clusterRun) settleWindows(pend []injection, end sim.Time) {
 }
 
 // drain stops the controller and runs the engine quiescent (bounded, in case
-// an auxiliary proc is still polling), then collects the load result.
+// an auxiliary proc is still polling).
 func (r *clusterRun) drain(end sim.Time) {
 	r.ct.Stop()
 	for r.c.Now() < end && r.c.Eng.RunWindows(256) != 0 {
-	}
-	pr := r.load.Collect()
-	r.res = &cluster.LoadResult{
-		Samples: pr.Samples, End: pr.End,
-		Writes: pr.Writes, Reads: pr.Reads, BadReads: pr.BadReads, Errors: pr.Errors,
 	}
 }
 
@@ -461,16 +444,16 @@ func (r *clusterRun) refStats() RefStats {
 	for _, grp := range r.c.Groups {
 		st.Retries += grp.Retries
 	}
-	if r.res == nil || len(r.res.Samples) == 0 {
+	res := r.load.Collect()
+	if len(res.Samples) == 0 {
 		return st
 	}
-	st.Ops = len(r.res.Samples)
+	st.Ops = len(res.Samples)
 	lat := stats.NewLatency(st.Ops)
-	for _, sm := range r.res.Samples {
+	for _, sm := range res.Samples {
 		lat.Add(sm.Dur)
 	}
-	elapsed := r.res.End.Sub(r.res.Start)
-	st.KOPS = stats.Throughput{Ops: st.Ops, Elapsed: elapsed}.KOPS()
+	st.KOPS = stats.Throughput{Ops: st.Ops, Elapsed: res.End.Duration()}.KOPS()
 	st.P50US = float64(lat.Percentile(50)) / float64(time.Microsecond)
 	st.P99US = float64(lat.Percentile(99)) / float64(time.Microsecond)
 	return st
@@ -483,19 +466,16 @@ func (r *clusterRun) verify() []string {
 		out = append(out, fmt.Sprintf(format, a...))
 	}
 	out = append(out, r.auditMsgs...)
-	if !r.done() {
+	if !r.load.Done() {
 		bad("workload never finished before the settle horizon")
 		return out
 	}
-	if r.err != nil {
-		bad("load error: %v", r.err)
-		return out
+	res := r.load.Collect()
+	if res.Errors != 0 {
+		bad("%d operations failed permanently", res.Errors)
 	}
-	if r.res.Errors != 0 {
-		bad("%d operations failed permanently", r.res.Errors)
-	}
-	if r.res.BadReads != 0 {
-		bad("%d reads returned malformed or future payloads", r.res.BadReads)
+	if res.BadReads != 0 {
+		bad("%d reads returned malformed or future payloads", res.BadReads)
 	}
 	if !r.c.Healthy() {
 		bad("cluster not healthy at horizon (replica still down or resyncing)")
@@ -528,8 +508,8 @@ func ClusterSweep(cfg ClusterConfig) (ClusterResult, error) {
 // before it runs.
 func clusterSweep(cfg ClusterConfig, tune func(*cluster.PCluster)) (ClusterResult, error) {
 	res := ClusterResult{Seed: cfg.Seed, Workers: cfg.Workers}
-	if cfg.Workers > 0 && (cfg.Fault != nil || cfg.Workload != 0) {
-		return res, errors.New("crashcheck: Fault and Workload need the event coordinate (Workers == 0)")
+	if cfg.Workers > 0 && cfg.Fault != nil {
+		return res, errors.New("crashcheck: Fault needs the event coordinate (Workers == 0)")
 	}
 	switch cfg.Mutant {
 	case "", "ackbug", "resurrect":
@@ -557,7 +537,14 @@ func clusterSweep(cfg ClusterConfig, tune func(*cluster.PCluster)) (ClusterResul
 	record(Point{}, ref.c.Now(), ref.verify())
 	ref.shutdown()
 
-	points := pickClusterPoints(cfg, res.Events)
+	// The floor skips the setup transient; the rng salt keeps the two
+	// coordinates' point sets independent.
+	salt, lo := int64(0x7E57C0DE), uint64(50)
+	if cfg.Workers > 0 {
+		salt, lo = 0x9A27170, 20
+	}
+	points := pickPoints(Config{Seed: cfg.Seed, Points: cfg.Points, SecondCrashEvery: cfg.SecondCrashEvery},
+		res.Events, salt, lo)
 	res.Points = len(points)
 	for _, pt := range points {
 		r, err := newClusterRun(cfg, tune)
@@ -570,45 +557,4 @@ func clusterSweep(cfg ClusterConfig, tune func(*cluster.PCluster)) (ClusterResul
 		r.shutdown()
 	}
 	return res, nil
-}
-
-// pickClusterPoints samples distinct crash coordinates across the
-// reference load's coordinate space. The floor skips the setup transient;
-// the rng salt keeps the two coordinates' point sets independent.
-func pickClusterPoints(cfg ClusterConfig, space uint64) []Point {
-	salt, lo := int64(0x7E57C0DE), uint64(50)
-	if cfg.Workers > 0 {
-		salt, lo = 0x9A27170, 20
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed ^ salt))
-	if space <= lo+2 {
-		lo = 1
-	}
-	span := int64(space - lo)
-	if span <= 0 {
-		span = 1
-	}
-	seen := make(map[uint64]bool)
-	var points []Point
-	n := cfg.Points
-	if uint64(n) > uint64(span) {
-		n = int(span)
-	}
-	for len(points) < n {
-		e := lo + uint64(rng.Int63n(span))
-		if seen[e] {
-			continue
-		}
-		seen[e] = true
-		points = append(points, Point{Event: e})
-	}
-	sort.Slice(points, func(i, j int) bool { return points[i].Event < points[j].Event })
-	if cfg.SecondCrashEvery > 0 {
-		for i := range points {
-			if (i+1)%cfg.SecondCrashEvery == 0 {
-				points[i].SecondCrash = true
-			}
-		}
-	}
-	return points
 }

@@ -116,7 +116,8 @@ func TestPartitionedSweepFusionStable(t *testing.T) {
 // sweep to flag each within a handful of points at both crash coordinates.
 // The event-index ackbug case uses 1 KiB objects: at 64 B an entry's
 // ack-before-durable window is well under a microsecond, and six event
-// boundaries almost never land inside one.
+// boundaries almost never land inside one. It also sweeps seed 6 at 16
+// points, which catches the mutant several times over (EXPERIMENTS.md).
 func TestClusterMutantsCaught(t *testing.T) {
 	for _, workers := range []int{0, 2} {
 		for _, mutant := range []string{"ackbug", "resurrect"} {
@@ -124,19 +125,20 @@ func TestClusterMutantsCaught(t *testing.T) {
 				cfg := sweepCfg(t, 3, 6, 0, workers)
 				cfg.Mutant = mutant
 				if workers == 0 && mutant == "ackbug" {
-					cfg.ObjSize = 1024
+					cfg.Seed, cfg.Points, cfg.ObjSize = 6, 16, 1024
 				}
 				res := mustSweep(t, cfg, nil)
 				if res.ViolationCount == 0 {
 					t.Fatalf("seeded %q mutant survived %d crash points undetected", mutant, res.Points)
 				}
+				t.Logf("%d violations over %d points", res.ViolationCount, res.Points)
 			})
 		}
 	}
 }
 
 // TestClusterSweepRejectsEventOnlyOptions pins the config contract: the
-// fabric adversary and YCSB mixes exist only at the event coordinate.
+// fabric adversary exists only at the event coordinate.
 func TestClusterSweepRejectsEventOnlyOptions(t *testing.T) {
 	cfg := DefaultClusterConfig(1)
 	cfg.Workers = 2
@@ -144,9 +146,20 @@ func TestClusterSweepRejectsEventOnlyOptions(t *testing.T) {
 	if _, err := ClusterSweep(cfg); err == nil {
 		t.Fatal("Fault with Workers > 0 did not error")
 	}
-	cfg.Fault = nil
+}
+
+// TestPartitionedSweepYCSB runs a YCSB mix at the window coordinate: the
+// sweep is clean and worker-count-stable like the plain mix.
+func TestPartitionedSweepYCSB(t *testing.T) {
+	cfg := sweepCfg(t, 7, 3, 0, 1)
 	cfg.Workload = ycsb.A
-	if _, err := ClusterSweep(cfg); err == nil {
-		t.Fatal("Workload with Workers > 0 did not error")
+	a := mustSweep(t, cfg, nil)
+	if a.ViolationCount != 0 {
+		t.Fatalf("%d violations (minimal: %v)", a.ViolationCount, a.Minimal())
+	}
+	cfg.Workers = 4
+	b := mustSweep(t, cfg, nil)
+	if !sameOutcome(a, b) {
+		t.Fatalf("YCSB sweep not worker-count-stable:\n  workers=1 %+v\n  workers=4 %+v", a, b)
 	}
 }

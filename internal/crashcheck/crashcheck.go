@@ -540,6 +540,9 @@ func (r *run) verify() []string {
 	return out
 }
 
+// pointSalt keys the single-server and pool sweeps' crash-point rng.
+const pointSalt = 0x5E3779B97F4A7C15
+
 // Sweep runs the reference execution to size the event space, then
 // replays the workload once per crash point and collects violations.
 func Sweep(cfg Config) Result {
@@ -565,7 +568,7 @@ func Sweep(cfg Config) Result {
 	refSpan := ref.k.Now().Sub(sim.Time(0))
 	ref.k.Shutdown()
 
-	points := pickPoints(cfg, res.Events)
+	points := pickPoints(cfg, res.Events, pointSalt, 20)
 	res.Points = len(points)
 	for _, pt := range points {
 		r, at := runPoint(cfg, pt, refSpan)
@@ -578,12 +581,12 @@ func Sweep(cfg Config) Result {
 	return res
 }
 
-// pickPoints selects distinct crash points across the reference event
-// space: Points event boundaries, TornPoints mid-persist offsets, and a
-// second crash armed every SecondCrashEvery-th point.
-func pickPoints(cfg Config, events uint64) []Point {
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5E3779B97F4A7C15))
-	lo := uint64(20)
+// pickPoints selects distinct crash points across the reference coordinate
+// space [lo, events): Points boundaries, TornPoints mid-persist offsets, and
+// a second crash armed every SecondCrashEvery-th point. The salt keys the
+// rng per sweep kind.
+func pickPoints(cfg Config, events uint64, salt int64, lo uint64) []Point {
+	rng := rand.New(rand.NewSource(cfg.Seed ^ salt))
 	if events <= lo+2 {
 		lo = 1
 	}

@@ -434,7 +434,7 @@ func PMPoolSweep(cfg PMPoolConfig) Result {
 	points := pickPoints(Config{
 		Seed: cfg.Seed, Points: cfg.Points,
 		TornPoints: cfg.TornPoints, SecondCrashEvery: cfg.SecondCrashEvery,
-	}, res.Events)
+	}, res.Events, pointSalt, 20)
 	res.Points = len(points)
 	for _, pt := range points {
 		r, at := runPMPoolPoint(cfg, pt, refSpan)

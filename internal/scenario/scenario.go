@@ -339,9 +339,6 @@ func (s *Spec) runCluster(kind rpc.Kind) (*Report, error) {
 		if len(ws) != 1 {
 			return nil, fmt.Errorf("scenario: cluster workload must be a single YCSB letter, got %q", cs.Workload)
 		}
-		if cs.OpenLoop {
-			return nil, fmt.Errorf("scenario: YCSB workloads drive the closed loop only")
-		}
 		wl = ws[0]
 	}
 	p := cluster.DefaultParams()
@@ -381,31 +378,28 @@ func (s *Spec) runCluster(kind rpc.Kind) (*Report, error) {
 	if cs.CrashPrimary {
 		c.CrashPrimaryAfter(0, int64(s.Ops/5), func(int, sim.Time) { crashes++ })
 	}
-	var res *cluster.LoadResult
-	var loadErr error
-	healthy := true
+	load, err := c.StartLoad(cluster.Load{
+		Clients:  s.Clients,
+		Ops:      s.Ops,
+		ReadFrac: s.ReadFraction,
+		Workload: wl,
+		OpenLoop: cs.OpenLoop,
+		Rate:     cs.RatePerSec,
+		Verify:   true,
+		Seed:     s.Seed,
+	})
+	if err != nil {
+		return nil, err
+	}
+	var healthy bool
 	k.Go("driver", func(mp *sim.Proc) {
-		res, loadErr = c.RunLoadFrom(mp, cluster.Load{
-			Clients:  s.Clients,
-			Ops:      s.Ops,
-			ReadFrac: s.ReadFraction,
-			Workload: wl,
-			OpenLoop: cs.OpenLoop,
-			Rate:     cs.RatePerSec,
-			Verify:   true,
-			Seed:     s.Seed,
-		})
-		if loadErr != nil {
-			return
-		}
+		load.Wait(mp)
 		healthy = c.AwaitHealthy(mp, 200*time.Millisecond)
 		mp.Sleep(2 * time.Millisecond) // engines apply their tails
 		ct.Stop()
 	})
 	k.Run()
-	if loadErr != nil {
-		return nil, loadErr
-	}
+	res := load.Collect()
 	if res.Errors > 0 || res.BadReads > 0 {
 		return nil, fmt.Errorf("scenario: cluster run had %d failed ops, %d bad reads", res.Errors, res.BadReads)
 	}
@@ -420,7 +414,7 @@ func (s *Spec) runCluster(kind rpc.Kind) (*Report, error) {
 	for _, sm := range res.Samples {
 		lat.Add(sm.Dur)
 	}
-	elapsed := res.End.Sub(res.Start)
+	elapsed := res.End.Duration()
 	rep := &Report{
 		Name:    s.Name,
 		RPC:     kind.String(),
