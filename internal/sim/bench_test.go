@@ -94,17 +94,52 @@ func BenchmarkTimerCancel(b *testing.B) {
 	}
 }
 
-// BenchmarkProcSwitch measures a full proc sleep/wake round trip (two
-// goroutine handoffs per iteration). The cached per-proc wake thunk makes
-// the scheduling half 0 allocs/op.
-func BenchmarkProcSwitch(b *testing.B) {
-	k := New()
-	b.ReportAllocs()
-	k.Go("p", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
+// sleeper is BenchmarkProcSwitch's proc: n sleeps of 1 µs.
+func sleeper(k *Kernel, n int) {
+	k.Go("sleeper", func(p *Proc) {
+		for i := 0; i < n; i++ {
 			p.Sleep(time.Microsecond)
 		}
 	})
+}
+
+// pingPong is BenchmarkProcPingPong's pair: n round trips of one token
+// through a Chan each way, so every resume wakes the other proc.
+func pingPong(k *Kernel, n int) {
+	ping, pong := NewChan[int](k), NewChan[int](k)
+	k.Go("ping", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			ping.Push(i)
+			pong.Pop(p)
+		}
+	})
+	k.Go("pong", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			pong.Push(ping.Pop(p))
+		}
+	})
+}
+
+// BenchmarkProcSwitch measures a proc sleep/wake cycle. A lone sleeping
+// proc runs the event loop itself and its next resume is its own, so the
+// cycle costs no goroutine switch at all; the cached per-proc wake thunk
+// makes it 0 allocs/op (TestProcAllocRegression pins both).
+func BenchmarkProcSwitch(b *testing.B) {
+	k := New()
+	b.ReportAllocs()
+	sleeper(k, b.N)
+	b.ResetTimer()
+	k.Run()
+}
+
+// BenchmarkProcPingPong measures the direct handoff between two procs: they
+// bounce a token through a Chan each way, so every resume wakes the other
+// proc and costs exactly one goroutine switch. One iteration is a round
+// trip, two resumes.
+func BenchmarkProcPingPong(b *testing.B) {
+	k := New()
+	b.ReportAllocs()
+	pingPong(k, b.N)
 	b.ResetTimer()
 	k.Run()
 }

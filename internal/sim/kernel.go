@@ -2,10 +2,15 @@
 //
 // The kernel maintains a priority queue of events ordered by virtual time,
 // with ties broken by insertion sequence so that runs are exactly
-// reproducible. Simulated "threads" (Proc) are backed by goroutines, but the
-// kernel guarantees that at most one proc runs at any instant and that
-// control is handed over synchronously, so the simulation is deterministic
-// regardless of the Go scheduler.
+// reproducible. Simulated "threads" (Proc) are backed by goroutines, but only
+// one goroutine holds a kernel at a time and control passes between them
+// synchronously over channels, so the simulation is deterministic regardless
+// of the Go scheduler. There is no kernel goroutine: the event loop runs on
+// whichever goroutine holds the kernel — the caller of Run, or the proc
+// that just blocked or exited. A blocking proc runs the loop itself and
+// resumes the next proc directly (or simply carries on when the next resume
+// is its own); the kernel returns to the caller only when the run's bounds
+// are reached. See DESIGN.md "Direct proc handoff".
 //
 // Virtual time is measured in integer nanoseconds (Time). All latencies in
 // the PRDMA models are expressed as time.Duration and added to Time values.
@@ -22,6 +27,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -51,16 +57,17 @@ type heapSlot struct {
 	ev  *event
 }
 
-// eventHeap is a hand-rolled d-ary min-heap ordered by (at, seq). A 4-ary
-// layout beats both container/heap (interface-call overhead) and a binary
-// layout of the same code (shallower tree, better cache locality on the
-// sift-down path); see BenchmarkKernelEvents in bench_test.go and DESIGN.md
-// for the measurements that picked it.
+// eventHeap is a hand-rolled d-ary min-heap ordered by (at, seq). An 8-ary
+// layout beats both container/heap (interface-call overhead) and narrower
+// layouts of the same code (shallower tree, better cache locality on the
+// sift-down path); see BenchmarkKernelEventsDeep in bench_test.go and
+// DESIGN.md for the measurements that picked it.
 type eventHeap []heapSlot
 
-// heapArity is the heap branching factor. 4 won the microbenchmark shootout
-// against 2 (see DESIGN.md "Engine performance"); the code works for any
-// arity >= 2 so the experiment is one constant away.
+// heapArity is the heap branching factor. 4 beat 2 on the microbenchmarks
+// and 8 beat 4 once the heap slots carried their keys inline (see DESIGN.md
+// "Engine performance" and §12); the code works for any arity >= 2 so the
+// experiment is one constant away.
 const heapArity = 8
 
 func (h eventHeap) less(i, j int) bool {
@@ -159,16 +166,32 @@ type Kernel struct {
 	// deterministic, enumerable injection point.
 	fired uint64
 
-	// handoff channel used by procs to return control to the kernel.
+	// Bounds of the current RunUntil/RunEvents/runHead. They live here, not
+	// on the caller's stack, because whichever goroutine holds the kernel
+	// runs the loop (see loop).
+	deadline Time   // no event later than this fires
+	budget   uint64 // live events the run may still fire
+	oneHead  bool   // runHead: the run ends after one pop, live or canceled
+	stopped  bool   // Stop was called
+	// next is the proc the last fired event made runnable; set by schedule,
+	// consumed by loop as soon as the event returns.
+	next *Proc
+
+	// handoff returns the kernel to the goroutine that called the run once
+	// a proc holding it reaches the run's bounds. Proc-to-proc transfers go
+	// straight to the next proc's resume channel.
 	handoff chan struct{}
-	// current proc, nil while the kernel itself runs an event callback.
+	// cur is the proc whose body is running; nil while the loop and event
+	// callbacks run.
 	cur *Proc
+	// fault is a callback panic recovered on a proc goroutine, carried to
+	// the run's caller, which re-raises it.
+	fault any
 
 	procs int // live procs, for leak diagnostics
 	// live registers every spawned proc until its goroutine exits, so
 	// Shutdown can reap procs parked in blocking calls (or never started).
-	live    map[*Proc]struct{}
-	stopped bool
+	live map[*Proc]struct{}
 
 	// eng/engID are set when the kernel is one partition of a multi-kernel
 	// Engine (see engine.go); standalone kernels have eng nil, engID -1.
@@ -264,31 +287,16 @@ func (k *Kernel) popNext() *event {
 func (k *Kernel) Now() Time { return k.now }
 
 // runHead pops the single head event if it is at or before deadline,
-// executing it when live and merely recycling it when canceled. It reports
-// whether the head was consumed — the engine's serialized window stepping
-// interleaves kernels one head event at a time to realize an exact global
-// event order (see Engine.Serialize).
+// executing it when live and merely recycling it when canceled; a proc the
+// event resumes runs until it blocks. It reports whether the head was
+// consumed — the engine's serialized window stepping interleaves kernels one
+// head event at a time to realize an exact global event order (see
+// Engine.Serialize).
 func (k *Kernel) runHead(deadline Time) bool {
-	if !k.pendingAny() {
+	if at, ok := k.NextEventAt(); !ok || at > deadline {
 		return false
 	}
-	if at, _ := k.NextEventAt(); at > deadline {
-		return false
-	}
-	ev := k.popNext()
-	if ev.canceled {
-		k.dead--
-		k.recycle(ev)
-		return true
-	}
-	if ev.at < k.now {
-		panic("sim: event queue went backwards")
-	}
-	k.now = ev.at
-	fn := ev.fn
-	k.recycle(ev)
-	k.fired++
-	fn()
+	k.run(deadline, 1, true)
 	return true
 }
 
@@ -433,16 +441,54 @@ func (k *Kernel) Run() {
 // left at the timestamp of the last executed event (or the deadline if that
 // is later and events remain).
 func (k *Kernel) RunUntil(deadline Time) {
+	k.run(deadline, math.MaxUint64, false)
+}
+
+// RunEvents executes at most n live events and reports how many ran (fewer
+// only when the queue empties or Stop is called first). It stops the world at an exact event
+// boundary: the crashcheck harness steps to event i, injects a crash from
+// outside the event loop, and resumes with Run.
+func (k *Kernel) RunEvents(n uint64) uint64 {
+	return k.run(math.MaxInt64, n, false)
+}
+
+// run drives the loop from the calling goroutine under the given bounds and
+// reports how many live events fired. When an event makes a proc runnable
+// the caller hands the kernel over and parks on handoff: the procs then pass
+// the kernel among themselves, each running the loop when it blocks or
+// exits, and the one that reaches the bounds hands it back. A callback panic
+// caught on a proc goroutine is re-raised here with the same value.
+func (k *Kernel) run(deadline Time, budget uint64, oneHead bool) uint64 {
 	k.stopped = false
-	for k.pendingAny() && !k.stopped {
-		if at, _ := k.NextEventAt(); at > deadline {
-			k.now = deadline
-			return
+	k.deadline, k.budget, k.oneHead = deadline, budget, oneHead
+	if p := k.loop(); p != nil {
+		k.handOver(p)
+		<-k.handoff
+		if r := k.fault; r != nil {
+			k.fault = nil
+			panic(r)
+		}
+	}
+	return budget - k.budget
+}
+
+// loop is the kernel's one event loop. It pops and fires events in (at, seq)
+// order until the run's bounds are reached, returning nil, or until a fired
+// event makes a proc runnable, returning that proc for the caller to hand
+// the kernel to. It runs on whichever goroutine holds the kernel.
+func (k *Kernel) loop() *Proc {
+	for k.budget > 0 && !k.stopped && k.pendingAny() {
+		if at, _ := k.NextEventAt(); at > k.deadline {
+			k.now = k.deadline
+			return nil
 		}
 		ev := k.popNext()
 		if ev.canceled {
 			k.dead--
 			k.recycle(ev)
+			if k.oneHead {
+				k.budget = 0
+			}
 			continue
 		}
 		if ev.at < k.now {
@@ -453,51 +499,34 @@ func (k *Kernel) RunUntil(deadline Time) {
 		// Recycle before firing so fn can schedule onto the freed slot.
 		k.recycle(ev)
 		k.fired++
+		k.budget--
 		fn()
+		if p := k.next; p != nil {
+			k.next = nil
+			return p
+		}
 	}
+	return nil
 }
 
-// RunEvents executes at most n live events and reports how many ran (fewer
-// only when the queue empties first). It stops the world at an exact event
-// boundary: the crashcheck harness steps to event i, injects a crash from
-// outside the event loop, and resumes with Run.
-func (k *Kernel) RunEvents(n uint64) uint64 {
-	k.stopped = false
-	var ran uint64
-	for ran < n && k.pendingAny() && !k.stopped {
-		ev := k.popNext()
-		if ev.canceled {
-			k.dead--
-			k.recycle(ev)
-			continue
-		}
-		if ev.at < k.now {
-			panic("sim: event queue went backwards")
-		}
-		k.now = ev.at
-		fn := ev.fn
-		k.recycle(ev)
-		k.fired++
-		ran++
-		fn()
-	}
-	return ran
-}
-
-// Stop makes Run/RunUntil return after the current event completes.
+// Stop ends the current run (Run, RunUntil, RunEvents) after the current
+// event completes; called from a proc body, once that proc blocks.
 func (k *Kernel) Stop() { k.stopped = true }
 
 // Shutdown kills every live proc and releases the kernel's event pools so a
 // finished deployment stops pinning memory. Each proc goroutine is parked at
 // its resume channel (in a blocking call, or at spawn if it never started);
-// Shutdown resumes it with the kill flag set, which unwinds it synchronously
-// on the caller's goroutine — when Shutdown returns, no proc goroutine
-// remains. A proc whose deferred cleanup blocks again is simply re-reaped on
-// the next loop iteration. Must not be called from inside the simulation.
+// Shutdown hands it the kernel with the kill flag set, and it unwinds while
+// the caller waits — when Shutdown returns, no proc goroutine remains. The
+// run is stopped first, so the exit path's loop fires nothing and hands the
+// kernel straight back. A proc whose deferred cleanup blocks again is simply
+// re-reaped on the next loop iteration. Must not be called from inside the
+// simulation.
 func (k *Kernel) Shutdown() {
 	if k.cur != nil {
 		panic("sim: Shutdown from inside the simulation")
 	}
+	k.stopped = true
 	for len(k.live) > 0 {
 		var p *Proc
 		for q := range k.live {
@@ -507,7 +536,8 @@ func (k *Kernel) Shutdown() {
 		p.killed = true
 		p.waitGen++
 		p.waiting = false
-		k.schedule(p) // resume → kill unwind → exit path removes p from live
+		k.handOver(p) // kill unwind → exit path removes p from live
+		<-k.handoff
 	}
 	k.events = nil
 	k.nowQ = nil
@@ -516,7 +546,6 @@ func (k *Kernel) Shutdown() {
 	k.monoHead = 0
 	k.free = nil
 	k.dead = 0
-	k.stopped = true
 }
 
 // RunFor runs for d of virtual time from now.

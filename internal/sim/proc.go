@@ -6,11 +6,13 @@ import (
 )
 
 // Proc is a simulated thread of execution. Procs are backed by goroutines,
-// but the kernel ensures at most one proc runs at a time: a proc only
-// executes between a resume handoff from the kernel and its next blocking
-// call (Sleep, Yield, Chan.Pop, Cond.Wait, ...), at which point it hands
-// control back synchronously. This gives sequential, deterministic semantics
-// while letting protocol code be written in a natural blocking style.
+// but only one goroutine holds a kernel at a time: a proc's body executes
+// between being handed the kernel and its next blocking call (Sleep, Yield,
+// Chan.Pop, Cond.Wait, ...). There the proc runs the event loop itself until
+// an event wakes a proc: if that is the proc itself it carries on with no
+// goroutine switch, otherwise it hands the kernel straight to the woken proc
+// and parks. This gives sequential, deterministic semantics while letting
+// protocol code be written in a natural blocking style.
 type Proc struct {
 	K      *Kernel
 	Name   string
@@ -66,10 +68,9 @@ func (k *Kernel) GoAt(t Time, name string, fn func(p *Proc)) *Proc {
 			}()
 		}
 		p.dead = true
-		p.K.procs--
-		delete(p.K.live, p)
-		p.K.cur = nil
-		p.K.handoff <- struct{}{}
+		k.procs--
+		delete(k.live, p)
+		k.pass(p) // p is dead, so the kernel always moves on
 	}()
 	k.Schedule(t, p.wakeFn)
 	return p
@@ -78,26 +79,64 @@ func (k *Kernel) GoAt(t Time, name string, fn func(p *Proc)) *Proc {
 // procKilled is the panic payload used to unwind a killed proc.
 type procKilled struct{}
 
-// schedule transfers control from the kernel to p until p blocks or exits.
+// schedule is the body of p's wake event: it records p as the proc to run
+// next, and the loop hands p the kernel as soon as the event returns.
 func (k *Kernel) schedule(p *Proc) {
-	if p.dead {
-		return
+	if !p.dead {
+		k.next = p
 	}
-	k.cur = p
-	p.resume <- struct{}{}
-	<-k.handoff
 }
 
-// block hands control back to the kernel; the proc stays suspended until
-// something calls wake (via a scheduled event).
+// handOver gives the kernel to p, which resumes from its blocking call (or
+// starts) on its own goroutine. The caller must not touch the kernel again
+// until it is handed back.
+func (k *Kernel) handOver(p *Proc) {
+	k.cur = p
+	p.resume <- struct{}{}
+}
+
+// pass runs the event loop on p's goroutine after p blocked or exited, then
+// passes the kernel on. It reports whether the next resume is p's own, in
+// which case p simply continues. Otherwise the kernel has gone to the next
+// proc, or back to the run's caller once the run's bounds are reached.
+func (k *Kernel) pass(p *Proc) bool {
+	k.cur = nil
+	next := k.loopOnProc()
+	switch {
+	case next == p:
+		k.cur = p
+		return true
+	case next != nil:
+		k.handOver(next)
+	default:
+		k.handoff <- struct{}{}
+	}
+	return false
+}
+
+// loopOnProc runs the loop on a proc goroutine. A callback panic must not
+// unwind the proc's body (its defers and recovers belong to the model, not
+// to the event that failed), so it is caught here and stored for the run's
+// caller to re-raise, and the kernel goes back to that caller.
+func (k *Kernel) loopOnProc() (next *Proc) {
+	defer func() {
+		if r := recover(); r != nil {
+			k.fault, next = r, nil
+		}
+	}()
+	return k.loop()
+}
+
+// block suspends p until its wake event fires. Meanwhile p's goroutine runs
+// the event loop; see pass.
 func (p *Proc) block() {
-	if p.K.cur != p {
+	k := p.K
+	if k.cur != p {
 		panic("sim: blocking call from a proc that is not running")
 	}
-	p.K.cur = nil
-	p.K.handoff <- struct{}{}
-	<-p.resume
-	p.K.cur = p
+	if !k.pass(p) {
+		<-p.resume
+	}
 	if p.killed {
 		panic(procKilled{})
 	}
