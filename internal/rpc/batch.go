@@ -73,14 +73,6 @@ func (c *conn) stash(seq uint64, reqs []*Request) {
 	c.batches[seq] = reqs
 }
 
-// stashBatch registers a batch under seq and returns the enclosing wire
-// request plus whether any constituent mutates.
-func (c *conn) stashBatch(seq uint64, reqs []*Request) (*Request, bool) {
-	breq, hasWrite := makeBatchFrame(reqs)
-	c.stash(seq, reqs)
-	return breq, hasWrite
-}
-
 // takeBatch retrieves and forgets the batch stashed under seq.
 func (c *conn) takeBatch(seq uint64) []*Request {
 	reqs := c.batches[seq]

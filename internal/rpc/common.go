@@ -102,13 +102,30 @@ func reqWireBytes(req *Request) int {
 	return reqHeaderBytes
 }
 
-// encodeResp serializes a response.
+// newRespImage returns a response image for an n-byte body: the buffer a
+// reply travels in, respHeaderBytes of header room and then the body. The
+// server fills the body where the data is produced (the store reads PM
+// straight into it), the responder writes the header in place, and the
+// client keeps the body as Response.Data — one buffer from PM to the
+// caller. A nil image is a header-only reply.
+func newRespImage(n int) []byte { return make([]byte, respHeaderBytes+n) }
+
+// putRespHeader writes the response header for seq into img, whose body is
+// everything after the header. Every pad byte is written so a reused
+// buffer yields the same image a fresh allocation would.
+func putRespHeader(img []byte, seq uint64) {
+	binary.LittleEndian.PutUint64(img[0:], seq)
+	binary.LittleEndian.PutUint32(img[8:], uint32(len(img)-respHeaderBytes))
+	binary.LittleEndian.PutUint32(img[12:], 0)
+}
+
+// encodeResp serializes a response in a fresh buffer: the fixed
+// header-only and small replies that bypass the worker pool.
 func encodeResp(seq uint64, data []byte) []byte {
-	b := make([]byte, respHeaderBytes+len(data))
-	binary.LittleEndian.PutUint64(b[0:], seq)
-	binary.LittleEndian.PutUint32(b[8:], uint32(len(data)))
-	copy(b[respHeaderBytes:], data)
-	return b
+	img := newRespImage(len(data))
+	copy(img[respHeaderBytes:], data)
+	putRespHeader(img, seq)
+	return img
 }
 
 // decodeResp parses a response.
@@ -161,9 +178,10 @@ type Server struct {
 	// allocation protocol) mount it here and the whole transport — durable
 	// logging, crash replay, worker dispatch — is reused unchanged. The
 	// handler runs on a worker proc; whatever it returns travels back as
-	// the response data. It must persist its own effects before returning:
-	// the transport acks durability of the *request*, the handler owns
-	// durability of its *state*.
+	// the response data, which the transport copies into a response image
+	// once. It must persist its own effects before returning: the transport
+	// acks durability of the *request*, the handler owns durability of its
+	// *state*.
 	Handler func(p *sim.Proc, req *Request) []byte
 
 	work *sim.Chan[workItem]
@@ -174,10 +192,11 @@ type Server struct {
 
 // workItem is one queued request at the server. A batch carries its
 // constituent requests in reqs (req is then the enclosing opBatch frame).
+// respond sends the result's response image (nil: header only).
 type workItem struct {
 	req     *Request
 	reqs    []*Request
-	respond func(p *sim.Proc, data []byte)
+	respond func(p *sim.Proc, img []byte)
 	consume func(at sim.Time)
 	// epoch is the server crash epoch at enqueue time: items from before a
 	// crash are dropped (their state died with the DRAM work queue).
@@ -222,7 +241,8 @@ func (s *Server) workerLoop(p *sim.Proc) {
 		if reqs == nil {
 			reqs = []*Request{it.req}
 		}
-		var data []byte
+		// A batch replies with its last request's result.
+		var data, img []byte
 		for _, r := range reqs {
 			if s.Cfg.ProcessingTime > 0 {
 				// The paper injects a fixed 100 µs to emulate real
@@ -232,7 +252,7 @@ func (s *Server) workerLoop(p *sim.Proc) {
 			if s.Handler != nil {
 				data = s.Handler(p, r)
 			} else {
-				data = s.Store.ApplyFromBuffer(p, r)
+				img = s.Store.ApplyFromBuffer(p, r)
 			}
 		}
 		if it.epoch != s.H.PM.Epoch() {
@@ -241,8 +261,13 @@ func (s *Server) workerLoop(p *sim.Proc) {
 		if declined(data) {
 			continue // service not recovered yet: leave the entry in the log
 		}
+		if len(data) > 0 {
+			// A Handler result: copied into a response image once.
+			img = newRespImage(len(data))
+			copy(img[respHeaderBytes:], data)
+		}
 		if it.respond != nil {
-			it.respond(p, data)
+			it.respond(p, img)
 		}
 		if it.consume != nil {
 			it.consume(p.Now())
@@ -299,9 +324,9 @@ type conn struct {
 	// imgFree pools request/entry image buffers; imgBySeq holds the buffer
 	// in flight for each sequence until its response completes (by then the
 	// server has applied the request, so nothing aliases the image). respFree
-	// and respBySeq do the same for header-only response images — responses
-	// that carry data still allocate, because the bytes escape to the caller
-	// through Response.Data.
+	// and respBySeq do the same for header-only response images. A response
+	// that carries data travels in the image the server produced it in (see
+	// newRespImage), which escapes to the caller as Response.Data.
 	imgFree   [][]byte
 	imgBySeq  map[uint64][]byte
 	respFree  [][]byte
@@ -480,52 +505,50 @@ func (c *conn) postClientRecvs() {
 	}
 }
 
-// encodeRespPooled serializes a response like encodeResp, but draws from the
-// connection's header-only buffer pool when there is no data to carry — the
-// write-path case, where the reply is pure control traffic. The buffer is
-// released when seq completes at the client. Responses with data still
-// allocate: their bytes escape to the caller through Response.Data. Engine
-// mode always allocates: the responder runs on the server's kernel, and the
-// pool (respFree/respBySeq) is client-kernel state it must not touch.
-func (c *conn) encodeRespPooled(seq uint64, data []byte) []byte {
-	if len(data) > 0 || c.eng != nil {
-		return encodeResp(seq, data)
+// seal completes seq's response image in place and returns it: the bytes
+// the wire carries. A nil image — the write path's header-only reply, pure
+// control traffic — is drawn from the connection's pool and released when
+// seq completes at the client. Engine mode allocates header-only replies:
+// the responder runs on the server's kernel, and the pool
+// (respFree/respBySeq) is client-kernel state it must not touch.
+func (c *conn) seal(seq uint64, img []byte) []byte {
+	if img == nil && c.eng != nil {
+		img = newRespImage(0)
+	} else if img == nil {
+		if l := len(c.respFree); l > 0 {
+			img = c.respFree[l-1]
+			c.respFree = c.respFree[:l-1]
+		} else {
+			img = newRespImage(0)
+		}
+		c.respBySeq[seq] = img
 	}
-	var b []byte
-	if l := len(c.respFree); l > 0 {
-		b = c.respFree[l-1]
-		c.respFree = c.respFree[:l-1]
-	} else {
-		b = make([]byte, respHeaderBytes)
-	}
-	binary.LittleEndian.PutUint64(b[0:], seq)
-	binary.LittleEndian.PutUint64(b[8:], 0) // len + pad
-	c.respBySeq[seq] = b
-	return b
+	putRespHeader(img, seq)
+	return img
 }
 
 // respondWrite returns a responder that writes the result into the client's
 // response ring (the write-based reply path of Fig. 2).
-func (c *conn) respondWrite(seq uint64, req *Request) func(p *sim.Proc, data []byte) {
-	return func(p *sim.Proc, data []byte) {
+func (c *conn) respondWrite(seq uint64, req *Request) func(p *sim.Proc, img []byte) {
+	return func(p *sim.Proc, img []byte) {
 		c.srv.H.Post(p)
-		c.sq.WriteAsync(c.respSlot(seq), respWireBytes(req), c.encodeRespPooled(seq, data))
+		c.sq.WriteAsync(c.respSlot(seq), respWireBytes(req), c.seal(seq, img))
 	}
 }
 
 // respondSend returns a responder that sends the result (two-sided reply).
-func (c *conn) respondSend(seq uint64, req *Request) func(p *sim.Proc, data []byte) {
-	return func(p *sim.Proc, data []byte) {
+func (c *conn) respondSend(seq uint64, req *Request) func(p *sim.Proc, img []byte) {
+	return func(p *sim.Proc, img []byte) {
 		c.srv.H.Post(p)
-		c.sq.SendAsync(respWireBytes(req), c.encodeRespPooled(seq, data))
+		c.sq.SendAsync(respWireBytes(req), c.seal(seq, img))
 	}
 }
 
 // respondWriteImm returns a responder using write-with-immediate (Octopus).
-func (c *conn) respondWriteImm(seq uint64, req *Request) func(p *sim.Proc, data []byte) {
-	return func(p *sim.Proc, data []byte) {
+func (c *conn) respondWriteImm(seq uint64, req *Request) func(p *sim.Proc, img []byte) {
+	return func(p *sim.Proc, img []byte) {
 		c.srv.H.Post(p)
-		c.sq.WriteImmAsync(c.respSlot(seq), respWireBytes(req), c.encodeRespPooled(seq, data), uint32(seq))
+		c.sq.WriteImmAsync(c.respSlot(seq), respWireBytes(req), c.seal(seq, img), uint32(seq))
 	}
 }
 

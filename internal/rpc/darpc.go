@@ -54,9 +54,22 @@ func (c *sendClient) startServerRecv() {
 	})
 }
 
+// checkMTU rejects a FaSST call whose request or response frame exceeds the
+// UD MTU: datagrams are not segmented, which is why the paper drops FaSST
+// at 64 KB. req is the frame on the wire (a batch's enclosing frame).
+func (c *sendClient) checkMTU(req *Request) error {
+	if c.kind != FaSST {
+		return nil
+	}
+	if n := max(reqWireBytes(req), respWireBytes(req)); n > rnic.UDMTU {
+		return fmt.Errorf("fasst: %d-byte frame exceeds the UD MTU (%d)", n, rnic.UDMTU)
+	}
+	return nil
+}
+
 func (c *sendClient) Call(p *sim.Proc, req *Request) (*Response, error) {
-	if c.kind == FaSST && reqWireBytes(req) > rnic.UDMTU {
-		return nil, fmt.Errorf("fasst: request %d bytes exceeds the UD MTU (%d)", reqWireBytes(req), rnic.UDMTU)
+	if err := c.checkMTU(req); err != nil {
+		return nil, err
 	}
 	issued := p.Now()
 	seq := c.nextSeq()
@@ -70,9 +83,13 @@ func (c *sendClient) Call(p *sim.Proc, req *Request) (*Response, error) {
 // CallBatch batches several requests into one send (DaRPC batching, §4.3):
 // one message, one receiver interrupt, one response.
 func (c *sendClient) CallBatch(p *sim.Proc, reqs []*Request) ([]*Response, error) {
+	breq, _ := makeBatchFrame(reqs)
+	if err := c.checkMTU(breq); err != nil {
+		return nil, err
+	}
 	issued := p.Now()
 	seq := c.nextSeq()
-	breq, _ := c.stashBatch(seq, reqs)
+	c.stash(seq, reqs)
 	f := c.await(seq)
 	c.cli.Post(p)
 	c.cq.SendAsync(reqWireBytes(breq), encodeReq(seq, breq))

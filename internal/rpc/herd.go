@@ -46,13 +46,13 @@ func (c *herdClient) startPoller() {
 			arr := c.sq.Arrivals.Pop(p)
 			c.srv.H.PollDelay(p)
 			seq, req := decodeReq(arr.Data)
-			c.srv.enqueue(workItem{req: req, respond: func(p *sim.Proc, data []byte) {
+			c.srv.enqueue(workItem{req: req, respond: func(p *sim.Proc, img []byte) {
 				c.srv.H.Post(p)
 				n := respWireBytes(req)
 				if n > rnic.UDMTU {
 					n = rnic.UDMTU // Herd segments large responses; model the first MTU
 				}
-				c.sud.SendAsync(n, encodeResp(seq, data))
+				c.sud.SendAsync(n, c.seal(seq, img))
 			}})
 		}
 	})

@@ -39,11 +39,17 @@ func (c *rfpClient) startPoller() {
 			c.srv.H.PollDelay(p)
 			seq, req := decodeReq(arr.Data)
 			slot := c.resultSlot(seq)
-			c.srv.enqueue(workItem{req: req, respond: func(p *sim.Proc, data []byte) {
+			c.srv.enqueue(workItem{req: req, respond: func(p *sim.Proc, img []byte) {
 				// The result is deposited locally; no wire traffic —
-				// the client fetches it.
-				c.srv.H.Memcpy(p, respHeaderBytes+len(data))
-				c.srv.H.DRAM.Write(slot, encodeResp(seq, data))
+				// the client fetches it. The client never completes seq
+				// on the connection, so a header-only reply is not
+				// drawn from the pool.
+				if img == nil {
+					img = newRespImage(0)
+				}
+				c.srv.H.Memcpy(p, len(img))
+				putRespHeader(img, seq)
+				c.srv.H.DRAM.Write(slot, img)
 			}})
 		}
 	})

@@ -195,15 +195,51 @@ func TestDurableThroughputBeatsTraditionalHeavyLoad(t *testing.T) {
 	}
 }
 
+// FaSST's UD transport has no segmentation, so any call whose request or
+// response frame exceeds the MTU is refused with an error — never a panic
+// in the NIC on either side.
 func TestFaSSTMTUCap(t *testing.T) {
 	b := newBench(t, 8192, nil, nil)
 	c := b.client(FaSST)
-	b.run(t, func(p *sim.Proc) {
-		if _, err := c.Call(p, &Request{Op: OpWrite, Key: 1, Size: 8192}); err == nil {
-			t.Error("FaSST accepted an 8KB request over UD")
+	small := bytes.Repeat([]byte{0x6B}, 1024)
+	writes := func(n int) []*Request {
+		reqs := make([]*Request, n)
+		for i := range reqs {
+			reqs[i] = &Request{Op: OpWrite, Key: uint64(i), Size: 1024, Payload: small}
 		}
-		if _, err := c.Call(p, &Request{Op: OpWrite, Key: 1, Size: 1024}); err != nil {
-			t.Errorf("FaSST rejected a 1KB request: %v", err)
+		return reqs
+	}
+	b.run(t, func(p *sim.Proc) {
+		for _, tc := range []struct {
+			name string
+			req  *Request
+		}{
+			{"8KB write", &Request{Op: OpWrite, Key: 1, Size: 8192}},
+			{"8KB read", &Request{Op: OpRead, Key: 1, Size: 8192, Payload: []byte{}}},
+			{"8-object 1KB scan", &Request{Op: OpScan, Key: 1, Size: 1024, ScanLen: 8, Payload: []byte{}}},
+		} {
+			if _, err := c.Call(p, tc.req); err == nil {
+				t.Errorf("FaSST accepted an %s over UD", tc.name)
+			}
+		}
+		w, err := c.Call(p, &Request{Op: OpWrite, Key: 1, Size: 1024, Payload: small})
+		if err != nil {
+			t.Errorf("FaSST rejected a 1KB write: %v", err)
+			return
+		}
+		w.Done.Wait(p)
+		r, err := c.Call(p, &Request{Op: OpRead, Key: 1, Size: 1024, Payload: []byte{}})
+		if err != nil {
+			t.Errorf("FaSST rejected a 1KB read: %v", err)
+		} else if !bytes.Equal(r.Data, small) {
+			t.Errorf("1KB read returned %d bytes, mismatch", len(r.Data))
+		}
+		bc := c.(BatchClient)
+		if _, err := bc.CallBatch(p, writes(8)); err == nil {
+			t.Error("FaSST accepted a batch of eight 1KB writes over UD")
+		}
+		if _, err := bc.CallBatch(p, writes(2)); err != nil {
+			t.Errorf("FaSST rejected a batch that fits the MTU: %v", err)
 		}
 	})
 }
@@ -426,29 +462,73 @@ func TestNativeSFlushMode(t *testing.T) {
 	})
 }
 
-func TestScanOp(t *testing.T) {
-	b := newBench(t, 64, nil, nil)
-	c := b.client(FaRM)
-	b.run(t, func(p *sim.Proc) {
-		for i := 0; i < 4; i++ {
-			pl := bytes.Repeat([]byte{byte(i + 1)}, 64)
-			r, err := c.Call(p, &Request{Op: OpWrite, Key: uint64(10 + i), Size: 64, Payload: pl})
-			if err != nil {
-				t.Fatal(err)
+// fillPMArena reserves every byte left in h's PM arena, so first-touch
+// keys can no longer be homed.
+func fillPMArena(h *host.Host) {
+	for c := host.PMSize; c >= 64; c >>= 1 {
+		for {
+			if _, err := h.PMArena.Alloc(c); err != nil {
+				break
 			}
-			r.Done.Wait(p)
 		}
-		r, err := c.Call(p, &Request{Op: OpScan, Key: 10, Size: 64, ScanLen: 4, Payload: []byte{1}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(r.Data) != 256 {
-			t.Fatalf("scan returned %d bytes, want 256", len(r.Data))
-		}
-		if r.Data[0] != 1 || r.Data[255] != 4 {
-			t.Fatal("scan data wrong")
-		}
-	})
+	}
+}
+
+// TestScanOp checks scan contents on every kind: each 64 B slot of the
+// reply holds its key's object, in key order. A scan crossing keys the PM
+// arena cannot home returns only the homed objects, still in key order,
+// and counts every skipped key in PMFull.
+func TestScanOp(t *testing.T) {
+	const size = 64
+	obj := func(key uint64) []byte {
+		b := bytes.Repeat([]byte{byte(key)}, size)
+		copy(b, fmt.Sprintf("key-%d", key))
+		return b
+	}
+	for _, kind := range allKinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			b := newBench(t, size, nil, nil)
+			c := b.client(kind)
+			// Procs report with t.Error: FailNow must not run off the
+			// test goroutine.
+			scan := func(p *sim.Proc, from uint64, n int, want []uint64) {
+				r, err := c.Call(p, &Request{Op: OpScan, Key: from, Size: size, ScanLen: n, Payload: []byte{1}})
+				if err != nil {
+					t.Errorf("scan %d+%d: %v", from, n, err)
+					return
+				}
+				if len(r.Data) != len(want)*size {
+					t.Errorf("scan %d+%d returned %d bytes, want %d", from, n, len(r.Data), len(want)*size)
+					return
+				}
+				for i, key := range want {
+					if got := r.Data[i*size : (i+1)*size]; !bytes.Equal(got, obj(key)) {
+						t.Errorf("scan %d+%d slot %d = %q, want key %d's object", from, n, i, got[:8], key)
+					}
+				}
+			}
+			b.run(t, func(p *sim.Proc) {
+				// Keys 0..127 are homed by NewStore; 130 is homed on first
+				// touch, before the arena fills.
+				for _, key := range []uint64{10, 11, 12, 13, 126, 127, 130} {
+					w, err := c.Call(p, &Request{Op: OpWrite, Key: key, Size: size, Payload: obj(key)})
+					if err != nil {
+						t.Errorf("write key %d: %v", key, err)
+						return
+					}
+					w.Done.Wait(p)
+				}
+				scan(p, 10, 4, []uint64{10, 11, 12, 13})
+
+				fillPMArena(b.srv)
+				full := b.store.PMFull
+				scan(p, 126, 8, []uint64{126, 127, 130})
+				if skipped := b.store.PMFull - full; skipped != 5 {
+					t.Errorf("PMFull counted %d skipped keys, want 5 (128, 129, 131, 132, 133)", skipped)
+				}
+			})
+		})
+	}
 }
 
 // TestAllSystemsAllModes runs the write/read round trip across the model's

@@ -93,7 +93,8 @@ func (c *scaleClient) Call(p *sim.Proc, req *Request) (*Response, error) {
 func (c *scaleClient) CallBatch(p *sim.Proc, reqs []*Request) ([]*Response, error) {
 	issued := p.Now()
 	seq := c.nextSeq()
-	breq, _ := c.stashBatch(seq, reqs)
+	breq, _ := makeBatchFrame(reqs)
+	c.stash(seq, reqs)
 	f := c.await(seq)
 	c.cli.Post(p)
 	c.calls++

@@ -97,7 +97,10 @@ func (s *Store) Len() int { return len(s.addrs) }
 // ApplyFromBuffer executes req whose payload sits in a volatile message
 // buffer: the traditional-RPC receive path. Writes copy the payload to the
 // object's PM home and persist it over the CPU store+clwb path — the slow
-// path the paper's durable RPCs bypass. Returns response data for reads.
+// path the paper's durable RPCs bypass. Reads and scans that want contents
+// return a response image (see newRespImage) with the object bytes read
+// from PM straight into its body and the header left for the responder;
+// every other request returns nil, a header-only reply.
 func (s *Store) ApplyFromBuffer(p *sim.Proc, req *Request) []byte {
 	switch req.Op {
 	case OpWrite:
@@ -125,13 +128,17 @@ func (s *Store) ApplyFromBuffer(p *sim.Proc, req *Request) []byte {
 			s.readTiming(p, req.Size)
 			return nil
 		}
-		return s.H.PM.ReadSync(p, addr, req.Size)
+		img := newRespImage(req.Size)
+		s.H.PM.ReadSyncInto(p, addr, img[respHeaderBytes:])
+		return img
 	}
 }
 
 // ApplyFromLog executes req whose payload is already durable in the redo
 // log (the durable-RPC path): writes copy log→object and persist; the
 // request was complete from the sender's perspective long before this runs.
+// It returns what ApplyFromBuffer does: a response image for reads and
+// scans that want contents, nil otherwise.
 func (s *Store) ApplyFromLog(p *sim.Proc, req *Request) []byte {
 	// The mechanics are identical to ApplyFromBuffer — what differs is
 	// *when* it runs (off the sender's critical path) and that the payload
@@ -180,22 +187,33 @@ func (s *Store) stale(p *sim.Proc, req *Request) bool {
 // rebuilt from the durable redo logs as recovery replays them in order.
 func (s *Store) Crash() { s.vers = nil }
 
-// readRange serves OpScan: ScanLen sequential objects from Key.
+// readRange serves OpScan: ScanLen sequential objects from Key, read into
+// one response image in key order. Keys the PM arena cannot home are
+// skipped, so the image is truncated to the objects actually read; a scan
+// that reads none is a header-only reply.
 func (s *Store) readRange(p *sim.Proc, req *Request) []byte {
 	n := req.ScanLen
 	if n <= 0 {
 		n = 1
 	}
-	var out []byte
+	var img []byte
+	if req.Payload != nil {
+		img = newRespImage(n * req.Size)
+	}
+	end := respHeaderBytes
 	for i := 0; i < n; i++ {
 		addr, ok := s.tryAddr(req.Key + uint64(i))
-		if !ok || req.Payload == nil {
+		if !ok || img == nil {
 			s.readTiming(p, req.Size)
 			continue
 		}
-		out = append(out, s.H.PM.ReadSync(p, addr, req.Size)...)
+		s.H.PM.ReadSyncInto(p, addr, img[end:end+req.Size])
+		end += req.Size
 	}
-	return out
+	if end == respHeaderBytes {
+		return nil
+	}
+	return img[:end]
 }
 
 // readTiming pays a media read's latency without materializing contents.
