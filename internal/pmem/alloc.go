@@ -29,13 +29,21 @@ func NewArena(base, size int64) *Arena {
 	}
 }
 
+// maxClass is the largest allocation class an int64 holds.
+const maxClass = 1 << 62
+
 // class rounds n up to its allocation class (powers of two from 64 bytes).
-func class(n int64) int64 {
+// A size above the largest class is an error: doubling past it would
+// overflow and never reach n.
+func class(n int64) (int64, error) {
+	if n > maxClass {
+		return 0, fmt.Errorf("pmem: %d bytes exceeds the largest size class", n)
+	}
 	c := int64(64)
 	for c < n {
 		c <<= 1
 	}
-	return c
+	return c, nil
 }
 
 // Alloc returns the address of a range holding at least n bytes, aligned to
@@ -44,7 +52,10 @@ func (a *Arena) Alloc(n int64) (int64, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("pmem: alloc of %d bytes", n)
 	}
-	c := class(n)
+	c, err := class(n)
+	if err != nil {
+		return 0, err
+	}
 	if lst := a.free[c]; len(lst) > 0 {
 		addr := lst[len(lst)-1]
 		a.free[c] = lst[:len(lst)-1]

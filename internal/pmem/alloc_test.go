@@ -1,8 +1,10 @@
 package pmem
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestArenaAllocBasic(t *testing.T) {
@@ -68,10 +70,42 @@ func TestArenaAllocZeroErrors(t *testing.T) {
 	}
 }
 
+// returnsWithin runs f on its own goroutine and fails t unless f returns
+// within d, so a call that hangs fails its test instead of stalling the run.
+func returnsWithin(t *testing.T, d time.Duration, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("call did not return within %v", d)
+	}
+}
+
+// hugeSizes have no size class: doubling the class toward them overflows.
+var hugeSizes = []int64{maxClass + 1, math.MaxInt64}
+
+func TestArenaAllocHugeSizeErrors(t *testing.T) {
+	for _, n := range hugeSizes {
+		returnsWithin(t, 3*time.Second, func() {
+			if c, err := SizeClass(n); err == nil {
+				t.Errorf("SizeClass(%d) = %d, want an error", n, c)
+			}
+			if addr, err := NewArena(0, 1<<20).Alloc(n); err == nil {
+				t.Errorf("Arena.Alloc(%d) = %#x, want an error", n, addr)
+			}
+		})
+	}
+}
+
 func TestClassRounding(t *testing.T) {
-	cases := map[int64]int64{1: 64, 64: 64, 65: 128, 4096: 4096, 4097: 8192}
+	cases := map[int64]int64{1: 64, 64: 64, 65: 128, 4096: 4096, 4097: 8192, maxClass: maxClass}
 	for n, want := range cases {
-		if got := class(n); got != want {
+		if got, err := class(n); err != nil || got != want {
 			t.Errorf("class(%d) = %d, want %d", n, got, want)
 		}
 	}
@@ -90,7 +124,7 @@ func TestArenaNoOverlapProperty(t *testing.T) {
 				return true // exhaustion is fine
 			}
 			live = append(live, addr)
-			sz[addr] = class(n)
+			sz[addr], _ = class(n)
 			// Occasionally free something.
 			if len(frees) > 0 && i < len(frees) && frees[i]%3 == 0 && len(live) > 0 {
 				j := int(frees[i]) % len(live)

@@ -13,9 +13,13 @@
 //     operation completes. A crash before completion loses (part of) the
 //     write; writes larger than an atomic unit may tear.
 //
-// Contents are stored sparsely (4 KiB pages allocated on demand). Callers
-// that only need timing — the throughput experiments move gigabytes of
-// synthetic payload — pass nil data and no memory is touched.
+// Contents live in a dram.Memory, the sparse store that keeps only what was
+// written: a page's first write gives it one 256-byte-aligned extent
+// covering the written bytes (the whole 4 KiB page if that would pass half
+// of it), and a later write outside the extent makes the page whole.
+// Durable contents stay in it across Crash. Callers that only need timing —
+// the throughput experiments move gigabytes of synthetic payload — pass nil
+// data and no memory is touched.
 package pmem
 
 import (
@@ -23,11 +27,9 @@ import (
 	"fmt"
 	"time"
 
+	"prdma/internal/dram"
 	"prdma/internal/sim"
 )
-
-// PageSize is the sparse backing-store granularity.
-const PageSize = 4096
 
 // AtomicUnit is the size of a failure-atomic write (an aligned 8-byte store,
 // as the paper uses for the redo-log operator entry).
@@ -89,7 +91,7 @@ type Device struct {
 	K      *sim.Kernel
 	Params Params
 
-	pages map[int64][]byte
+	mem   dram.Memory // durable contents
 	media []*sim.Resource
 
 	// epoch invalidates in-flight persist completions on crash.
@@ -174,7 +176,7 @@ func (d *Device) applySegs(addr int64, off, sz, n int, head, body, tail []byte) 
 		if hi > len(head) {
 			hi = len(head)
 		}
-		d.write(addr, head[off:hi])
+		d.mem.Write(addr, head[off:hi])
 	}
 	if len(body) > 0 {
 		lo, hi := off, off+sz
@@ -186,7 +188,7 @@ func (d *Device) applySegs(addr int64, off, sz, n int, head, body, tail []byte) 
 			hi = bhi
 		}
 		if lo < hi {
-			d.write(addr+int64(lo-off), body[lo-blo:hi-blo])
+			d.mem.Write(addr+int64(lo-off), body[lo-blo:hi-blo])
 		}
 	}
 	if len(tail) > 0 {
@@ -196,7 +198,7 @@ func (d *Device) applySegs(addr int64, off, sz, n int, head, body, tail []byte) 
 			lo = tlo
 		}
 		if lo < hi {
-			d.write(addr+int64(lo-off), tail[lo-tlo:hi-tlo])
+			d.mem.Write(addr+int64(lo-off), tail[lo-tlo:hi-tlo])
 		}
 	}
 }
@@ -206,7 +208,7 @@ func New(k *sim.Kernel, p Params) *Device {
 	if p.Channels <= 0 {
 		p.Channels = 4
 	}
-	d := &Device{K: k, Params: p, pages: make(map[int64][]byte)}
+	d := &Device{K: k, Params: p}
 	for i := 0; i < p.Channels; i++ {
 		d.media = append(d.media, sim.NewResource(k))
 	}
@@ -421,31 +423,9 @@ func (d *Device) ReadSyncInto(p *sim.Proc, addr int64, dst []byte) []byte {
 	return d.ReadBytesInto(addr, dst)
 }
 
-// write applies bytes to the media immediately (no timing). Exported as
-// WriteRaw for test setup and recovery bookkeeping that is off the timed
-// path.
-func (d *Device) write(addr int64, b []byte) {
-	for len(b) > 0 {
-		page := addr / PageSize
-		off := int(addr % PageSize)
-		n := PageSize - off
-		if n > len(b) {
-			n = len(b)
-		}
-		pg, ok := d.pages[page]
-		if !ok {
-			pg = make([]byte, PageSize)
-			d.pages[page] = pg
-		}
-		copy(pg[off:], b[:n])
-		addr += int64(n)
-		b = b[n:]
-	}
-}
-
 // WriteRaw applies bytes to the media with no simulated latency. It is for
 // initialization and tests, not for the timed data path.
-func (d *Device) WriteRaw(addr int64, b []byte) { d.write(addr, b) }
+func (d *Device) WriteRaw(addr int64, b []byte) { d.mem.Write(addr, b) }
 
 // ReadBytes returns the current durable contents of [addr, addr+n).
 // Unwritten bytes read as zero.
@@ -457,26 +437,7 @@ func (d *Device) ReadBytes(addr int64, n int) []byte {
 // [addr, addr+len(dst)) and returns dst. Unwritten bytes read as zero. It
 // is the alloc-free ReadBytes: callers on hot paths reuse a scratch buffer.
 func (d *Device) ReadBytesInto(addr int64, dst []byte) []byte {
-	n := len(dst)
-	o := 0
-	for o < n {
-		page := (addr + int64(o)) / PageSize
-		off := int((addr + int64(o)) % PageSize)
-		cnt := PageSize - off
-		if cnt > n-o {
-			cnt = n - o
-		}
-		if pg, ok := d.pages[page]; ok {
-			copy(dst[o:o+cnt], pg[off:off+cnt])
-		} else {
-			seg := dst[o : o+cnt]
-			for i := range seg {
-				seg[i] = 0
-			}
-		}
-		o += cnt
-	}
-	return dst
+	return d.mem.ReadInto(addr, dst)
 }
 
 // Crash models a power failure: every in-flight persist is aborted (its

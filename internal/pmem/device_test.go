@@ -142,7 +142,7 @@ func TestPersistSyncBlocksForDuration(t *testing.T) {
 func TestSparsePagesCrossBoundary(t *testing.T) {
 	k, d := newDev()
 	data := bytes.Repeat([]byte{7}, 100)
-	addr := int64(PageSize - 50) // straddles a page boundary
+	addr := int64(4096 - 50) // straddles a 4 KiB page boundary
 	end := d.Persist(k.Now(), addr, len(data), data, DMA)
 	k.RunUntil(end)
 	if got := d.ReadBytes(addr, 100); !bytes.Equal(got, data) {
@@ -168,8 +168,8 @@ func TestPersistNilDataTimingOnly(t *testing.T) {
 		t.Fatal("nil-data persist should still cost time")
 	}
 	k.Run()
-	if len(d.pages) != 0 {
-		t.Fatal("nil-data persist touched backing store")
+	if n := d.mem.Footprint(); n != 0 {
+		t.Fatalf("nil-data persist stored %d bytes", n)
 	}
 }
 

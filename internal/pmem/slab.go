@@ -46,8 +46,9 @@ type slab struct {
 const MinSlabClass = 64
 
 // SizeClass rounds n up to its allocation class (powers of two from 64
-// bytes) — the same classing Arena uses.
-func SizeClass(n int64) int64 { return class(n) }
+// bytes) — the same classing Arena uses. A size above the largest class an
+// int64 holds is an error.
+func SizeClass(n int64) (int64, error) { return class(n) }
 
 // NewSlabs manages [base, base+size) carved into size/slabBytes slabs.
 // size must be a multiple of slabBytes, and slabBytes a power of two no
@@ -127,7 +128,10 @@ func (s *Slabs) Alloc(n int64) (int64, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("pmem: slab alloc of %d bytes", n)
 	}
-	c := class(n)
+	c, err := class(n)
+	if err != nil {
+		return 0, err
+	}
 	if c > s.slabBytes {
 		return 0, fmt.Errorf("pmem: slab alloc of %d bytes exceeds slab size %d", n, s.slabBytes)
 	}

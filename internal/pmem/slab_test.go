@@ -2,7 +2,18 @@ package pmem
 
 import (
 	"testing"
+	"time"
 )
+
+func TestSlabsAllocHugeSizeErrors(t *testing.T) {
+	for _, n := range hugeSizes {
+		returnsWithin(t, 3*time.Second, func() {
+			if addr, err := NewSlabs(0, 1<<20, 4096).Alloc(n); err == nil {
+				t.Errorf("Slabs.Alloc(%d) = %#x, want an error", n, addr)
+			}
+		})
+	}
+}
 
 func TestSlabsClassBoundaries(t *testing.T) {
 	s := NewSlabs(0, 1<<20, 4096)
@@ -13,7 +24,7 @@ func TestSlabsClassBoundaries(t *testing.T) {
 		{129, 256}, {2048, 2048}, {2049, 4096}, {4096, 4096},
 	}
 	for _, c := range cases {
-		if got := SizeClass(c.n); got != c.class {
+		if got, err := SizeClass(c.n); err != nil || got != c.class {
 			t.Fatalf("SizeClass(%d) = %d, want %d", c.n, got, c.class)
 		}
 		a, err := s.Alloc(c.n)
@@ -160,7 +171,8 @@ func TestSlabsAdoptRebuild(t *testing.T) {
 			s.Free(a)
 			continue
 		}
-		live = append(live, al{a, SizeClass(size)})
+		c, _ := SizeClass(size)
+		live = append(live, al{a, c})
 	}
 	r := NewSlabs(0, 1<<18, 8192)
 	// Adopt out of order to prove order independence.

@@ -2,6 +2,7 @@ package pmpool
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -93,6 +94,33 @@ func TestPoolAllocWriteReadFree(t *testing.T) {
 	})
 	k.Run()
 	k.Shutdown()
+}
+
+// TestPoolAllocHugeSize checks that an alloc whose size has no size class
+// (doubling the class toward it overflows int64) fails with ErrTooLarge
+// instead of hanging the server's worker and with it the simulation. The
+// kernel runs on its own goroutine, so a hang fails the test.
+func TestPoolAllocHugeSize(t *testing.T) {
+	k, servers, pool := testCluster(t, 1, DefaultServerConfig())
+	var err error
+	k.Go("alloc", func(p *sim.Proc) {
+		defer stopAll(pool, servers)
+		_, err = pool.Alloc(p, 1<<62+1)
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		k.Run()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Alloc of 2^62+1 bytes did not return")
+	}
+	k.Shutdown()
+	if !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("Alloc of 2^62+1 bytes: err = %v, want ErrTooLarge", err)
+	}
 }
 
 func TestPoolStriping(t *testing.T) {

@@ -238,14 +238,14 @@ func (s *Server) applyAlloc(p *sim.Proc, epoch int, id uint64, size int64) ctrlR
 	if size <= 0 {
 		return ctrlResult{status: statusBad}
 	}
-	if pmem.SizeClass(size) > s.Cfg.SlabBytes {
+	c, err := pmem.SizeClass(size)
+	if err != nil || c > s.Cfg.SlabBytes {
 		return ctrlResult{status: statusTooLarge}
 	}
 	addr, err := s.slabs.Alloc(size)
 	if err != nil {
 		return ctrlResult{status: statusFull}
 	}
-	c := pmem.SizeClass(size)
 	// Durable commit, single-word-atomic at every step: first the slab's
 	// class word (idempotent — re-persisting the same class is harmless,
 	// and a re-carved slab legitimately changes it), then the owner word,
