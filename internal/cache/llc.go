@@ -142,6 +142,13 @@ func (c *LLC) ClflushSync(p *sim.Proc, addr int64, n int) {
 	p.Sleep(done.Sub(p.K.Now()))
 }
 
+// ClflushFunc flushes and runs fn once the data is durable: ClflushSync
+// for a caller that is a kernel callback, with the same one event.
+func (c *LLC) ClflushFunc(addr int64, n int, fn func()) {
+	done := c.Clflush(c.K.Now(), addr, n)
+	c.K.AfterFunc(done.Sub(c.K.Now()), fn)
+}
+
 // FlushCost estimates the CPU-path persist time for n dirty bytes without
 // performing the flush (used by timing-only fast paths).
 func (c *LLC) FlushCost(n int) time.Duration {

@@ -90,3 +90,43 @@ func BenchmarkReplicatedPut(b *testing.B) {
 		b.Error(err)
 	}
 }
+
+// TestPartitionedSwitchRegression pins the goroutine switches per op of a
+// partitioned-cluster pass at one engine worker, shaped like the
+// benchmark's kv_cluster (8 shards × 2 replicas behind 4 gateways, 16
+// clients, half reads). The rpc receive loops run as kernel callbacks and
+// each multi-kernel window's kernels run as one chain, so what is left is
+// clients and workers handing kernels to each other and one hand-back per
+// window.
+//
+// Measured on the reference toolchain: 7.35 switches per op. With the
+// receive loops as procs and a hand-back per kernel per window, the same
+// pass cost 16.35, so the ceiling fails there.
+func TestPartitionedSwitchRegression(t *testing.T) {
+	const ceiling = 8.5
+	p := DefaultParams()
+	p.Shards, p.Replicas, p.Gateways, p.PoolSize = 8, 2, 4, 4
+	p.Objects, p.ObjSize, p.Seed = 4096, 64, 3
+	c, err := NewPartitioned(1, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Eng.Shutdown()
+	l := Load{Clients: 16, Ops: 4000, ReadFrac: 0.5, Verify: true, Seed: 3}
+	res, err := c.RunLoad(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Errors != 0 || res.BadReads != 0 || len(res.Samples) != l.Ops {
+		t.Fatalf("errors=%d badReads=%d samples=%d, want 0, 0, %d", res.Errors, res.BadReads, len(res.Samples), l.Ops)
+	}
+	var switches uint64
+	for _, k := range c.Eng.Kernels() {
+		switches += k.Switches()
+	}
+	per := float64(switches) / float64(l.Ops)
+	if per > ceiling {
+		t.Fatalf("partitioned pass: %.2f switches per op, want <= %.1f", per, ceiling)
+	}
+	t.Logf("partitioned pass: %.2f switches per op", per)
+}

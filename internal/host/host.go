@@ -123,15 +123,33 @@ func (h *Host) cost(d time.Duration) time.Duration {
 	return out
 }
 
+// Every software charge has two forms: a blocking one that sleeps a proc,
+// and a Func one that schedules fn when the charge has elapsed, for
+// receive loops that run as kernel callbacks. Both draw the jitter and
+// account SWTime at the same instant, and both schedule exactly one event
+// at the same time (a negative charge clamps to zero in either), so a loop
+// may switch forms without moving any simulated event.
+
 // spend sleeps p for d and accounts it as software time.
 func (h *Host) spend(p *sim.Proc, d time.Duration) {
 	h.SWTime += d
 	p.Sleep(d)
 }
 
+// spendFunc runs fn after d and accounts d as software time.
+func (h *Host) spendFunc(d time.Duration, fn func()) {
+	h.SWTime += d
+	h.K.AfterFunc(d, fn)
+}
+
 // Compute burns d of CPU time (scaled by load and jitter) on proc p.
 func (h *Host) Compute(p *sim.Proc, d time.Duration) {
 	h.spend(p, h.cost(d))
+}
+
+// ComputeFunc burns d of CPU time like Compute, then runs fn.
+func (h *Host) ComputeFunc(d time.Duration, fn func()) {
+	h.spendFunc(h.cost(d), fn)
 }
 
 // ComputeExact burns exactly d — no load scaling, no jitter — for injected
@@ -144,11 +162,20 @@ func (h *Host) ComputeExact(p *sim.Proc, d time.Duration) {
 // Post charges the work-request posting cost.
 func (h *Host) Post(p *sim.Proc) { h.spend(p, h.cost(h.Params.PostWR)) }
 
+// PostFunc charges the work-request posting cost, then runs fn.
+func (h *Host) PostFunc(fn func()) { h.spendFunc(h.cost(h.Params.PostWR), fn) }
+
 // PollDelay charges the polling-detection latency.
 func (h *Host) PollDelay(p *sim.Proc) { h.spend(p, h.cost(h.Params.PollDetect)) }
 
+// PollDelayFunc charges the polling-detection latency, then runs fn.
+func (h *Host) PollDelayFunc(fn func()) { h.spendFunc(h.cost(h.Params.PollDetect), fn) }
+
 // Dispatch charges the handler hand-off cost.
 func (h *Host) Dispatch(p *sim.Proc) { h.spend(p, h.cost(h.Params.Dispatch)) }
+
+// DispatchFunc charges the handler hand-off cost, then runs fn.
+func (h *Host) DispatchFunc(fn func()) { h.spendFunc(h.cost(h.Params.Dispatch), fn) }
 
 // Memcpy charges a CPU copy of n bytes.
 func (h *Host) Memcpy(p *sim.Proc, n int) {

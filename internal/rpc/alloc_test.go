@@ -17,6 +17,8 @@ import (
 type echoBench struct {
 	k *sim.Kernel
 	c Client
+	// connProcs is how many procs building the connection spawned.
+	connProcs int
 }
 
 func newEchoBench(kind Kind, objSize int) (*echoBench, error) {
@@ -31,27 +33,30 @@ func newEchoBench(kind Kind, objSize int) (*echoBench, error) {
 	}
 	cfg := DefaultConfig()
 	s := NewServer(srv, store, cfg)
-	return &echoBench{k: k, c: New(kind, cli, s, cfg)}, nil
+	procs := k.Procs()
+	c := New(kind, cli, s, cfg)
+	return &echoBench{k: k, c: c, connProcs: k.Procs() - procs}, nil
 }
 
 // echo drives n durable write round trips (call + wait for server-side
 // processing) and returns the first error.
 func (e *echoBench) echo(n, size int, payload []byte) error {
-	var firstErr error
-	e.k.Go("driver", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			r, err := e.c.Call(p, &Request{Op: OpWrite, Key: uint64(i % 128), Size: size, Payload: payload})
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			r.Done.Wait(p)
-		}
-	})
+	var err error
+	e.k.Go("driver", func(p *sim.Proc) { err = e.echoOn(p, n, size, payload) })
 	e.k.Run()
-	return firstErr
+	return err
+}
+
+// echoOn is echo's loop, on the driver proc p.
+func (e *echoBench) echoOn(p *sim.Proc, n, size int, payload []byte) error {
+	for i := 0; i < n; i++ {
+		r, err := e.c.Call(p, &Request{Op: OpWrite, Key: uint64(i % 128), Size: size, Payload: payload})
+		if err != nil {
+			return err
+		}
+		r.Done.Wait(p)
+	}
+	return nil
 }
 
 // readKeys is how many objects the read benchmarks cycle through.
@@ -181,6 +186,60 @@ func TestDurableEchoAllocRegression(t *testing.T) {
 				t.Fatalf("%s echo allocates %.1f objects/op, want <= %.0f", kind, per, ceiling)
 			}
 			t.Logf("%s: %.1f allocs/op", kind, per)
+		})
+	}
+}
+
+// TestReceiveLoopSwitchRegression pins the goroutine switches of a
+// single-client 64 B write followed by Done.Wait, for every kind plus Herd
+// and LITE. Every receive loop runs as kernel callbacks (recvLoop), so
+// building a connection spawns no proc, and the switches left are the
+// client's call and the worker that processes it handing the kernel to
+// each other. The count runs inside the driver proc, so the run's start
+// and hand-back are not in it.
+//
+// Measured on the reference toolchain: 2.00 switches per call on most
+// kinds, 2.69 on RFP (its client fetches the result with polling reads,
+// which interleave with the worker) and 2.23 on the two RFlush kinds, whose
+// durability notification comes from the server CPU. When
+// every loop was a proc, building a connection spawned 1-2 procs and the
+// same calls cost 4.00-5.70 switches, so the ceilings fail there.
+func TestReceiveLoopSwitchRegression(t *testing.T) {
+	const size, calls = 64, 400
+	for _, kind := range append(append([]Kind{}, Kinds...), Herd, LITE) {
+		ceiling := 2.0
+		switch kind {
+		case RFP:
+			ceiling = 2.75
+		case WRFlushRPC, SRFlushRPC:
+			ceiling = 2.3
+		}
+		t.Run(kind.String(), func(t *testing.T) {
+			e, err := newEchoBench(kind, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.connProcs != 0 {
+				t.Fatalf("building a %s connection spawned %d procs, want 0", kind, e.connProcs)
+			}
+			payload := make([]byte, size)
+			var per float64
+			e.k.Go("driver", func(p *sim.Proc) {
+				if err = e.echoOn(p, 100, size, payload); err != nil {
+					return
+				}
+				before := e.k.Switches()
+				err = e.echoOn(p, calls, size, payload)
+				per = float64(e.k.Switches()-before) / calls
+			})
+			e.k.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if per > ceiling {
+				t.Fatalf("%s: %.2f switches per call, want <= %.2f", kind, per, ceiling)
+			}
+			t.Logf("%s: %.2f switches per call", kind, per)
 		})
 	}
 }

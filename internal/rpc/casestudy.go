@@ -43,21 +43,31 @@ func NewOctopusDurable(cli *host.Host, srv *Server, cfg Config) Client {
 // object's PM address and write-imms it back (the warm-up of Fig. 7(a)).
 func (c *octopusDurable) startAddrServer() {
 	sq := c.sq
-	c.srv.H.K.Go(c.srv.H.Name+"-octopus-wflush-cq", func(p *sim.Proc) {
-		for !c.closed && !sq.Dead() {
-			rcv := sq.RecvCQ.Pop(p)
-			c.srv.H.PollDelay(p)
-			if sq.Dead() {
-				return
-			}
-			seq, req := decodeReq(rcv.Data)
-			// Address resolution is a metadata lookup, not a data op.
-			c.srv.H.Dispatch(p)
-			addr := c.srv.Store.Addr(req.Key)
-			resp := encodeResp(seq, encodeAddr(addr))
-			c.srv.H.Post(p)
-			sq.WriteImmAsync(c.respSlot(seq), respHeaderBytes+8, resp, uint32(seq))
+	h := c.srv.H
+	l := newRecvLoop(h, sq.RecvCQ, func() bool { return !c.closed && !sq.Dead() })
+	// The request in hand waits in seq and key across the dispatch and
+	// post delays, and its reply in resp.
+	var seq, key uint64
+	var resp []byte
+	send := func() {
+		sq.WriteImmAsync(c.respSlot(seq), respHeaderBytes+8, resp, uint32(seq))
+		resp = nil
+		l.next()
+	}
+	resolve := func() {
+		// Address resolution is a metadata lookup, not a data op.
+		resp = encodeResp(seq, encodeAddr(c.srv.Store.Addr(key)))
+		h.PostFunc(send)
+	}
+	l.start(func(rcv rnic.Recv) bool {
+		if sq.Dead() {
+			return false
 		}
+		var req *Request
+		seq, req = decodeReq(rcv.Data)
+		key = req.Key
+		h.DispatchFunc(resolve)
+		return false
 	})
 }
 

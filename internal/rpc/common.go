@@ -465,35 +465,29 @@ func (c *conn) complete(seq uint64, data []byte, at sim.Time) {
 // ring and matches them to pending futures.
 func (c *conn) startWriteDrain() {
 	cq := c.cq // bind to this connection incarnation
-	c.cli.K.Go(c.cli.Name+"-resp-drain", func(p *sim.Proc) {
-		for !c.closed && !cq.Dead() {
-			arr := cq.Arrivals.Pop(p)
-			c.cli.PollDelay(p)
-			if arr.Data == nil {
-				continue
-			}
+	l := newRecvLoop(c.cli, cq.Arrivals, func() bool { return !c.closed && !cq.Dead() })
+	l.start(func(arr rnic.Arrival) bool {
+		if arr.Data != nil {
 			seq, data := decodeResp(arr.Data)
-			c.complete(seq, data, p.Now())
+			c.complete(seq, data, c.cli.K.Now())
 		}
+		return true
 	})
 }
 
 // startRecvDrain consumes response sends (and write-imms) on the client QP.
 func (c *conn) startRecvDrain(repostDRAM bool) {
 	cq := c.cq // bind to this connection incarnation
-	c.cli.K.Go(c.cli.Name+"-resp-recv", func(p *sim.Proc) {
-		for !c.closed && !cq.Dead() {
-			rcv := cq.RecvCQ.Pop(p)
-			c.cli.PollDelay(p)
-			if repostDRAM && !rcv.IsImm {
-				cq.PostRecv(rcv.Addr, c.cfg.SlotSize)
-			}
-			if rcv.Data == nil {
-				continue
-			}
-			seq, data := decodeResp(rcv.Data)
-			c.complete(seq, data, p.Now())
+	l := newRecvLoop(c.cli, cq.RecvCQ, func() bool { return !c.closed && !cq.Dead() })
+	l.start(func(rcv rnic.Recv) bool {
+		if repostDRAM && !rcv.IsImm {
+			cq.PostRecv(rcv.Addr, c.cfg.SlotSize)
 		}
+		if rcv.Data != nil {
+			seq, data := decodeResp(rcv.Data)
+			c.complete(seq, data, c.cli.K.Now())
+		}
+		return true
 	})
 }
 
@@ -563,7 +557,8 @@ func traditionalResponse(issued sim.Time, rm respMsg, k *sim.Kernel) *Response {
 	}
 }
 
-// Close tears down the connection's client-side procs.
+// Close marks the connection closed: its receive loops, which run as
+// kernel callbacks (see recvLoop), stop at their next live check.
 func (c *conn) Close() { c.closed = true }
 
 func (c *conn) Kind() Kind { return c.kind }

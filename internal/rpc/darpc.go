@@ -39,18 +39,16 @@ func newSendClient(kind Kind, tp rnic.Transport, cli *host.Host, srv *Server, cf
 }
 
 func (c *sendClient) startServerRecv() {
-	c.srv.H.K.Go(c.srv.H.Name+"-"+c.kind.String()+"-recv", func(p *sim.Proc) {
-		for !c.closed {
-			rcv := c.sq.RecvCQ.Pop(p)
-			c.srv.H.PollDelay(p)
-			c.sq.PostRecv(rcv.Addr, c.cfg.SlotSize)
-			seq, req := decodeReq(rcv.Data)
-			var reqs []*Request
-			if isBatchOp(req.Op) {
-				reqs = c.batchReqs(seq, req)
-			}
-			c.srv.enqueue(workItem{req: req, reqs: reqs, respond: c.respondSend(seq, req)})
+	l := newRecvLoop(c.srv.H, c.sq.RecvCQ, func() bool { return !c.closed })
+	l.start(func(rcv rnic.Recv) bool {
+		c.sq.PostRecv(rcv.Addr, c.cfg.SlotSize)
+		seq, req := decodeReq(rcv.Data)
+		var reqs []*Request
+		if isBatchOp(req.Op) {
+			reqs = c.batchReqs(seq, req)
 		}
+		c.srv.enqueue(workItem{req: req, reqs: reqs, respond: c.respondSend(seq, req)})
+		return true
 	})
 }
 

@@ -122,26 +122,37 @@ func (c *durableClient) startLogPoller() {
 	// still-registered QP would be fed into the shared redo log.
 	cn := c.conn
 	sq := c.sq
-	c.srv.H.K.Go(c.srv.H.Name+"-"+kind.String()+"-poll", func(p *sim.Proc) {
-		for !cn.closed && !sq.Dead() {
-			arr := sq.Arrivals.Pop(p)
-			c.srv.H.PollDelay(p)
-			if cn.closed || sq.Dead() {
-				return // crashed or replaced while polling
-			}
-			seq, req := c.decodeEntry(arr.Data)
-			if kind == WRFlushRPC && mutatingOp(req.Op) {
-				// RFlush: with DDIO the write landed in the volatile
-				// LLC; the CPU must clflush it to the persist domain
-				// before acknowledging (§4.4.2). Without DDIO the log
-				// is a PM region the NIC persisted into already.
-				if arr.Durable == 0 {
-					c.srv.H.LLC.ClflushSync(p, arr.Addr, arr.N)
-				}
-				sq.Notify(seq)
-			}
-			c.enqueueLogged(seq, req, c.respondWrite(seq, req))
+	l := newRecvLoop(c.srv.H, sq.Arrivals, func() bool { return !cn.closed && !sq.Dead() })
+	// An entry waits in e while its clflush persists.
+	var e struct {
+		seq uint64
+		req *Request
+	}
+	flushed := func() {
+		sq.Notify(e.seq)
+		c.enqueueLogged(e.seq, e.req, c.respondWrite(e.seq, e.req))
+		e.req = nil
+		l.next()
+	}
+	l.start(func(arr rnic.Arrival) bool {
+		if cn.closed || sq.Dead() {
+			return false // crashed or replaced while polling
 		}
+		seq, req := c.decodeEntry(arr.Data)
+		if kind == WRFlushRPC && mutatingOp(req.Op) {
+			// RFlush: with DDIO the write landed in the volatile
+			// LLC; the CPU must clflush it to the persist domain
+			// before acknowledging (§4.4.2). Without DDIO the log
+			// is a PM region the NIC persisted into already.
+			if arr.Durable == 0 {
+				e.seq, e.req = seq, req
+				c.srv.H.LLC.ClflushFunc(arr.Addr, arr.N, flushed)
+				return false
+			}
+			sq.Notify(seq)
+		}
+		c.enqueueLogged(seq, req, c.respondWrite(seq, req))
+		return true
 	})
 }
 
@@ -151,24 +162,22 @@ func (c *durableClient) startLogRecv() {
 	cn := c.conn // bind to this connection incarnation (see startLogPoller)
 	sq := c.sq
 	repost := nativeSFlush(kind, c.srv)
-	c.srv.H.K.Go(c.srv.H.Name+"-"+kind.String()+"-recv", func(p *sim.Proc) {
-		for !cn.closed && !sq.Dead() {
-			rcv := sq.RecvCQ.Pop(p)
-			c.srv.H.PollDelay(p)
-			if cn.closed || sq.Dead() {
-				return // crashed or replaced while polling
-			}
-			if repost {
-				sq.PostRecv(rcv.Addr, c.cfg.SlotSize)
-			}
-			seq, req := c.decodeEntry(rcv.Data)
-			if kind == SRFlushRPC && mutatingOp(req.Op) {
-				// RFlush: the receive buffers are log-resident PM; the
-				// payload is durable on arrival. Notify, then process.
-				sq.Notify(seq)
-			}
-			c.enqueueLogged(seq, req, c.respondSend(seq, req))
+	l := newRecvLoop(c.srv.H, sq.RecvCQ, func() bool { return !cn.closed && !sq.Dead() })
+	l.start(func(rcv rnic.Recv) bool {
+		if cn.closed || sq.Dead() {
+			return false // crashed or replaced while polling
 		}
+		if repost {
+			sq.PostRecv(rcv.Addr, c.cfg.SlotSize)
+		}
+		seq, req := c.decodeEntry(rcv.Data)
+		if kind == SRFlushRPC && mutatingOp(req.Op) {
+			// RFlush: the receive buffers are log-resident PM; the
+			// payload is durable on arrival. Notify, then process.
+			sq.Notify(seq)
+		}
+		c.enqueueLogged(seq, req, c.respondSend(seq, req))
+		return true
 	})
 }
 

@@ -25,16 +25,14 @@ func NewFaRM(cli *host.Host, srv *Server, cfg Config) Client {
 // write-ring systems (FaRM, and the process phase of ScaleRPC).
 func startRingPoller(c *conn) {
 	sq := c.sq // bind to this connection incarnation
-	c.srv.H.K.Go(c.srv.H.Name+"-"+c.kind.String()+"-poll", func(p *sim.Proc) {
-		for !c.closed && !sq.Dead() {
-			arr := sq.Arrivals.Pop(p)
-			c.srv.H.PollDelay(p)
-			if sq.Dead() {
-				return // crashed while polling
-			}
-			seq, req := decodeReq(arr.Data)
-			c.srv.enqueue(workItem{req: req, respond: c.respondWrite(seq, req)})
+	l := newRecvLoop(c.srv.H, sq.Arrivals, func() bool { return !c.closed && !sq.Dead() })
+	l.start(func(arr rnic.Arrival) bool {
+		if sq.Dead() {
+			return false // crashed while polling
 		}
+		seq, req := decodeReq(arr.Data)
+		c.srv.enqueue(workItem{req: req, respond: c.respondWrite(seq, req)})
+		return true
 	})
 }
 

@@ -29,32 +29,28 @@ func NewHerd(cli *host.Host, srv *Server, cfg Config) Client {
 }
 
 func (c *herdClient) startUDDrain() {
-	c.cli.K.Go(c.cli.Name+"-herd-resp", func(p *sim.Proc) {
-		for !c.closed {
-			rcv := c.cud.RecvCQ.Pop(p)
-			c.cli.PollDelay(p)
-			c.cud.PostRecv(rcv.Addr, c.cfg.SlotSize)
-			seq, data := decodeResp(rcv.Data)
-			c.complete(seq, data, p.Now())
-		}
+	l := newRecvLoop(c.cli, c.cud.RecvCQ, func() bool { return !c.closed })
+	l.start(func(rcv rnic.Recv) bool {
+		c.cud.PostRecv(rcv.Addr, c.cfg.SlotSize)
+		seq, data := decodeResp(rcv.Data)
+		c.complete(seq, data, c.cli.K.Now())
+		return true
 	})
 }
 
 func (c *herdClient) startPoller() {
-	c.srv.H.K.Go(c.srv.H.Name+"-herd-poll", func(p *sim.Proc) {
-		for !c.closed {
-			arr := c.sq.Arrivals.Pop(p)
-			c.srv.H.PollDelay(p)
-			seq, req := decodeReq(arr.Data)
-			c.srv.enqueue(workItem{req: req, respond: func(p *sim.Proc, img []byte) {
-				c.srv.H.Post(p)
-				n := respWireBytes(req)
-				if n > rnic.UDMTU {
-					n = rnic.UDMTU // Herd segments large responses; model the first MTU
-				}
-				c.sud.SendAsync(n, c.seal(seq, img))
-			}})
-		}
+	l := newRecvLoop(c.srv.H, c.sq.Arrivals, func() bool { return !c.closed })
+	l.start(func(arr rnic.Arrival) bool {
+		seq, req := decodeReq(arr.Data)
+		c.srv.enqueue(workItem{req: req, respond: func(p *sim.Proc, img []byte) {
+			c.srv.H.Post(p)
+			n := respWireBytes(req)
+			if n > rnic.UDMTU {
+				n = rnic.UDMTU // Herd segments large responses; model the first MTU
+			}
+			c.sud.SendAsync(n, c.seal(seq, img))
+		}})
+		return true
 	})
 }
 

@@ -36,25 +36,23 @@ func NewL5(cli *host.Host, srv *Server, cfg Config) Client {
 // startPoller polls for valid flags; data writes (which RC delivers first)
 // are stashed until their flag lands.
 func (c *l5Client) startPoller() {
-	c.srv.H.K.Go(c.srv.H.Name+"-l5-poll", func(p *sim.Proc) {
-		stash := make(map[uint64][]byte)
-		for !c.closed {
-			arr := c.sq.Arrivals.Pop(p)
-			c.srv.H.PollDelay(p)
-			if arr.N > l5FlagBytes {
-				seq, _ := decodeReq(arr.Data)
-				stash[seq] = arr.Data
-				continue
-			}
-			seq := binary.LittleEndian.Uint64(arr.Data)
-			data, ok := stash[seq]
-			if !ok {
-				continue // flag without data: model bug guard
-			}
-			delete(stash, seq)
-			s, req := decodeReq(data)
-			c.srv.enqueue(workItem{req: req, respond: c.respondWrite(s, req)})
+	stash := make(map[uint64][]byte)
+	l := newRecvLoop(c.srv.H, c.sq.Arrivals, func() bool { return !c.closed })
+	l.start(func(arr rnic.Arrival) bool {
+		if arr.N > l5FlagBytes {
+			seq, _ := decodeReq(arr.Data)
+			stash[seq] = arr.Data
+			return true
 		}
+		seq := binary.LittleEndian.Uint64(arr.Data)
+		data, ok := stash[seq]
+		if !ok {
+			return true // flag without data: model bug guard
+		}
+		delete(stash, seq)
+		s, req := decodeReq(data)
+		c.srv.enqueue(workItem{req: req, respond: c.respondWrite(s, req)})
+		return true
 	})
 }
 

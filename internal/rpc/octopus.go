@@ -35,17 +35,31 @@ func newImmClient(kind Kind, cli *host.Host, srv *Server, cfg Config, syscall bo
 }
 
 func (c *immClient) startServerCQ() {
-	c.srv.H.K.Go(c.srv.H.Name+"-"+c.kind.String()+"-cq", func(p *sim.Proc) {
-		for !c.closed {
-			rcv := c.sq.RecvCQ.Pop(p)
-			c.srv.H.PollDelay(p)
-			if c.syscall {
-				c.srv.H.Compute(p, c.cfg.LITESyscall)
-			}
-			seq, req := decodeReq(rcv.Data)
-			c.srv.enqueue(workItem{req: req, respond: c.respondWriteImm(seq, req)})
+	h := c.srv.H
+	l := newRecvLoop(h, c.sq.RecvCQ, func() bool { return !c.closed })
+	// LITE's kernel crossing is one more delay between poll and dispatch;
+	// the request waits in data meanwhile.
+	var data []byte
+	crossed := func() {
+		c.enqueueImage(data)
+		data = nil
+		l.next()
+	}
+	l.start(func(rcv rnic.Recv) bool {
+		if c.syscall {
+			data = rcv.Data
+			h.ComputeFunc(c.cfg.LITESyscall, crossed)
+			return false
 		}
+		c.enqueueImage(rcv.Data)
+		return true
 	})
+}
+
+// enqueueImage decodes a request image and hands it to the worker pool.
+func (c *immClient) enqueueImage(b []byte) {
+	seq, req := decodeReq(b)
+	c.srv.enqueue(workItem{req: req, respond: c.respondWriteImm(seq, req)})
 }
 
 func (c *immClient) Call(p *sim.Proc, req *Request) (*Response, error) {

@@ -33,25 +33,23 @@ func (c *rfpClient) resultSlot(seq uint64) int64 {
 }
 
 func (c *rfpClient) startPoller() {
-	c.srv.H.K.Go(c.srv.H.Name+"-rfp-poll", func(p *sim.Proc) {
-		for !c.closed {
-			arr := c.sq.Arrivals.Pop(p)
-			c.srv.H.PollDelay(p)
-			seq, req := decodeReq(arr.Data)
-			slot := c.resultSlot(seq)
-			c.srv.enqueue(workItem{req: req, respond: func(p *sim.Proc, img []byte) {
-				// The result is deposited locally; no wire traffic —
-				// the client fetches it. The client never completes seq
-				// on the connection, so a header-only reply is not
-				// drawn from the pool.
-				if img == nil {
-					img = newRespImage(0)
-				}
-				c.srv.H.Memcpy(p, len(img))
-				putRespHeader(img, seq)
-				c.srv.H.DRAM.Write(slot, img)
-			}})
-		}
+	l := newRecvLoop(c.srv.H, c.sq.Arrivals, func() bool { return !c.closed })
+	l.start(func(arr rnic.Arrival) bool {
+		seq, req := decodeReq(arr.Data)
+		slot := c.resultSlot(seq)
+		c.srv.enqueue(workItem{req: req, respond: func(p *sim.Proc, img []byte) {
+			// The result is deposited locally; no wire traffic —
+			// the client fetches it. The client never completes seq
+			// on the connection, so a header-only reply is not
+			// drawn from the pool.
+			if img == nil {
+				img = newRespImage(0)
+			}
+			c.srv.H.Memcpy(p, len(img))
+			putRespHeader(img, seq)
+			c.srv.H.DRAM.Write(slot, img)
+		}})
+		return true
 	})
 }
 

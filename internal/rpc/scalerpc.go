@@ -38,30 +38,35 @@ func NewScaleRPC(cli *host.Host, srv *Server, cfg Config) Client {
 }
 
 func (c *scaleClient) startPoller() {
-	c.srv.H.K.Go(c.srv.H.Name+"-scale-poll", func(p *sim.Proc) {
-		for !c.closed {
-			arr := c.sq.Arrivals.Pop(p)
-			c.srv.H.PollDelay(p)
-			seq, req := decodeReq(arr.Data)
-			if req.ScanLen == warmupMark {
-				// Warm-up: fetch the real request from the client.
-				c.srv.H.Post(p)
-				b := c.sq.Read(p, c.stageBuf, req.Size)
-				seq, req = decodeReq(b)
-				var reqs []*Request
-				if isBatchOp(req.Op) {
-					reqs = c.batchReqs(seq, req)
-				}
-				c.srv.enqueue(workItem{req: req, reqs: reqs, respond: c.respondWrite(seq, req)})
-				continue
-			}
-			var reqs []*Request
-			if isBatchOp(req.Op) {
-				reqs = c.batchReqs(seq, req)
-			}
-			c.srv.enqueue(workItem{req: req, reqs: reqs, respond: c.respondWrite(seq, req)})
+	h := c.srv.H
+	l := newRecvLoop(h, c.sq.Arrivals, func() bool { return !c.closed })
+	// Warm-up: fetch the real request from the client. Warm-ups are one
+	// call in ScaleRPCProcessPhases+1, so their read wait may allocate.
+	var size int
+	fetched := func(b []byte) {
+		c.enqueueReq(decodeReq(b))
+		l.next()
+	}
+	fetch := func() { c.sq.ReadAsync(c.stageBuf, size).WaitFunc(fetched) }
+	l.start(func(arr rnic.Arrival) bool {
+		seq, req := decodeReq(arr.Data)
+		if req.ScanLen == warmupMark {
+			size = req.Size
+			h.PostFunc(fetch)
+			return false
 		}
+		c.enqueueReq(seq, req)
+		return true
 	})
+}
+
+// enqueueReq hands a decoded request (or batch frame) to the worker pool.
+func (c *scaleClient) enqueueReq(seq uint64, req *Request) {
+	var reqs []*Request
+	if isBatchOp(req.Op) {
+		reqs = c.batchReqs(seq, req)
+	}
+	c.srv.enqueue(workItem{req: req, reqs: reqs, respond: c.respondWrite(seq, req)})
 }
 
 func (c *scaleClient) Call(p *sim.Proc, req *Request) (*Response, error) {

@@ -169,12 +169,63 @@ func Load(r io.Reader) (*Spec, error) {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
 	s.applyDefaults()
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
 	return &s, nil
+}
+
+// validate rejects numbers no run can honour and names the field: negative
+// counts, sizes and times (in the spec and in its crashes, cluster and
+// pmpool sections), a read fraction outside [0, 1], and fewer ops than
+// clients, which would leave some client with nothing to do. It runs after
+// applyDefaults, from both Load and Run, so a malformed spec is an error,
+// never a panic or a misreported run.
+func (s *Spec) validate() error {
+	type field struct {
+		name string
+		v    int
+	}
+	fields := []field{
+		{"ops", s.Ops}, {"objects", s.Objects}, {"objectSize", s.ObjectSize},
+		{"clients", s.Clients}, {"processingUS", s.ProcessingUS},
+		{"workers", s.Workers}, {"traceEvents", s.TraceEvents},
+	}
+	if c := s.Crashes; c != nil {
+		fields = append(fields, field{"crashes.count", c.Count}, field{"crashes.restartMS", c.RestartMS},
+			field{"crashes.retransferMS", c.RetransferMS}, field{"crashes.pipeline", c.Pipeline})
+	}
+	if c := s.Cluster; c != nil {
+		fields = append(fields, field{"cluster.shards", c.Shards}, field{"cluster.replicas", c.Replicas})
+		if c.RatePerSec < 0 {
+			return fmt.Errorf("scenario: cluster.ratePerSec is %g; it must not be negative", c.RatePerSec)
+		}
+	}
+	if p := s.PMPool; p != nil {
+		fields = append(fields, field{"pmpool.servers", p.Servers}, field{"pmpool.clients", p.Clients},
+			field{"pmpool.maps", p.Maps}, field{"pmpool.reducers", p.Reducers},
+			field{"pmpool.iterations", p.Iterations}, field{"pmpool.graphScale", p.GraphScale})
+	}
+	for _, f := range fields {
+		if f.v < 0 {
+			return fmt.Errorf("scenario: %s is %d; it must not be negative", f.name, f.v)
+		}
+	}
+	if !(s.ReadFraction >= 0 && s.ReadFraction <= 1) {
+		return fmt.Errorf("scenario: readFraction is %g; it must lie in [0, 1]", s.ReadFraction)
+	}
+	if s.Ops < s.Clients {
+		return fmt.Errorf("scenario: ops (%d) is smaller than clients (%d); every client needs at least one op", s.Ops, s.Clients)
+	}
+	return nil
 }
 
 // Run executes the scenario.
 func (s *Spec) Run() (*Report, error) {
 	s.applyDefaults()
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
 	kind, err := kindByName(s.RPC)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -261,5 +262,42 @@ func TestPMPoolScenarioExclusions(t *testing.T) {
 	s.RPC = "FaRM"
 	if _, err := s.Run(); err == nil {
 		t.Error("pmpool over a non-durable family should be rejected")
+	}
+}
+
+// TestMalformedNumbersRejected: each spec below used to panic inside the
+// run (a negative ops count sizing a slice, a negative crash count dividing
+// by zero, a negative graph scale sizing the graph) or to report a run that
+// did not happen (negative or too few clients, negative objects). Load and
+// Run must both reject it with an error naming the field.
+func TestMalformedNumbersRejected(t *testing.T) {
+	for _, tc := range []struct{ spec, field string }{
+		{`{"ops": -5}`, "ops"},
+		{`{"ops": 100, "crashes": {"count": -1}}`, "crashes.count"},
+		{`{"rpc": "WFlush-RPC", "pmpool": {"graphScale": -1}}`, "pmpool.graphScale"},
+		{`{"ops": 100, "clients": -2}`, "clients"},
+		{`{"ops": 3, "clients": 5}`, "clients"},
+		{`{"ops": 100, "objects": -3}`, "objects"},
+		{`{"ops": 100, "readFraction": 1.5}`, "readFraction"},
+		{`{"ops": 100, "cluster": {"shards": -1}}`, "cluster.shards"},
+	} {
+		if _, err := Load(strings.NewReader(tc.spec)); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("Load(%s): error %v, want one naming %s", tc.spec, err, tc.field)
+		}
+		var s Spec
+		if err := json.Unmarshal([]byte(tc.spec), &s); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("Run(%s): error %v, want one naming %s", tc.spec, err, tc.field)
+		}
+	}
+	s, err := Load(strings.NewReader(`{"ops": 5, "clients": 5, "objects": 64, "objectSize": 64, "readFraction": 1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Run()
+	if err != nil || rep.Ops != 5 || rep.KOPS <= 0 {
+		t.Fatalf("valid edge spec: report %+v, error %v", rep, err)
 	}
 }

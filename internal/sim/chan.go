@@ -5,7 +5,8 @@ import "time"
 // Chan is an unbounded FIFO queue that procs can block on. It is the
 // simulation analogue of a Go channel: Push never blocks (queues are
 // unbounded; back-pressure is modelled explicitly where the paper models
-// it), Pop blocks the calling proc until an item is available.
+// it), Pop blocks the calling proc until an item is available, and PopFunc
+// hands the item to a callback instead.
 //
 // The queue is consumed through a head index (like Cond's waiter list) so
 // the backing array survives drain/refill cycles: steady-state Push/Pop
@@ -16,6 +17,11 @@ type Chan[T any] struct {
 	head  int
 	items []T
 	cond  Cond
+	// popFns queues the callbacks waiting in PopFunc, oldest first (from
+	// fnHead). They share one Cond callback, deliver, built on first use.
+	popFns  []func(T)
+	fnHead  int
+	deliver func()
 }
 
 // NewChan returns an empty queue bound to kernel k.
@@ -54,6 +60,49 @@ func (c *Chan[T]) Pop(p *Proc) T {
 		c.cond.Wait(p)
 	}
 	return c.popFront()
+}
+
+// PopFunc is Pop for a consumer that is a callback rather than a proc. fn
+// receives the head item at once if the queue is non-empty; otherwise it
+// waits on the queue's Cond as a callback waiter, and the Push that wakes it
+// schedules the delivery in the FIFO slot a blocked proc's wake would take.
+// A loop that calls PopFunc again once it has handled an item, directly or
+// from the continuation of a delay it charged, fires the same events in the
+// same order as a proc looping on Pop, and costs no goroutine.
+func (c *Chan[T]) PopFunc(fn func(T)) {
+	if c.Len() > 0 {
+		fn(c.popFront())
+		return
+	}
+	c.waitFunc(fn)
+}
+
+// waitFunc queues fn behind the callbacks already waiting.
+func (c *Chan[T]) waitFunc(fn func(T)) {
+	if c.deliver == nil {
+		c.deliver = c.deliverHead
+	}
+	if c.fnHead > 0 && c.fnHead == len(c.popFns) {
+		c.popFns = c.popFns[:0]
+		c.fnHead = 0
+	}
+	c.popFns = append(c.popFns, fn)
+	c.cond.WaitFunc(c.deliver)
+}
+
+// deliverHead is the wake of a PopFunc waiter. Callback wakes fire in the
+// order their waiters queued, so this one belongs to the oldest queued fn.
+// Like a proc woken in Pop, it waits again if another consumer took the
+// item first.
+func (c *Chan[T]) deliverHead() {
+	fn := c.popFns[c.fnHead]
+	c.popFns[c.fnHead] = nil
+	c.fnHead++
+	if c.Len() == 0 {
+		c.waitFunc(fn)
+		return
+	}
+	fn(c.popFront())
 }
 
 // PopTimeout is like Pop but gives up after d. ok is false on timeout.
@@ -156,6 +205,18 @@ func (f *Future[T]) Wait(p *Proc) T {
 		f.cond.Wait(p)
 	}
 	return f.val
+}
+
+// WaitFunc is Wait for a callback: fn receives the value at once if the
+// future has resolved, otherwise from a callback waiter that Complete
+// schedules in the FIFO slot a waiting proc's wake would take. A pending
+// wait allocates one closure.
+func (f *Future[T]) WaitFunc(fn func(T)) {
+	if f.done {
+		fn(f.val)
+		return
+	}
+	f.cond.WaitFunc(func() { fn(f.val) })
 }
 
 // WaitTimeout blocks p until the future resolves or d elapses. ok reports

@@ -108,6 +108,11 @@ type Engine struct {
 	// flush scratch for the k-way outbox merge, reused across windows.
 	mergeSrcs  []int
 	mergeHeads []int
+
+	// coord runs the coordinator's kernels of a multi-kernel window as one
+	// chain: all of them in runSerial, shard 0 with helpers. Each helper
+	// owns the chain of its shard.
+	coord chain
 }
 
 type crossMsg struct {
@@ -140,7 +145,7 @@ func NewEngine(lookahead time.Duration, workers int) *Engine {
 	if workers < 1 {
 		workers = 1
 	}
-	return &Engine{lookahead: Time(lookahead), workers: workers, deadline: -1, fusion: true, spin: barSpinRounds}
+	return &Engine{lookahead: Time(lookahead), workers: workers, deadline: -1, fusion: true, spin: barSpinRounds, coord: newChain()}
 }
 
 // NewKernel adds a partition to the engine and returns its kernel. Create
@@ -360,14 +365,15 @@ func (e *Engine) reshard() {
 }
 
 // helperLoop is one barrier worker: wait for the coordinator to open a
-// window (a barGen bump), run this shard's kernels that have work inside it,
-// report done. The wait yields for a bounded number of rounds — windows are
-// short — then parks on the condvar so long fused or serialized stretches do
-// not burn a core. The generation bump publishes e.deadline and everything
-// the coordinator wrote before it; barDone publishes this shard's kernel
-// state back.
+// window (a barGen bump), run this shard's kernels that have work inside it
+// as one chain, report done. The wait yields for a bounded number of rounds
+// — windows are short — then parks on the condvar so long fused or
+// serialized stretches do not burn a core. The generation bump publishes
+// e.deadline and everything the coordinator wrote before it; barDone
+// publishes this shard's kernel state back.
 func (e *Engine) helperLoop(shard int) {
 	defer e.hwg.Done()
+	c := newChain()
 	seen := uint64(0)
 	for {
 		spins := 0
@@ -401,26 +407,15 @@ func (e *Engine) helperLoop(shard int) {
 		if e.barQuit.Load() {
 			return
 		}
-		dl := e.deadline
-		for _, k := range e.shards[shard] {
-			if t, ok := k.NextEventAt(); ok && t <= dl {
-				k.RunUntil(dl)
-			}
-		}
+		c.runWindow(e.shards[shard], e.deadline)
 		e.barDone.Add(1)
 	}
 }
 
-// runSerial executes the current window's active kernels on the calling
-// goroutine in creation order — the workers<=1 path, and the fallback when
-// the pool would be empty.
-func (e *Engine) runSerial() {
-	for _, k := range e.kernels {
-		if t, ok := k.NextEventAt(); ok && t <= e.deadline {
-			k.RunUntil(e.deadline)
-		}
-	}
-}
+// runSerial executes the current window's active kernels in creation order
+// as one chain from the calling goroutine — the workers<=1 path, and the
+// fallback when the pool would be empty.
+func (e *Engine) runSerial() { e.coord.runWindow(e.kernels, e.deadline) }
 
 // stepWindows executes up to budget conservative windows and reports how
 // many ran (fewer only when the simulation went quiescent or was stopped).
@@ -507,11 +502,7 @@ func (e *Engine) stepWindows(budget int) int {
 			e.barCond.Broadcast()
 			e.barMu.Unlock()
 		}
-		for _, k := range e.shards[0] {
-			if t, ok := k.NextEventAt(); ok && t <= e.deadline {
-				k.RunUntil(e.deadline)
-			}
-		}
+		e.coord.runWindow(e.shards[0], e.deadline)
 		e.waitHelpers()
 	}
 	return ran

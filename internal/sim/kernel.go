@@ -2,7 +2,12 @@
 //
 // The kernel maintains a priority queue of events ordered by virtual time,
 // with ties broken by insertion sequence so that runs are exactly
-// reproducible. Simulated "threads" (Proc) are backed by goroutines, but only
+// reproducible. A waiter is either a simulated thread (Proc) or a callback:
+// a loop whose work between waits is only delays and non-blocking calls
+// can run as a chain of events (Chan.PopFunc, Future.WaitFunc,
+// Kernel.AfterFunc) and cost no goroutine; a Cond schedules a callback
+// waiter's wake in the FIFO slot a proc's would take, so both kinds see the
+// same events in the same order. Procs are backed by goroutines, but only
 // one goroutine holds a kernel at a time and control passes between them
 // synchronously over channels, so the simulation is deterministic regardless
 // of the Go scheduler. There is no kernel goroutine: the event loop runs on
@@ -10,7 +15,9 @@
 // that just blocked or exited. A blocking proc runs the loop itself and
 // resumes the next proc directly (or simply carries on when the next resume
 // is its own); the kernel returns to the caller only when the run's bounds
-// are reached. See DESIGN.md "Direct proc handoff".
+// are reached, and an engine window's kernels run as one chain that returns
+// to its caller once. See DESIGN.md "Direct proc handoff", "Receive loops
+// run as callbacks" and "One chain per window".
 //
 // Virtual time is measured in integer nanoseconds (Time). All latencies in
 // the PRDMA models are expressed as time.Duration and added to Time values.
@@ -177,16 +184,19 @@ type Kernel struct {
 	// consumed by loop as soon as the event returns.
 	next *Proc
 
-	// handoff returns the kernel to the goroutine that called the run once
-	// a proc holding it reaches the run's bounds. Proc-to-proc transfers go
+	// ch is the chain the kernel's current run belongs to: solo for the
+	// kernel's own RunUntil/RunEvents/runHead, an engine chain inside a
+	// window. The goroutine that reaches the run's bounds goes on with the
+	// chain, which hands back to its caller once. Proc-to-proc transfers go
 	// straight to the next proc's resume channel.
-	handoff chan struct{}
+	ch   *chain
+	solo chain
 	// cur is the proc whose body is running; nil while the loop and event
 	// callbacks run.
 	cur *Proc
-	// fault is a callback panic recovered on a proc goroutine, carried to
-	// the run's caller, which re-raises it.
-	fault any
+	// switches counts goroutine transfers: a resume handed to another
+	// proc's goroutine, or a chain handed back to its caller.
+	switches uint64
 
 	procs int // live procs, for leak diagnostics
 	// live registers every spawned proc until its goroutine exits, so
@@ -201,7 +211,9 @@ type Kernel struct {
 
 // New returns a fresh kernel at virtual time zero.
 func New() *Kernel {
-	return &Kernel{handoff: make(chan struct{}), engID: -1, live: make(map[*Proc]struct{})}
+	k := &Kernel{engID: -1, live: make(map[*Proc]struct{})}
+	k.solo = chain{ks: []*Kernel{k}, done: make(chan struct{})}
+	return k
 }
 
 // Engine returns the multi-kernel engine this kernel belongs to, or nil for
@@ -310,6 +322,12 @@ func (k *Kernel) Procs() int { return k.procs }
 
 // Fired reports how many events have executed since New.
 func (k *Kernel) Fired() uint64 { return k.fired }
+
+// Switches reports how many goroutine transfers the kernel has made since
+// New: resumes handed to another proc's goroutine, and runs handed back to
+// their caller. A proc whose next resume is its own, and a callback waiter,
+// cost none.
+func (k *Kernel) Switches() uint64 { return k.switches }
 
 // schedule books fn at time t, drawing the event from the free list.
 func (k *Kernel) scheduleEvent(t Time, fn func()) *event {
@@ -452,24 +470,114 @@ func (k *Kernel) RunEvents(n uint64) uint64 {
 	return k.run(math.MaxInt64, n, false)
 }
 
-// run drives the loop from the calling goroutine under the given bounds and
-// reports how many live events fired. When an event makes a proc runnable
-// the caller hands the kernel over and parks on handoff: the procs then pass
-// the kernel among themselves, each running the loop when it blocks or
-// exits, and the one that reaches the bounds hands it back. A callback panic
-// caught on a proc goroutine is re-raised here with the same value.
+// run drives the loop from the calling goroutine under the given bounds, as
+// a chain of one, and reports how many live events fired.
 func (k *Kernel) run(deadline Time, budget uint64, oneHead bool) uint64 {
-	k.stopped = false
-	k.deadline, k.budget, k.oneHead = deadline, budget, oneHead
-	if p := k.loop(); p != nil {
-		k.handOver(p)
-		<-k.handoff
-		if r := k.fault; r != nil {
-			k.fault = nil
+	c := &k.solo
+	c.deadline, c.budget, c.oneHead = deadline, budget, oneHead
+	c.run()
+	return budget - k.budget
+}
+
+// chain runs kernels back to back under one set of bounds. A kernel's own
+// RunUntil, RunEvents or runHead is a chain of one; an engine window's
+// active kernels, run serially or one shard per engine worker, are a chain
+// of several. Each kernel's run starts on whichever goroutine holds the
+// chain: the caller, or the proc goroutine on which the previous kernel's
+// run ended. So when runs end on proc goroutines the chain goes back to its
+// caller once, not once per kernel. One goroutine holds the chain at a time,
+// and every transfer is a channel operation: a proc's resume, or done. See
+// DESIGN.md "One chain per window".
+type chain struct {
+	ks   []*Kernel
+	next int // index in ks of the next kernel to start
+	// window skips kernels with no event at or before deadline, as an
+	// engine window does.
+	window   bool
+	deadline Time
+	budget   uint64
+	oneHead  bool
+	// k is the kernel whose run is in progress; the hand-back counts as
+	// its switch.
+	k *Kernel
+	// done returns the chain to the goroutine that called run.
+	done chan struct{}
+	// fault is a callback panic recovered on a proc goroutine, carried to
+	// the chain's caller, which re-raises it.
+	fault any
+}
+
+func newChain() chain { return chain{done: make(chan struct{})} }
+
+// runWindow runs ks as one chain up to the inclusive window edge deadline,
+// skipping the kernels with nothing to do in the window.
+func (c *chain) runWindow(ks []*Kernel, deadline Time) {
+	c.ks, c.window, c.deadline, c.budget, c.oneHead = ks, true, deadline, math.MaxUint64, false
+	c.run()
+}
+
+// run drives the chain from the calling goroutine. When a kernel's loop
+// makes a proc runnable the caller hands that kernel over and parks on done:
+// the procs then pass the kernel among themselves, the goroutine that ends
+// its run starts the chain's next kernel, and the one that ends the last
+// run hands the chain back. A callback panic caught on a proc goroutine is
+// re-raised here with the same value.
+func (c *chain) run() {
+	c.next = 0
+	if p := c.step(); p != nil {
+		p.K.handOver(p)
+		<-c.done
+		if r := c.fault; r != nil {
+			c.fault = nil
 			panic(r)
 		}
 	}
-	return budget - k.budget
+}
+
+// step starts the chain's remaining kernels in order on the calling
+// goroutine. It returns the first proc a kernel's loop makes runnable, for
+// the caller to hand that kernel to, or nil once every run has ended.
+func (c *chain) step() *Proc {
+	for c.next < len(c.ks) {
+		k := c.ks[c.next]
+		c.next++
+		if c.window {
+			if t, ok := k.NextEventAt(); !ok || t > c.deadline {
+				continue
+			}
+		}
+		c.k, k.ch = k, c
+		k.stopped = false
+		k.deadline, k.budget, k.oneHead = c.deadline, c.budget, c.oneHead
+		if p := k.loop(); p != nil {
+			return p
+		}
+	}
+	return nil
+}
+
+// onProc runs k's loop on a proc goroutine and, once k's run ends there, the
+// chain's remaining kernels. It returns the proc to hand a kernel to, or nil
+// when the chain is done. A callback panic must not unwind the proc's body
+// (its defers and recovers belong to the model, not to the event that
+// failed), so it is caught here and stored for the chain's caller to
+// re-raise, and the chain ends.
+func (c *chain) onProc(k *Kernel) (next *Proc) {
+	defer func() {
+		if r := recover(); r != nil {
+			c.fault, next = r, nil
+		}
+	}()
+	if next = k.loop(); next == nil {
+		next = c.step()
+	}
+	return next
+}
+
+// handBack returns the chain to its caller.
+func (c *chain) handBack() {
+	c.k.switches++
+	c.done <- struct{}{}
 }
 
 // loop is the kernel's one event loop. It pops and fires events in (at, seq)
@@ -519,14 +627,16 @@ func (k *Kernel) Stop() { k.stopped = true }
 // Shutdown hands it the kernel with the kill flag set, and it unwinds while
 // the caller waits — when Shutdown returns, no proc goroutine remains. The
 // run is stopped first, so the exit path's loop fires nothing and hands the
-// kernel straight back. A proc whose deferred cleanup blocks again is simply
-// re-reaped on the next loop iteration. Must not be called from inside the
+// kernel straight back through the kernel's own chain, with no kernel left
+// to start. A proc whose deferred cleanup blocks again is simply re-reaped
+// on the next loop iteration. Must not be called from inside the
 // simulation.
 func (k *Kernel) Shutdown() {
 	if k.cur != nil {
 		panic("sim: Shutdown from inside the simulation")
 	}
 	k.stopped = true
+	c := &k.solo
 	for len(k.live) > 0 {
 		var p *Proc
 		for q := range k.live {
@@ -536,8 +646,9 @@ func (k *Kernel) Shutdown() {
 		p.killed = true
 		p.waitGen++
 		p.waiting = false
+		k.ch, c.next, c.k = c, len(c.ks), k
 		k.handOver(p) // kill unwind → exit path removes p from live
-		<-k.handoff
+		<-c.done
 	}
 	k.events = nil
 	k.nowQ = nil

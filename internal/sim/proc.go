@@ -92,39 +92,30 @@ func (k *Kernel) schedule(p *Proc) {
 // until it is handed back.
 func (k *Kernel) handOver(p *Proc) {
 	k.cur = p
+	k.switches++
 	p.resume <- struct{}{}
 }
 
 // pass runs the event loop on p's goroutine after p blocked or exited, then
 // passes the kernel on. It reports whether the next resume is p's own, in
 // which case p simply continues. Otherwise the kernel has gone to the next
-// proc, or back to the run's caller once the run's bounds are reached.
+// proc; or the run's bounds were reached, p's goroutine went on with the
+// rest of the run's chain (see chain), and has handed a later kernel to its
+// proc or the chain back to its caller.
 func (k *Kernel) pass(p *Proc) bool {
 	k.cur = nil
-	next := k.loopOnProc()
+	c := k.ch
+	next := c.onProc(k)
 	switch {
 	case next == p:
 		k.cur = p
 		return true
 	case next != nil:
-		k.handOver(next)
+		next.K.handOver(next)
 	default:
-		k.handoff <- struct{}{}
+		c.handBack()
 	}
 	return false
-}
-
-// loopOnProc runs the loop on a proc goroutine. A callback panic must not
-// unwind the proc's body (its defers and recovers belong to the model, not
-// to the event that failed), so it is caught here and stored for the run's
-// caller to re-raise, and the kernel goes back to that caller.
-func (k *Kernel) loopOnProc() (next *Proc) {
-	defer func() {
-		if r := recover(); r != nil {
-			k.fault, next = r, nil
-		}
-	}()
-	return k.loop()
 }
 
 // block suspends p until its wake event fires. Meanwhile p's goroutine runs
@@ -214,9 +205,10 @@ func (p *Proc) waitActive(gen uint64) bool {
 		!p.dead && !p.killed
 }
 
-// Cond is a waiting list that procs can block on until signaled. Unlike
-// sync.Cond there is no associated lock: the simulation is single-threaded,
-// so state checked before Wait cannot change until the proc blocks.
+// Cond is a waiting list that procs can block on, and callbacks can queue
+// on, until signaled. Unlike sync.Cond there is no associated lock: the
+// simulation is single-threaded, so state checked before Wait cannot change
+// until the proc blocks.
 //
 // The queue uses lazy deletion: a wait that ends by timeout or kill leaves
 // its entry behind, tagged with a generation that no longer matches, and
@@ -233,11 +225,13 @@ type Cond struct {
 	waiters []condEntry
 }
 
-// condEntry is one queued wait; gen guards against the proc having since
-// timed out, been killed, or started a different wait.
+// condEntry is one queued wait: a proc, whose gen guards against the proc
+// having since timed out, been killed, or started a different wait; or a
+// callback waiter (fn set), which is never stale.
 type condEntry struct {
 	p   *Proc
 	gen uint64
+	fn  func()
 }
 
 // NewCond returns a Cond bound to kernel k.
@@ -273,7 +267,7 @@ func (c *Cond) dequeue() (e condEntry, ok bool) {
 // another woken proc may consume the state first.
 func (c *Cond) Wait(p *Proc) {
 	gen := p.beginWait()
-	c.enqueue(condEntry{p, gen})
+	c.enqueue(condEntry{p: p, gen: gen})
 	p.block()
 	p.endWait()
 }
@@ -282,7 +276,7 @@ func (c *Cond) Wait(p *Proc) {
 // the proc was signaled (false = timeout).
 func (c *Cond) WaitTimeout(p *Proc, d time.Duration) bool {
 	gen := p.beginWait()
-	c.enqueue(condEntry{p, gen})
+	c.enqueue(condEntry{p: p, gen: gen})
 	p.K.AfterFunc(d, func() {
 		// Fires for every timed wait; a no-op unless p is still blocked
 		// in this exact wait and unsignaled. The queue entry is left for
@@ -296,36 +290,50 @@ func (c *Cond) WaitTimeout(p *Proc, d time.Duration) bool {
 	return p.endWait()
 }
 
-// Signal wakes the longest-waiting proc, if any.
+// WaitFunc queues fn as a callback waiter. The Signal or Broadcast that
+// reaches it schedules fn at the current time, in the FIFO slot a waiting
+// proc's wake would take, so a callback consumer sees the same events in
+// the same order as a proc blocked in Wait. A callback waiter cannot time
+// out. The caller builds fn once and reuses it, so waiting allocates
+// nothing in steady state.
+func (c *Cond) WaitFunc(fn func()) {
+	c.enqueue(condEntry{fn: fn})
+}
+
+// wake schedules the wakeup of e and reports whether e was still waiting.
+func (c *Cond) wake(e condEntry) bool {
+	if e.fn != nil {
+		c.K.Schedule(c.K.now, e.fn)
+		return true
+	}
+	if !e.p.waitActive(e.gen) {
+		return false // stale: timed out, killed, dead, or a later wait
+	}
+	e.p.waitWoken = true
+	e.p.waitSignaled = true
+	e.p.wakeAt(c.K.now)
+	return true
+}
+
+// Signal wakes the longest-waiting proc or callback, if any.
 func (c *Cond) Signal() {
 	for {
 		e, ok := c.dequeue()
-		if !ok {
+		if !ok || c.wake(e) {
 			return
 		}
-		if !e.p.waitActive(e.gen) {
-			continue // stale: timed out, killed, dead, or a later wait
-		}
-		e.p.waitWoken = true
-		e.p.waitSignaled = true
-		e.p.wakeAt(c.K.now)
-		return
 	}
 }
 
-// Broadcast wakes all waiting procs. Waking only schedules resume events —
-// no proc runs inside the loop — so nothing can enqueue while it drains.
+// Broadcast wakes every waiter. Waking only schedules resume events — no
+// proc or callback runs inside the loop — so nothing can enqueue while it
+// drains.
 func (c *Cond) Broadcast() {
 	for {
 		e, ok := c.dequeue()
 		if !ok {
 			return
 		}
-		if !e.p.waitActive(e.gen) {
-			continue
-		}
-		e.p.waitWoken = true
-		e.p.waitSignaled = true
-		e.p.wakeAt(c.K.now)
+		c.wake(e)
 	}
 }
