@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -12,55 +13,136 @@ import (
 	"prdma/internal/rpc"
 )
 
-// crashcheckOptions selects which sweeps `prdmabench -crashcheck` runs.
-type crashcheckOptions struct {
-	family   string // substring match against the family name, "" = all
-	mix      string // exact mix name, "" = all
-	points   int    // event-boundary crash points per (family, mix) cell
-	torn     int    // additional mid-persist (torn-write) points per cell
-	seed     int64
-	parallel int
-	// ackBug re-introduces the §2.4 premature-ack bug (flush ACK at DMA
-	// placement instead of the durability horizon) so the sweep's catch —
-	// lost acked writes with a minimal reproduction — can be demonstrated.
-	ackBug bool
-	// objSize overrides the per-request object size (0 = harness default).
-	// Large objects widen the placement→durability gap the ack bug exposes.
-	objSize int
+// sweepFlags are the flags that select and shape a crash sweep. main
+// registers them on the command line (other modes share -seed, -points,
+// -shards, -replicas, -simpar and -mutant), and every repro line parses
+// back through them.
+type sweepFlags struct {
+	fs                                              *flag.FlagSet
+	crashcheck, cluster, pmpool                     *bool
+	family, mix, mutant                             *string
+	seed                                            *uint64
+	points, torn, objsize, shards, replicas, simpar *int
 }
 
-// runCrashcheck sweeps crash points over every selected durable-RPC family
-// and traffic mix, prints one summary line per cell, and — on any invariant
-// violation — prints the violations plus the minimal reproduction recipe
-// (seed + crash point). Returns the number of cells with violations.
-func runCrashcheck(w io.Writer, o crashcheckOptions) int {
-	type cell struct {
-		kind rpc.Kind
-		mix  crashcheck.Mix
+func newSweepFlags(fs *flag.FlagSet) *sweepFlags {
+	return &sweepFlags{
+		fs:         fs,
+		crashcheck: fs.Bool("crashcheck", false, "sweep crash points over the durable-RPC recovery path (or, with -cluster or -pmpool, that target's) and check invariants"),
+		cluster:    fs.Bool("cluster", false, "run the sharded replicated-KV failover figure (or, with -crashcheck, the cluster crash-point sweep)"),
+		pmpool:     fs.Bool("pmpool", false, "run the remote PM pool figures (or, with -crashcheck, the pool crash-point sweep)"),
+		family:     fs.String("family", "", "crashcheck: restrict to one RPC family (substring, e.g. WFlush or S-RFlush)"),
+		mix:        fs.String("mix", "", "crashcheck: restrict to one traffic mix (writes|readwrite|batch)"),
+		mutant:     fs.String("mutant", "", "crashcheck or matrix: seed a known bug class the sweep must catch (exit 1): ackbug (durable RPC, cluster, matrix), resurrect (cluster, matrix) or leak (pmpool)"),
+		seed:       fs.Uint64("seed", 1, "random seed"),
+		points:     fs.Int("points", 300, "crashcheck: event-boundary crash points per family/mix cell"),
+		torn:       fs.Int("torn", 40, "crashcheck: additional mid-persist (torn-write) crash points per cell"),
+		objsize:    fs.Int("objsize", 0, "crashcheck: per-request object bytes (0 = harness default)"),
+		shards:     fs.Int("shards", 4, "cluster: number of shard groups"),
+		replicas:   fs.Int("replicas", 3, "cluster: replication factor per shard"),
+		simpar:     fs.Int("simpar", 0, "parallel simulation workers for partitioned runs (0 = one kernel; with -crashcheck -cluster, N>0 crashes at window barriers on the partitioned engine instead of at event indices)"),
 	}
-	var cells []cell
-	for _, kind := range rpc.DurableKinds {
-		if o.family != "" && !strings.Contains(
-			strings.ToLower(kind.String()), strings.ToLower(o.family)) {
-			continue
+}
+
+// targets builds the sweep targets the parsed flags select: with -cluster
+// one cluster, with -pmpool one pool (WFlush unless -family picks another
+// family), else one durable-RPC target per matching (family, mix) cell.
+// -points and -torn override the cluster and pool defaults only when given.
+func (f *sweepFlags) targets() ([]crashcheck.Target, error) {
+	set := map[string]bool{}
+	f.fs.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
+	seed := int64(*f.seed)
+	var kinds []rpc.Kind
+	for _, k := range rpc.DurableKinds {
+		if strings.Contains(strings.ToLower(k.String()), strings.ToLower(*f.family)) {
+			kinds = append(kinds, k)
 		}
+	}
+	switch {
+	case *f.cluster:
+		cfg := crashcheck.DefaultClusterConfig(seed)
+		if set["points"] && *f.points > 0 {
+			cfg.Points = *f.points
+		}
+		cfg.Shards, cfg.Replicas, cfg.Workers, cfg.Mutant = *f.shards, *f.replicas, *f.simpar, *f.mutant
+		if *f.objsize > 0 {
+			cfg.ObjSize = *f.objsize
+		}
+		return []crashcheck.Target{cfg}, nil
+	case *f.pmpool:
+		if len(kinds) == 0 {
+			return nil, fmt.Errorf("crashcheck: no durable family matches -family %q", *f.family)
+		}
+		kind := rpc.WFlushRPC
+		if *f.family != "" {
+			kind = kinds[0]
+		}
+		cfg := crashcheck.DefaultPMPoolConfig(kind, seed)
+		if set["points"] && *f.points > 0 {
+			cfg.Points = *f.points
+		}
+		if set["torn"] && *f.torn >= 0 {
+			cfg.TornPoints = *f.torn
+		}
+		cfg.Mutant = *f.mutant
+		return []crashcheck.Target{cfg}, nil
+	}
+	var ts []crashcheck.Target
+	for _, kind := range kinds {
 		for _, mix := range crashcheck.Mixes {
-			if o.mix != "" && mix.String() != o.mix {
+			if *f.mix != "" && mix.String() != *f.mix {
 				continue
 			}
-			cells = append(cells, cell{kind, mix})
+			cfg := crashcheck.DefaultConfig(kind, mix, seed)
+			cfg.Points, cfg.TornPoints, cfg.Mutant = *f.points, *f.torn, *f.mutant
+			if *f.objsize > 0 {
+				cfg.ObjSize = *f.objsize
+			}
+			ts = append(ts, cfg)
 		}
 	}
-	if len(cells) == 0 {
-		fmt.Fprintf(os.Stderr, "crashcheck: no family matches -family %q / -mix %q\n", o.family, o.mix)
-		os.Exit(2)
+	if len(ts) == 0 {
+		return nil, fmt.Errorf("crashcheck: no family matches -family %q / -mix %q", *f.family, *f.mix)
 	}
+	return ts, nil
+}
 
-	workers := o.parallel
-	if workers <= 0 || workers > len(cells) {
-		workers = len(cells)
+// repro renders the flags that sweep exactly the target t again.
+func repro(t crashcheck.Target) string {
+	family := func(k rpc.Kind) string { return strings.TrimSuffix(k.String(), "-RPC") }
+	var s, mutant string
+	switch c := t.(type) {
+	case crashcheck.Config:
+		s = fmt.Sprintf("-crashcheck -family %s -mix %s -seed %d -points %d -torn %d -objsize %d",
+			family(c.Kind), c.Mix, c.Seed, c.Points, c.TornPoints, c.ObjSize)
+		mutant = c.Mutant
+	case crashcheck.ClusterConfig:
+		s = fmt.Sprintf("-crashcheck -cluster -simpar %d -seed %d -points %d -shards %d -replicas %d -objsize %d",
+			c.Workers, c.Seed, c.Points, c.Shards, c.Replicas, c.ObjSize)
+		mutant = c.Mutant
+	case crashcheck.PMPoolConfig:
+		s = fmt.Sprintf("-crashcheck -pmpool -family %s -seed %d -points %d -torn %d",
+			family(c.Kind), c.Seed, c.Points, c.TornPoints)
+		mutant = c.Mutant
 	}
-	results := make([]crashcheck.Result, len(cells))
+	if mutant != "" {
+		s += " -mutant " + mutant
+	}
+	return s
+}
+
+// runCrashcheck sweeps every target on a pool of `parallel` workers (at
+// most one per target), prints one summary line per target and — on any
+// invariant violation — the violations plus the minimal reproduction (the
+// target's flags and the earliest crash point). Returns the number of
+// targets with violations, or the first target's error.
+func runCrashcheck(w io.Writer, targets []crashcheck.Target, parallel int) (int, error) {
+	workers := parallel
+	if workers <= 0 || workers > len(targets) {
+		workers = len(targets)
+	}
+	results := make([]crashcheck.Result, len(targets))
+	errs := make([]error, len(targets))
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for i := 0; i < workers; i++ {
@@ -68,27 +150,26 @@ func runCrashcheck(w io.Writer, o crashcheckOptions) int {
 		go func() {
 			defer wg.Done()
 			for idx := range next {
-				cfg := crashcheck.DefaultConfig(cells[idx].kind, cells[idx].mix, o.seed)
-				cfg.Points = o.points
-				cfg.TornPoints = o.torn
-				cfg.AckBeforeDurable = o.ackBug
-				if o.objSize > 0 {
-					cfg.ObjSize = o.objSize
-				}
-				results[idx] = crashcheck.Sweep(cfg)
+				results[idx], errs[idx] = crashcheck.Sweep(targets[idx])
 			}
 		}()
 	}
-	for idx := range cells {
+	for idx := range targets {
 		next <- idx
 	}
 	close(next)
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return 0, err
+		}
+	}
 
 	bad := 0
-	for _, res := range results {
-		fmt.Fprintf(w, "%-13v %-9v seed=%-4d points=%-4d events=%-6d replays=%-5d violations=%d\n",
-			res.Kind, res.Mix, res.Seed, res.Points, res.Events, res.Replayed, res.ViolationCount)
+	for i, res := range results {
+		fmt.Fprintf(w, "%-22s seed=%-4d points=%-4d %ss=%-6d replays=%-5d failovers=%-4d resyncs=%-4d shipped=%-5d pmfull=%-4d violations=%d\n",
+			res.Target, res.Seed, res.Points, res.Coord, res.Events, res.Replayed,
+			res.Failovers, res.Resyncs, res.Shipped, res.PMFull, res.ViolationCount)
 		if res.ViolationCount == 0 {
 			continue
 		}
@@ -99,140 +180,28 @@ func runCrashcheck(w io.Writer, o crashcheckOptions) int {
 		if res.ViolationCount > len(res.Violations) {
 			fmt.Fprintf(w, "  ... %d further violations truncated\n", res.ViolationCount-len(res.Violations))
 		}
-		if min := res.Minimal(); min != nil {
-			cmd := fmt.Sprintf("-crashcheck -family %s -mix %s -seed %d -points %d -torn %d",
-				strings.TrimSuffix(min.Kind.String(), "-RPC"), min.Mix, min.Seed, o.points, o.torn)
-			if o.ackBug {
-				cmd += " -ackbug"
-			}
-			if o.objSize > 0 {
-				cmd += fmt.Sprintf(" -objsize %d", o.objSize)
-			}
-			fmt.Fprintf(w, "  minimal repro: %s  crash at {%v} (t=%v)\n", cmd, min.Point, min.At)
-		}
+		min := res.Minimal()
+		fmt.Fprintf(w, "  minimal repro: %s  at {%s} (t=%v)\n", repro(targets[i]), min.Where(), min.At)
 	}
-	return bad
+	return bad, nil
 }
 
-// clusterCrashcheckMain is the `-crashcheck -cluster [-simpar N]` entry
-// point: a crash-point sweep over the cluster failover/resync path. One
-// replica crashes at every sampled point (periodically a second replica of
-// the same shard fails during the first resync); no acknowledged write may
-// be lost and live replicas must converge byte-identically. Without
-// -simpar, points are event indices on the one-kernel deployment; with
-// -simpar N they are lookahead-window indices on the partitioned engine,
-// which are worker-count-stable, so the minimal repro replays at -simpar 1.
-// Exits non-zero on any violation.
-func clusterCrashcheckMain(seed int64, points, shards, replicas, objSize, workers int, mutant string) {
+// crashcheckMain is the -crashcheck entry point. It exits 2 when the flags
+// select no target or a mutant a target does not have, and 1 when any
+// sweep finds a violation.
+func crashcheckMain(f *sweepFlags, parallel int) {
 	start := time.Now()
-	cfg := crashcheck.DefaultClusterConfig(seed)
-	if points > 0 {
-		cfg.Points = points
-	}
-	cfg.Shards = shards
-	cfg.Replicas = replicas
-	if objSize > 0 {
-		cfg.ObjSize = objSize
-	}
-	cfg.Workers = workers
-	cfg.Mutant = mutant
-	res, err := crashcheck.ClusterSweep(cfg)
+	targets, err := f.targets()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	coord, simpar := "events", ""
-	if workers > 0 {
-		coord, simpar = "windows", " -simpar 1"
-	}
-	fmt.Printf("cluster %dx%d seed=%-4d workers=%d points=%-4d %s=%-6d failovers=%-4d resyncs=%-4d replays=%-5d shipped=%-5d pmfull=%-4d violations=%d\n",
-		cfg.Shards, cfg.Replicas, res.Seed, res.Workers, res.Points, coord, res.Events,
-		res.Failovers, res.Resyncs, res.Replayed, res.Shipped, res.PMFull, res.ViolationCount)
-	for _, v := range res.Violations {
-		fmt.Printf("  VIOLATION %v\n", v)
-	}
-	if res.ViolationCount > len(res.Violations) {
-		fmt.Printf("  ... %d further violations truncated\n", res.ViolationCount-len(res.Violations))
-	}
-	if min := res.Minimal(); min != nil {
-		repro := fmt.Sprintf("-crashcheck -cluster%s -seed %d -points %d -shards %d -replicas %d",
-			simpar, min.Seed, cfg.Points, cfg.Shards, cfg.Replicas)
-		if mutant != "" {
-			repro += " -mutant " + mutant
-		}
-		crash := fmt.Sprintf("{%v}", min.Point)
-		if workers > 0 {
-			crash = fmt.Sprintf("window %d", min.Point.Event)
-		}
-		fmt.Printf("  minimal repro: %s  crash at %s (t=%v)\n", repro, crash, min.At)
-	}
-	fmt.Fprintf(os.Stderr, "[cluster crashcheck done in %v]\n", time.Since(start).Round(time.Millisecond))
-	if res.ViolationCount > 0 {
-		fmt.Fprintf(os.Stderr, "crashcheck: cluster sweep violated failover invariants\n")
-		os.Exit(1)
-	}
-}
-
-// pmpoolCrashcheckMain is the `-crashcheck -pmpool` entry point: a
-// crash-point sweep over the remote PM pool's alloc/free/write/lease path.
-// Every point asserts the pool's crash contract — no slot leaks, no double
-// seating, no acked free resurrects, no acked write loses its bytes, and
-// orphaned allocations are bounded by lease reclamation. Exits non-zero on
-// any violation; -mutant leak seeds the known bug the sweep must catch.
-func pmpoolCrashcheckMain(seed int64, points, torn int, family, mutant string) {
-	start := time.Now()
-	kind := rpc.WFlushRPC
-	if family != "" {
-		found := false
-		for _, k := range rpc.DurableKinds {
-			if strings.Contains(strings.ToLower(k.String()), strings.ToLower(family)) {
-				kind, found = k, true
-				break
-			}
-		}
-		if !found {
-			fmt.Fprintf(os.Stderr, "crashcheck: no durable family matches -family %q\n", family)
-			os.Exit(2)
-		}
-	}
-	cfg := crashcheck.DefaultPMPoolConfig(kind, seed)
-	if points > 0 {
-		cfg.Points = points
-	}
-	if torn >= 0 {
-		cfg.TornPoints = torn
-	}
-	cfg.Mutant = mutant
-	res := crashcheck.PMPoolSweep(cfg)
-	fmt.Printf("pmpool %-13v seed=%-4d points=%-4d events=%-6d replays=%-5d violations=%d\n",
-		res.Kind, res.Seed, res.Points, res.Events, res.Replayed, res.ViolationCount)
-	for _, v := range res.Violations {
-		fmt.Printf("  VIOLATION %v\n", v)
-	}
-	if res.ViolationCount > len(res.Violations) {
-		fmt.Printf("  ... %d further violations truncated\n", res.ViolationCount-len(res.Violations))
-	}
-	if min := res.Minimal(); min != nil {
-		cmd := fmt.Sprintf("-crashcheck -pmpool -family %s -seed %d -points %d -torn %d",
-			strings.TrimSuffix(min.Kind.String(), "-RPC"), min.Seed, cfg.Points, cfg.TornPoints)
-		if mutant != "" {
-			cmd += " -mutant " + mutant
-		}
-		fmt.Printf("  minimal repro: %s  crash at {%v} (t=%v)\n", cmd, min.Point, min.At)
-	}
-	fmt.Fprintf(os.Stderr, "[pmpool crashcheck done in %v]\n", time.Since(start).Round(time.Millisecond))
-	if res.ViolationCount > 0 {
-		fmt.Fprintf(os.Stderr, "crashcheck: pmpool sweep violated pool crash invariants\n")
-		os.Exit(1)
-	}
-}
-
-// crashcheckMain is the -crashcheck entry point; it exits non-zero when
-// any sweep finds a violation.
-func crashcheckMain(o crashcheckOptions) {
-	start := time.Now()
-	bad := runCrashcheck(os.Stdout, o)
+	bad, err := runCrashcheck(os.Stdout, targets, parallel)
 	fmt.Fprintf(os.Stderr, "[crashcheck done in %v]\n", time.Since(start).Round(time.Millisecond))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	if bad > 0 {
 		fmt.Fprintf(os.Stderr, "crashcheck: %d sweep(s) violated crash-consistency invariants\n", bad)
 		os.Exit(1)

@@ -13,7 +13,7 @@
 //	prdmabench -fig 8 -cpuprofile cpu.pprof   # profile the harness itself
 //	prdmabench -crashcheck         # crash-point sweep over every durable RPC family
 //	prdmabench -crashcheck -family WFlush -points 50 -torn 10   # short smoke sweep
-//	prdmabench -crashcheck -ackbug -objsize 16384   # demo: catch the §2.4 premature-ack bug (exit 1)
+//	prdmabench -crashcheck -mutant ackbug -objsize 16384   # demo: catch the §2.4 premature-ack bug (exit 1)
 //	prdmabench -cluster            # sharded replicated KV: failover figure (4 shards x 3 replicas)
 //	prdmabench -cluster -shards 8 -replicas 5 -scale full       # bigger deployment
 //	prdmabench -crashcheck -cluster -points 20   # crash-point sweep over the cluster failover/resync path
@@ -80,30 +80,17 @@ func main() {
 	all := flag.Bool("all", false, "run every experiment")
 	scale := flag.String("scale", "default", "workload scale: quick|default|full")
 	ops := flag.Int("ops", 0, "override operations per configuration")
-	seed := flag.Uint64("seed", 1, "random seed")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	parallel := flag.Int("parallel", -1, "concurrent experiment cells per figure (1 = sequential, -1 = one per CPU); tables are identical at any setting")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an end-of-run heap profile to this file")
 	jsonOut := flag.String("json", "", "write per-figure wall times and ns-per-simulated-op to this JSON file")
-	ccheck := flag.Bool("crashcheck", false, "sweep crash points over the durable-RPC recovery path and check invariants")
-	family := flag.String("family", "", "crashcheck: restrict to one RPC family (substring, e.g. WFlush or S-RFlush)")
-	mix := flag.String("mix", "", "crashcheck: restrict to one traffic mix (writes|readwrite|batch)")
-	points := flag.Int("points", 300, "crashcheck: event-boundary crash points per family/mix cell")
-	torn := flag.Int("torn", 40, "crashcheck: additional mid-persist (torn-write) crash points per cell")
-	ackbug := flag.Bool("ackbug", false, "crashcheck: re-introduce the §2.4 premature-ack bug to demonstrate the sweep catching it (expect exit 1)")
-	objsize := flag.Int("objsize", 0, "crashcheck: per-request object bytes (0 = harness default)")
-	clusterRun := flag.Bool("cluster", false, "run the sharded replicated-KV failover figure (or, with -crashcheck, the cluster crash-point sweep)")
-	shards := flag.Int("shards", 4, "cluster: number of shard groups")
-	replicas := flag.Int("replicas", 3, "cluster: replication factor per shard")
-	simpar := flag.Int("simpar", 0, "parallel simulation workers for partitioned drivers (0 = one kernel; with -crashcheck -cluster, N>0 crashes at window barriers on the partitioned engine instead of at event indices)")
+	sf := newSweepFlags(flag.CommandLine)
 	parscale := flag.Bool("parscale", false, "run the parallel-kernel scaling ladder (workers 1/2/4/8 over the 8-shard partitioned cluster) plus the open-loop population smoke; write BENCH_PR7-style JSON with -json")
 	logclients := flag.Int("logclients", 1_000_000, "parscale: logical client population for the open-loop smoke")
 	matrixRun := flag.Bool("matrix", false, "run the adversarial fault x YCSB workload matrix (cluster crash-point sweep per cell)")
 	faults := flag.String("faults", "", "matrix: comma-separated adversary names (default: every builtin; see -matrix -faults help)")
 	workloads := flag.String("workloads", "", "matrix: YCSB workload letters, e.g. ABF (default: A-F)")
-	mutant := flag.String("mutant", "", "matrix / cluster crashcheck (ackbug|resurrect) or pmpool crashcheck (leak): seed a known bug class; the sweep must then fail (exit 1)")
-	pmpoolRun := flag.Bool("pmpool", false, "run the remote PM pool figures (or, with -crashcheck, the pool crash-point sweep)")
 	flag.Parse()
 	flagSet := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { flagSet[f.Name] = true })
@@ -128,21 +115,21 @@ func main() {
 
 	if *matrixRun {
 		o := matrixOptions{
-			seed:      int64(*seed),
+			seed:      int64(*sf.seed),
 			faults:    *faults,
 			workloads: *workloads,
-			mutant:    *mutant,
+			mutant:    *sf.mutant,
 			parallel:  *parallel,
 			jsonOut:   *jsonOut,
 		}
 		if pointsSet {
-			o.points = *points
+			o.points = *sf.points
 		}
 		if flagSet["shards"] {
-			o.shards = *shards
+			o.shards = *sf.shards
 		}
 		if flagSet["replicas"] {
-			o.replicas = *replicas
+			o.replicas = *sf.replicas
 		}
 		matrixMain(o)
 		if *memprofile != "" {
@@ -153,48 +140,8 @@ func main() {
 		}
 		return
 	}
-	if *ccheck && *pmpoolRun {
-		pts, trn := 0, -1
-		if pointsSet {
-			pts = *points
-		}
-		if flagSet["torn"] {
-			trn = *torn
-		}
-		pmpoolCrashcheckMain(int64(*seed), pts, trn, *family, *mutant)
-		if *memprofile != "" {
-			if err := writeHeapProfile(*memprofile); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-	if *ccheck && *clusterRun {
-		pts := 0
-		if pointsSet {
-			pts = *points
-		}
-		clusterCrashcheckMain(int64(*seed), pts, *shards, *replicas, *objsize, *simpar, *mutant)
-		if *memprofile != "" {
-			if err := writeHeapProfile(*memprofile); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-	if *ccheck {
-		crashcheckMain(crashcheckOptions{
-			family:   *family,
-			mix:      *mix,
-			points:   *points,
-			torn:     *torn,
-			seed:     int64(*seed),
-			parallel: *parallel,
-			ackBug:   *ackbug,
-			objSize:  *objsize,
-		})
+	if *sf.crashcheck {
+		crashcheckMain(sf, *parallel)
 		// Reached only on a clean sweep (violations exit nonzero above).
 		if *memprofile != "" {
 			if err := writeHeapProfile(*memprofile); err != nil {
@@ -220,11 +167,11 @@ func main() {
 	if *ops > 0 {
 		o.Ops = *ops
 	}
-	o.Seed = *seed
+	o.Seed = *sf.seed
 	o.Parallel = *parallel
 
 	if *parscale {
-		parscaleMain(o, *scale, *simpar, *logclients, *jsonOut, *csv)
+		parscaleMain(o, *scale, *sf.simpar, *logclients, *jsonOut, *csv)
 		if *memprofile != "" {
 			if err := writeHeapProfile(*memprofile); err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -284,12 +231,12 @@ func main() {
 	}
 
 	ran := false
-	if *pmpoolRun {
+	if *sf.pmpool {
 		run("pmpool", o.PMPoolFigures)
 		ran = true
 	}
-	if *clusterRun {
-		run("cluster", func() []bench.Table { return o.ClusterFigures(*shards, *replicas) })
+	if *sf.cluster {
+		run("cluster", func() []bench.Table { return o.ClusterFigures(*sf.shards, *sf.replicas) })
 		ran = true
 	}
 	if *fig != 0 {

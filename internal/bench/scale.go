@@ -26,15 +26,13 @@ type ScalePoint struct {
 	Speedup      float64 `json:"speedup"`
 	Fingerprint  string  `json:"fingerprint"`
 	// Coordination counters (deterministic at any worker count): total
-	// conservative windows, windows fused into solo stretches, idle kernel
-	// dispatches skipped, windows that entered the worker barrier, and the
-	// cross-transfer slab hit rate (percent of crossings served from a
-	// pooled envelope).
-	Windows      uint64  `json:"windows"`
-	FusedWindows uint64  `json:"fused_windows"`
-	IdleSkips    uint64  `json:"idle_skips"`
-	Barriers     uint64  `json:"barriers"`
-	SlabHitPct   float64 `json:"slab_hit_pct"`
+	// conservative windows, idle kernel dispatches skipped, windows that
+	// entered the worker barrier, and the cross-transfer slab hit rate
+	// (percent of crossings served from a pooled envelope).
+	Windows    uint64  `json:"windows"`
+	IdleSkips  uint64  `json:"idle_skips"`
+	Barriers   uint64  `json:"barriers"`
+	SlabHitPct float64 `json:"slab_hit_pct"`
 }
 
 // ScaleResult is the scaling figure plus its determinism verdict.
@@ -92,7 +90,7 @@ func (o Options) ParallelScale(workerCounts []int) (*ScaleResult, error) {
 			return nil, fmt.Errorf("bench: scale workers=%d: errors=%d badReads=%d", w, lr.Errors, lr.BadReads)
 		}
 		cerr := c.CheckConsistency()
-		windows, fusedW, idleSkips, barriers, slabHits, slabMisses := c.CoordStats()
+		windows, idleSkips, barriers, slabHits, slabMisses := c.CoordStats()
 		// Reap the rung's deployment before the next one: each parked-proc
 		// set otherwise survives the ladder (~100 MB per deployment).
 		c.Eng.Shutdown()
@@ -100,15 +98,14 @@ func (o Options) ParallelScale(workerCounts []int) (*ScaleResult, error) {
 			return nil, fmt.Errorf("bench: scale workers=%d: %w", w, cerr)
 		}
 		pt := ScalePoint{
-			Workers:      w,
-			WallMS:       float64(wall.Microseconds()) / 1e3,
-			Events:       c.Eng.Fired(),
-			Crossed:      c.Eng.Crossed(),
-			Fingerprint:  fmt.Sprintf("%016x", lr.Fingerprint()),
-			Windows:      windows,
-			FusedWindows: fusedW,
-			IdleSkips:    idleSkips,
-			Barriers:     barriers,
+			Workers:     w,
+			WallMS:      float64(wall.Microseconds()) / 1e3,
+			Events:      c.Eng.Fired(),
+			Crossed:     c.Eng.Crossed(),
+			Fingerprint: fmt.Sprintf("%016x", lr.Fingerprint()),
+			Windows:     windows,
+			IdleSkips:   idleSkips,
+			Barriers:    barriers,
 		}
 		if total := slabHits + slabMisses; total > 0 {
 			pt.SlabHitPct = 100 * float64(slabHits) / float64(total)
@@ -122,8 +119,7 @@ func (o Options) ParallelScale(workerCounts []int) (*ScaleResult, error) {
 				pt.Speedup = base.WallMS / pt.WallMS
 			}
 			if pt.Fingerprint != base.Fingerprint || pt.Events != base.Events ||
-				pt.Windows != base.Windows || pt.FusedWindows != base.FusedWindows ||
-				pt.IdleSkips != base.IdleSkips || pt.Barriers != base.Barriers {
+				pt.Windows != base.Windows || pt.IdleSkips != base.IdleSkips || pt.Barriers != base.Barriers {
 				res.Deterministic = false
 			}
 		} else {
@@ -139,10 +135,10 @@ func (r *ScaleResult) Table() Table {
 	t := Table{
 		Title: fmt.Sprintf("parallel kernel scaling (%d shards x %d replicas, %d gateways, %d partitions, GOMAXPROCS=%d)",
 			r.Shards, r.Replicas, r.Gateways, r.Partitions, r.MaxProcs),
-		Header: []string{"workers", "wall_ms", "events", "crossed", "events/sec", "speedup", "windows", "fused", "skips", "barriers", "slab%", "fingerprint"},
+		Header: []string{"workers", "wall_ms", "events", "crossed", "events/sec", "speedup", "windows", "skips", "barriers", "slab%", "fingerprint"},
 		Notes: "identical fingerprints across workers = the determinism contract holds; " +
 			"speedup needs real cores (GOMAXPROCS>1) to materialize; " +
-			"fused/skips/barriers/slab are worker-count-invariant coordination counters",
+			"windows/skips/barriers/slab are worker-count-invariant coordination counters",
 	}
 	for _, p := range r.Points {
 		t.Rows = append(t.Rows, []string{
@@ -153,7 +149,6 @@ func (r *ScaleResult) Table() Table {
 			fmt.Sprintf("%.0f", p.EventsPerSec),
 			fmt.Sprintf("%.2fx", p.Speedup),
 			fmt.Sprintf("%d", p.Windows),
-			fmt.Sprintf("%d", p.FusedWindows),
 			fmt.Sprintf("%d", p.IdleSkips),
 			fmt.Sprintf("%d", p.Barriers),
 			fmt.Sprintf("%.1f", p.SlabHitPct),

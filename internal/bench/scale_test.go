@@ -6,10 +6,9 @@ import (
 )
 
 // TestParallelScaleDeterminism runs a reduced worker ladder — 1/2/4/8, with
-// window fusion and the pooled cross-transfer slabs active — and checks the
-// driver's own verdict plus the per-rung invariants: same events, same
-// fingerprint, same coordination counters, consistency clean (ParallelScale
-// errors otherwise).
+// the pooled cross-transfer slabs active — and checks ParallelScale's own
+// verdict plus the per-rung invariants: same events, same fingerprint, same
+// coordination counters, consistency clean (ParallelScale errors otherwise).
 func TestParallelScaleDeterminism(t *testing.T) {
 	o := tiny()
 	o.Ops = 400
@@ -31,7 +30,7 @@ func TestParallelScaleDeterminism(t *testing.T) {
 			t.Fatalf("workers=%d: fingerprint mismatch", p.Workers)
 		}
 		if p.Windows != sr.Points[0].Windows || p.Barriers != sr.Points[0].Barriers ||
-			p.IdleSkips != sr.Points[0].IdleSkips || p.FusedWindows != sr.Points[0].FusedWindows {
+			p.IdleSkips != sr.Points[0].IdleSkips {
 			t.Fatalf("workers=%d: coordination counters not worker-invariant: %+v vs %+v",
 				p.Workers, p, sr.Points[0])
 		}

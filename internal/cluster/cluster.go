@@ -354,15 +354,14 @@ func (c *PCluster) addCtl(gw *PGateway, grp *PGroup) error {
 }
 
 // CoordStats reports the deployment's window-coordination counters: how
-// many conservative windows ran, how many of those fused (solo-kernel
-// windows executed without a barrier), how many idle kernel dispatches were
+// many conservative windows ran, how many idle kernel dispatches were
 // skipped, how many windows actually entered the worker barrier, and the
 // cross-transfer slab hit rate. All values are deterministic at any worker
 // count; read them after the load completes, before Shutdown. Partitioned
 // deployments only.
-func (c *PCluster) CoordStats() (windows, fused, idleSkips, barriers uint64, slabHits, slabMisses int64) {
+func (c *PCluster) CoordStats() (windows, idleSkips, barriers uint64, slabHits, slabMisses int64) {
 	slabHits, slabMisses = c.Net.XferSlabStats()
-	return c.Eng.Windows(), c.Eng.Fused(), c.Eng.IdleSkips(), c.Eng.Barriers(), slabHits, slabMisses
+	return c.Eng.Windows(), c.Eng.IdleSkips(), c.Eng.Barriers(), slabHits, slabMisses
 }
 
 // Now returns the latest kernel clock in the deployment — the driver's time

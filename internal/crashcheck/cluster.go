@@ -1,9 +1,10 @@
-// Cluster mode: the crash-point sweep applied to a sharded, replicated
-// deployment (internal/cluster). Each point replays the same cluster
-// workload, crashes one replica at a chosen coordinate — landing anywhere
-// in the issue/failover/resync state space — optionally crashes a second
-// replica of the same shard while the first resync is in flight, lets the
-// failover controller run to completion, and asserts the cluster contract:
+// The cluster target: the crash-point sweep applied to a sharded,
+// replicated deployment (internal/cluster). Each point replays the same
+// cluster workload, crashes one replica at a chosen coordinate — landing
+// anywhere in the issue/failover/resync state space — optionally crashes a
+// second replica of the same shard while the first resync is in flight,
+// lets the failover controller run to completion, and asserts the cluster
+// contract:
 //
 //  1. No acknowledged write is lost: every Put that returned success is
 //     present, untorn, on every live replica of its shard.
@@ -45,7 +46,7 @@ import (
 	"prdma/internal/ycsb"
 )
 
-// ClusterConfig parameterizes one cluster sweep.
+// ClusterConfig is the sharded replicated KV cluster target.
 type ClusterConfig struct {
 	// Seed drives the workload, the placement ring, and point selection.
 	Seed int64
@@ -100,18 +101,6 @@ func DefaultClusterConfig(seed int64) ClusterConfig {
 	}
 }
 
-// ClusterViolation is one broken cluster invariant at one crash point.
-type ClusterViolation struct {
-	Seed  int64
-	Point Point
-	At    sim.Time
-	Msg   string
-}
-
-func (v ClusterViolation) String() string {
-	return fmt.Sprintf("cluster seed=%d %v at=%v: %s", v.Seed, v.Point, v.At, v.Msg)
-}
-
 // RefStats measures the sweep's crash-free reference run — the per-cell
 // performance row of the adversarial-matrix figure.
 type RefStats struct {
@@ -125,35 +114,25 @@ type RefStats struct {
 	Resends, FaultDrops, Duplicated, Reordered, StaleDrops, Retries int64
 }
 
-// ClusterResult summarizes one cluster sweep. Point.Event holds the crash
-// coordinate: an event index (Workers == 0) or a window index.
-type ClusterResult struct {
-	Seed    int64
-	Workers int
-	Points  int
-	// Events is the coordinate space the points were sampled from: the
-	// crash-free reference load's event count (Workers == 0) or window
-	// count (Workers ≥ 1).
-	Events uint64
-	// Ref measures the crash-free reference run.
-	Ref RefStats
-	// Failovers/Resyncs/Replayed/Shipped total the controller work across
-	// all points; PMFull the PM-exhaustion backpressure drops.
-	Failovers, Resyncs, Replayed, Shipped, PMFull int64
-	Violations                                    []ClusterViolation
-	ViolationCount                                int
+func (cfg ClusterConfig) plan() plan {
+	// The floor skips the setup transient; the rng salt keeps the two
+	// coordinates' point sets independent.
+	pl := plan{
+		name: "cluster", coord: "event", seed: cfg.Seed,
+		points: cfg.Points, second: cfg.SecondCrashEvery,
+		salt: 0x7E57C0DE, floor: 50, mutant: cfg.Mutant, mutants: []string{"ackbug", "resurrect"},
+	}
+	if cfg.Workers > 0 {
+		pl.coord, pl.salt, pl.floor = "window", 0x9A27170, 20
+	}
+	return pl
 }
 
-// Minimal returns the earliest-crash violation, nil when clean.
-func (r *ClusterResult) Minimal() *ClusterViolation {
-	var min *ClusterViolation
-	for i := range r.Violations {
-		v := &r.Violations[i]
-		if min == nil || v.Point.Event < min.Point.Event {
-			min = v
-		}
+func (cfg ClusterConfig) deploy(bool) (deployment, error) {
+	if cfg.Workers > 0 && cfg.Fault != nil {
+		return nil, errors.New("crashcheck: Fault needs the event coordinate (Workers == 0)")
 	}
-	return min
+	return newClusterRun(cfg)
 }
 
 // clusterRun is one deployment plus its in-flight load. With Workers == 0
@@ -172,9 +151,9 @@ type clusterRun struct {
 	auditMsgs []string
 }
 
-// newClusterRun builds the deployment for cfg's coordinate, lets tune
-// adjust it before anything runs, and starts the controller and the load.
-func newClusterRun(cfg ClusterConfig, tune func(*cluster.PCluster)) (*clusterRun, error) {
+// newClusterRun builds the deployment for cfg's coordinate and starts the
+// controller and the load.
+func newClusterRun(cfg ClusterConfig) (*clusterRun, error) {
 	p := cluster.DefaultParams()
 	p.Shards = cfg.Shards
 	p.Replicas = cfg.Replicas
@@ -209,9 +188,6 @@ func newClusterRun(cfg ClusterConfig, tune func(*cluster.PCluster)) (*clusterRun
 	}
 	if err != nil {
 		return nil, err
-	}
-	if tune != nil {
-		tune(r.c)
 	}
 	if cfg.Fault != nil {
 		r.c.Net.SetInjector(fabric.NewInjector(*cfg.Fault, (uint64(cfg.Seed)|1)^0xfa175eed))
@@ -253,32 +229,36 @@ func (r *clusterRun) shutdown() {
 // forever, so the engine never quiesces on its own; sim time bounds the run.
 func horizon(t sim.Time) sim.Time { return t.Add(120 * time.Millisecond) }
 
-// reference runs the crash-free load to completion (or the horizon) and
-// leaves loadEnd at the coordinate where it finished.
-func (r *clusterRun) reference() {
+// reference runs the crash-free load to completion (or the horizon); the
+// coordinate space ends where the load finished.
+func (r *clusterRun) reference(res *Result) sim.Time {
 	if r.k != nil {
 		r.settle()
-		return
-	}
-	end := horizon(0)
-	for !(r.load.Done() && r.c.Healthy()) && r.c.Now() < end {
-		if r.c.Eng.RunWindows(16) == 0 {
-			break
+	} else {
+		end := horizon(0)
+		for !(r.load.Done() && r.c.Healthy()) && r.c.Now() < end {
+			if r.c.Eng.RunWindows(16) == 0 {
+				break
+			}
+			if r.loadEnd == 0 && r.load.Done() {
+				r.loadEnd = r.c.Eng.Windows()
+			}
 		}
-		if r.loadEnd == 0 && r.load.Done() {
-			r.loadEnd = r.c.Eng.Windows()
-		}
+		r.drain(end)
 	}
-	r.drain(end)
+	res.Events = r.loadEnd
+	res.Ref = r.refStats()
+	return r.c.Now()
 }
 
-// crashAt replays the load up to pt, crashes the coordinate's victim (and,
+// crash replays the load up to pt, crashes the coordinate's victim (and,
 // at second-crash points, a second replica of the same shard while the
 // first victim's recovery/resync is typically in flight), and settles. It
 // returns the crash time.
-func (r *clusterRun) crashAt(pt Point, shards, replicas int) sim.Time {
+func (r *clusterRun) crash(pt Point, _ time.Duration) sim.Time {
 	// The victim cycles deterministically through every (shard, replica)
 	// pair as the coordinate advances.
+	shards, replicas := r.c.P.Shards, r.c.P.Replicas
 	s := int(pt.Event) % shards
 	victim := int(pt.Event/uint64(shards)) % replicas
 	second := (victim + 1) % replicas
@@ -488,7 +468,7 @@ func (r *clusterRun) verify() []string {
 	return out
 }
 
-func (r *clusterRun) counters(res *ClusterResult) {
+func (r *clusterRun) tally(res *Result) {
 	for _, grp := range r.c.Groups {
 		res.Failovers += grp.Failovers
 		res.Resyncs += grp.Resyncs
@@ -496,65 +476,4 @@ func (r *clusterRun) counters(res *ClusterResult) {
 		res.Shipped += grp.Shipped
 	}
 	res.PMFull += r.c.PMFull()
-}
-
-// ClusterSweep runs the crash-free reference to size the coordinate space,
-// then replays the cluster workload once per crash point.
-func ClusterSweep(cfg ClusterConfig) (ClusterResult, error) {
-	return clusterSweep(cfg, nil)
-}
-
-// clusterSweep is ClusterSweep with a hook that adjusts every deployment
-// before it runs.
-func clusterSweep(cfg ClusterConfig, tune func(*cluster.PCluster)) (ClusterResult, error) {
-	res := ClusterResult{Seed: cfg.Seed, Workers: cfg.Workers}
-	if cfg.Workers > 0 && cfg.Fault != nil {
-		return res, errors.New("crashcheck: Fault needs the event coordinate (Workers == 0)")
-	}
-	switch cfg.Mutant {
-	case "", "ackbug", "resurrect":
-	default:
-		return res, fmt.Errorf("crashcheck: unknown cluster mutant %q (ackbug, resurrect)", cfg.Mutant)
-	}
-	record := func(pt Point, at sim.Time, msgs []string) {
-		for _, msg := range msgs {
-			res.ViolationCount++
-			if len(res.Violations) < maxViolations {
-				res.Violations = append(res.Violations, ClusterViolation{
-					Seed: cfg.Seed, Point: pt, At: at, Msg: msg,
-				})
-			}
-		}
-	}
-
-	ref, err := newClusterRun(cfg, tune)
-	if err != nil {
-		return res, err
-	}
-	ref.reference()
-	res.Events = ref.loadEnd
-	res.Ref = ref.refStats()
-	record(Point{}, ref.c.Now(), ref.verify())
-	ref.shutdown()
-
-	// The floor skips the setup transient; the rng salt keeps the two
-	// coordinates' point sets independent.
-	salt, lo := int64(0x7E57C0DE), uint64(50)
-	if cfg.Workers > 0 {
-		salt, lo = 0x9A27170, 20
-	}
-	points := pickPoints(Config{Seed: cfg.Seed, Points: cfg.Points, SecondCrashEvery: cfg.SecondCrashEvery},
-		res.Events, salt, lo)
-	res.Points = len(points)
-	for _, pt := range points {
-		r, err := newClusterRun(cfg, tune)
-		if err != nil {
-			return res, err
-		}
-		at := r.crashAt(pt, cfg.Shards, cfg.Replicas)
-		r.counters(&res)
-		record(pt, at, r.verify())
-		r.shutdown()
-	}
-	return res, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"prdma/internal/cluster"
 	"prdma/internal/fabric"
 	"prdma/internal/ycsb"
 )
@@ -23,17 +22,8 @@ func sweepCfg(t *testing.T, seed int64, points, secondEvery, workers int) Cluste
 	return cfg
 }
 
-func mustSweep(t *testing.T, cfg ClusterConfig, tune func(*cluster.PCluster)) ClusterResult {
-	t.Helper()
-	res, err := clusterSweep(cfg, tune)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
 // sameOutcome compares the coordinate-independent summary of two sweeps.
-func sameOutcome(a, b ClusterResult) bool {
+func sameOutcome(a, b Result) bool {
 	return a.Points == b.Points && a.Events == b.Events && a.Failovers == b.Failovers &&
 		a.Resyncs == b.Resyncs && a.Shipped == b.Shipped && a.Replayed == b.Replayed &&
 		a.PMFull == b.PMFull && a.ViolationCount == b.ViolationCount
@@ -47,7 +37,7 @@ func sameOutcome(a, b ClusterResult) bool {
 func TestClusterSweepClean(t *testing.T) {
 	for _, tc := range []struct{ workers, points int }{{0, 12}, {2, 8}} {
 		t.Run(fmt.Sprintf("workers=%d", tc.workers), func(t *testing.T) {
-			res := mustSweep(t, sweepCfg(t, 1, tc.points, 4, tc.workers), nil)
+			res := mustSweep(t, sweepCfg(t, 1, tc.points, 4, tc.workers))
 			if res.ViolationCount != 0 {
 				for _, v := range res.Violations {
 					t.Error(v)
@@ -76,8 +66,8 @@ func TestClusterSweepClean(t *testing.T) {
 // violations).
 func TestClusterSweepDeterministic(t *testing.T) {
 	cfg := sweepCfg(t, 7, 3, 0, 0)
-	a := mustSweep(t, cfg, nil)
-	b := mustSweep(t, cfg, nil)
+	a := mustSweep(t, cfg)
+	b := mustSweep(t, cfg)
 	if !sameOutcome(a, b) {
 		t.Fatalf("sweep not deterministic:\n  a=%+v\n  b=%+v", a, b)
 	}
@@ -89,26 +79,11 @@ func TestClusterSweepDeterministic(t *testing.T) {
 // under parallel execution replays serially from its (seed, window) pair.
 func TestPartitionedSweepWorkerStable(t *testing.T) {
 	cfg := sweepCfg(t, 7, 3, 0, 1)
-	a := mustSweep(t, cfg, nil)
+	a := mustSweep(t, cfg)
 	cfg.Workers = 4
-	b := mustSweep(t, cfg, nil)
+	b := mustSweep(t, cfg)
 	if !sameOutcome(a, b) {
 		t.Fatalf("sweep not worker-count-stable:\n  workers=1 %+v\n  workers=4 %+v", a, b)
-	}
-}
-
-// TestPartitionedSweepFusionStable pins the (seed, window) repro contract
-// across the engine's window-fusion optimization: fusion changes how windows
-// execute (solo stretches run without barriers), never which events the
-// i-th window covers, so the identical sweep — same crash windows, same
-// failover work, same verdicts — must come out of engines with fusion off
-// and on.
-func TestPartitionedSweepFusionStable(t *testing.T) {
-	cfg := sweepCfg(t, 5, 3, 2, 2)
-	off := mustSweep(t, cfg, func(c *cluster.PCluster) { c.Eng.SetWindowFusion(false) })
-	on := mustSweep(t, cfg, nil)
-	if !sameOutcome(off, on) {
-		t.Fatalf("sweep not fusion-stable:\n  fusion=off %+v\n  fusion=on  %+v", off, on)
 	}
 }
 
@@ -127,7 +102,7 @@ func TestClusterMutantsCaught(t *testing.T) {
 				if workers == 0 && mutant == "ackbug" {
 					cfg.Seed, cfg.Points, cfg.ObjSize = 6, 16, 1024
 				}
-				res := mustSweep(t, cfg, nil)
+				res := mustSweep(t, cfg)
 				if res.ViolationCount == 0 {
 					t.Fatalf("seeded %q mutant survived %d crash points undetected", mutant, res.Points)
 				}
@@ -143,7 +118,7 @@ func TestClusterSweepRejectsEventOnlyOptions(t *testing.T) {
 	cfg := DefaultClusterConfig(1)
 	cfg.Workers = 2
 	cfg.Fault = &fabric.FaultSpec{Name: "none"}
-	if _, err := ClusterSweep(cfg); err == nil {
+	if _, err := Sweep(cfg); err == nil {
 		t.Fatal("Fault with Workers > 0 did not error")
 	}
 }
@@ -153,12 +128,12 @@ func TestClusterSweepRejectsEventOnlyOptions(t *testing.T) {
 func TestPartitionedSweepYCSB(t *testing.T) {
 	cfg := sweepCfg(t, 7, 3, 0, 1)
 	cfg.Workload = ycsb.A
-	a := mustSweep(t, cfg, nil)
+	a := mustSweep(t, cfg)
 	if a.ViolationCount != 0 {
 		t.Fatalf("%d violations (minimal: %v)", a.ViolationCount, a.Minimal())
 	}
 	cfg.Workers = 4
-	b := mustSweep(t, cfg, nil)
+	b := mustSweep(t, cfg)
 	if !sameOutcome(a, b) {
 		t.Fatalf("YCSB sweep not worker-count-stable:\n  workers=1 %+v\n  workers=4 %+v", a, b)
 	}

@@ -1,11 +1,128 @@
 package crashcheck
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"prdma/internal/rpc"
+	"prdma/internal/sim"
 )
+
+func mustSweep(t *testing.T, tg Target) Result {
+	t.Helper()
+	res, err := Sweep(tg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// replay runs one crash point on a fresh deployment the way Sweep does and
+// returns the crash time, the verdict and the recovery work.
+func replay(t *testing.T, tg Target, pt Point) (sim.Time, []string, Result) {
+	t.Helper()
+	d, err := tg.deploy(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.shutdown()
+	var res Result
+	at := d.crash(pt, 0)
+	d.tally(&res)
+	return at, d.verify(), res
+}
+
+// withMutant returns tg with its seeded bug set to m.
+func withMutant(tg Target, m string) Target {
+	switch c := tg.(type) {
+	case Config:
+		c.Mutant = m
+		return c
+	case ClusterConfig:
+		c.Mutant = m
+		return c
+	case PMPoolConfig:
+		c.Mutant = m
+		return c
+	}
+	panic("crashcheck: unknown target type")
+}
+
+// TestTargets runs the harness's checks over its three targets: a reduced
+// clean sweep finds no violation and does recovery work; the target's
+// seeded mutant is caught, its minimal violation labelled with the target
+// and the coordinate (or the reference run); one crash point replayed twice
+// gives the same crash time, verdict and recovery work; and another
+// target's mutant is rejected instead of ignored.
+func TestTargets(t *testing.T) {
+	rpcCfg := DefaultConfig(rpc.WFlushRPC, MixWrites, 1)
+	rpcCfg.Points, rpcCfg.TornPoints = 60, 20
+	rpcBug := rpcCfg
+	rpcBug.ObjSize = 16384
+	poolCfg := DefaultPMPoolConfig(rpc.WFlushRPC, 1)
+	poolCfg.Points, poolCfg.TornPoints = 20, 5
+	poolBug := poolCfg
+	poolBug.Points, poolBug.TornPoints = 12, 4
+	cluster := func(seed int64, points, workers int) ClusterConfig {
+		cfg := DefaultClusterConfig(seed)
+		cfg.Points, cfg.Workers = points, workers
+		return cfg
+	}
+	replayed := func(r Result) int64 { return r.Replayed }
+	failovers := func(r Result) int64 { return r.Failovers }
+	for _, tc := range []struct {
+		name          string
+		clean, mutant Target
+		// work is the recovery work the clean sweep must show.
+		work func(Result) int64
+		// minimal is a substring of the mutant sweep's minimal violation.
+		minimal string
+		replay  Point
+		// foreign is a mutant only another target has.
+		foreign string
+	}{
+		{"rpc", rpcCfg, withMutant(rpcBug, "ackbug"), replayed,
+			"WFlush-RPC/writes seed=1 event=3582 at=", Point{Event: 2000, TornFrac: 0.5, SecondCrash: true}, "resurrect"},
+		{"pmpool", poolCfg, withMutant(poolBug, "leak"), replayed,
+			"pmpool/WFlush-RPC seed=1 reference run at=", Point{Event: 3000, TornFrac: 0.5, SecondCrash: true}, "ackbug"},
+		{"cluster-event", cluster(2, 6, 0), withMutant(cluster(3, 6, 0), "resurrect"), failovers,
+			"cluster seed=3 event=807 at=", Point{Event: 9000, SecondCrash: true}, "leak"},
+		{"cluster-window", cluster(2, 4, 2), withMutant(cluster(3, 6, 2), "ackbug"), failovers,
+			"cluster seed=3 window=346 at=", Point{Event: 300, SecondCrash: true}, "leak"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if strings.HasPrefix(tc.name, "cluster") && testing.Short() {
+				t.Skip("cluster sweep is seconds-long")
+			}
+			res := mustSweep(t, tc.clean)
+			for _, v := range res.Violations {
+				t.Errorf("violation: %v", v)
+			}
+			if tc.work(res) == 0 {
+				t.Errorf("clean sweep over %d points did no recovery work: %+v", res.Points, res)
+			}
+
+			bug := mustSweep(t, tc.mutant)
+			if min := bug.Minimal(); min == nil {
+				t.Errorf("seeded mutant survived %d crash points undetected", bug.Points)
+			} else if !strings.Contains(min.String(), tc.minimal) {
+				t.Errorf("minimal violation %q, want it to contain %q", min, tc.minimal)
+			}
+
+			atA, va, ra := replay(t, tc.clean, tc.replay)
+			atB, vb, rb := replay(t, tc.clean, tc.replay)
+			if atA != atB || !reflect.DeepEqual(va, vb) || !reflect.DeepEqual(ra, rb) {
+				t.Errorf("point %+v diverged on replay: at %v vs %v, verdict %q vs %q, work %+v vs %+v",
+					tc.replay, atA, atB, va, vb, ra, rb)
+			}
+
+			if _, err := Sweep(withMutant(tc.clean, tc.foreign)); err == nil {
+				t.Errorf("mutant %q not rejected", tc.foreign)
+			}
+		})
+	}
+}
 
 // TestSweepClean sweeps crash points across every durable RPC family and
 // traffic mix and expects zero invariant violations: acked writes survive
@@ -20,7 +137,7 @@ func TestSweepClean(t *testing.T) {
 				cfg := DefaultConfig(kind, mix, 42)
 				cfg.Points = 60
 				cfg.TornPoints = 15
-				res := Sweep(cfg)
+				res := mustSweep(t, cfg)
 				if res.Points < cfg.Points {
 					t.Fatalf("swept %d points, want >= %d (reference run fired %d events)",
 						res.Points, cfg.Points, res.Events)
@@ -46,7 +163,7 @@ func TestSecondCrashDuringRecoveryClean(t *testing.T) {
 	cfg.Points = 40
 	cfg.TornPoints = 10
 	cfg.SecondCrashEvery = 1
-	res := Sweep(cfg)
+	res := mustSweep(t, cfg)
 	for _, v := range res.Violations {
 		t.Errorf("violation: %v", v)
 	}
@@ -70,8 +187,8 @@ func TestAckBeforeDurableCaught(t *testing.T) {
 			cfg.ObjSize = 16384
 			cfg.Points = 120
 			cfg.TornPoints = 40
-			cfg.AckBeforeDurable = true
-			res := Sweep(cfg)
+			cfg.Mutant = "ackbug"
+			res := mustSweep(t, cfg)
 			if res.ViolationCount == 0 {
 				t.Fatalf("premature-ack bug not caught over %d points (%d events)", res.Points, res.Events)
 			}
@@ -84,8 +201,7 @@ func TestAckBeforeDurableCaught(t *testing.T) {
 			}
 			// The minimal reproduction must replay deterministically
 			// from (seed, point) alone.
-			r, _ := runPoint(cfg, min.Point, 0)
-			repro := r.verify()
+			_, repro, _ := replay(t, cfg, min.Point)
 			found := false
 			for _, msg := range repro {
 				if msg == min.Msg {
@@ -93,7 +209,7 @@ func TestAckBeforeDurableCaught(t *testing.T) {
 				}
 			}
 			if !found {
-				t.Errorf("minimal point %v did not reproduce %q; got %q", min.Point, min.Msg, repro)
+				t.Errorf("minimal point %+v did not reproduce %q; got %q", min.Point, min.Msg, repro)
 			}
 		})
 	}
@@ -105,21 +221,15 @@ func TestAckBeforeDurableCaught(t *testing.T) {
 func TestPointDeterminism(t *testing.T) {
 	cfg := DefaultConfig(rpc.WRFlushRPC, MixBatch, 3)
 	pt := Point{Event: 900, TornFrac: 0.5, SecondCrash: true}
-	a, atA := runPoint(cfg, pt, 0)
-	b, atB := runPoint(cfg, pt, 0)
+	atA, va, a := replay(t, cfg, pt)
+	atB, vb, b := replay(t, cfg, pt)
 	if atA != atB {
 		t.Fatalf("crash times diverged: %v vs %v", atA, atB)
 	}
-	va, vb := a.verify(), b.verify()
-	if len(va) != len(vb) {
+	if !reflect.DeepEqual(va, vb) {
 		t.Fatalf("verification diverged: %q vs %q", va, vb)
 	}
-	for i := range va {
-		if va[i] != vb[i] {
-			t.Fatalf("verification diverged at %d: %q vs %q", i, va[i], vb[i])
-		}
-	}
-	if a.replayed != b.replayed {
-		t.Fatalf("replay counts diverged: %d vs %d", a.replayed, b.replayed)
+	if a.Replayed != b.Replayed {
+		t.Fatalf("replay counts diverged: %d vs %d", a.Replayed, b.Replayed)
 	}
 }

@@ -15,8 +15,8 @@ import (
 	"prdma/internal/sim"
 )
 
-// PMPoolConfig parameterizes a crash-point sweep over the remote
-// persistent-memory pool (internal/pmpool): workers cycle allocations
+// PMPoolConfig is the remote persistent-memory pool target
+// (internal/pmpool): workers cycle allocations
 // through alloc → write → free across size classes while crashes land at
 // event boundaries and inside in-flight persists, and every point asserts
 // the pool's crash contract — no slot leaks, no double seating, no acked
@@ -108,24 +108,16 @@ func genPMPoolCycles(cfg PMPoolConfig) [][]pmpoolCycle {
 // pmpoolRun is one simulated pool deployment plus driver state for a single
 // crash-point execution.
 type pmpoolRun struct {
+	*server
 	cfg    PMPoolConfig
 	cycles [][]pmpoolCycle
 
-	k    *sim.Kernel
 	srv  *pmpool.Server
 	pool *pmpool.Pool
 	logs []*redolog.Log
 
-	serverUp     bool
-	generation   int
-	reestGen     int
-	reconnecting bool
-
 	ledger   map[uint64]*pmpoolLedger
 	progress []int
-	replayed int
-
-	recoverViolations []string
 }
 
 func newPMPoolRun(cfg PMPoolConfig, withMonitor bool) *pmpoolRun {
@@ -156,59 +148,40 @@ func newPMPoolRun(cfg PMPoolConfig, withMonitor bool) *pmpoolRun {
 	pool := pmpool.NewPool(cliHost, []*pmpool.Server{srv}, rcfg, pcfg)
 
 	r := &pmpoolRun{
+		server: &server{
+			k: k, h: srvHost, fail: srv.Crash, up: true,
+			restart: cfg.Restart, retransfer: cfg.Retransfer,
+		},
 		cfg:      cfg,
 		cycles:   genPMPoolCycles(cfg),
-		k:        k,
 		srv:      srv,
 		pool:     pool,
 		logs:     pool.Logs(),
-		serverUp: true,
 		ledger:   make(map[uint64]*pmpoolLedger),
 		progress: make([]int, cfg.Workers),
 	}
 	for _, lg := range r.logs {
-		lg := lg
-		lg.OnRecover = func(info redolog.RecoverInfo) { r.checkRecover(lg, info) }
+		r.watch(lg, 0)
 	}
 	for w := 0; w < cfg.Workers; w++ {
 		w := w
 		k.Go("pmpool-worker", func(p *sim.Proc) { r.worker(p, w) })
 	}
 	if withMonitor {
-		k.Go("pmpool-monitor", func(p *sim.Proc) {
-			for {
-				p.Sleep(20 * time.Microsecond)
-				if r.serverUp && r.reestGen != r.generation {
-					r.reconnecting = true
-					// Hold the lease renewer off for the whole recovery
-					// span: a renewal appended while a log's recovery scan
-					// is in flight would be dropped from the rebuilt
-					// window.
-					r.pool.PauseRenew()
-					// Rebuild the server's volatile pool state from the
-					// durable metadata shadow first, then replay the
-					// unconsumed redo-log tail onto it.
-					r.srv.Recover(p)
-					replayed, err := r.pool.Reestablish(p, 0)
-					r.pool.ResumeRenew()
-					if err != nil {
-						panic(err) // serial harness: reestablish cannot refuse
-					}
-					r.replayed += replayed
-					r.reestGen = r.generation
-					r.reconnecting = false
-				}
-			}
+		r.monitor(func(p *sim.Proc) (int, error) {
+			// Hold the lease renewer off for the whole recovery span: a
+			// renewal appended while a log's recovery scan is in flight
+			// would be dropped from the rebuilt window.
+			r.pool.PauseRenew()
+			defer r.pool.ResumeRenew()
+			// Rebuild the server's volatile pool state from the durable
+			// metadata shadow first, then replay the unconsumed redo-log
+			// tail onto it.
+			r.srv.Recover(p)
+			return r.pool.Reestablish(p, 0)
 		})
 	}
 	return r
-}
-
-// waitReady parks a worker while the server is down or reconnecting.
-func (r *pmpoolRun) waitReady(p *sim.Proc) {
-	for !r.serverUp || r.reconnecting || r.reestGen != r.generation {
-		p.Sleep(r.cfg.Retransfer / 4)
-	}
 }
 
 // worker drives its cycles to completion, retrying every call across
@@ -265,67 +238,12 @@ func (r *pmpoolRun) doneAll() bool {
 	return true
 }
 
-// crash fails the pool node and schedules its restart.
-func (r *pmpoolRun) crash() {
-	if !r.serverUp {
-		return
-	}
-	r.serverUp = false
-	r.srv.Crash()
-	r.k.AfterFunc(r.cfg.Restart, func() {
-		r.srv.H.Restart()
-		r.serverUp = true
-		r.generation++
-	})
-}
-
-// checkRecover asserts the redo-log recovery invariants on one connection:
-// sequence order at or above the durable floor, decodable frames, untorn
-// write payloads, and clean post-recovery accounting.
-func (r *pmpoolRun) checkRecover(lg *redolog.Log, info redolog.RecoverInfo) {
-	bad := func(format string, a ...any) {
-		r.recoverViolations = append(r.recoverViolations, fmt.Sprintf(format, a...))
-	}
-	prev := uint64(0)
-	for i, e := range info.Entries {
-		if e.Seq < info.Floor {
-			bad("recovered seq %d below durable floor %d", e.Seq, info.Floor)
-		}
-		if i > 0 && e.Seq <= prev {
-			bad("recovered seqs not strictly increasing: %d after %d", e.Seq, prev)
-		}
-		prev = e.Seq
-		_, req, err := rpc.DecodeLoggedRequest(e)
-		if err != nil {
-			bad("recovered entry is not a consistent frame: %v", err)
-			continue
-		}
-		if req.Op == rpc.OpWrite {
-			if len(req.Payload) != req.Size {
-				bad("recovered write seq %d: payload %d bytes, want %d", e.Seq, len(req.Payload), req.Size)
-				continue
-			}
-			if _, err := checkFill(req.Payload, req.Key); err != nil {
-				bad("recovered write seq %d: %v", e.Seq, err)
-			}
-		}
-	}
-	if err := lg.CheckAccounting(); err != nil {
-		bad("post-recover accounting: %v", err)
-	}
-}
-
 // verify checks the settled end state: liveness, then the acked-operation
 // ledger against the durable metadata shadow and the data region.
 func (r *pmpoolRun) verify() []string {
-	var out []string
+	out := r.server.verify()
 	bad := func(format string, a ...any) {
 		out = append(out, fmt.Sprintf(format, a...))
-	}
-	out = append(out, r.recoverViolations...)
-
-	if !r.serverUp {
-		bad("server still down after settle horizon")
 	}
 	for w := range r.progress {
 		if r.progress[w] != len(r.cycles[w]) {
@@ -369,7 +287,7 @@ func (r *pmpoolRun) verify() []string {
 					}
 				}
 			}
-			b := r.srv.H.PM.ReadBytesInto(led.addr, scratch[:size])
+			b := r.h.PM.ReadBytesInto(led.addr, scratch[:size])
 			ver, err := checkFill(b, id)
 			if err != nil {
 				bad("kept allocation %#x torn: %v", id, err)
@@ -399,79 +317,36 @@ func (r *pmpoolRun) verify() []string {
 	return out
 }
 
-// PMPoolSweep runs the crash-free reference to size the event space, then
-// replays the pool workload once per crash point.
-func PMPoolSweep(cfg PMPoolConfig) Result {
-	res := Result{Kind: cfg.Kind, Mix: MixWrites, Seed: cfg.Seed}
+func (cfg PMPoolConfig) plan() plan {
+	return plan{
+		name: "pmpool/" + cfg.Kind.String(), coord: "event", seed: cfg.Seed,
+		points: cfg.Points, torn: cfg.TornPoints, second: cfg.SecondCrashEvery,
+		salt: pointSalt, floor: 20, mutant: cfg.Mutant, mutants: []string{"leak"},
+	}
+}
 
-	// Crash-free reference. The lease renewer and reclaimer poll forever,
-	// so the event queue never drains: step in event batches until the
-	// workload completes, then include the orphan-reclaim tail so crashes
-	// can land inside reclamation too.
-	ref := newPMPoolRun(cfg, false)
-	for !ref.doneAll() {
-		if ref.k.RunEvents(4096) == 0 {
+func (cfg PMPoolConfig) deploy(reference bool) (deployment, error) {
+	return newPMPoolRun(cfg, !reference), nil
+}
+
+// reference runs the workload crash-free. The lease renewer and reclaimer
+// poll forever, so the event queue never drains: it steps in event batches
+// until the workload completes, then includes the orphan-reclaim tail so
+// crashes can land inside reclamation too.
+func (r *pmpoolRun) reference(res *Result) sim.Time {
+	for !r.doneAll() {
+		if r.k.RunEvents(4096) == 0 {
 			break
 		}
 	}
-	ref.k.RunFor(3 * cfg.LeaseTTL)
-	res.Events = ref.k.Fired()
-	record := func(r *pmpoolRun, pt Point, at sim.Time, msgs []string) {
-		for _, msg := range msgs {
-			res.ViolationCount++
-			if len(res.Violations) < maxViolations {
-				res.Violations = append(res.Violations, Violation{
-					Kind: cfg.Kind, Mix: MixWrites, Seed: cfg.Seed,
-					Point: pt, At: at, Msg: msg,
-				})
-			}
-		}
-	}
-	record(ref, Point{}, ref.k.Now(), ref.verify())
-	refSpan := ref.k.Now().Sub(sim.Time(0))
-	ref.k.Shutdown()
-
-	points := pickPoints(Config{
-		Seed: cfg.Seed, Points: cfg.Points,
-		TornPoints: cfg.TornPoints, SecondCrashEvery: cfg.SecondCrashEvery,
-	}, res.Events, pointSalt, 20)
-	res.Points = len(points)
-	for _, pt := range points {
-		r, at := runPMPoolPoint(cfg, pt, refSpan)
-		res.Replayed += r.replayed
-		record(r, pt, at, r.verify())
-		r.k.Shutdown()
-	}
-	return res
+	r.k.RunFor(3 * r.cfg.LeaseTTL)
+	res.Events = r.k.Fired()
+	return r.k.Now()
 }
 
-// runPMPoolPoint executes the workload, crashes at pt, and lets the pool
-// settle long enough for recovery, replay, retries, and lease reclamation
-// of both abandoned and crash-resurrected orphans.
-func runPMPoolPoint(cfg PMPoolConfig, pt Point, refSpan time.Duration) (*pmpoolRun, sim.Time) {
-	r := newPMPoolRun(cfg, true)
-	r.k.RunEvents(pt.Event)
-	if pt.TornFrac > 0 {
-		if ws := r.srv.H.PM.InflightTornWindows(r.k.Now()); len(ws) > 0 {
-			w := ws[int(pt.Event)%len(ws)]
-			start := w.Start
-			if now := r.k.Now(); start < now {
-				start = now
-			}
-			t := start.Add(time.Duration(pt.TornFrac * float64(w.End.Sub(start))))
-			if t > r.k.Now() {
-				r.k.RunUntil(t)
-			}
-		}
-	}
-	at := r.k.Now()
-	r.crash()
-	if pt.SecondCrash {
-		delta := time.Duration(pt.Event%40) * time.Microsecond
-		r.k.AfterFunc(cfg.Restart+delta, r.crash)
-	}
-	horizon := at.Add(3*cfg.Restart + 2*refSpan +
-		100*time.Duration(cfg.Ops)*cfg.Retransfer/10 + 4*cfg.LeaseTTL)
-	r.k.RunUntil(horizon)
-	return r, at
+// crash settles long enough for recovery, replay, retries, and lease
+// reclamation of both abandoned and crash-resurrected orphans.
+func (r *pmpoolRun) crash(pt Point, span time.Duration) sim.Time {
+	return r.crashAt(pt, 3*r.cfg.Restart+2*span+
+		100*time.Duration(r.cfg.Ops)*r.cfg.Retransfer/10+4*r.cfg.LeaseTTL)
 }

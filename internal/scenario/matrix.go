@@ -269,7 +269,7 @@ func (m *MatrixSpec) RunCell(cell Cell) CellResult {
 		f := cell.Fault
 		cfg.Fault = &f
 	}
-	sw, err := crashcheck.ClusterSweep(cfg)
+	sw, err := crashcheck.Sweep(cfg)
 	if err != nil {
 		return CellResult{Fault: cell.Fault.Name, Workload: cell.Workload.String(), Violations: 1, First: err.Error()}
 	}

@@ -38,13 +38,12 @@ import (
 // a fixed seed for any number of workers, including one.
 //
 // Coordination tax. Steady-state windows avoid almost all of the loop above:
-// a window whose only active kernel cannot interact with anyone is *fused*
-// with its successors and run back-to-back on the coordinator (see fuse),
+// a window with one active kernel runs on the coordinator with no barrier,
 // idle kernels are never dispatched, and multi-kernel windows use a
 // generation barrier (two atomics per worker per window) over statically
 // sharded kernels instead of channel sends. None of this changes what a
 // window *is*: the window counter, the delivery order, and the state at
-// every window boundary are bit-identical whether or not windows fuse.
+// every window boundary are the same at any worker count.
 type Engine struct {
 	kernels   []*Kernel
 	lookahead Time
@@ -82,11 +81,6 @@ type Engine struct {
 	// serialized window).
 	serialized int
 
-	// fusion gates window fusion (on by default); SetWindowFusion turns it
-	// off for before/after comparisons. Fusion never changes simulation
-	// results, only how many barriers realize the same windows.
-	fusion bool
-
 	// spin is how many Gosched rounds a helper waits on the generation
 	// before parking on the condvar; fixed at construction (from
 	// barSpinRounds) so helpers never read a mutable global.
@@ -101,7 +95,6 @@ type Engine struct {
 	windows uint64 // windows executed; the partitioned crash coordinate
 
 	// Coordination counters (deterministic at any worker count).
-	fused     uint64 // windows executed inside fused stretches
 	idleSkips uint64 // kernel dispatches skipped because the kernel was idle
 	barriers  uint64 // windows that needed more than one kernel
 
@@ -145,7 +138,7 @@ func NewEngine(lookahead time.Duration, workers int) *Engine {
 	if workers < 1 {
 		workers = 1
 	}
-	return &Engine{lookahead: Time(lookahead), workers: workers, deadline: -1, fusion: true, spin: barSpinRounds, coord: newChain()}
+	return &Engine{lookahead: Time(lookahead), workers: workers, deadline: -1, spin: barSpinRounds, coord: newChain()}
 }
 
 // NewKernel adds a partition to the engine and returns its kernel. Create
@@ -186,14 +179,10 @@ func (e *Engine) Crossed() uint64 { return e.crossed }
 // boundary is a global barrier — no kernel is mid-event, every delivered
 // cross message is in a destination queue — so the window index is a stable,
 // enumerable coordinate for external intervention: with identical inputs the
-// i-th window covers the same events in every run, at any worker count and
-// with fusion on or off. The partitioned crash sweep crashes "at window i"
-// the way the serial sweep crashes "after event i".
+// i-th window covers the same events in every run, at any worker count. The
+// partitioned crash sweep crashes "at window i" the way the serial sweep
+// crashes "after event i".
 func (e *Engine) Windows() uint64 { return e.windows }
-
-// Fused reports how many windows ran inside fused stretches: consecutive
-// solo-kernel windows executed back-to-back without re-scanning the world.
-func (e *Engine) Fused() uint64 { return e.fused }
 
 // IdleSkips reports how many per-window kernel dispatches were skipped
 // because the kernel had no event inside the window.
@@ -203,16 +192,10 @@ func (e *Engine) IdleSkips() uint64 { return e.idleSkips }
 // windows that actually pay for multi-worker coordination.
 func (e *Engine) Barriers() uint64 { return e.barriers }
 
-// SetWindowFusion enables or disables window fusion on this engine. Fusion
-// only affects how windows are executed, never their contents, indices, or
-// delivery order; the default is on. Call from a window barrier (never from
-// inside an event).
-func (e *Engine) SetWindowFusion(on bool) { e.fusion = on }
-
 // AddFlushHook registers fn to run at every window barrier, immediately
-// before buffered cross messages are delivered (including the mini-barriers
-// inside fused stretches). Hooks run in coordinator context: exactly one
-// goroutine, all kernels quiesced, so they may touch any partition's state.
+// before buffered cross messages are delivered. Hooks run in coordinator
+// context: exactly one goroutine, all kernels quiesced, so they may touch
+// any partition's state.
 // The fabric uses this to recycle cross-transfer slabs whose envelopes were
 // released by destination partitions. Register during setup, before Run.
 func (e *Engine) AddFlushHook(fn func()) { e.hooks = append(e.hooks, fn) }
@@ -367,7 +350,7 @@ func (e *Engine) reshard() {
 // helperLoop is one barrier worker: wait for the coordinator to open a
 // window (a barGen bump), run this shard's kernels that have work inside it
 // as one chain, report done. The wait yields for a bounded number of rounds
-// — windows are short — then parks on the condvar so long fused or
+// — windows are short — then parks on the condvar so long solo or
 // serialized stretches do not burn a core. The generation bump publishes
 // e.deadline and everything the coordinator wrote before it; barDone
 // publishes this shard's kernel state back.
@@ -422,9 +405,9 @@ func (e *Engine) runSerial() { e.coord.runWindow(e.kernels, e.deadline) }
 // Each window: deliver the previous window's cross messages, open the window
 // at the globally earliest event (idle stretches are jumped in one step,
 // exactly like the serial kernel), run every kernel with work up to the
-// inclusive edge, barrier. Windows whose only active kernel cannot interact
-// with anyone fuse with their successors (see fuse); windows with several
-// active kernels release the worker barrier.
+// inclusive edge, barrier. A window with one active kernel runs it on the
+// coordinator; windows with several active kernels release the worker
+// barrier.
 func (e *Engine) stepWindows(budget int) int {
 	ran := 0
 	for ran < budget {
@@ -448,37 +431,21 @@ func (e *Engine) stepWindows(budget int) int {
 			e.stepMerged()
 			continue
 		}
-		// Classify the window: count kernels with work inside it, find the
-		// solo active kernel if there is exactly one, and the earliest event
-		// any *other* kernel holds — the fusion horizon.
+		// Classify the window: count kernels with work inside it and find
+		// the solo active kernel if there is exactly one.
 		actives := 0
 		var solo *Kernel
-		othersMin := Time(math.MaxInt64)
 		for _, k := range e.kernels {
-			t, ok := k.NextEventAt()
-			if !ok {
-				continue
-			}
-			if t <= e.deadline {
+			if t, ok := k.NextEventAt(); ok && t <= e.deadline {
 				actives++
-				if actives == 1 {
-					solo = k
-					continue
-				}
-			}
-			if t < othersMin {
-				othersMin = t
+				solo = k
 			}
 		}
 		e.idleSkips += uint64(len(e.kernels) - actives)
 		if actives == 1 {
 			// Solo window: no other kernel can observe anything before the
-			// next barrier, so run it on the coordinator and try to fuse
-			// follow-up windows without re-scanning the world.
+			// next barrier, so run it on the coordinator.
 			solo.RunUntil(e.deadline)
-			if e.fusion && ran < budget {
-				ran += e.fuse(solo, othersMin, budget-ran)
-			}
 			continue
 		}
 		e.barriers++
@@ -534,64 +501,6 @@ func (e *Engine) waitHelpers() {
 	}
 }
 
-// fuse advances the solo kernel k through consecutive windows without
-// barriers or world re-scans, for as long as no other kernel can become
-// active: othersMin is the earliest event any other kernel holds (their
-// queues are frozen — only k runs, and deliveries are buffered), and every
-// message k emits is inspected before the next window opens. Each iteration
-// reproduces one unfused window exactly: deliver the messages the previous
-// window buffered (single source, stable-sorted by time = the canonical
-// (time, source, emission) order), bump the window counter, set the edge,
-// run. Window indices, destination sequence numbers and the state at every
-// boundary are therefore bit-identical to the unfused engine — which is what
-// keeps the partitioned crash sweep's (seed, window) coordinates valid.
-// On exit the last window's messages stay buffered for the outer flush,
-// again exactly like the unfused loop. Returns the number of extra windows
-// executed beyond the entry window.
-func (e *Engine) fuse(k *Kernel, othersMin Time, budget int) int {
-	ran := 0
-	id := k.engID
-	for ran < budget {
-		if e.stopped.Load() || e.serialized > 0 {
-			break
-		}
-		// Earliest pending delivery among the messages k just emitted.
-		box := e.outboxes[id]
-		pend := Time(math.MaxInt64)
-		for i := range box {
-			if box[i].at < pend {
-				pend = box[i].at
-			}
-		}
-		horizon := othersMin
-		if pend < horizon {
-			horizon = pend
-		}
-		next, ok := k.NextEventAt()
-		if !ok || next+e.lookahead-1 >= horizon {
-			// k went quiescent, or someone else would be active in the next
-			// window: fall back to the full loop.
-			break
-		}
-		// The next window belongs to k alone. Deliver the buffered messages
-		// (they all land beyond its edge, on kernels that stay idle) and run.
-		e.runHooks()
-		if len(box) > 0 {
-			e.deliverBox(id)
-			if pend < othersMin {
-				othersMin = pend
-			}
-		}
-		e.windows++
-		e.fused++
-		e.idleSkips += uint64(len(e.kernels) - 1)
-		ran++
-		e.deadline = next + e.lookahead - 1
-		k.RunUntil(e.deadline)
-	}
-	return ran
-}
-
 // stepMerged runs one serialized window as an exact global event merge:
 // repeatedly execute the globally earliest head event (ties broken by kernel
 // creation order) until nothing at or before the window edge remains. No
@@ -628,8 +537,7 @@ func (e *Engine) Run() {
 // when the simulation went quiescent or was stopped first). It pauses the
 // world at an exact window barrier — no kernel mid-event, a global order over
 // everything executed so far — which is where the partitioned crash sweep
-// injects crashes; see Windows. The budget is exact even through fused
-// stretches: fusion stops at the cap, never overshooting the target window.
+// injects crashes; see Windows.
 func (e *Engine) RunWindows(n int) int {
 	e.stopped.Store(false)
 	return e.stepWindows(n)

@@ -301,3 +301,116 @@ func TestEngineCrossStress(t *testing.T) {
 		t.Fatalf("engine crossed = %d, want %d", e.Crossed(), sent)
 	}
 }
+
+// traceRun executes the property-test workload on a fresh engine and returns
+// the merged trace plus the engine (for counter inspection).
+func traceRun(t *testing.T, nodes int, seed uint64, rounds int, lookahead Time, workers int) (string, *Engine) {
+	t.Helper()
+	e := NewEngine(time.Duration(lookahead), workers)
+	nds := newTraceNodes(nodes, seed, func(int) *Kernel { return e.NewKernel() })
+	runTraceWorkload(nds, rounds, lookahead, func(src, dst *traceNode, at Time, fn func()) {
+		e.Post(src.k, dst.k, at, fn)
+	})
+	e.Run()
+	return mergedTrace(t, nds), e
+}
+
+// The three tests below are named after window fusion, which the engine no
+// longer has; they check the RunWindows budget and the solo-window path.
+
+// TestEngineRunWindowsExactThroughFusion proves the window budget is exact:
+// stepping an engine in small RunWindows increments must visit exactly the
+// same number of windows as a single Run, with the same final trace, never
+// overshooting the budget. This is what keeps crashcheck's stepTo(w)
+// landing exactly on window w.
+func TestEngineRunWindowsExactThroughFusion(t *testing.T) {
+	const nodes, rounds = 4, 30
+	lookahead := Time(nodes * (nodes + 1) * 16)
+	for _, seed := range []uint64{3, 11} {
+		want, base := traceRun(t, nodes, seed, rounds, lookahead, 1)
+		wantWin := base.Windows()
+		for _, step := range []int{1, 3, 7} {
+			e := NewEngine(time.Duration(lookahead), 2)
+			nds := newTraceNodes(nodes, seed, func(int) *Kernel { return e.NewKernel() })
+			runTraceWorkload(nds, rounds, lookahead, func(src, dst *traceNode, at Time, fn func()) {
+				e.Post(src.k, dst.k, at, fn)
+			})
+			total := uint64(0)
+			for {
+				n := e.RunWindows(step)
+				total += uint64(n)
+				if e.Windows() != total {
+					t.Fatalf("seed=%d step=%d: Windows()=%d after %d budgeted windows", seed, step, e.Windows(), total)
+				}
+				if n < step {
+					break
+				}
+			}
+			if total != wantWin {
+				t.Fatalf("seed=%d step=%d: stepped run visited %d windows, Run visited %d", seed, step, total, wantWin)
+			}
+			if got := mergedTrace(t, nds); got != want {
+				t.Fatalf("seed=%d step=%d: stepped trace diverged", seed, step)
+			}
+		}
+	}
+}
+
+// TestEngineFusionSoloKernel pins the solo-window path: a single busy kernel
+// beside idle ones never enters the worker barrier, and idle-skip
+// accounting covers the idle kernels every window.
+func TestEngineFusionSoloKernel(t *testing.T) {
+	e := NewEngine(100*time.Nanosecond, 4)
+	busy := e.NewKernel()
+	e.NewKernel() // idle
+	e.NewKernel() // idle
+	n := 0
+	var tick func()
+	tick = func() {
+		if n++; n < 1000 {
+			busy.Schedule(busy.Now()+37, tick)
+		}
+	}
+	busy.Schedule(0, tick)
+	e.Run()
+	if n != 1000 {
+		t.Fatalf("ran %d ticks, want 1000", n)
+	}
+	if e.Barriers() != 0 {
+		t.Fatalf("solo workload entered %d barriers, want 0", e.Barriers())
+	}
+	if want := e.Windows() * 2; e.IdleSkips() != want {
+		t.Fatalf("idleSkips=%d, want %d (2 idle kernels every window)", e.IdleSkips(), want)
+	}
+}
+
+// TestEngineFusionDeliversInOrder pins delivery out of a solo stretch:
+// messages a kernel emits while it runs alone must reach the destination
+// before the destination's next window, in canonical order.
+func TestEngineFusionDeliversInOrder(t *testing.T) {
+	la := Time(100)
+	e := NewEngine(time.Duration(la), 1)
+	a, b := e.NewKernel(), e.NewKernel()
+	var got []Time
+	// a runs a long solo stretch (b idle), emitting to b mid-stretch.
+	n := 0
+	var tick func()
+	tick = func() {
+		n++
+		if n == 5 || n == 9 {
+			at := a.Now() + la
+			e.Post(a, b, at, func() { got = append(got, b.Now()) })
+		}
+		if n < 50 {
+			a.Schedule(a.Now()+13, tick)
+		}
+	}
+	a.Schedule(0, tick)
+	e.Run()
+	if len(got) != 2 || got[0] >= got[1] {
+		t.Fatalf("cross deliveries out of order or lost: %v", got)
+	}
+	if e.Crossed() != 2 {
+		t.Fatalf("crossed=%d, want 2", e.Crossed())
+	}
+}
