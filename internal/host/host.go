@@ -1,8 +1,8 @@
 // Package host assembles one machine of the testbed — CPU cores, DRAM, PM,
 // LLC, and an RNIC — and models the software costs the paper's breakdown
 // (Fig. 20) attributes to the sender and receiver: posting work requests,
-// polling completion/message buffers, dispatching handlers, memcpy, and
-// CPU-path persists. A load factor inflates software costs to reproduce the
+// polling completion/message buffers, dispatching handlers and memcpy. A
+// load factor inflates software costs to reproduce the
 // busy-sender/busy-receiver experiments (Figs. 15 and 16).
 package host
 
@@ -123,9 +123,10 @@ func (h *Host) cost(d time.Duration) time.Duration {
 	return out
 }
 
-// Every software charge has two forms: a blocking one that sleeps a proc,
-// and a Func one that schedules fn when the charge has elapsed, for
-// receive loops that run as kernel callbacks. Both draw the jitter and
+// A software charge has up to two forms: a blocking one that sleeps a
+// proc, for the callers that are procs (clients and drivers), and a Func
+// one that schedules fn when the charge has elapsed, for the receive loops
+// and servers that run as kernel callbacks. Both draw the jitter and
 // account SWTime at the same instant, and both schedule exactly one event
 // at the same time (a negative charge clamps to zero in either), so a loop
 // may switch forms without moving any simulated event.
@@ -152,11 +153,11 @@ func (h *Host) ComputeFunc(d time.Duration, fn func()) {
 	h.spendFunc(h.cost(d), fn)
 }
 
-// ComputeExact burns exactly d — no load scaling, no jitter — for injected
-// workload components that the paper holds constant (the 100 µs "RPC
-// processing" of Fig. 8).
-func (h *Host) ComputeExact(p *sim.Proc, d time.Duration) {
-	h.spend(p, d)
+// ComputeExactFunc burns exactly d — no load scaling, no jitter — then runs
+// fn. It charges injected workload components that the paper holds
+// constant (the 100 µs "RPC processing" of Fig. 8).
+func (h *Host) ComputeExactFunc(d time.Duration, fn func()) {
+	h.spendFunc(d, fn)
 }
 
 // Post charges the work-request posting cost.
@@ -165,29 +166,16 @@ func (h *Host) Post(p *sim.Proc) { h.spend(p, h.cost(h.Params.PostWR)) }
 // PostFunc charges the work-request posting cost, then runs fn.
 func (h *Host) PostFunc(fn func()) { h.spendFunc(h.cost(h.Params.PostWR), fn) }
 
-// PollDelay charges the polling-detection latency.
-func (h *Host) PollDelay(p *sim.Proc) { h.spend(p, h.cost(h.Params.PollDetect)) }
-
 // PollDelayFunc charges the polling-detection latency, then runs fn.
 func (h *Host) PollDelayFunc(fn func()) { h.spendFunc(h.cost(h.Params.PollDetect), fn) }
-
-// Dispatch charges the handler hand-off cost.
-func (h *Host) Dispatch(p *sim.Proc) { h.spend(p, h.cost(h.Params.Dispatch)) }
 
 // DispatchFunc charges the handler hand-off cost, then runs fn.
 func (h *Host) DispatchFunc(fn func()) { h.spendFunc(h.cost(h.Params.Dispatch), fn) }
 
-// Memcpy charges a CPU copy of n bytes.
-func (h *Host) Memcpy(p *sim.Proc, n int) {
+// MemcpyFunc charges a CPU copy of n bytes, then runs fn.
+func (h *Host) MemcpyFunc(n int, fn func()) {
 	c := sim.CostModel{BytesPerSec: h.Params.MemcpyBytesPerSec}
-	h.spend(p, h.cost(c.Cost(n)))
-}
-
-// PersistCPU copies data into PM over the CPU store+clwb path and blocks p
-// until it is durable. This is the receiver-side persist of traditional
-// RPCs — note its bandwidth disadvantage versus the NIC's DMA path.
-func (h *Host) PersistCPU(p *sim.Proc, addr int64, n int, data []byte) {
-	h.PM.PersistSync(p, addr, n, data, pmem.CPU)
+	h.spendFunc(h.cost(c.Cost(n)), fn)
 }
 
 // Crash fails the host: NIC SRAM, LLC and DRAM contents are lost; PM

@@ -41,15 +41,11 @@ func TestLoadFactorInflatesCosts(t *testing.T) {
 
 func TestComputeExactIgnoresLoad(t *testing.T) {
 	k, h := newHost("h", func(p *Params) { p.LoadFactor = 8; p.JitterSigma = 1 })
-	var d time.Duration
-	k.Go("c", func(p *sim.Proc) {
-		start := p.Now()
-		h.ComputeExact(p, 100*time.Microsecond)
-		d = p.Now().Sub(start)
-	})
+	var done sim.Time
+	h.ComputeExactFunc(100*time.Microsecond, func() { done = k.Now() })
 	k.Run()
-	if d != 100*time.Microsecond {
-		t.Fatalf("exact compute = %v", d)
+	if done != sim.Time(0).Add(100*time.Microsecond) || h.SWTime != 100*time.Microsecond {
+		t.Fatalf("exact compute ended at %v with SWTime %v", done, h.SWTime)
 	}
 }
 
@@ -94,13 +90,11 @@ func TestJitterHasVariance(t *testing.T) {
 func TestMemcpyScalesWithSize(t *testing.T) {
 	k, h := newHost("h", func(p *Params) { p.JitterSigma = 0 })
 	var small, large time.Duration
-	k.Go("c", func(p *sim.Proc) {
-		s := p.Now()
-		h.Memcpy(p, 1024)
-		small = p.Now().Sub(s)
-		s = p.Now()
-		h.Memcpy(p, 1024*1024)
-		large = p.Now().Sub(s)
+	s := k.Now()
+	h.MemcpyFunc(1024, func() {
+		small = k.Now().Sub(s)
+		s = k.Now()
+		h.MemcpyFunc(1024*1024, func() { large = k.Now().Sub(s) })
 	})
 	k.Run()
 	if large < 100*small {
@@ -111,12 +105,14 @@ func TestMemcpyScalesWithSize(t *testing.T) {
 func TestPersistCPUMakesDurable(t *testing.T) {
 	k, h := newHost("h", nil)
 	data := []byte("durable via clwb")
-	k.Go("c", func(p *sim.Proc) {
-		h.PersistCPU(p, 4096, len(data), data)
-	})
+	var at sim.Time
+	h.PM.PersistFunc(4096, len(data), data, pmem.CPU, func() { at = k.Now() })
 	k.Run()
+	if at != sim.Time(0).Add(h.PM.PersistCost(len(data), pmem.CPU)) {
+		t.Fatalf("CPU persist completed at %v", at)
+	}
 	if !bytes.Equal(h.PM.ReadBytes(4096, len(data)), data) {
-		t.Fatal("PersistCPU did not persist")
+		t.Fatal("the CPU-path persist did not persist")
 	}
 }
 
@@ -169,13 +165,13 @@ func TestPostPollDispatchCharges(t *testing.T) {
 	k.Go("c", func(p *sim.Proc) {
 		s := p.Now()
 		h.Post(p)
-		h.PollDelay(p)
-		h.Dispatch(p)
-		total = p.Now().Sub(s)
+		h.PollDelayFunc(func() {
+			h.DispatchFunc(func() { total = k.Now().Sub(s) })
+		})
 	})
 	k.Run()
 	want := h.Params.PostWR + h.Params.PollDetect + h.Params.Dispatch
-	if total != want {
-		t.Fatalf("total = %v, want %v", total, want)
+	if total != want || h.SWTime != want {
+		t.Fatalf("total = %v, SWTime = %v, want %v", total, h.SWTime, want)
 	}
 }

@@ -394,10 +394,12 @@ func (d *Device) InflightTornWindows(now sim.Time) []TornWindow {
 	return out
 }
 
-// PersistSync persists and blocks p until durable.
-func (d *Device) PersistSync(p *sim.Proc, addr int64, n int, data []byte, path Path) {
-	end := d.Persist(p.K.Now(), addr, n, data, path)
-	p.Sleep(end.Sub(p.K.Now()))
+// PersistFunc persists like Persist from the current time and runs fn when
+// the write is durable: one event at the completion time, for callers that
+// run as kernel callbacks.
+func (d *Device) PersistFunc(addr int64, n int, data []byte, path Path, fn func()) {
+	now := d.K.Now()
+	d.K.AfterFunc(d.Persist(now, addr, n, data, path).Sub(now), fn)
 }
 
 // Read schedules a media read of n bytes at addr and returns its completion
@@ -406,6 +408,14 @@ func (d *Device) Read(at sim.Time, addr int64, n int) sim.Time {
 	d.ReadOps++
 	c := sim.CostModel{Base: d.Params.ReadBase, BytesPerSec: d.Params.ReadBytesPerSec}
 	return d.channel(addr).ReserveAt(at, c.Cost(n))
+}
+
+// ReadFunc times a media read of n bytes at addr from the current time and
+// runs fn when it completes: one event, as ReadSync's sleep is. fn samples
+// the contents (ReadBytesInto) then, not when the read is issued.
+func (d *Device) ReadFunc(addr int64, n int, fn func()) {
+	now := d.K.Now()
+	d.K.AfterFunc(d.Read(now, addr, n).Sub(now), fn)
 }
 
 // ReadSync reads n bytes at addr, blocking p for the media latency, and

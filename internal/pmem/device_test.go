@@ -129,10 +129,7 @@ func TestReadSyncReturnsDurableData(t *testing.T) {
 func TestPersistSyncBlocksForDuration(t *testing.T) {
 	k, d := newDev()
 	var done sim.Time
-	k.Go("w", func(p *sim.Proc) {
-		d.PersistSync(p, 0, 4096, nil, CPU)
-		done = p.Now()
-	})
+	d.PersistFunc(0, 4096, nil, CPU, func() { done = k.Now() })
 	k.Run()
 	if done != sim.Time(0).Add(d.PersistCost(4096, CPU)) {
 		t.Fatalf("done = %v", done)

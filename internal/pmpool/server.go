@@ -3,7 +3,7 @@ package pmpool
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"prdma/internal/host"
@@ -72,6 +72,9 @@ type Server struct {
 	down  bool
 	stop  bool
 
+	// req is the request the handler has in hand; see handle.
+	req handled
+
 	// Stats.
 	Allocs, Frees, Renews int64
 	Reclaimed             int64
@@ -98,6 +101,7 @@ func NewServer(h *host.Host, rcfg rpc.Config, cfg ServerConfig) *Server {
 	s := &Server{H: h, Cfg: cfg}
 	s.RPC = rpc.NewServer(h, nil, rcfg)
 	s.RPC.Handler = s.handle
+	s.req.init(s)
 
 	nslabs := cfg.PoolBytes / cfg.SlabBytes
 	units := cfg.PoolBytes / unitBytes
@@ -116,7 +120,7 @@ func NewServer(h *host.Host, rcfg rpc.Config, cfg ServerConfig) *Server {
 	s.lease = make(map[uint64]sim.Time)
 
 	if cfg.LeaseTTL > 0 {
-		h.K.Go(h.Name+"-pmpool-reclaim", s.reclaimLoop)
+		s.startReclaimer()
 	}
 	return s
 }
@@ -139,112 +143,87 @@ func (s *Server) ownerWordAddr(addr int64) int64 {
 	return s.ownerTable + (addr-s.dataBase)/unitBytes*8
 }
 
+// metaApply runs metadata mutations — allocs and frees — one at a time as
+// kernel callbacks. The handler owns one and the reclaimer another, since a
+// reclaim can be mid-persist while the worker applies a request. The epoch
+// the apply entered with, the id and its allocation wait in it between the
+// word persists, beside continuations built once.
+type metaApply struct {
+	s     *Server
+	epoch int
+	id    uint64
+	ai    allocInfo
+	// done receives the result, inline or from the last persist's event.
+	done func(ctrlResult)
+
+	then                           func(ok bool) // the step after the word persist in flight
+	persisted                      func()
+	classDone, ownerDone, freeDone func(ok bool)
+}
+
+func (s *Server) newMetaApply(done func(ctrlResult)) *metaApply {
+	a := &metaApply{s: s, done: done}
+	a.persisted = func() {
+		then := a.then
+		a.then = nil
+		then(a.s.H.PM.Epoch() == a.epoch)
+	}
+	a.classDone = a.classCommitted
+	a.ownerDone = a.ownerCommitted
+	a.freeDone = a.freeCommitted
+	return a
+}
+
 // persistWord persists one failure-atomic metadata word over the CPU path
-// and blocks p until it is durable — the commit discipline every metadata
-// mutation goes through. It reports whether the word committed in the
-// epoch the handler entered with: a crash while p slept aborts the persist
-// and resets the volatile state under the handler, which must then bail
-// without touching anything (the request stays durable in the redo log and
-// replays after recovery).
-func (s *Server) persistWord(p *sim.Proc, epoch int, addr int64, v uint64) bool {
-	if s.H.PM.Epoch() != epoch {
-		return false
+// and runs then once it is durable — the commit discipline every metadata
+// mutation goes through. ok reports whether the word committed in the epoch
+// the apply entered with: a crash while it persisted aborts the persist and
+// resets the volatile state under the apply, which must then bail without
+// touching anything (the request stays durable in the redo log and replays
+// after recovery). A persist with nothing to wait for continues inline.
+func (a *metaApply) persistWord(addr int64, v uint64, then func(ok bool)) {
+	s := a.s
+	if s.H.PM.Epoch() != a.epoch {
+		then(false)
+		return
 	}
-	t := s.H.PM.PersistWord(p.Now(), addr, v, pmem.CPU)
-	if d := t.Sub(p.Now()); d > 0 {
-		p.Sleep(d)
+	now := s.H.K.Now()
+	t := s.H.PM.PersistWord(now, addr, v, pmem.CPU)
+	if d := t.Sub(now); d > 0 {
+		a.then = then
+		s.H.K.AfterFunc(d, a.persisted)
+		return
 	}
-	return s.H.PM.Epoch() == epoch
+	then(true)
 }
 
-// handle is the transport's apply function. The request payload is already
-// durable in the connection's redo log when it runs; everything here must
-// leave the durable metadata consistent before returning, because the log
-// entry is consumed right after.
-func (s *Server) handle(p *sim.Proc, req *rpc.Request) []byte {
-	if s.down {
-		// Restarted but not yet recovered: decline so the transport leaves
-		// the entry durable in the redo log instead of consuming it. This
-		// window is real — a second crash landing inside a client's
-		// Reestablish makes its internal retry replay into a server whose
-		// Recover has not rerun yet; consuming here would discard an acked
-		// request forever.
-		return rpc.Declined
-	}
-	// The entry epoch pins this apply to the pre-crash world: handlers yield
-	// inside timed persists, and a crash landing in that window resets the
-	// volatile state under them. Every yielding step re-checks it and bails.
-	epoch := s.H.PM.Epoch()
-	switch req.Op {
-	case rpc.OpCtrl:
-		return s.handleCtrl(p, epoch, req)
-	case rpc.OpWrite:
-		s.handleWrite(p, epoch, req)
-		return nil
-	case rpc.OpRead:
-		return s.handleRead(p, req)
-	}
-	s.StaleDrops++
-	return nil
-}
-
-func (s *Server) handleCtrl(p *sim.Proc, epoch int, req *rpc.Request) []byte {
-	b := req.Payload
-	if len(b) < 16 {
-		return encodeResult(ctrlResult{status: statusBad})
-	}
-	switch b[0] {
-	case ctrlAlloc:
-		if len(b) < ctrlReqBytes {
-			return encodeResult(ctrlResult{status: statusBad})
-		}
-		id := binary.LittleEndian.Uint64(b[8:])
-		size := int64(binary.LittleEndian.Uint64(b[16:]))
-		return encodeResult(s.applyAlloc(p, epoch, id, size))
-	case ctrlFree:
-		if len(b) < ctrlReqBytes {
-			return encodeResult(ctrlResult{status: statusBad})
-		}
-		return encodeResult(s.applyFree(p, epoch, binary.LittleEndian.Uint64(b[8:])))
-	case ctrlRenew:
-		n := int(binary.LittleEndian.Uint64(b[8:]))
-		if len(b) < 16+8*n {
-			return encodeResult(ctrlResult{status: statusBad})
-		}
-		now := p.Now()
-		for i := 0; i < n; i++ {
-			id := binary.LittleEndian.Uint64(b[16+8*i:])
-			if _, ok := s.byID[id]; ok {
-				s.lease[id] = now.Add(s.Cfg.LeaseTTL)
-			}
-		}
-		s.Renews++
-		return encodeResult(ctrlResult{status: statusOK})
-	}
-	return encodeResult(ctrlResult{status: statusBad})
-}
-
-// applyAlloc seats id. Idempotent by id: redo-log replay (or a client retry
+// alloc seats id. Idempotent by id: redo-log replay (or a client retry
 // that raced a crash) re-applying an alloc that already committed returns
 // the same address instead of leaking a second slot.
-func (s *Server) applyAlloc(p *sim.Proc, epoch int, id uint64, size int64) ctrlResult {
+func (a *metaApply) alloc(epoch int, id uint64, size int64) {
+	s := a.s
 	if id == 0 {
-		return ctrlResult{status: statusBad} // 0 is the free marker
+		a.done(ctrlResult{status: statusBad}) // 0 is the free marker
+		return
 	}
 	if ai, ok := s.byID[id]; ok {
-		s.lease[id] = p.Now().Add(s.Cfg.LeaseTTL)
-		return ctrlResult{status: statusOK, addr: ai.addr, class: ai.class}
+		s.lease[id] = s.H.K.Now().Add(s.Cfg.LeaseTTL)
+		a.done(ctrlResult{status: statusOK, addr: ai.addr, class: ai.class})
+		return
 	}
 	if size <= 0 {
-		return ctrlResult{status: statusBad}
+		a.done(ctrlResult{status: statusBad})
+		return
 	}
 	c, err := pmem.SizeClass(size)
 	if err != nil || c > s.Cfg.SlabBytes {
-		return ctrlResult{status: statusTooLarge}
+		a.done(ctrlResult{status: statusTooLarge})
+		return
 	}
 	addr, err := s.slabs.Alloc(size)
 	if err != nil {
-		return ctrlResult{status: statusFull}
+		a.done(ctrlResult{status: statusFull})
+		return
 	}
 	// Durable commit, single-word-atomic at every step: first the slab's
 	// class word (idempotent — re-persisting the same class is harmless,
@@ -253,113 +232,305 @@ func (s *Server) applyAlloc(p *sim.Proc, epoch int, id uint64, size int64) ctrlR
 	// class word with no owned slots, which recovery treats as a free slab.
 	// A crash during either persist aborts the apply entirely: the logged
 	// request replays post-recovery and commits then.
-	if !s.persistWord(p, epoch, s.classWordAddr(s.slabs.SlabIndex(addr)), uint64(c)) {
-		return ctrlResult{status: statusBad}
-	}
-	if !s.persistWord(p, epoch, s.ownerWordAddr(addr), id) {
-		return ctrlResult{status: statusBad}
-	}
-	s.byID[id] = allocInfo{addr: addr, class: c}
-	s.lease[id] = p.Now().Add(s.Cfg.LeaseTTL)
-	s.Allocs++
-	return ctrlResult{status: statusOK, addr: addr, class: c}
+	a.epoch, a.id, a.ai = epoch, id, allocInfo{addr: addr, class: c}
+	a.persistWord(s.classWordAddr(s.slabs.SlabIndex(addr)), uint64(c), a.classDone)
 }
 
-// applyFree releases id. Idempotent: a replayed or retried free of an id
-// that is already gone succeeds without touching anything.
-func (s *Server) applyFree(p *sim.Proc, epoch int, id uint64) ctrlResult {
+func (a *metaApply) classCommitted(ok bool) {
+	if !ok {
+		a.done(ctrlResult{status: statusBad})
+		return
+	}
+	a.persistWord(a.s.ownerWordAddr(a.ai.addr), a.id, a.ownerDone)
+}
+
+func (a *metaApply) ownerCommitted(ok bool) {
+	if !ok {
+		a.done(ctrlResult{status: statusBad})
+		return
+	}
+	s := a.s
+	s.byID[a.id] = a.ai
+	s.lease[a.id] = s.H.K.Now().Add(s.Cfg.LeaseTTL)
+	s.Allocs++
+	a.done(ctrlResult{status: statusOK, addr: a.ai.addr, class: a.ai.class})
+}
+
+// free releases id. Idempotent: a replayed or retried free of an id that is
+// already gone succeeds without touching anything.
+func (a *metaApply) free(epoch int, id uint64) {
+	s := a.s
 	ai, ok := s.byID[id]
 	if !ok {
-		return ctrlResult{status: statusOK}
+		a.done(ctrlResult{status: statusOK})
+		return
 	}
-	if !s.Cfg.LeakMutant {
-		// The durable commit of the free: clear the owner word. The seeded
-		// leak mutant skips exactly this persist, leaving a stale owner
-		// word for recovery to resurrect — the sweep must catch it. A crash
-		// during the persist aborts the apply: the logged free replays.
-		if !s.persistWord(p, epoch, s.ownerWordAddr(ai.addr), 0) {
-			return ctrlResult{status: statusBad}
-		}
+	a.epoch, a.id, a.ai = epoch, id, ai
+	if s.Cfg.LeakMutant {
+		// The seeded leak mutant skips the durable owner-word clear,
+		// leaving a stale owner word for recovery to resurrect — the
+		// sweep must catch it.
+		a.freeCommitted(true)
+		return
 	}
-	s.slabs.Free(ai.addr)
-	delete(s.byID, id)
-	delete(s.lease, id)
+	// The durable commit of the free: clear the owner word. A crash during
+	// the persist aborts the apply: the logged free replays.
+	a.persistWord(s.ownerWordAddr(ai.addr), 0, a.freeDone)
+}
+
+func (a *metaApply) freeCommitted(ok bool) {
+	if !ok {
+		a.done(ctrlResult{status: statusBad})
+		return
+	}
+	s := a.s
+	s.slabs.Free(a.ai.addr)
+	delete(s.byID, a.id)
+	delete(s.lease, a.id)
 	s.Frees++
-	return ctrlResult{status: statusOK}
+	a.done(ctrlResult{status: statusOK})
+}
+
+// handled is the request the handler has in hand and its continuations,
+// built once. The pool's transport runs one worker (see NewServer), so
+// requests reach the handler one at a time.
+type handled struct {
+	s     *Server
+	epoch int
+	req   *rpc.Request
+	addr  int64 // the media address a write lands at or a read reads from
+	// img is a read's response image; the PM contents land in its body.
+	img, body []byte
+	done      func(img []byte)
+
+	meta                      *metaApply
+	copied, written, readDone func()
+}
+
+func (h *handled) init(s *Server) {
+	h.s = s
+	h.meta = s.newMetaApply(h.answer)
+	h.copied = func() {
+		if h.s.H.PM.Epoch() != h.epoch {
+			h.reply(nil) // crashed during the copy: the logged write replays instead
+			return
+		}
+		req := h.req
+		var data []byte
+		if req.Payload != nil && len(req.Payload) >= req.Size {
+			data = req.Payload[:req.Size]
+		}
+		h.s.H.PM.PersistFunc(h.addr, req.Size, data, pmem.CPU, h.written)
+	}
+	h.written = func() { h.reply(nil) }
+	h.readDone = func() {
+		h.s.H.PM.ReadBytesInto(h.addr, h.body)
+		h.reply(h.img)
+	}
+}
+
+// reply hands img to the worker; the handler is free again before it runs.
+func (h *handled) reply(img []byte) {
+	done := h.done
+	h.req, h.img, h.body, h.done = nil, nil, nil, nil
+	done(img)
+}
+
+// answer replies with a control result, encoded in place in its response
+// image.
+func (h *handled) answer(r ctrlResult) {
+	img, body := rpc.NewReply(ctrlRespBytes)
+	putResult(body, r)
+	h.reply(img)
+}
+
+// handle is the transport's apply function. The request payload is already
+// durable in the connection's redo log when it runs; everything here must
+// leave the durable metadata consistent before calling done, because the
+// log entry is consumed right after.
+func (s *Server) handle(req *rpc.Request, done func(img []byte)) {
+	if s.down {
+		// Restarted but not yet recovered: decline so the transport leaves
+		// the entry durable in the redo log instead of consuming it. This
+		// window is real — a second crash landing inside a client's
+		// Reestablish makes its internal retry replay into a server whose
+		// Recover has not rerun yet; consuming here would discard an acked
+		// request forever.
+		done(rpc.Declined)
+		return
+	}
+	// The entry epoch pins this apply to the pre-crash world: handlers wait
+	// on timed persists, and a crash landing in that window resets the
+	// volatile state under them. Every step after a wait re-checks it and
+	// bails.
+	h := &s.req
+	h.epoch, h.req, h.done = s.H.PM.Epoch(), req, done
+	switch req.Op {
+	case rpc.OpCtrl:
+		s.handleCtrl(h)
+	case rpc.OpWrite:
+		s.handleWrite(h)
+	case rpc.OpRead:
+		s.handleRead(h)
+	default:
+		s.StaleDrops++
+		h.reply(nil)
+	}
+}
+
+func (s *Server) handleCtrl(h *handled) {
+	b := h.req.Payload
+	if len(b) < 16 {
+		h.answer(ctrlResult{status: statusBad})
+		return
+	}
+	switch b[0] {
+	case ctrlAlloc:
+		if len(b) < ctrlReqBytes {
+			h.answer(ctrlResult{status: statusBad})
+			return
+		}
+		id := binary.LittleEndian.Uint64(b[8:])
+		size := int64(binary.LittleEndian.Uint64(b[16:]))
+		h.meta.alloc(h.epoch, id, size)
+	case ctrlFree:
+		if len(b) < ctrlReqBytes {
+			h.answer(ctrlResult{status: statusBad})
+			return
+		}
+		h.meta.free(h.epoch, binary.LittleEndian.Uint64(b[8:]))
+	case ctrlRenew:
+		// The count is checked against the ids the record carries
+		// without multiplying it, so a huge count cannot overflow past
+		// the check.
+		n := int(binary.LittleEndian.Uint64(b[8:]))
+		if n < 0 || n > (len(b)-16)/8 {
+			h.answer(ctrlResult{status: statusBad})
+			return
+		}
+		exp := s.H.K.Now().Add(s.Cfg.LeaseTTL)
+		for i := 0; i < n; i++ {
+			id := binary.LittleEndian.Uint64(b[16+8*i:])
+			if _, ok := s.byID[id]; ok {
+				s.lease[id] = exp
+			}
+		}
+		s.Renews++
+		h.answer(ctrlResult{status: statusOK})
+	default:
+		h.answer(ctrlResult{status: statusBad})
+	}
 }
 
 // handleWrite lands payload bytes in id's extent: CPU copy out of the log,
-// then a synchronous persist into the data region. An unknown id (freed or
-// reclaimed under a stale client) is counted and dropped — the transport
-// has already acknowledged the payload's durability, and replay-after-crash
-// of the same stale write must stay a no-op.
-func (s *Server) handleWrite(p *sim.Proc, epoch int, req *rpc.Request) {
+// then a persist into the data region. An unknown id (freed or reclaimed
+// under a stale client) is counted and dropped — the transport has already
+// acknowledged the payload's durability, and replay-after-crash of the same
+// stale write must stay a no-op.
+func (s *Server) handleWrite(h *handled) {
+	req := h.req
 	ai, ok := s.byID[req.Key]
 	off := int64(req.ScanLen)
 	if !ok || off < 0 || off+int64(req.Size) > ai.class {
 		s.StaleDrops++
+		h.reply(nil)
 		return
 	}
-	s.H.Memcpy(p, req.Size)
-	if s.H.PM.Epoch() != epoch {
-		return // crashed during the copy: the logged write replays instead
-	}
-	var data []byte
-	if req.Payload != nil && len(req.Payload) >= req.Size {
-		data = req.Payload[:req.Size]
-	}
-	s.H.PM.PersistSync(p, ai.addr+off, req.Size, data, pmem.CPU)
+	h.addr = ai.addr + off
+	s.H.MemcpyFunc(req.Size, h.copied)
 }
 
-// handleRead returns id's bytes at [off, off+Size), timed as a media read.
-func (s *Server) handleRead(p *sim.Proc, req *rpc.Request) []byte {
+// handleRead answers id's bytes at [off, off+Size), timed as a media read
+// and read from PM straight into the response image's body.
+func (s *Server) handleRead(h *handled) {
+	req := h.req
 	ai, ok := s.byID[req.Key]
 	off := int64(req.ScanLen)
 	if !ok || off < 0 || off+int64(req.Size) > ai.class {
 		s.StaleDrops++
-		return nil
+		h.reply(nil)
+		return
 	}
-	return s.H.PM.ReadSync(p, ai.addr+off, req.Size)
+	h.addr = ai.addr + off
+	h.img, h.body = rpc.NewReply(req.Size)
+	s.H.PM.ReadFunc(h.addr, req.Size, h.readDone)
 }
 
-// reclaimLoop frees expired leases: the server-side bound on allocations
-// orphaned by a vanished client. Expired ids are freed in sorted order so
-// the slab state after reclamation is a deterministic function of the
-// lease table.
-func (s *Server) reclaimLoop(p *sim.Proc) {
-	for {
-		p.Sleep(s.Cfg.ReclaimEvery)
-		if s.stop {
-			return
-		}
-		if s.down {
-			continue
-		}
-		now := p.Now()
-		var expired []uint64
-		for id, exp := range s.lease {
-			if now > exp {
-				expired = append(expired, id)
-			}
-		}
-		if len(expired) == 0 {
-			continue
-		}
-		sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
-		for _, id := range expired {
-			if s.down || s.stop {
-				break // crashed mid-scan: recovery re-grants fresh leases
-			}
-			if exp, ok := s.lease[id]; !ok || now <= exp {
-				continue
-			}
-			if res := s.applyFree(p, s.H.PM.Epoch(), id); res.status != statusOK {
-				break // crashed mid-free: recovery re-grants fresh leases
-			}
-			s.Frees-- // count as reclaim, not client free
-			s.Reclaimed++
+// reclaimer frees expired leases: the server-side bound on allocations
+// orphaned by a vanished client. It runs as kernel callbacks: a tick every
+// ReclaimEvery, and within a tick one free at a time. Expired ids are freed
+// in sorted order so the slab state after reclamation is a deterministic
+// function of the lease table.
+type reclaimer struct {
+	s       *Server
+	meta    *metaApply
+	now     sim.Time
+	expired []uint64
+	i       int // the next expired id to free
+
+	arm, tick func()
+}
+
+// startReclaimer books the reclaimer's start at the current time, the slot
+// a proc spawned now would start in; the start books the first tick.
+func (s *Server) startReclaimer() {
+	r := &reclaimer{s: s}
+	r.meta = s.newMetaApply(r.freed)
+	r.arm = func() { s.H.K.AfterFunc(s.Cfg.ReclaimEvery, r.tick) }
+	r.tick = r.scan
+	s.H.K.Schedule(s.H.K.Now(), r.arm)
+}
+
+// scan is a tick: it collects the leases expired by now and starts freeing
+// them, or books the next tick.
+func (r *reclaimer) scan() {
+	s := r.s
+	if s.stop {
+		return
+	}
+	if s.down {
+		r.arm()
+		return
+	}
+	r.now = s.H.K.Now()
+	r.expired = r.expired[:0]
+	for id, exp := range s.lease {
+		if r.now > exp {
+			r.expired = append(r.expired, id)
 		}
 	}
+	slices.Sort(r.expired)
+	r.i = 0
+	r.next()
+}
+
+// next frees the next id still expired, or books the next tick once none is
+// left or the server crashed or stopped mid-scan (recovery re-grants fresh
+// leases).
+func (r *reclaimer) next() {
+	s := r.s
+	for r.i < len(r.expired) && !s.down && !s.stop {
+		id := r.expired[r.i]
+		r.i++
+		if exp, ok := s.lease[id]; !ok || r.now <= exp {
+			continue
+		}
+		r.meta.free(s.H.PM.Epoch(), id)
+		return
+	}
+	r.arm()
+}
+
+// freed counts a reclaimed id, or ends the scan if the free did not commit
+// (crashed mid-free: recovery re-grants fresh leases).
+func (r *reclaimer) freed(res ctrlResult) {
+	if res.status != statusOK {
+		r.arm()
+		return
+	}
+	r.s.Frees-- // count as reclaim, not client free
+	r.s.Reclaimed++
+	r.next()
 }
 
 // Crash fails the pool node: host volatile state, the transport work queue,

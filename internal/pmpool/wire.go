@@ -80,12 +80,12 @@ type ctrlResult struct {
 	class  int64
 }
 
-func encodeResult(r ctrlResult) []byte {
-	b := make([]byte, ctrlRespBytes)
+// putResult encodes r into b, which must be ctrlRespBytes long.
+func putResult(b []byte, r ctrlResult) {
 	b[0] = r.status
+	clear(b[1:8])
 	binary.LittleEndian.PutUint64(b[8:], uint64(r.addr))
 	binary.LittleEndian.PutUint64(b[16:], uint64(r.class))
-	return b
 }
 
 func decodeResult(b []byte) (ctrlResult, error) {

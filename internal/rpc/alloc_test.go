@@ -17,8 +17,9 @@ import (
 type echoBench struct {
 	k *sim.Kernel
 	c Client
-	// connProcs is how many procs building the connection spawned.
-	connProcs int
+	// procs is how many procs building the server and the connection
+	// spawned.
+	procs int
 }
 
 func newEchoBench(kind Kind, objSize int) (*echoBench, error) {
@@ -33,9 +34,8 @@ func newEchoBench(kind Kind, objSize int) (*echoBench, error) {
 	}
 	cfg := DefaultConfig()
 	s := NewServer(srv, store, cfg)
-	procs := k.Procs()
 	c := New(kind, cli, s, cfg)
-	return &echoBench{k: k, c: c, connProcs: k.Procs() - procs}, nil
+	return &echoBench{k: k, c: c, procs: k.Procs()}, nil
 }
 
 // echo drives n durable write round trips (call + wait for server-side
@@ -191,36 +191,29 @@ func TestDurableEchoAllocRegression(t *testing.T) {
 }
 
 // TestReceiveLoopSwitchRegression pins the goroutine switches of a
-// single-client 64 B write followed by Done.Wait, for every kind plus Herd
-// and LITE. Every receive loop runs as kernel callbacks (recvLoop), so
-// building a connection spawns no proc, and the switches left are the
-// client's call and the worker that processes it handing the kernel to
-// each other. The count runs inside the driver proc, so the run's start
-// and hand-back are not in it.
+// single-client 64 B write followed by Done.Wait, for every kind plus Herd,
+// LITE and Hotpot. Every receive loop runs as kernel callbacks (recvLoop),
+// and so do the worker pool and the store's apply (worker, storeApply), so
+// building a server and a connection spawns no proc and the client's call
+// is the only proc left: it runs the kernel itself until its own wake, and
+// hands the kernel to no one. The count runs inside the driver proc, so
+// the run's start and hand-back are not in it.
 //
-// Measured on the reference toolchain: 2.00 switches per call on most
-// kinds, 2.69 on RFP (its client fetches the result with polling reads,
-// which interleave with the worker) and 2.23 on the two RFlush kinds, whose
-// durability notification comes from the server CPU. When
-// every loop was a proc, building a connection spawned 1-2 procs and the
-// same calls cost 4.00-5.70 switches, so the ceilings fail there.
+// Measured on the reference toolchain: 0.00 switches per call on every
+// kind. With the worker pool as procs the client and the worker handed the
+// kernel to each other: 2.00 switches per call on most kinds, 2.69 on RFP
+// and 2.23 on the two RFlush kinds; with the receive loops as procs too,
+// 4.00-5.70. The ceiling fails on both.
 func TestReceiveLoopSwitchRegression(t *testing.T) {
-	const size, calls = 64, 400
-	for _, kind := range append(append([]Kind{}, Kinds...), Herd, LITE) {
-		ceiling := 2.0
-		switch kind {
-		case RFP:
-			ceiling = 2.75
-		case WRFlushRPC, SRFlushRPC:
-			ceiling = 2.3
-		}
+	const size, calls, ceiling = 64, 400, 0.05
+	for _, kind := range append(append([]Kind{}, Kinds...), Herd, LITE, Hotpot) {
 		t.Run(kind.String(), func(t *testing.T) {
 			e, err := newEchoBench(kind, size)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if e.connProcs != 0 {
-				t.Fatalf("building a %s connection spawned %d procs, want 0", kind, e.connProcs)
+			if e.procs != 0 {
+				t.Fatalf("building a %s server and connection spawned %d procs, want 0", kind, e.procs)
 			}
 			payload := make([]byte, size)
 			var per float64

@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"prdma/internal/host"
 	"prdma/internal/pmem"
@@ -110,6 +109,14 @@ func reqWireBytes(req *Request) int {
 // caller. A nil image is a header-only reply.
 func newRespImage(n int) []byte { return make([]byte, respHeaderBytes+n) }
 
+// NewReply returns a response image for an n-byte body together with that
+// body, for a Handler to fill: the image travels back in place and its body
+// becomes the caller's Response.Data.
+func NewReply(n int) (img, body []byte) {
+	img = newRespImage(n)
+	return img, img[respHeaderBytes:]
+}
+
 // putRespHeader writes the response header for seq into img, whose body is
 // everything after the header. Every pad byte is written so a reused
 // buffer yields the same image a fresh allocation would.
@@ -173,16 +180,17 @@ type Server struct {
 	Store *Store
 	Cfg   Config
 
-	// Handler, when set, replaces Store.ApplyFromBuffer as the per-request
-	// apply function: services with their own state machine (the pmpool
+	// Handler, when set, replaces the store as the per-request apply
+	// function: services with their own state machine (the pmpool
 	// allocation protocol) mount it here and the whole transport — durable
 	// logging, crash replay, worker dispatch — is reused unchanged. The
-	// handler runs on a worker proc; whatever it returns travels back as
-	// the response data, which the transport copies into a response image
-	// once. It must persist its own effects before returning: the transport
-	// acks durability of the *request*, the handler owns durability of its
-	// *state*.
-	Handler func(p *sim.Proc, req *Request) []byte
+	// handler runs as kernel callbacks on a worker and must call done
+	// exactly once, inline or from an event it scheduled, with the
+	// response image (built by NewReply; nil is a header-only reply) or
+	// with Declined. It must persist its own effects before calling done:
+	// the transport acks durability of the *request*, the handler owns
+	// durability of its *state*.
+	Handler func(req *Request, done func(img []byte))
 
 	work *sim.Chan[workItem]
 
@@ -192,12 +200,16 @@ type Server struct {
 
 // workItem is one queued request at the server. A batch carries its
 // constituent requests in reqs (req is then the enclosing opBatch frame).
-// respond sends the result's response image (nil: header only).
+// respond sends the result's response image (nil: header only); the worker
+// charges the reply's CPU cost first — posting a work request, or for a
+// reply deposited by a local copy (copyReply, RFP) a memcpy of the image —
+// and calls it when that charge ends.
 type workItem struct {
-	req     *Request
-	reqs    []*Request
-	respond func(p *sim.Proc, img []byte)
-	consume func(at sim.Time)
+	req       *Request
+	reqs      []*Request
+	respond   func(img []byte)
+	copyReply bool
+	consume   func(at sim.Time)
 	// epoch is the server crash epoch at enqueue time: items from before a
 	// crash are dropped (their state died with the DRAM work queue).
 	epoch int
@@ -210,12 +222,14 @@ func NewServer(h *host.Host, store *Store, cfg Config) *Server {
 		s.Cfg.Workers = 1
 	}
 	for i := 0; i < s.Cfg.Workers; i++ {
-		h.K.Go(fmt.Sprintf("%s-worker-%d", h.Name, i), s.workerLoop)
+		// Each worker's first pop is booked at the current time, in
+		// index order: the slot a proc spawned here would start in.
+		h.K.Schedule(h.K.Now(), s.newWorker().pop)
 	}
 	return s
 }
 
-// Declined is a sentinel a Handler returns when the service cannot apply
+// Declined is a sentinel a Handler answers when the service cannot apply
 // requests yet — restarted but not recovered, so applying (and consuming
 // the log entry) would discard a durably-acked request before the rebuilt
 // state exists to receive it. The worker drops the item without responding
@@ -224,56 +238,134 @@ func NewServer(h *host.Host, store *Store, cfg Config) *Server {
 // slice is what's checked, so a genuine response can never collide with it.
 var Declined = []byte{0}
 
-// declined reports whether a handler returned the Declined sentinel.
-func declined(data []byte) bool {
-	return len(data) == 1 && &data[0] == &Declined[0]
+// declined reports whether a handler answered the Declined sentinel.
+func declined(img []byte) bool {
+	return len(img) == 1 && &img[0] == &Declined[0]
 }
 
-// workerLoop drains the shared work queue.
-func (s *Server) workerLoop(p *sim.Proc) {
-	for {
-		it := s.work.Pop(p)
-		if it.epoch != s.H.PM.Epoch() {
-			continue // enqueued before a crash: the request is gone
-		}
-		s.H.Dispatch(p)
-		reqs := it.reqs
-		if reqs == nil {
-			reqs = []*Request{it.req}
-		}
-		// A batch replies with its last request's result.
-		var data, img []byte
-		for _, r := range reqs {
-			if s.Cfg.ProcessingTime > 0 {
-				// The paper injects a fixed 100 µs to emulate real
-				// RPC logic (heavy load, following DaRPC).
-				s.H.ComputeExact(p, s.Cfg.ProcessingTime)
-			}
-			if s.Handler != nil {
-				data = s.Handler(p, r)
-			} else {
-				img = s.Store.ApplyFromBuffer(p, r)
-			}
-		}
-		if it.epoch != s.H.PM.Epoch() {
-			continue // the server crashed mid-processing: work lost
-		}
-		if declined(data) {
-			continue // service not recovered yet: leave the entry in the log
-		}
-		if len(data) > 0 {
-			// A Handler result: copied into a response image once.
-			img = newRespImage(len(data))
-			copy(img[respHeaderBytes:], data)
-		}
-		if it.respond != nil {
-			it.respond(p, img)
-		}
-		if it.consume != nil {
-			it.consume(p.Now())
-		}
-		s.Handled += int64(len(reqs))
+// worker drains the shared work queue as kernel callbacks: the receiver's
+// asynchronous processing of Fig. 4 (§4.2). Each blocking step a worker
+// proc would take is one scheduling call at the same instant: the pop a
+// PopFunc, the dispatch a DispatchFunc, the injected processing an exact
+// compute charge, the apply the store's (or the Handler's) own events, and
+// the reply its charge. The item in hand, the request index and the latest
+// result wait in the worker beside continuations built once, so a request
+// allocates nothing here.
+type worker struct {
+	s     *Server
+	store *storeApply
+	it    workItem
+	i     int    // index of the request being applied
+	img   []byte // the latest request's result: a batch replies with its last
+
+	pop, dispatched, process, responded func()
+	popped                              func(workItem)
+	applied                             func(img []byte)
+}
+
+func (s *Server) newWorker() *worker {
+	w := &worker{s: s}
+	w.pop = func() { s.work.PopFunc(w.popped) }
+	w.popped = w.take
+	w.dispatched = w.step
+	w.process = w.apply
+	w.applied = func(img []byte) {
+		w.img = img
+		w.i++
+		w.step()
 	}
+	w.responded = func() {
+		w.it.respond(w.img)
+		w.finish()
+	}
+	if s.Store != nil {
+		w.store = s.Store.newApply(w.applied)
+	}
+	return w
+}
+
+// take starts on a popped item. Items enqueued before a crash are skipped
+// with no event, as a proc's Pop loop skipped them: the next one is taken
+// at once if queued, else waited for.
+func (w *worker) take(it workItem) {
+	s := w.s
+	for it.epoch != s.H.PM.Epoch() {
+		var ok bool
+		if it, ok = s.work.TryPop(); !ok {
+			s.work.PopFunc(w.popped)
+			return
+		}
+	}
+	w.it, w.i = it, 0
+	s.H.DispatchFunc(w.dispatched)
+}
+
+// reqs returns the number of requests the item carries.
+func (w *worker) reqs() int {
+	if w.it.reqs == nil {
+		return 1
+	}
+	return len(w.it.reqs)
+}
+
+// step applies the item's next request, or replies once all are applied.
+func (w *worker) step() {
+	if w.i < w.reqs() {
+		if pt := w.s.Cfg.ProcessingTime; pt > 0 {
+			// The paper injects a fixed 100 µs to emulate real RPC
+			// logic (heavy load, following DaRPC).
+			w.s.H.ComputeExactFunc(pt, w.process)
+			return
+		}
+		w.apply()
+		return
+	}
+	w.reply()
+}
+
+// apply hands the current request to the Handler or the store.
+func (w *worker) apply() {
+	r := w.it.req
+	if w.it.reqs != nil {
+		r = w.it.reqs[w.i]
+	}
+	if h := w.s.Handler; h != nil {
+		h(r, w.applied)
+		return
+	}
+	w.store.apply(r)
+}
+
+// reply sends the item's result, unless the server crashed mid-processing
+// (the work is lost) or the handler declined it.
+func (w *worker) reply() {
+	s := w.s
+	if w.it.epoch != s.H.PM.Epoch() || declined(w.img) {
+		w.it, w.img = workItem{}, nil
+		w.pop()
+		return
+	}
+	if w.it.copyReply {
+		n := respHeaderBytes // a header-only reply still deposits its header
+		if w.img != nil {
+			n = len(w.img)
+		}
+		s.H.MemcpyFunc(n, w.responded)
+		return
+	}
+	s.H.PostFunc(w.responded)
+}
+
+// finish consumes the item's log entry at the reply's time, counts it, and
+// pops the next.
+func (w *worker) finish() {
+	s := w.s
+	if w.it.consume != nil {
+		w.it.consume(s.H.K.Now())
+	}
+	s.Handled += int64(w.reqs())
+	w.it, w.img = workItem{}, nil
+	w.pop()
 }
 
 // enqueue hands a request to the worker pool.
@@ -523,25 +615,22 @@ func (c *conn) seal(seq uint64, img []byte) []byte {
 
 // respondWrite returns a responder that writes the result into the client's
 // response ring (the write-based reply path of Fig. 2).
-func (c *conn) respondWrite(seq uint64, req *Request) func(p *sim.Proc, img []byte) {
-	return func(p *sim.Proc, img []byte) {
-		c.srv.H.Post(p)
+func (c *conn) respondWrite(seq uint64, req *Request) func(img []byte) {
+	return func(img []byte) {
 		c.sq.WriteAsync(c.respSlot(seq), respWireBytes(req), c.seal(seq, img))
 	}
 }
 
 // respondSend returns a responder that sends the result (two-sided reply).
-func (c *conn) respondSend(seq uint64, req *Request) func(p *sim.Proc, img []byte) {
-	return func(p *sim.Proc, img []byte) {
-		c.srv.H.Post(p)
+func (c *conn) respondSend(seq uint64, req *Request) func(img []byte) {
+	return func(img []byte) {
 		c.sq.SendAsync(respWireBytes(req), c.seal(seq, img))
 	}
 }
 
 // respondWriteImm returns a responder using write-with-immediate (Octopus).
-func (c *conn) respondWriteImm(seq uint64, req *Request) func(p *sim.Proc, img []byte) {
-	return func(p *sim.Proc, img []byte) {
-		c.srv.H.Post(p)
+func (c *conn) respondWriteImm(seq uint64, req *Request) func(img []byte) {
+	return func(img []byte) {
 		c.sq.WriteImmAsync(c.respSlot(seq), respWireBytes(req), c.seal(seq, img), uint32(seq))
 	}
 }

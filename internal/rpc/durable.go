@@ -72,8 +72,8 @@ func NewDurable(kind Kind, cli *host.Host, srv *Server, cfg Config) Client {
 	return c
 }
 
-// wire starts the connection's procs and receive-buffer plumbing; it runs
-// both at construction and after Reestablish.
+// wire starts the connection's receive loops and receive-buffer plumbing;
+// it runs both at construction and after Reestablish.
 func (c *durableClient) wire() {
 	switch c.kind {
 	case WFlushRPC, WRFlushRPC:
@@ -185,7 +185,7 @@ func (c *durableClient) startLogRecv() {
 // mutating request consumes its log entry. Non-mutating requests hold a
 // sequence number but no log entry (see Log.NextSeq), so there is nothing to
 // consume.
-func (c *durableClient) enqueueLogged(seq uint64, req *Request, respond func(*sim.Proc, []byte)) {
+func (c *durableClient) enqueueLogged(seq uint64, req *Request, respond func([]byte)) {
 	var reqs []*Request
 	if isBatchOp(req.Op) {
 		reqs = c.batchReqs(seq, req)

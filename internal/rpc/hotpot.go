@@ -62,42 +62,53 @@ func (c *hotpotClient) stageSlot(seq uint64) int64 {
 	return c.stagingBuf + int64(int(seq)%c.cfg.RingSlots)*int64(c.cfg.SlotSize)
 }
 
-// startServer runs the receiver loop: prepares persist to staging, commits
-// apply the staged request through the worker pool.
+// startServer runs the receiver loop as kernel callbacks (see recvLoop):
+// prepares persist to staging, commits apply the staged request through the
+// worker pool. A prepare waits in seq and req across its copy, persist and
+// acknowledgement.
 func (c *hotpotClient) startServer() {
 	sq := c.sq
-	c.srv.H.K.Go(c.srv.H.Name+"-hotpot-recv", func(p *sim.Proc) {
-		for !c.closed && !sq.Dead() {
-			rcv := sq.RecvCQ.Pop(p)
-			c.srv.H.PollDelay(p)
-			if sq.Dead() {
-				return
-			}
-			sq.PostRecv(rcv.Addr, c.cfg.SlotSize)
-			seq, req := decodeReq(rcv.Data)
-			switch req.Op {
-			case opHotpotPrepare:
-				// Persist the payload into the staging area (CPU path)
-				// and acknowledge phase 1.
-				req.Op = OpWrite
-				c.staged[seq] = req
-				c.srv.H.Memcpy(p, req.Size)
-				c.srv.H.PM.PersistSync(p, c.stageSlot(seq), req.Size, req.Payload, pmem.CPU)
-				c.srv.H.Post(p)
-				sq.SendAsync(respHeaderBytes, encodeResp(seq, nil))
-			case opHotpotCommit:
-				// Commit: apply the staged write via the worker pool and
-				// acknowledge when durable at its home.
-				staged, ok := c.staged[seq-1]
-				if !ok {
-					continue // commit without prepare: protocol bug guard
-				}
-				delete(c.staged, seq-1)
-				c.srv.enqueue(workItem{req: staged, respond: c.respondSend(seq, staged)})
-			default:
-				c.srv.enqueue(workItem{req: req, respond: c.respondSend(seq, req)})
-			}
+	h := c.srv.H
+	l := newRecvLoop(h, sq.RecvCQ, func() bool { return !c.closed && !sq.Dead() })
+	var seq uint64
+	var req *Request
+	acked := func() {
+		sq.SendAsync(respHeaderBytes, encodeResp(seq, nil))
+		req = nil
+		l.next()
+	}
+	persisted := func() { h.PostFunc(acked) }
+	copied := func() {
+		h.PM.PersistFunc(c.stageSlot(seq), req.Size, req.Payload, pmem.CPU, persisted)
+	}
+	l.start(func(rcv rnic.Recv) bool {
+		if sq.Dead() {
+			return false
 		}
+		sq.PostRecv(rcv.Addr, c.cfg.SlotSize)
+		s, r := decodeReq(rcv.Data)
+		switch r.Op {
+		case opHotpotPrepare:
+			// Persist the payload into the staging area (CPU path)
+			// and acknowledge phase 1.
+			r.Op = OpWrite
+			c.staged[s] = r
+			seq, req = s, r
+			h.MemcpyFunc(r.Size, copied)
+			return false
+		case opHotpotCommit:
+			// Commit: apply the staged write via the worker pool and
+			// acknowledge when durable at its home.
+			staged, ok := c.staged[s-1]
+			if !ok {
+				return true // commit without prepare: protocol bug guard
+			}
+			delete(c.staged, s-1)
+			c.srv.enqueue(workItem{req: staged, respond: c.respondSend(s, staged)})
+		default:
+			c.srv.enqueue(workItem{req: r, respond: c.respondSend(s, r)})
+		}
+		return true
 	})
 }
 

@@ -45,53 +45,74 @@ func NewMojim(cli *host.Host, primary, mirror *Server, cfg Config) Client {
 	return c
 }
 
-// startPrimary persists locally, mirrors, then acknowledges.
+// startPrimary persists locally, mirrors, then acknowledges. The loop runs
+// as kernel callbacks (see recvLoop); the write in hand waits in seq, req
+// and the mirror's response future across its local persist, the forward
+// and the mirror's ack. Waiting for that ack allocates one closure per
+// write, in Future.WaitFunc.
 func (c *mojimClient) startPrimary() {
 	sq := c.sq
-	c.srv.H.K.Go(c.srv.H.Name+"-mojim-primary", func(p *sim.Proc) {
-		for !c.closed && !sq.Dead() {
-			rcv := sq.RecvCQ.Pop(p)
-			c.srv.H.PollDelay(p)
-			if sq.Dead() {
-				return
-			}
-			sq.PostRecv(rcv.Addr, c.cfg.SlotSize)
-			seq, req := decodeReq(rcv.Data)
-			if req.Op != OpWrite {
-				c.srv.enqueue(workItem{req: req, respond: c.respondSend(seq, req)})
-				continue
-			}
-			// Local persist.
-			data := c.srv.Store.ApplyFromBuffer(p, req)
-			_ = data
-			// Mirror before acknowledging.
-			fseq := c.fwd.nextSeq()
-			ff := c.fwd.await(fseq)
-			c.srv.H.Post(p)
-			c.fwd.cq.SendAsync(reqWireBytes(req), encodeReq(fseq, req))
-			ff.Wait(p)
-			c.srv.H.Post(p)
-			sq.SendAsync(respHeaderBytes, encodeResp(seq, nil))
+	h := c.srv.H
+	l := newRecvLoop(h, sq.RecvCQ, func() bool { return !c.closed && !sq.Dead() })
+	var (
+		seq, fseq uint64
+		req       *Request
+		ff        *sim.Future[respMsg]
+	)
+	acked := func() {
+		sq.SendAsync(respHeaderBytes, encodeResp(seq, nil))
+		req, ff = nil, nil
+		l.next()
+	}
+	mirrored := func(respMsg) { h.PostFunc(acked) }
+	forward := func() {
+		c.fwd.cq.SendAsync(reqWireBytes(req), encodeReq(fseq, req))
+		ff.WaitFunc(mirrored)
+	}
+	// Local persist done: mirror before acknowledging.
+	store := c.srv.Store.newApply(func([]byte) {
+		fseq = c.fwd.nextSeq()
+		ff = c.fwd.await(fseq)
+		h.PostFunc(forward)
+	})
+	l.start(func(rcv rnic.Recv) bool {
+		if sq.Dead() {
+			return false
 		}
+		sq.PostRecv(rcv.Addr, c.cfg.SlotSize)
+		var r *Request
+		seq, r = decodeReq(rcv.Data)
+		if r.Op != OpWrite {
+			c.srv.enqueue(workItem{req: r, respond: c.respondSend(seq, r)})
+			return true
+		}
+		req = r
+		store.apply(r)
+		return false
 	})
 }
 
-// startMirror persists the forwarded copy and acknowledges the primary.
+// startMirror persists the forwarded copy and acknowledges the primary, as
+// kernel callbacks like the primary.
 func (c *mojimClient) startMirror() {
 	msq := c.fwd.sq
-	c.mirror.H.K.Go(c.mirror.H.Name+"-mojim-mirror", func(p *sim.Proc) {
-		for !c.closed && !msq.Dead() {
-			rcv := msq.RecvCQ.Pop(p)
-			c.mirror.H.PollDelay(p)
-			if msq.Dead() {
-				return
-			}
-			msq.PostRecv(rcv.Addr, c.cfg.SlotSize)
-			seq, req := decodeReq(rcv.Data)
-			c.mirror.Store.ApplyFromBuffer(p, req)
-			c.mirror.H.Post(p)
-			msq.SendAsync(respHeaderBytes, encodeResp(seq, nil))
+	h := c.mirror.H
+	l := newRecvLoop(h, msq.RecvCQ, func() bool { return !c.closed && !msq.Dead() })
+	var seq uint64
+	acked := func() {
+		msq.SendAsync(respHeaderBytes, encodeResp(seq, nil))
+		l.next()
+	}
+	store := c.mirror.Store.newApply(func([]byte) { h.PostFunc(acked) })
+	l.start(func(rcv rnic.Recv) bool {
+		if msq.Dead() {
+			return false
 		}
+		msq.PostRecv(rcv.Addr, c.cfg.SlotSize)
+		var req *Request
+		seq, req = decodeReq(rcv.Data)
+		store.apply(req)
+		return false
 	})
 }
 

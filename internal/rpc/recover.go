@@ -73,7 +73,8 @@ func (c *durableClient) Reestablish(p *sim.Proc) (int, error) {
 	log := c.log
 	for {
 		epoch := c.srv.H.PM.Epoch()
-		// Retire the old connection's procs; they stay parked on dead QPs.
+		// Retire the old connection's receive loops: they end at their
+		// next live check, or stay parked on the dead QPs.
 		old := c.conn
 		old.closed = true
 
@@ -91,7 +92,7 @@ func (c *durableClient) Reestablish(p *sim.Proc) (int, error) {
 		}
 		for _, e := range entries {
 			seq, req := decodeReq(e.Payload)
-			var respond func(*sim.Proc, []byte)
+			var respond func([]byte)
 			if c.kind.SendBased() {
 				respond = c.respondSend(seq, req)
 			} else {

@@ -37,7 +37,7 @@ func (c *rfpClient) startPoller() {
 	l.start(func(arr rnic.Arrival) bool {
 		seq, req := decodeReq(arr.Data)
 		slot := c.resultSlot(seq)
-		c.srv.enqueue(workItem{req: req, respond: func(p *sim.Proc, img []byte) {
+		c.srv.enqueue(workItem{req: req, copyReply: true, respond: func(img []byte) {
 			// The result is deposited locally; no wire traffic —
 			// the client fetches it. The client never completes seq
 			// on the connection, so a header-only reply is not
@@ -45,7 +45,6 @@ func (c *rfpClient) startPoller() {
 			if img == nil {
 				img = newRespImage(0)
 			}
-			c.srv.H.Memcpy(p, len(img))
 			putRespHeader(img, seq)
 			c.srv.H.DRAM.Write(slot, img)
 		}})

@@ -6,7 +6,6 @@ import (
 
 	"prdma/internal/host"
 	"prdma/internal/pmem"
-	"prdma/internal/sim"
 )
 
 // Store is the server-side object store that every RPC system serves: a set
@@ -94,60 +93,110 @@ func (s *Store) Has(key uint64) bool {
 // Len returns the object count.
 func (s *Store) Len() int { return len(s.addrs) }
 
-// ApplyFromBuffer executes req whose payload sits in a volatile message
-// buffer: the traditional-RPC receive path. Writes copy the payload to the
+// Crash drops the store's volatile state: the version watermarks are
+// rebuilt from the durable redo logs as recovery replays them in order.
+func (s *Store) Crash() { s.vers = nil }
+
+// storeApply executes requests against the store as kernel callbacks, one
+// at a time: a server worker (or Mojim's primary and mirror loop) owns one
+// and hands it the request it has in hand. Writes copy the payload to the
 // object's PM home and persist it over the CPU store+clwb path — the slow
-// path the paper's durable RPCs bypass. Reads and scans that want contents
-// return a response image (see newRespImage) with the object bytes read
-// from PM straight into its body and the header left for the responder;
-// every other request returns nil, a header-only reply.
-func (s *Store) ApplyFromBuffer(p *sim.Proc, req *Request) []byte {
+// path the paper's durable RPCs take off the sender's critical path. Reads
+// and scans that want contents answer with a response image (see
+// newRespImage) whose body the PM contents land in; every other request
+// answers nil, a header-only reply.
+//
+// Each blocking step of the apply is one scheduling call at the same
+// instant a proc's sleep would take: a write is the memcpy charge, then the
+// persist issued at its end, then a wait until durable; a read issues the
+// media read and copies the contents at its completion. The request, the
+// PM address and the image wait in the applier between steps, next to
+// continuations built once, so an apply allocates nothing but the image.
+type storeApply struct {
+	s   *Store
+	req *Request
+	// done receives the apply's response image (nil: header only), inline
+	// or from the apply's last event.
+	done func(img []byte)
+
+	addr int64
+	img  []byte
+	ver  uint32 // the write's version, while the guard reads PM back
+	// Scan progress: the next object index, the object count, and the end
+	// of the image's filled part.
+	i, n, end int
+
+	persist, answer, readDone, verRead, scanNext, scanRead func()
+}
+
+// newApply returns an applier for s that hands each apply's result to done.
+func (s *Store) newApply(done func(img []byte)) *storeApply {
+	a := &storeApply{s: s, done: done}
+	a.persist = func() {
+		a.s.H.PM.PersistFunc(a.addr, a.req.Size, a.req.Payload, pmem.CPU, a.answer)
+	}
+	a.answer = func() { a.finish(nil) }
+	a.readDone = func() {
+		a.s.H.PM.ReadBytesInto(a.addr, a.img[respHeaderBytes:])
+		a.finish(a.img)
+	}
+	a.verRead = func() {
+		st := a.s
+		cur := binary.LittleEndian.Uint32(st.H.PM.ReadBytesInto(a.addr+int64(st.VersionAt), st.verBuf[:]))
+		a.guarded(cur, cur != 0)
+	}
+	a.scanNext = a.scanStep
+	a.scanRead = func() {
+		size := a.req.Size
+		a.s.H.PM.ReadBytesInto(a.addr, a.img[a.end:a.end+size])
+		a.end += size
+		a.scanStep()
+	}
+	return a
+}
+
+// apply executes req and hands its response image to done.
+func (a *storeApply) apply(req *Request) {
+	s := a.s
+	a.req = req
 	switch req.Op {
 	case OpWrite:
-		if s.stale(p, req) {
-			s.StaleDrops++
-			return nil
-		}
-		addr, ok := s.tryAddr(req.Key)
-		if !ok {
-			return nil // out of PM: counted backpressure drop
-		}
-		s.Writes++
-		s.H.Memcpy(p, req.Size)
-		s.H.PM.PersistSync(p, addr, req.Size, req.Payload, pmem.CPU)
-		return nil
+		a.write()
 	case OpScan:
 		s.Scans++
-		return s.readRange(p, req)
+		a.n = req.ScanLen
+		if a.n <= 0 {
+			a.n = 1
+		}
+		if req.Payload != nil {
+			a.img = newRespImage(a.n * req.Size)
+		}
+		a.i, a.end = 0, respHeaderBytes
+		a.scanStep()
 	default:
 		s.Reads++
 		addr, ok := s.tryAddr(req.Key)
 		if !ok || req.Payload == nil {
 			// Synthetic traffic — or a first-touch read the exhausted
 			// arena cannot home: pay the media latency, skip contents.
-			s.readTiming(p, req.Size)
-			return nil
+			s.readTiming(req.Size, a.answer)
+			return
 		}
-		img := newRespImage(req.Size)
-		s.H.PM.ReadSyncInto(p, addr, img[respHeaderBytes:])
-		return img
+		a.addr, a.img = addr, newRespImage(req.Size)
+		s.H.PM.ReadFunc(addr, req.Size, a.readDone)
 	}
 }
 
-// ApplyFromLog executes req whose payload is already durable in the redo
-// log (the durable-RPC path): writes copy log→object and persist; the
-// request was complete from the sender's perspective long before this runs.
-// It returns what ApplyFromBuffer does: a response image for reads and
-// scans that want contents, nil otherwise.
-func (s *Store) ApplyFromLog(p *sim.Proc, req *Request) []byte {
-	// The mechanics are identical to ApplyFromBuffer — what differs is
-	// *when* it runs (off the sender's critical path) and that the payload
-	// source is durable.
-	return s.ApplyFromBuffer(p, req)
+// finish ends the apply: the applier is free again before done runs, so
+// done may start the next apply at once.
+func (a *storeApply) finish(img []byte) {
+	a.req, a.img = nil, nil
+	a.done(img)
 }
 
-// stale applies the version guard (see VersionAt): it reports whether req
-// carries an older version than the store holds for its key, advancing the
+// write applies the version guard (see VersionAt), then copies and
+// persists the payload. The guard reports req stale when it carries an
+// older version than the store holds for its key, and advances the
 // watermark otherwise. Payloads too short to carry a version — including
 // version zero, the unversioned-payload value — always apply.
 //
@@ -157,67 +206,82 @@ func (s *Store) ApplyFromLog(p *sim.Proc, req *Request) []byte {
 // regress a newer acknowledged write that another connection applied — and
 // durably consumed — before the crash. The read-back is paid once per key
 // per incarnation; the map answers every later check.
-func (s *Store) stale(p *sim.Proc, req *Request) bool {
+func (a *storeApply) write() {
+	s, req := a.s, a.req
 	if s.VersionAt < 0 || len(req.Payload) < s.VersionAt+4 {
-		return false
+		a.copy()
+		return
 	}
-	ver := binary.LittleEndian.Uint32(req.Payload[s.VersionAt:])
-	if ver == 0 {
-		return false
+	a.ver = binary.LittleEndian.Uint32(req.Payload[s.VersionAt:])
+	if a.ver == 0 {
+		a.copy()
+		return
 	}
 	cur, ok := s.vers[req.Key]
 	if !ok {
 		if addr, exists := s.addrs[req.Key]; exists {
-			s.readTiming(p, 4)
-			cur = binary.LittleEndian.Uint32(s.H.PM.ReadBytesInto(addr+int64(s.VersionAt), s.verBuf[:]))
-			ok = cur != 0
+			a.addr = addr
+			s.readTiming(4, a.verRead)
+			return
 		}
 	}
-	if ok && ver < cur {
-		return true
+	a.guarded(cur, ok)
+}
+
+// guarded finishes the version guard with the version the store holds for
+// the key (ok: one is known).
+func (a *storeApply) guarded(cur uint32, ok bool) {
+	s := a.s
+	if ok && a.ver < cur {
+		s.StaleDrops++
+		a.finish(nil)
+		return
 	}
 	if s.vers == nil {
 		s.vers = make(map[uint64]uint32)
 	}
-	s.vers[req.Key] = ver
-	return false
+	s.vers[a.req.Key] = a.ver
+	a.copy()
 }
 
-// Crash drops the store's volatile state: the version watermarks are
-// rebuilt from the durable redo logs as recovery replays them in order.
-func (s *Store) Crash() { s.vers = nil }
+// copy homes the write's key and charges the CPU copy of the payload; the
+// persist starts when the copy ends.
+func (a *storeApply) copy() {
+	s := a.s
+	addr, ok := s.tryAddr(a.req.Key)
+	if !ok {
+		a.finish(nil) // out of PM: counted backpressure drop
+		return
+	}
+	s.Writes++
+	a.addr = addr
+	s.H.MemcpyFunc(a.req.Size, a.persist)
+}
 
-// readRange serves OpScan: ScanLen sequential objects from Key, read into
-// one response image in key order. Keys the PM arena cannot home are
-// skipped, so the image is truncated to the objects actually read; a scan
-// that reads none is a header-only reply.
-func (s *Store) readRange(p *sim.Proc, req *Request) []byte {
-	n := req.ScanLen
-	if n <= 0 {
-		n = 1
-	}
-	var img []byte
-	if req.Payload != nil {
-		img = newRespImage(n * req.Size)
-	}
-	end := respHeaderBytes
-	for i := 0; i < n; i++ {
-		addr, ok := s.tryAddr(req.Key + uint64(i))
-		if !ok || img == nil {
-			s.readTiming(p, req.Size)
-			continue
+// scanStep serves OpScan one object at a time: ScanLen sequential objects
+// from Key, read into one response image in key order. Keys the PM arena
+// cannot home are skipped, so the image is truncated to the objects
+// actually read; a scan that reads none is a header-only reply.
+func (a *storeApply) scanStep() {
+	s, req := a.s, a.req
+	if a.i == a.n {
+		if a.end == respHeaderBytes {
+			a.finish(nil)
+		} else {
+			a.finish(a.img[:a.end])
 		}
-		s.H.PM.ReadSyncInto(p, addr, img[end:end+req.Size])
-		end += req.Size
+		return
 	}
-	if end == respHeaderBytes {
-		return nil
+	addr, ok := s.tryAddr(req.Key + uint64(a.i))
+	a.i++
+	if !ok || a.img == nil {
+		s.readTiming(req.Size, a.scanNext)
+		return
 	}
-	return img[:end]
+	a.addr = addr
+	s.H.PM.ReadFunc(addr, req.Size, a.scanRead)
 }
 
-// readTiming pays a media read's latency without materializing contents.
-func (s *Store) readTiming(p *sim.Proc, n int) {
-	end := s.H.PM.Read(p.K.Now(), 0, n)
-	p.Sleep(end.Sub(p.K.Now()))
-}
+// readTiming pays a media read's latency without materializing contents,
+// then runs fn.
+func (s *Store) readTiming(n int, fn func()) { s.H.PM.ReadFunc(0, n, fn) }

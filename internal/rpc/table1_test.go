@@ -162,3 +162,47 @@ func TestMojimReadsFromPrimaryOnly(t *testing.T) {
 		t.Fatal("read leaked to the mirror")
 	}
 }
+
+// TestMojimSwitchRegression pins Mojim's primary and mirror loops as kernel
+// callbacks: building the servers and the connection spawns no proc, and a
+// mirrored write costs the client's call no goroutine switch (0.00
+// measured on the reference toolchain). With the two loops and the
+// servers' workers as procs, building the connection spawned two and a
+// write cost 4.00 switches.
+func TestMojimSwitchRegression(t *testing.T) {
+	const calls, ceiling = 200, 0.05
+	k, cli, primary, mirror := mojimRig(t)
+	c := NewMojim(cli, primary, mirror, primary.Cfg)
+	if n := k.Procs(); n != 0 {
+		t.Fatalf("building Mojim's servers and connection spawned %d procs, want 0", n)
+	}
+	payload := make([]byte, 1024)
+	var per float64
+	var err error
+	k.Go("driver", func(p *sim.Proc) {
+		write := func(i int) error {
+			_, err := c.Call(p, &Request{Op: OpWrite, Key: uint64(i % 16), Size: 1024, Payload: payload})
+			return err
+		}
+		for i := 0; i < 20; i++ {
+			if err = write(i); err != nil {
+				return
+			}
+		}
+		before := k.Switches()
+		for i := 0; i < calls; i++ {
+			if err = write(i); err != nil {
+				return
+			}
+		}
+		per = float64(k.Switches()-before) / calls
+	})
+	k.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if per > ceiling {
+		t.Fatalf("mojim: %.2f switches per write, want <= %.2f", per, ceiling)
+	}
+	t.Logf("mojim: %.2f switches per write", per)
+}
