@@ -6,11 +6,14 @@ import (
 	"io"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
+	"prdma/internal/bench"
 	"prdma/internal/crashcheck"
+	"prdma/internal/fabric"
 	"prdma/internal/rpc"
+	"prdma/internal/scenario"
+	"prdma/internal/ycsb"
 )
 
 // sweepFlags are the flags that select and shape a crash sweep. main
@@ -20,7 +23,7 @@ import (
 type sweepFlags struct {
 	fs                                              *flag.FlagSet
 	crashcheck, cluster, pmpool                     *bool
-	family, mix, mutant                             *string
+	family, mix, mutant, faults, workloads          *string
 	seed                                            *uint64
 	points, torn, objsize, shards, replicas, simpar *int
 }
@@ -33,7 +36,9 @@ func newSweepFlags(fs *flag.FlagSet) *sweepFlags {
 		pmpool:     fs.Bool("pmpool", false, "run the remote PM pool figures (or, with -crashcheck, the pool crash-point sweep)"),
 		family:     fs.String("family", "", "crashcheck: restrict to one RPC family (substring, e.g. WFlush or S-RFlush)"),
 		mix:        fs.String("mix", "", "crashcheck: restrict to one traffic mix (writes|readwrite|batch)"),
-		mutant:     fs.String("mutant", "", "crashcheck or matrix: seed a known bug class the sweep must catch (exit 1): ackbug (durable RPC, cluster, matrix), resurrect (cluster, matrix) or leak (pmpool)"),
+		mutant:     fs.String("mutant", "", "crashcheck: seed a known bug class the sweep must catch (exit 1): ackbug (durable RPC, cluster), resurrect (cluster) or leak (pmpool)"),
+		faults:     fs.String("faults", "", "crashcheck -cluster: comma-separated fabric adversaries, one sweep per (fault, workload) cell (all = every builtin: "+strings.Join(scenario.FaultNames(), ",")+")"),
+		workloads:  fs.String("workloads", "", "crashcheck -cluster: YCSB workload letters for the cells, e.g. ADF (default: the 70/30 mix)"),
 		seed:       fs.Uint64("seed", 1, "random seed"),
 		points:     fs.Int("points", 300, "crashcheck: event-boundary crash points per family/mix cell"),
 		torn:       fs.Int("torn", 40, "crashcheck: additional mid-persist (torn-write) crash points per cell"),
@@ -45,9 +50,11 @@ func newSweepFlags(fs *flag.FlagSet) *sweepFlags {
 }
 
 // targets builds the sweep targets the parsed flags select: with -cluster
-// one cluster, with -pmpool one pool (WFlush unless -family picks another
-// family), else one durable-RPC target per matching (family, mix) cell.
-// -points and -torn override the cluster and pool defaults only when given.
+// one cluster per (fault, workload) cell, faults outer (one unfaulted cell
+// without -faults, one default-mix cell per fault without -workloads), with
+// -pmpool one pool (WFlush unless -family picks another family), else one
+// durable-RPC target per matching (family, mix) cell. -points and -torn
+// override the cluster and pool defaults only when given.
 func (f *sweepFlags) targets() ([]crashcheck.Target, error) {
 	set := map[string]bool{}
 	f.fs.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
@@ -60,15 +67,33 @@ func (f *sweepFlags) targets() ([]crashcheck.Target, error) {
 	}
 	switch {
 	case *f.cluster:
-		cfg := crashcheck.DefaultClusterConfig(seed)
+		faults, err := f.faultSpecs()
+		if err != nil {
+			return nil, err
+		}
+		wls := []ycsb.Workload{0}
+		if *f.workloads != "" {
+			if wls, err = scenario.ParseWorkloads(*f.workloads); err != nil {
+				return nil, err
+			}
+		}
+		base := crashcheck.DefaultClusterConfig(seed)
 		if set["points"] && *f.points > 0 {
-			cfg.Points = *f.points
+			base.Points = *f.points
 		}
-		cfg.Shards, cfg.Replicas, cfg.Workers, cfg.Mutant = *f.shards, *f.replicas, *f.simpar, *f.mutant
+		base.Shards, base.Replicas, base.Workers, base.Mutant = *f.shards, *f.replicas, *f.simpar, *f.mutant
 		if *f.objsize > 0 {
-			cfg.ObjSize = *f.objsize
+			base.ObjSize = *f.objsize
 		}
-		return []crashcheck.Target{cfg}, nil
+		var ts []crashcheck.Target
+		for _, fault := range faults {
+			for _, wl := range wls {
+				cfg := base
+				cfg.Fault, cfg.Workload = fault, wl
+				ts = append(ts, cfg)
+			}
+		}
+		return ts, nil
 	case *f.pmpool:
 		if len(kinds) == 0 {
 			return nil, fmt.Errorf("crashcheck: no durable family matches -family %q", *f.family)
@@ -107,6 +132,32 @@ func (f *sweepFlags) targets() ([]crashcheck.Target, error) {
 	return ts, nil
 }
 
+// faultSpecs resolves -faults: no flag is one unfaulted cell, "all" the
+// builtin library. An empty spec ("none") stays a nil Fault, so its cell
+// runs the unfaulted deployment.
+func (f *sweepFlags) faultSpecs() ([]*fabric.FaultSpec, error) {
+	if *f.faults == "" {
+		return []*fabric.FaultSpec{nil}, nil
+	}
+	names := strings.Split(*f.faults, ",")
+	if *f.faults == "all" {
+		names = scenario.FaultNames()
+	}
+	var out []*fabric.FaultSpec
+	for _, name := range names {
+		spec, err := scenario.FaultByName(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
+		}
+		if spec.Empty() {
+			out = append(out, nil)
+		} else {
+			out = append(out, &spec)
+		}
+	}
+	return out, nil
+}
+
 // repro renders the flags that sweep exactly the target t again.
 func repro(t crashcheck.Target) string {
 	family := func(k rpc.Kind) string { return strings.TrimSuffix(k.String(), "-RPC") }
@@ -119,6 +170,12 @@ func repro(t crashcheck.Target) string {
 	case crashcheck.ClusterConfig:
 		s = fmt.Sprintf("-crashcheck -cluster -simpar %d -seed %d -points %d -shards %d -replicas %d -objsize %d",
 			c.Workers, c.Seed, c.Points, c.Shards, c.Replicas, c.ObjSize)
+		if c.Fault != nil {
+			s += " -faults " + c.Fault.Name
+		}
+		if c.Workload != 0 {
+			s += " -workloads " + c.Workload.String()
+		}
 		mutant = c.Mutant
 	case crashcheck.PMPoolConfig:
 		s = fmt.Sprintf("-crashcheck -pmpool -family %s -seed %d -points %d -torn %d",
@@ -131,34 +188,18 @@ func repro(t crashcheck.Target) string {
 	return s
 }
 
-// runCrashcheck sweeps every target on a pool of `parallel` workers (at
-// most one per target), prints one summary line per target and — on any
-// invariant violation — the violations plus the minimal reproduction (the
-// target's flags and the earliest crash point). Returns the number of
+// runCrashcheck sweeps every target on a bench.Runner of `parallel`
+// workers (negative: one per CPU), prints one summary line per target in
+// target order — a cluster's carries its crash-free reference row — and, on
+// any invariant violation, the violations plus the minimal reproduction
+// (the target's flags and the earliest crash point). Returns the number of
 // targets with violations, or the first target's error.
 func runCrashcheck(w io.Writer, targets []crashcheck.Target, parallel int) (int, error) {
-	workers := parallel
-	if workers <= 0 || workers > len(targets) {
-		workers = len(targets)
-	}
 	results := make([]crashcheck.Result, len(targets))
 	errs := make([]error, len(targets))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range next {
-				results[idx], errs[idx] = crashcheck.Sweep(targets[idx])
-			}
-		}()
-	}
-	for idx := range targets {
-		next <- idx
-	}
-	close(next)
-	wg.Wait()
+	bench.NewRunner(parallel).Do(len(targets), func(i int) {
+		results[i], errs[i] = crashcheck.Sweep(targets[i])
+	})
 	for _, err := range errs {
 		if err != nil {
 			return 0, err
@@ -167,9 +208,13 @@ func runCrashcheck(w io.Writer, targets []crashcheck.Target, parallel int) (int,
 
 	bad := 0
 	for i, res := range results {
-		fmt.Fprintf(w, "%-22s seed=%-4d points=%-4d %ss=%-6d replays=%-5d failovers=%-4d resyncs=%-4d shipped=%-5d pmfull=%-4d violations=%d\n",
+		fmt.Fprintf(w, "%-22s seed=%-4d points=%-4d %ss=%-6d replays=%-5d failovers=%-4d resyncs=%-4d shipped=%-5d pmfull=%-4d ",
 			res.Target, res.Seed, res.Points, res.Coord, res.Events, res.Replayed,
-			res.Failovers, res.Resyncs, res.Shipped, res.PMFull, res.ViolationCount)
+			res.Failovers, res.Resyncs, res.Shipped, res.PMFull)
+		if _, ok := targets[i].(crashcheck.ClusterConfig); ok {
+			fmt.Fprintf(w, "%v ", res.Ref)
+		}
+		fmt.Fprintf(w, "violations=%d\n", res.ViolationCount)
 		if res.ViolationCount == 0 {
 			continue
 		}

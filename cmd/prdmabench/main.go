@@ -19,11 +19,10 @@
 //	prdmabench -crashcheck -cluster -points 20   # crash-point sweep over the cluster failover/resync path
 //	prdmabench -crashcheck -cluster -simpar 4 -points 12   # window-barrier sweep on the partitioned engine
 //	prdmabench -crashcheck -cluster -mutant ackbug   # cluster mutant-detection check (expect exit 1; add -simpar N for the engine)
-//	prdmabench -matrix             # adversarial fault x YCSB A-F matrix, crashcheck asserted per cell
-//	prdmabench -matrix -faults partition,gray -workloads AB -points 6   # reduced cell set
-//	prdmabench -matrix -mutant ackbug   # mutant-detection check: expect exit 1
+//	prdmabench -crashcheck -cluster -shards 2 -faults all -workloads ABCDEF -points 12   # fault x YCSB matrix: one cluster sweep per cell
+//	prdmabench -crashcheck -cluster -shards 2 -faults partition,gray -workloads AB -points 6   # reduced cell set
 //	prdmabench -parscale           # parallel-kernel scaling ladder + 1M-client open-loop smoke
-//	prdmabench -parscale -simpar 4 -logclients 1000000 -json BENCH_PR7.json
+//	prdmabench -parscale -simpar 4 -logclients 1000000 -json ladder.json   # also write the ladder as JSON
 //	prdmabench -pmpool             # remote PM pool: alloc grid + disaggregated shuffle figures
 //	prdmabench -crashcheck -pmpool -points 60 -torn 12   # pool crash-point sweep (alloc/free/write invariants)
 //	prdmabench -crashcheck -pmpool -mutant leak   # seeded leak bug: the sweep must catch it (exit 1)
@@ -32,35 +31,35 @@
 // With -crashcheck -cluster, -simpar N (N>0) switches the sweep's crash
 // coordinate from an event index on the one-kernel deployment to a
 // lookahead-window barrier on the partitioned engine; window indices are
-// worker-count-stable, so the minimal repro replays at -simpar 1. The
-// one-kernel figure drivers accept -simpar as a no-op so harnesses can pass
-// it uniformly.
+// worker-count-stable, so the minimal repro replays at -simpar 1. A fabric
+// adversary (-faults) needs the event coordinate. The one-kernel figure
+// drivers accept -simpar as a no-op so harnesses can pass it uniformly.
 //
-// Experiment cells are independent deployments, so drivers fan them across
-// a worker pool (-parallel). Output is byte-identical at any setting; only
-// wall time changes.
+// Experiment cells and crash-sweep targets are independent deployments, so
+// they fan out across a worker pool (-parallel). Output is byte-identical at
+// any setting; only wall time changes.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"runtime/pprof"
 	"time"
 
 	"prdma/internal/bench"
 )
 
-// validateModes rejects top-level mode combinations instead of silently
-// running one and ignoring the other: every pair of driver modes is
-// mutually exclusive, except -crashcheck with -cluster or -pmpool, which
-// select *which* crash sweep runs.
+// validateModes rejects flag combinations instead of silently running one
+// mode and ignoring the rest: every pair of driver modes is mutually
+// exclusive, except -crashcheck with -cluster or -pmpool, which select
+// *which* crash sweep runs; -faults and -workloads shape cluster sweep cells
+// only, and -json writes the -parscale report only.
 func validateModes(flagSet map[string]bool) error {
 	conflicts := [][2]string{
-		{"pmpool", "matrix"}, {"pmpool", "parscale"}, {"pmpool", "cluster"},
+		{"pmpool", "parscale"}, {"pmpool", "cluster"},
 		{"pmpool", "fig"}, {"pmpool", "table"}, {"pmpool", "ablation"}, {"pmpool", "all"},
-		{"matrix", "crashcheck"}, {"matrix", "parscale"}, {"matrix", "cluster"},
-		{"matrix", "fig"}, {"matrix", "table"}, {"matrix", "ablation"}, {"matrix", "all"},
 		{"parscale", "crashcheck"}, {"parscale", "cluster"},
 		{"parscale", "fig"}, {"parscale", "table"}, {"parscale", "ablation"}, {"parscale", "all"},
 		{"crashcheck", "fig"}, {"crashcheck", "table"}, {"crashcheck", "ablation"}, {"crashcheck", "all"},
@@ -69,6 +68,14 @@ func validateModes(flagSet map[string]bool) error {
 		if flagSet[c[0]] && flagSet[c[1]] {
 			return fmt.Errorf("-%s and -%s are mutually exclusive (run them separately)", c[0], c[1])
 		}
+	}
+	for _, f := range []string{"faults", "workloads"} {
+		if flagSet[f] && !(flagSet["crashcheck"] && flagSet["cluster"]) {
+			return fmt.Errorf("-%s selects cluster sweep cells: it needs -crashcheck -cluster", f)
+		}
+	}
+	if flagSet["json"] && !flagSet["parscale"] {
+		return fmt.Errorf("-json writes the -parscale report: it needs -parscale")
 	}
 	return nil
 }
@@ -81,23 +88,29 @@ func main() {
 	scale := flag.String("scale", "default", "workload scale: quick|default|full")
 	ops := flag.Int("ops", 0, "override operations per configuration")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	parallel := flag.Int("parallel", -1, "concurrent experiment cells per figure (1 = sequential, -1 = one per CPU); tables are identical at any setting")
+	parallel := flag.Int("parallel", -1, "concurrent experiment cells per figure, or crash-sweep targets (1 = sequential, -1 = one per CPU); output is identical at any setting")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an end-of-run heap profile to this file")
-	jsonOut := flag.String("json", "", "write per-figure wall times and ns-per-simulated-op to this JSON file")
+	jsonOut := flag.String("json", "", "parscale: write the ladder and the smoke to this JSON file")
 	sf := newSweepFlags(flag.CommandLine)
-	parscale := flag.Bool("parscale", false, "run the parallel-kernel scaling ladder (workers 1/2/4/8 over the 8-shard partitioned cluster) plus the open-loop population smoke; write BENCH_PR7-style JSON with -json")
+	parscale := flag.Bool("parscale", false, "run the parallel-kernel scaling ladder (workers 1/2/4/8 over the 8-shard partitioned cluster) plus the open-loop population smoke")
 	logclients := flag.Int("logclients", 1_000_000, "parscale: logical client population for the open-loop smoke")
-	matrixRun := flag.Bool("matrix", false, "run the adversarial fault x YCSB workload matrix (cluster crash-point sweep per cell)")
-	faults := flag.String("faults", "", "matrix: comma-separated adversary names (default: every builtin; see -matrix -faults help)")
-	workloads := flag.String("workloads", "", "matrix: YCSB workload letters, e.g. ABF (default: A-F)")
 	flag.Parse()
 	flagSet := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { flagSet[f.Name] = true })
-	pointsSet := flagSet["points"]
 	if err := validateModes(flagSet); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
+	}
+	// heapProfile ends every mode that did not exit early.
+	heapProfile := func() {
+		if *memprofile == "" {
+			return
+		}
+		if err := writeHeapProfile(*memprofile); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 	}
 
 	if *cpuprofile != "" {
@@ -113,42 +126,10 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	if *matrixRun {
-		o := matrixOptions{
-			seed:      int64(*sf.seed),
-			faults:    *faults,
-			workloads: *workloads,
-			mutant:    *sf.mutant,
-			parallel:  *parallel,
-			jsonOut:   *jsonOut,
-		}
-		if pointsSet {
-			o.points = *sf.points
-		}
-		if flagSet["shards"] {
-			o.shards = *sf.shards
-		}
-		if flagSet["replicas"] {
-			o.replicas = *sf.replicas
-		}
-		matrixMain(o)
-		if *memprofile != "" {
-			if err := writeHeapProfile(*memprofile); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
 	if *sf.crashcheck {
 		crashcheckMain(sf, *parallel)
 		// Reached only on a clean sweep (violations exit nonzero above).
-		if *memprofile != "" {
-			if err := writeHeapProfile(*memprofile); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
+		heapProfile()
 		return
 	}
 
@@ -172,19 +153,12 @@ func main() {
 
 	if *parscale {
 		parscaleMain(o, *scale, *sf.simpar, *logclients, *jsonOut, *csv)
-		if *memprofile != "" {
-			if err := writeHeapProfile(*memprofile); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
+		heapProfile()
 		return
 	}
 
-	var timings []runTiming
 	run := func(name string, fn func() []bench.Table) {
 		start := time.Now()
-		opsBefore := bench.SimOps()
 		for _, t := range fn() {
 			if *csv {
 				fmt.Printf("# %s\n", t.Title)
@@ -197,9 +171,7 @@ func main() {
 				t.Fprint(os.Stdout)
 			}
 		}
-		wall := time.Since(start)
-		timings = append(timings, newRunTiming(name, wall, bench.SimOps()-opsBefore))
-		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", name, wall.Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", name, time.Since(start).Round(time.Millisecond))
 	}
 	one := func(fn func() bench.Table) func() []bench.Table {
 		return func() []bench.Table { return []bench.Table{fn()} }
@@ -282,16 +254,17 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *jsonOut != "" {
-		if err := writeTimings(*jsonOut, *scale, timings); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	heapProfile()
+}
+
+// writeHeapProfile records the live heap at end of run (-memprofile),
+// running a GC first so the profile reflects retained memory, not garbage.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	if *memprofile != "" {
-		if err := writeHeapProfile(*memprofile); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
+	defer f.Close()
+	runtime.GC()
+	return pprof.WriteHeapProfile(f)
 }

@@ -9,9 +9,9 @@ import (
 	"prdma/internal/bench"
 )
 
-// parscaleReport is the BENCH_PR7.json document: the parallel-kernel scaling
-// ladder plus the open-loop population smoke, with the determinism verdict
-// the CI diff job gates on.
+// parscaleReport is the -json document (CI's BENCH_PR9.json): the
+// parallel-kernel scaling ladder plus the open-loop population smoke, with
+// the determinism verdict the CI diff job gates on.
 type parscaleReport struct {
 	Scale         string             `json:"scale"`
 	GoMaxProcs    int                `json:"gomaxprocs"`
@@ -21,8 +21,8 @@ type parscaleReport struct {
 	SpeedupAt4    float64            `json:"speedup_at_4_workers"`
 }
 
-// parscaleMain runs the PR 7 drivers: the worker ladder over the fixed
-// 8-shard partitioned cluster, then the large-population open-loop smoke.
+// parscaleMain runs the worker ladder over the fixed 8-shard partitioned
+// cluster, then the large-population open-loop smoke.
 // Exit is nonzero if any rung's fingerprint diverges or a smoke invariant
 // fails — wall-clock speedup is reported, never asserted, because it is a
 // property of the machine (GOMAXPROCS), not of the simulation.

@@ -215,7 +215,6 @@ func (o Options) micro(kind rpc.Kind, d *deployment, ops int, readFrac float64) 
 		panic("bench: micro run did not complete")
 	}
 	total := per * d.senders
-	AddSimOps(int64(total))
 	var cliSW time.Duration
 	for _, h := range c.cli {
 		cliSW += h.SWTime

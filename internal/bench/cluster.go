@@ -89,7 +89,6 @@ func (o Options) clusterFigRun(shards, replicas int) *clusterFig {
 	f.resyncDoneAt = f.ct.LastEvent("resync-done")
 	f.consistency = c.CheckConsistency()
 	k.Shutdown() // tables below read counters and samples only; reap the parked procs
-	AddSimOps(int64(f.ops))
 	return f
 }
 

@@ -100,7 +100,6 @@ func (o Options) failureRun(kind rpc.Kind, readFrac float64, pipeline int) failu
 		})
 	})
 	c.k.Run()
-	AddSimOps(int64(m.Ops))
 	// The scaled restart only affects measurement speed; recovery overhead
 	// beyond the restart is what PerCrashCost isolates, and ExpectedTotal
 	// re-applies the paper's real 300 ms restart.

@@ -50,7 +50,7 @@ func TestParallelDeterminismFig11(t *testing.T) {
 // completion order, for pools smaller, equal to, and larger than the job
 // count.
 func TestRunnerOrdering(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 8, 64} {
+	for _, workers := range []int{-1, 0, 1, 3, 8, 64} {
 		r := NewRunner(workers)
 		n := 37
 		out := mapCells(r, n, func(i int) string { return fmt.Sprintf("cell-%d", i) })

@@ -127,7 +127,6 @@ func (o Options) pmpoolGridCell(servers, clients int) pmpoolCell {
 	}
 	k.Shutdown()
 	cell.elapsed = end.Sub(start)
-	AddSimOps(cell.cycles)
 	return cell
 }
 
@@ -193,7 +192,6 @@ func (o Options) pmpoolShuffleTable() Table {
 		leaked += s.Live()
 	}
 	k.Shutdown()
-	AddSimOps(shuffleStats.Blocks)
 
 	local := pmpool.LocalShufflePageRank(g, cfg)
 	identical := len(ranks) == len(local)

@@ -16,25 +16,21 @@ type Runner struct {
 	workers int
 }
 
-// NewRunner returns a runner executing up to workers cells concurrently.
-// workers <= 1 means strictly sequential, in submission order.
+// NewRunner returns a runner executing up to workers cells concurrently:
+// 0 or 1 is strictly sequential, in submission order (the reference for
+// determinism tests), and negative means one worker per available CPU.
 func NewRunner(workers int) *Runner {
+	if workers < 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers < 1 {
 		workers = 1
 	}
 	return &Runner{workers: workers}
 }
 
-// runner materializes the Options' parallelism setting: 0 or 1 is
-// sequential (the default, and the reference for determinism tests),
-// negative means one worker per available CPU.
-func (o Options) runner() *Runner {
-	n := o.Parallel
-	if n < 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	return NewRunner(n)
-}
+// runner materializes the Options' parallelism setting (see NewRunner).
+func (o Options) runner() *Runner { return NewRunner(o.Parallel) }
 
 // Do runs fn(i) for every i in [0, n), spread across the pool. It returns
 // only when all cells finished. A panic in any cell is re-raised on the

@@ -47,11 +47,12 @@ type Params struct {
 	// writes that completed between the crash and its detection.
 	Restart, Retry, CheckEvery, Grace time.Duration
 
-	// MutantResurrect seeds a known bug class for the fault-matrix
+	// MutantResurrect seeds a known bug class for the crash sweep's
 	// mutant-detection check: it disables the stores' stale-write version
-	// guard and makes resync ship catch-up images BEFORE replaying the
-	// victim's redo-log backlogs, so replayed old versions can resurrect
-	// over newer acknowledged writes. Never set outside that check.
+	// guard and makes resync ship catch-up images BEFORE the pool's
+	// connections replay the victim's redo-log backlogs, so replayed old
+	// versions can resurrect over newer acknowledged writes. Never set
+	// outside that check.
 	MutantResurrect bool
 
 	// Net/HostP/PM/NIC are the testbed parameters for every node.

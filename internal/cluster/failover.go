@@ -213,7 +213,10 @@ func (ct *Controller) resync(p *sim.Proc, grp *PGroup, r int) {
 	shippedAt := make(map[uint64]sim.Time, len(gw.wrote[grp.ID]))
 	if ct.C.P.MutantResurrect {
 		// Seeded bug (see Params.MutantResurrect): ship one round of images
-		// first, so the replay below can land older versions on top of them.
+		// first, so the pool's replay below can land older versions on top
+		// of them. The ship rides the controller connection, so that one
+		// is rebuilt (and its backlog replayed) first.
+		grp.Replayed += int64(reestablish(p, grp.ctl, r))
 		n, err := ct.ship(p, grp, r, shipFloor, shippedAt)
 		if err != nil || !rep.alive {
 			abort()
@@ -222,7 +225,9 @@ func (ct *Controller) resync(p *sim.Proc, grp *PGroup, r int) {
 		grp.Shipped += int64(n)
 	}
 	hold()
-	grp.Replayed += int64(reestablish(p, grp.ctl, r))
+	if !ct.C.P.MutantResurrect {
+		grp.Replayed += int64(reestablish(p, grp.ctl, r))
+	}
 	for _, cl := range held {
 		grp.Replayed += int64(reestablish(p, cl, r))
 	}

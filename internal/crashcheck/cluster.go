@@ -101,8 +101,8 @@ func DefaultClusterConfig(seed int64) ClusterConfig {
 	}
 }
 
-// RefStats measures the sweep's crash-free reference run — the per-cell
-// performance row of the adversarial-matrix figure.
+// RefStats measures the cluster sweep's crash-free reference run: the
+// cell's row of the fault × workload matrix.
 type RefStats struct {
 	Ops          int
 	KOPS         float64
@@ -114,11 +114,30 @@ type RefStats struct {
 	Resends, FaultDrops, Duplicated, Reordered, StaleDrops, Retries int64
 }
 
+// String renders the row as the cluster sweep's summary line prints it.
+func (s RefStats) String() string {
+	return fmt.Sprintf("ops=%-4d kops=%-6.1f p50us=%-6.1f p99us=%-6.1f resends=%-5d drops=%-4d dup=%-4d reord=%-4d stale=%-4d retries=%-4d",
+		s.Ops, s.KOPS, s.P50US, s.P99US, s.Resends, s.FaultDrops, s.Duplicated, s.Reordered, s.StaleDrops, s.Retries)
+}
+
 func (cfg ClusterConfig) plan() plan {
+	// A matrix cell names its fault and workload: "cluster/partition/A",
+	// "cluster/none/F" (no adversary), "cluster/gray/mix" (default load).
+	name := "cluster"
+	if cfg.Fault != nil || cfg.Workload != 0 {
+		fault, wl := "none", "mix"
+		if cfg.Fault != nil {
+			fault = cfg.Fault.Name
+		}
+		if cfg.Workload != 0 {
+			wl = cfg.Workload.String()
+		}
+		name += "/" + fault + "/" + wl
+	}
 	// The floor skips the setup transient; the rng salt keeps the two
 	// coordinates' point sets independent.
 	pl := plan{
-		name: "cluster", coord: "event", seed: cfg.Seed,
+		name: name, coord: "event", seed: cfg.Seed,
 		points: cfg.Points, second: cfg.SecondCrashEvery,
 		salt: 0x7E57C0DE, floor: 50, mutant: cfg.Mutant, mutants: []string{"ackbug", "resurrect"},
 	}

@@ -2,6 +2,7 @@ package crashcheck
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"prdma/internal/fabric"
@@ -93,6 +94,7 @@ func TestPartitionedSweepWorkerStable(t *testing.T) {
 // ack-before-durable window is well under a microsecond, and six event
 // boundaries almost never land inside one. It also sweeps seed 6 at 16
 // points, which catches the mutant several times over (EXPERIMENTS.md).
+// The window-index resurrect case sweeps 12 points: its 6 catch nothing.
 func TestClusterMutantsCaught(t *testing.T) {
 	for _, workers := range []int{0, 2} {
 		for _, mutant := range []string{"ackbug", "resurrect"} {
@@ -102,6 +104,9 @@ func TestClusterMutantsCaught(t *testing.T) {
 				if workers == 0 && mutant == "ackbug" {
 					cfg.Seed, cfg.Points, cfg.ObjSize = 6, 16, 1024
 				}
+				if workers == 2 && mutant == "resurrect" {
+					cfg.Points = 12
+				}
 				res := mustSweep(t, cfg)
 				if res.ViolationCount == 0 {
 					t.Fatalf("seeded %q mutant survived %d crash points undetected", mutant, res.Points)
@@ -109,6 +114,27 @@ func TestClusterMutantsCaught(t *testing.T) {
 				t.Logf("%d violations over %d points", res.ViolationCount, res.Points)
 			})
 		}
+	}
+}
+
+// TestResurrectMutantResyncs pins what the resurrect mutant seeds: resync
+// ships images before the pool's logs replay, and it still completes, so
+// the sweep catches the mutant by what replay lands over the shipped
+// images (divergence), not by a readmission that never happens.
+func TestResurrectMutantResyncs(t *testing.T) {
+	cfg := sweepCfg(t, 3, 6, 6, 0)
+	cfg.Mutant = "resurrect"
+	res := mustSweep(t, cfg)
+	if res.Resyncs < int64(res.Points) {
+		t.Errorf("%d resyncs completed over %d crash points", res.Resyncs, res.Points)
+	}
+	for _, v := range res.Violations {
+		if strings.Contains(v.Msg, "not healthy at horizon") {
+			t.Errorf("resync never readmitted the victim: %v", v)
+		}
+	}
+	if res.ViolationCount == 0 {
+		t.Fatal("seeded resurrect mutant survived undetected")
 	}
 }
 

@@ -5,7 +5,8 @@
 // duplicated delivery, bounded reordering, and periodic congestion/RNR drop
 // bursts — without touching the reliability machinery above it: the QP
 // layer's retransmission, dedup, and durability-horizon logic must absorb
-// every adversary here, which is exactly what the scenario matrix asserts.
+// every adversary here, which is exactly what the cluster crash sweep's
+// fault × workload cells assert.
 //
 // All randomness comes from one splitmix64 stream seeded at construction,
 // so a (spec, seed) pair reproduces the exact delivery schedule.

@@ -1,0 +1,128 @@
+package scenario
+
+import (
+	"reflect"
+	"testing"
+
+	"prdma/internal/crashcheck"
+	"prdma/internal/ycsb"
+)
+
+// cellTarget is one fault × workload matrix cell as the CLI builds it: the
+// CI-sized cluster crash sweep under a builtin adversary (none stays
+// unfaulted) and a YCSB workload, at a point count sized for unit tests.
+func cellTarget(t *testing.T, seed int64, fault string, wl ycsb.Workload) crashcheck.ClusterConfig {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("cluster sweeps are slow")
+	}
+	spec, err := FaultByName(fault)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := crashcheck.DefaultClusterConfig(seed)
+	cfg.Points, cfg.SecondCrashEvery, cfg.Workload = 4, 3, wl
+	if !spec.Empty() {
+		cfg.Fault = &spec
+	}
+	return cfg
+}
+
+func sweep(t *testing.T, cfg crashcheck.ClusterConfig) crashcheck.Result {
+	t.Helper()
+	res, err := crashcheck.Sweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestMatrixCellsClean sweeps a reduced adversary × workload set and
+// expects every §4.2 invariant to hold at every crash point.
+func TestMatrixCellsClean(t *testing.T) {
+	for _, fault := range []string{"partition", "duplicate"} {
+		for _, wl := range []ycsb.Workload{ycsb.A, ycsb.E} {
+			res := sweep(t, cellTarget(t, 7, fault, wl))
+			if res.ViolationCount != 0 {
+				t.Errorf("cell %s: %d violations, first: %v", res.Target, res.ViolationCount, res.Minimal())
+			}
+			// The partition cells must actually have partitioned something,
+			// and the duplicate cells duplicated something — an inert
+			// adversary would pass vacuously.
+			switch ref := res.Ref; fault {
+			case "partition":
+				if ref.FaultDrops == 0 {
+					t.Errorf("%s: adversary dropped nothing", res.Target)
+				}
+				if ref.Resends == 0 {
+					t.Errorf("%s: no retransmissions rode out the cut", res.Target)
+				}
+			case "duplicate":
+				if ref.Duplicated == 0 {
+					t.Errorf("%s: adversary duplicated nothing", res.Target)
+				}
+			}
+		}
+	}
+}
+
+// TestMatrixDeterministic runs the same cell twice and expects identical
+// results: the whole sweep is a pure function of the seed.
+func TestMatrixDeterministic(t *testing.T) {
+	cfg := cellTarget(t, 11, "chaos", ycsb.B)
+	a, b := sweep(t, cfg), sweep(t, cfg)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same seed, different results:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestMatrixMutantsDetected seeds each known bug class and expects the
+// sweep to catch it in at least one cell — the checker's checker.
+func TestMatrixMutantsDetected(t *testing.T) {
+	for _, mutant := range []string{"ackbug", "resurrect"} {
+		total := 0
+		for _, fault := range []string{"none", "partition"} {
+			cfg := cellTarget(t, 7, fault, ycsb.A)
+			// The ackbug window (ACK issued at DMA completion, crash before
+			// the media persist lands) is narrow; give the sweep the full
+			// crash-point budget so at least one point falls inside it.
+			cfg.Points, cfg.Mutant = 12, mutant
+			total += sweep(t, cfg).ViolationCount
+		}
+		if total == 0 {
+			t.Errorf("mutant %q survived the matrix undetected", mutant)
+		}
+	}
+}
+
+func TestParseWorkloads(t *testing.T) {
+	ws, err := ParseWorkloads("a,B F")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []ycsb.Workload{ycsb.A, ycsb.B, ycsb.F}
+	if !reflect.DeepEqual(ws, want) {
+		t.Fatalf("got %v want %v", ws, want)
+	}
+	if _, err := ParseWorkloads("AG"); err == nil {
+		t.Fatal("workload G should be rejected")
+	}
+	if _, err := ParseWorkloads(""); err == nil {
+		t.Fatal("empty workload set should be rejected")
+	}
+}
+
+func TestFaultByName(t *testing.T) {
+	for _, name := range FaultNames() {
+		f, err := FaultByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Validate(); err != nil {
+			t.Errorf("builtin fault %q invalid: %v", name, err)
+		}
+	}
+	if _, err := FaultByName("nope"); err == nil {
+		t.Fatal("unknown fault should be rejected")
+	}
+}

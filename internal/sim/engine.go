@@ -82,8 +82,8 @@ type Engine struct {
 	serialized int
 
 	// spin is how many Gosched rounds a helper waits on the generation
-	// before parking on the condvar; fixed at construction (from
-	// barSpinRounds) so helpers never read a mutable global.
+	// before parking on the condvar (barSpinRounds; a test zeroes it
+	// before the first window to force the park path).
 	spin int
 
 	// hooks run at every window barrier's flush, in coordinator context with
@@ -115,11 +115,8 @@ type crossMsg struct {
 }
 
 // barSpinRounds seeds Engine.spin: how many Gosched rounds a helper spins on
-// the generation before parking on the condvar. A var so tests can force the
-// park path (set to 0 around engine construction) and hammer the
-// park/broadcast handshake under -race; it must not change concurrently
-// with engine construction.
-var barSpinRounds = 256
+// the generation before parking on the condvar.
+const barSpinRounds = 256
 
 // barStallTimeout bounds the coordinator's wait for helpers to finish a
 // window. Helpers cannot legally disappear mid-window, so hitting it means a

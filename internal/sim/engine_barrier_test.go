@@ -32,11 +32,9 @@ func barrierChain(k *Kernel, start, step Time, steps int, trace *[]Time) {
 // after the under-lock gen re-check) parked a helper forever under exactly
 // this interleaving; waitHelpers then turns the hang into a diagnosed panic.
 func TestEngineBarrierParkWakeup(t *testing.T) {
-	oldSpin := barSpinRounds
-	barSpinRounds = 0
 	const kernels, steps = 4, 2000
 	e := NewEngine(100*time.Nanosecond, kernels)
-	barSpinRounds = oldSpin
+	e.spin = 0
 	traces := make([][]Time, kernels)
 	for i := 0; i < kernels; i++ {
 		barrierChain(e.NewKernel(), 0, 1000, steps, &traces[i])

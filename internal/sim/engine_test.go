@@ -315,15 +315,12 @@ func traceRun(t *testing.T, nodes int, seed uint64, rounds int, lookahead Time, 
 	return mergedTrace(t, nds), e
 }
 
-// The three tests below are named after window fusion, which the engine no
-// longer has; they check the RunWindows budget and the solo-window path.
-
-// TestEngineRunWindowsExactThroughFusion proves the window budget is exact:
+// TestEngineRunWindowsExact proves the window budget is exact:
 // stepping an engine in small RunWindows increments must visit exactly the
 // same number of windows as a single Run, with the same final trace, never
 // overshooting the budget. This is what keeps crashcheck's stepTo(w)
 // landing exactly on window w.
-func TestEngineRunWindowsExactThroughFusion(t *testing.T) {
+func TestEngineRunWindowsExact(t *testing.T) {
 	const nodes, rounds = 4, 30
 	lookahead := Time(nodes * (nodes + 1) * 16)
 	for _, seed := range []uint64{3, 11} {
@@ -356,10 +353,10 @@ func TestEngineRunWindowsExactThroughFusion(t *testing.T) {
 	}
 }
 
-// TestEngineFusionSoloKernel pins the solo-window path: a single busy kernel
+// TestEngineSoloKernel pins the solo-window path: a single busy kernel
 // beside idle ones never enters the worker barrier, and idle-skip
 // accounting covers the idle kernels every window.
-func TestEngineFusionSoloKernel(t *testing.T) {
+func TestEngineSoloKernel(t *testing.T) {
 	e := NewEngine(100*time.Nanosecond, 4)
 	busy := e.NewKernel()
 	e.NewKernel() // idle
@@ -384,10 +381,10 @@ func TestEngineFusionSoloKernel(t *testing.T) {
 	}
 }
 
-// TestEngineFusionDeliversInOrder pins delivery out of a solo stretch:
+// TestEngineSoloDeliversInOrder pins delivery out of a solo stretch:
 // messages a kernel emits while it runs alone must reach the destination
 // before the destination's next window, in canonical order.
-func TestEngineFusionDeliversInOrder(t *testing.T) {
+func TestEngineSoloDeliversInOrder(t *testing.T) {
 	la := Time(100)
 	e := NewEngine(time.Duration(la), 1)
 	a, b := e.NewKernel(), e.NewKernel()
