@@ -43,7 +43,7 @@ func newSweepFlags(fs *flag.FlagSet) *sweepFlags {
 		points:     fs.Int("points", 300, "crashcheck: event-boundary crash points per family/mix cell"),
 		torn:       fs.Int("torn", 40, "crashcheck: additional mid-persist (torn-write) crash points per cell"),
 		objsize:    fs.Int("objsize", 0, "crashcheck: per-request object bytes (0 = harness default)"),
-		shards:     fs.Int("shards", 4, "cluster: number of shard groups"),
+		shards:     fs.Int("shards", 4, "cluster: number of shard groups (a -crashcheck -cluster sweep uses 2 unless this is given)"),
 		replicas:   fs.Int("replicas", 3, "cluster: replication factor per shard"),
 		simpar:     fs.Int("simpar", 0, "parallel simulation workers for partitioned runs (0 = one kernel; with -crashcheck -cluster, N>0 crashes at window barriers on the partitioned engine instead of at event indices)"),
 	}
@@ -53,8 +53,9 @@ func newSweepFlags(fs *flag.FlagSet) *sweepFlags {
 // one cluster per (fault, workload) cell, faults outer (one unfaulted cell
 // without -faults, one default-mix cell per fault without -workloads), with
 // -pmpool one pool (WFlush unless -family picks another family), else one
-// durable-RPC target per matching (family, mix) cell. -points and -torn
-// override the cluster and pool defaults only when given.
+// durable-RPC target per matching (family, mix) cell. -points, -torn,
+// -shards and -replicas override the cluster and pool defaults only when
+// given.
 func (f *sweepFlags) targets() ([]crashcheck.Target, error) {
 	set := map[string]bool{}
 	f.fs.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
@@ -81,7 +82,13 @@ func (f *sweepFlags) targets() ([]crashcheck.Target, error) {
 		if set["points"] && *f.points > 0 {
 			base.Points = *f.points
 		}
-		base.Shards, base.Replicas, base.Workers, base.Mutant = *f.shards, *f.replicas, *f.simpar, *f.mutant
+		if set["shards"] {
+			base.Shards = *f.shards
+		}
+		if set["replicas"] {
+			base.Replicas = *f.replicas
+		}
+		base.Workers, base.Mutant = *f.simpar, *f.mutant
 		if *f.objsize > 0 {
 			base.ObjSize = *f.objsize
 		}
@@ -130,6 +137,15 @@ func (f *sweepFlags) targets() ([]crashcheck.Target, error) {
 		return nil, fmt.Errorf("crashcheck: no family matches -family %q / -mix %q", *f.family, *f.mix)
 	}
 	return ts, nil
+}
+
+// clusterShape rejects a -shards or -replicas value no cluster deployment
+// can be built with, so -cluster exits with a message instead of a panic.
+func (f *sweepFlags) clusterShape() error {
+	if *f.shards <= 0 || *f.replicas <= 0 {
+		return fmt.Errorf("cluster: -shards and -replicas must be positive (got %d and %d)", *f.shards, *f.replicas)
+	}
+	return nil
 }
 
 // faultSpecs resolves -faults: no flag is one unfaulted cell, "all" the

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"io"
+	"os/exec"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -84,6 +87,23 @@ func TestClusterCells(t *testing.T) {
 	if ts := parseTargets(t, []string{"-crashcheck", "-cluster"}); len(ts) != 1 || ts[0].(crashcheck.ClusterConfig).Fault != nil {
 		t.Errorf("plain cluster sweep selects %+v", ts)
 	}
+	// -shards and -replicas override the sweep's CI-sized default shape
+	// only when given.
+	def := crashcheck.DefaultClusterConfig(1)
+	for args, want := range map[string][2]int{
+		"-crashcheck -cluster":                          {def.Shards, def.Replicas},
+		"-crashcheck -cluster -shards 4":                {4, def.Replicas},
+		"-crashcheck -cluster -shards 3 -replicas 5":    {3, 5},
+		"-crashcheck -cluster -faults none -replicas 2": {def.Shards, 2},
+	} {
+		cfg := parseTargets(t, strings.Fields(args))[0].(crashcheck.ClusterConfig)
+		if got := [2]int{cfg.Shards, cfg.Replicas}; got != want {
+			t.Errorf("%q sweeps %d shards x %d replicas, want %d x %d", args, got[0], got[1], want[0], want[1])
+		}
+	}
+	if def.Shards != 2 {
+		t.Errorf("the default cluster sweep has %d shards, want the CI-sized 2", def.Shards)
+	}
 	if n := len(parseTargets(t, strings.Fields("-crashcheck -cluster -faults all"))); n != len(scenario.FaultNames()) {
 		t.Errorf("-faults all selects %d cells, want %d", n, len(scenario.FaultNames()))
 	}
@@ -96,6 +116,31 @@ func TestClusterCells(t *testing.T) {
 		}
 		if validateModes(set) == nil {
 			t.Errorf("%q accepted", args)
+		}
+	}
+}
+
+// TestBadShapesExit2 runs the built command on shapes its drivers cannot
+// build: each must exit 2 with a message naming the problem, not panic.
+func TestBadShapesExit2(t *testing.T) {
+	gobin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go toolchain on PATH")
+	}
+	bin := filepath.Join(t.TempDir(), "prdmabench")
+	if out, err := exec.Command(gobin, "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+	for args, msg := range map[string]string{
+		"-cluster -scale quick -shards 0":                             "-shards and -replicas must be positive",
+		"-cluster -scale quick -replicas 0":                           "-shards and -replicas must be positive",
+		"-crashcheck -cluster -shards 0":                              "-shards and -replicas must be positive",
+		"-crashcheck -family WFlush -mix writes -objsize 8 -points 2": "needs ObjSize ≥ 16",
+	} {
+		out, err := exec.Command(bin, strings.Fields(args)...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), msg) || strings.Contains(string(out), "panic") {
+			t.Errorf("%q: %v, output:\n%s\nwant exit status 2 and %q", args, err, out, msg)
 		}
 	}
 }

@@ -16,11 +16,11 @@
 //	prdmabench -crashcheck -mutant ackbug -objsize 16384   # demo: catch the §2.4 premature-ack bug (exit 1)
 //	prdmabench -cluster            # sharded replicated KV: failover figure (4 shards x 3 replicas)
 //	prdmabench -cluster -shards 8 -replicas 5 -scale full       # bigger deployment
-//	prdmabench -crashcheck -cluster -points 20   # crash-point sweep over the cluster failover/resync path
+//	prdmabench -crashcheck -cluster -points 20   # crash-point sweep over the cluster failover/resync path (2 shards x 3 replicas unless -shards/-replicas say otherwise)
 //	prdmabench -crashcheck -cluster -simpar 4 -points 12   # window-barrier sweep on the partitioned engine
 //	prdmabench -crashcheck -cluster -mutant ackbug   # cluster mutant-detection check (expect exit 1; add -simpar N for the engine)
-//	prdmabench -crashcheck -cluster -shards 2 -faults all -workloads ABCDEF -points 12   # fault x YCSB matrix: one cluster sweep per cell
-//	prdmabench -crashcheck -cluster -shards 2 -faults partition,gray -workloads AB -points 6   # reduced cell set
+//	prdmabench -crashcheck -cluster -faults all -workloads ABCDEF -points 12   # fault x YCSB matrix: one cluster sweep per cell
+//	prdmabench -crashcheck -cluster -faults partition,gray -workloads AB -points 6   # reduced cell set
 //	prdmabench -parscale           # parallel-kernel scaling ladder + 1M-client open-loop smoke
 //	prdmabench -parscale -simpar 4 -logclients 1000000 -json ladder.json   # also write the ladder as JSON
 //	prdmabench -pmpool             # remote PM pool: alloc grid + disaggregated shuffle figures
@@ -101,6 +101,12 @@ func main() {
 	if err := validateModes(flagSet); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
+	}
+	if *sf.cluster {
+		if err := sf.clusterShape(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 	}
 	// heapProfile ends every mode that did not exit early.
 	heapProfile := func() {

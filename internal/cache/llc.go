@@ -10,8 +10,6 @@
 package cache
 
 import (
-	"time"
-
 	"prdma/internal/pmem"
 	"prdma/internal/sim"
 )
@@ -136,23 +134,10 @@ func (c *LLC) Clflush(at sim.Time, addr int64, n int) sim.Time {
 	return done
 }
 
-// ClflushSync flushes and blocks p until the data is durable.
-func (c *LLC) ClflushSync(p *sim.Proc, addr int64, n int) {
-	done := c.Clflush(p.K.Now(), addr, n)
-	p.Sleep(done.Sub(p.K.Now()))
-}
-
-// ClflushFunc flushes and runs fn once the data is durable: ClflushSync
-// for a caller that is a kernel callback, with the same one event.
+// ClflushFunc flushes and runs fn once the data is durable, with one event.
 func (c *LLC) ClflushFunc(addr int64, n int, fn func()) {
 	done := c.Clflush(c.K.Now(), addr, n)
 	c.K.AfterFunc(done.Sub(c.K.Now()), fn)
-}
-
-// FlushCost estimates the CPU-path persist time for n dirty bytes without
-// performing the flush (used by timing-only fast paths).
-func (c *LLC) FlushCost(n int) time.Duration {
-	return c.PM.PersistCost(n, pmem.CPU)
 }
 
 // Crash discards all dirty lines: they were volatile.

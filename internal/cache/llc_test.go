@@ -111,13 +111,17 @@ func TestDirtyTrackingAndPeak(t *testing.T) {
 	}
 }
 
+// TestClflushSyncBlocks checks that ClflushFunc's continuation waits for
+// the flush: it runs once the dirty data is durable, which takes time.
 func TestClflushSyncBlocks(t *testing.T) {
 	k, _, c := newLLC()
 	c.InstallDirty(0, 4096, nil)
 	var done sim.Time
-	k.Go("f", func(p *sim.Proc) {
-		c.ClflushSync(p, 0, 4096)
-		done = p.Now()
+	c.ClflushFunc(0, 4096, func() {
+		done = k.Now()
+		if c.DirtyIn(0, 4096) {
+			t.Error("lines still dirty when the flush completed")
+		}
 	})
 	k.Run()
 	if done == 0 {

@@ -26,9 +26,9 @@ type ringPoint struct {
 }
 
 // Ring is a consistent-hash ring mapping keys to shards through VNodes
-// virtual points per shard. Removing a shard moves only the keys that
-// hashed to its points (≈1/N of the space); the rest stay put — the
-// property the ring tests pin down.
+// virtual points per shard. Adding a shard moves only the keys that hash to
+// its new points (≈1/N of the space); the rest stay put — the property the
+// ring tests pin down.
 type Ring struct {
 	seed   uint64
 	vnodes int
@@ -61,18 +61,6 @@ func (r *Ring) Add(s int) {
 	})
 }
 
-// Remove deletes shard s's points from the ring; keys that hashed to them
-// fall through to the next point clockwise.
-func (r *Ring) Remove(s int) {
-	kept := r.points[:0]
-	for _, pt := range r.points {
-		if pt.shard != s {
-			kept = append(kept, pt)
-		}
-	}
-	r.points = kept
-}
-
 // Shard maps a key to its owning shard: the first ring point clockwise
 // from the key's hash.
 func (r *Ring) Shard(key uint64) int {
@@ -86,20 +74,3 @@ func (r *Ring) Shard(key uint64) int {
 	}
 	return r.points[i].shard
 }
-
-// Shards returns the set of shards currently on the ring, sorted.
-func (r *Ring) Shards() []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, pt := range r.points {
-		if !seen[pt.shard] {
-			seen[pt.shard] = true
-			out = append(out, pt.shard)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Points returns the ring size (for tests).
-func (r *Ring) Points() int { return len(r.points) }

@@ -107,8 +107,8 @@ type RefStats struct {
 	Ops          int
 	KOPS         float64
 	P50US, P99US float64
-	// Resends is total RC retransmissions; FaultDrops the injector- or
-	// DropProb-lost messages; Duplicated/Reordered the adversary's copies
+	// Resends is total RC retransmissions; FaultDrops the messages the
+	// fault injector dropped; Duplicated/Reordered the adversary's copies
 	// and holds; StaleDrops the version-guarded writes the stores
 	// rejected; Retries the cluster-level op retries.
 	Resends, FaultDrops, Duplicated, Reordered, StaleDrops, Retries int64

@@ -122,6 +122,17 @@ func TestTargets(t *testing.T) {
 			}
 		})
 	}
+	// The rpc and cluster targets stamp each object's key and version into
+	// its first 16 bytes: a smaller object is an error, not a panic.
+	small := rpcCfg
+	small.ObjSize = 8
+	smallCluster := cluster(1, 1, 0)
+	smallCluster.ObjSize = 8
+	for _, tgt := range []Target{small, smallCluster} {
+		if _, err := Sweep(tgt); err == nil || !strings.Contains(err.Error(), "ObjSize ≥ 16") {
+			t.Errorf("%s with 8-byte objects: err = %v, want an ObjSize error", tgt.plan().name, err)
+		}
+	}
 }
 
 // TestSweepClean sweeps crash points across every durable RPC family and

@@ -105,7 +105,14 @@ func (cfg Config) plan() plan {
 	}
 }
 
-func (cfg Config) deploy(reference bool) (deployment, error) { return newRun(cfg, !reference), nil }
+func (cfg Config) deploy(reference bool) (deployment, error) {
+	if cfg.ObjSize < 16 {
+		// Every write stamps its key and version into the object's first
+		// 16 bytes, which the post-crash read-back checks.
+		return nil, fmt.Errorf("crashcheck: the durable-RPC target needs ObjSize ≥ 16, got %d", cfg.ObjSize)
+	}
+	return newRun(cfg, !reference), nil
+}
 
 // reqSpec is one precomputed request: a versioned full-object write or a
 // read. Versions increase in issue order, and each key is only ever

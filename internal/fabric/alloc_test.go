@@ -15,8 +15,8 @@ func TestSendDeliverAllocRegression(t *testing.T) {
 	k := sim.New()
 	n := New(k, DefaultParams(), 1)
 	delivered := 0
-	n.Attach("b", func(at sim.Time, m *Message) { delivered++ })
-	a := n.Attach("a", nil)
+	n.AttachOn(k, "b", func(at sim.Time, m *Message) { delivered++ })
+	a := n.AttachOn(k, "a", nil)
 
 	send := func(rounds int) {
 		for i := 0; i < rounds; i++ {

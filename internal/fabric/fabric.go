@@ -1,8 +1,9 @@
 // Package fabric models the RDMA interconnect (InfiniBand / RoCE in the
 // paper's testbed) at the level the experiments need: per-message delivery
 // latency composed of propagation, egress serialization with FIFO queueing,
-// and optional congestion from background traffic; plus message loss and
-// endpoint up/down state for the failure-recovery experiments.
+// and optional congestion from background traffic; endpoint up/down state
+// for the failure-recovery experiments; and, through a fault injector
+// (faults.go), seeded loss, delay, reordering and duplication.
 package fabric
 
 import (
@@ -26,8 +27,6 @@ type Params struct {
 	// BusyBandwidthShare scales available bandwidth under load (0<s<=1);
 	// zero means 1 (no reduction).
 	BusyBandwidthShare float64
-	// DropProb is the per-message loss probability (failure experiments).
-	DropProb float64
 }
 
 // DefaultParams returns the ConnectX-4-like defaults from DESIGN.md §4.
@@ -58,10 +57,10 @@ type Message struct {
 }
 
 // pooledMsg is a free-listed message envelope with its delivery thunk bound
-// once, so the SendPooled hot path schedules delivery without allocating
-// either the Message or a closure. Handlers receive &pm.Message and must
-// not retain it past the handler call; the envelope is recycled as soon as
-// the handler returns (payloads are the sender's to manage, via release).
+// once, so SendPooled schedules delivery without allocating either the
+// Message or a closure. Handlers receive &pm.Message and must not retain it
+// past the handler call; the envelope is recycled as soon as the handler
+// returns (payloads are the sender's to manage, via release).
 type pooledMsg struct {
 	Message
 	net     *Network
@@ -92,14 +91,12 @@ type Network struct {
 	reclaim [][]*xferDir
 	hooked  bool
 
-	// Stats. Dropped is the total; DroppedFault counts losses the model
-	// injected (DropProb and fault-injector partitions/bursts) and
-	// DroppedDown counts messages that reached a down or handlerless
-	// endpoint — the matrix figure needs the two attributed separately.
+	// Stats. Dropped is the total; DroppedFault counts the losses the fault
+	// injector caused (partitions and bursts), the rest reached a down or
+	// handlerless endpoint.
 	Delivered    int64
 	Dropped      int64
 	DroppedFault int64
-	DroppedDown  int64
 	Duplicated   int64
 	Reordered    int64
 	BytesSent    int64
@@ -115,16 +112,13 @@ func New(k *sim.Kernel, p Params, seed uint64) *Network {
 }
 
 // SetInjector installs (or, with nil, removes) a fault injector. With no
-// injector the send paths are bit-for-bit identical to an unfaulted build.
+// injector the send path is bit-for-bit identical to an unfaulted build.
 func (n *Network) SetInjector(i *Injector) {
 	if i != nil && n.partitioned {
 		panic("fabric: the fault injector requires a single-kernel network (shared rng)")
 	}
 	n.inj = i
 }
-
-// Injector returns the installed fault injector (nil when none).
-func (n *Network) Injector() *Injector { return n.inj }
 
 // Endpoint is one NIC port attached to the network.
 type Endpoint struct {
@@ -149,20 +143,14 @@ type Endpoint struct {
 	xfer []*xferDir
 }
 
-// Attach creates an endpoint on the network's own kernel. The handler runs
-// at message arrival time.
-func (n *Network) Attach(name string, handler func(at sim.Time, m *Message)) *Endpoint {
-	return n.AttachOn(n.K, name, handler)
-}
-
-// AttachOn creates an endpoint whose state lives on kernel k — one partition
-// of a sim.Engine when the deployment is split across kernels. Sends between
+// AttachOn creates an endpoint whose state lives on kernel k: the network's
+// own kernel, or one partition of a sim.Engine when the deployment is split
+// across kernels. The handler runs at message arrival time. Sends between
 // endpoints on different kernels deep-copy Transferable payloads and deliver
-// through the engine barrier; everything else is identical to Attach.
-// Random per-message behavior (fault injection, busy-network queueing,
-// loss) draws from the network's single rng, whose consumption order would
-// depend on partition interleaving, so it is rejected on partitioned
-// networks.
+// through the engine barrier. Random per-message behavior (fault injection,
+// busy-network queueing) draws from the network's single rng, whose
+// consumption order would depend on partition interleaving, so it is
+// rejected on partitioned networks.
 func (n *Network) AttachOn(k *sim.Kernel, name string, handler func(at sim.Time, m *Message)) *Endpoint {
 	if _, dup := n.endpoints[name]; dup {
 		panic(fmt.Sprintf("fabric: duplicate endpoint %q", name))
@@ -174,7 +162,7 @@ func (n *Network) AttachOn(k *sim.Kernel, name string, handler func(at sim.Time,
 		if sim.Time(n.Params.Propagation) < sim.Time(k.Engine().Lookahead()) {
 			panic("fabric: engine lookahead exceeds the network propagation delay")
 		}
-		if n.inj != nil || n.Params.BusyQueueMean > 0 || n.Params.DropProb > 0 {
+		if n.inj != nil || n.Params.BusyQueueMean > 0 {
 			panic("fabric: fault injection and random congestion require a single-kernel network (shared rng)")
 		}
 		n.partitioned = true
@@ -192,12 +180,6 @@ func (n *Network) AttachOn(k *sim.Kernel, name string, handler func(at sim.Time,
 	n.endpoints[name] = e
 	return e
 }
-
-// SetHandler replaces the arrival handler (used when a NIC restarts).
-func (e *Endpoint) SetHandler(h func(at sim.Time, m *Message)) { e.handler = h }
-
-// Up reports whether the endpoint accepts traffic.
-func (e *Endpoint) Up() bool { return e.up }
 
 // SetUp changes the endpoint's availability. While down, inbound messages
 // are dropped silently (the sender's reliability layer times out and
@@ -222,87 +204,13 @@ func (n *Network) SerializeCost(size int) time.Duration {
 	return time.Duration(float64(size) / bw * 1e9)
 }
 
-// Send transmits m from endpoint e. It returns the time the message will
-// finish serializing onto the wire (when the sender-side NIC is free again).
-// Delivery to the destination handler is scheduled internally; lost or
-// down-endpoint messages are silently dropped — reliability is the QP
-// layer's job.
-func (e *Endpoint) Send(m *Message) sim.Time {
-	n := e.Net
-	m.From = e.Name
-	atomic.AddInt64(&n.BytesSent, int64(m.Size))
-
-	txDone := e.tx.Reserve(n.SerializeCost(m.Size))
-
-	var v verdict
-	if n.inj != nil {
-		v = n.inj.judge(txDone, e.Name, m.To)
-		if v.drop {
-			n.countDrop(&n.DroppedFault)
-			return txDone
-		}
-	}
-	delay := n.Params.Propagation + v.extra
-	if n.Params.BusyQueueMean > 0 {
-		delay += time.Duration(n.rng.Exp(float64(n.Params.BusyQueueMean)))
-	}
-	arrive := txDone.Add(delay)
-	if last := e.lastArrive[m.To]; arrive < last {
-		arrive = last
-	}
-	e.lastArrive[m.To] = arrive
-	if v.reorder > 0 {
-		// Held back past the FIFO point without advancing lastArrive, so
-		// later messages to the same destination may overtake — bounded
-		// reordering.
-		arrive = arrive.Add(v.reorder)
-		atomic.AddInt64(&n.Reordered, 1)
-	}
-
-	if n.Params.DropProb > 0 && n.rng.Float64() < n.Params.DropProb {
-		n.countDrop(&n.DroppedFault)
-		return txDone
-	}
-	dst, ok := n.endpoints[m.To]
-	if !ok {
-		panic(fmt.Sprintf("fabric: send to unknown endpoint %q", m.To))
-	}
-	if dst.k != e.k {
-		// Cross-partition: detach the payload from the source's pools into a
-		// pooled transfer envelope and hand delivery to the engine barrier
-		// (faults never reach here — they are rejected on partitioned
-		// networks, so no dup/reorder).
-		e.postCross(dst, arrive, m.To, m.Size, m.Payload)
-		return txDone
-	}
-	deliver := func(at sim.Time) {
-		if !dst.up || dst.handler == nil {
-			n.countDrop(&n.DroppedDown)
-			return
-		}
-		atomic.AddInt64(&n.Delivered, 1)
-		dst.handler(at, m)
-	}
-	e.k.Schedule(arrive, func() { deliver(arrive) })
-	if v.dup > 0 {
-		atomic.AddInt64(&n.Duplicated, 1)
-		dupAt := arrive.Add(v.dup)
-		e.k.Schedule(dupAt, func() { deliver(dupAt) })
-	}
-	return txDone
-}
-
-// countDrop bumps the total drop counter and one attribution counter.
-func (n *Network) countDrop(attr *int64) {
-	atomic.AddInt64(&n.Dropped, 1)
-	atomic.AddInt64(attr, 1)
-}
-
-// deliverCross runs on the destination partition's kernel at arrival time.
-func (e *Endpoint) deliverCross(at sim.Time, m *Message) {
+// deliver hands m to e's handler at arrival time, or drops it if e is down
+// or has no handler. Cross-partition messages arrive here on the
+// destination's kernel.
+func (e *Endpoint) deliver(at sim.Time, m *Message) {
 	n := e.Net
 	if !e.up || e.handler == nil {
-		n.countDrop(&n.DroppedDown)
+		atomic.AddInt64(&n.Dropped, 1)
 		return
 	}
 	atomic.AddInt64(&n.Delivered, 1)
@@ -316,7 +224,7 @@ func (e *Endpoint) getMsg() *pooledMsg {
 		return pm
 	}
 	pm := &pooledMsg{net: e.Net, src: e}
-	pm.fn = func() { pm.deliver() }
+	pm.fn = func() { pm.deliverAt(pm.arrive, true) }
 	return pm
 }
 
@@ -333,40 +241,26 @@ func (pm *pooledMsg) finish() {
 	}
 }
 
-func (pm *pooledMsg) deliver() {
-	n, dst, arrive := pm.net, pm.dst, pm.arrive
-	if !dst.up || dst.handler == nil {
-		n.countDrop(&n.DroppedDown)
-	} else {
-		atomic.AddInt64(&n.Delivered, 1)
-		dst.handler(arrive, &pm.Message)
-	}
-	pm.finish()
-}
-
-// deliverAt is the duplicated-delivery variant: it hands the message to the
-// destination at the given time and recycles the envelope only after the
-// final copy, so the sender's release hook still fires exactly once.
+// deliverAt hands the message to the destination at the given time and
+// recycles the envelope after the final copy — a duplicated message has two
+// — so the sender's release hook fires exactly once.
 func (pm *pooledMsg) deliverAt(at sim.Time, final bool) {
-	n, dst := pm.net, pm.dst
-	if !dst.up || dst.handler == nil {
-		n.countDrop(&n.DroppedDown)
-	} else {
-		atomic.AddInt64(&n.Delivered, 1)
-		dst.handler(at, &pm.Message)
-	}
+	pm.dst.deliver(at, &pm.Message)
 	if final {
 		pm.finish()
 	}
 }
 
-// SendPooled transmits like Send but from a free-listed envelope with a
-// pre-bound delivery event, making the send/deliver path alloc-free.
-// Timing, FIFO, loss, and stats semantics are identical to Send. release,
-// when non-nil, is invoked exactly once when the fabric is done with the
-// message: after the destination handler returns, or at the point of any
-// drop (loss, down endpoint, missing handler). The handler's *Message is
-// only valid for the duration of the handler call.
+// SendPooled transmits a message of size bytes carrying payload from e to
+// the endpoint named to. It returns the time the message finishes
+// serializing onto the wire (when the sender-side NIC is free again).
+// Delivery is scheduled internally from a free-listed envelope with a
+// pre-bound delivery event, so the send/deliver path is alloc-free; lost or
+// down-endpoint messages are silently dropped — reliability is the QP
+// layer's job. release, when non-nil, is invoked exactly once when the
+// fabric is done with the message: after the destination handler returns,
+// or at the point of any drop (loss, down endpoint, missing handler). The
+// handler's *Message is only valid for the duration of the handler call.
 func (e *Endpoint) SendPooled(to string, size int, payload interface{}, release func()) sim.Time {
 	n := e.Net
 	pm := e.getMsg()
@@ -380,7 +274,8 @@ func (e *Endpoint) SendPooled(to string, size int, payload interface{}, release 
 	if n.inj != nil {
 		v = n.inj.judge(txDone, e.Name, to)
 		if v.drop {
-			n.countDrop(&n.DroppedFault)
+			atomic.AddInt64(&n.Dropped, 1)
+			atomic.AddInt64(&n.DroppedFault, 1)
 			pm.finish()
 			return txDone
 		}
@@ -395,15 +290,13 @@ func (e *Endpoint) SendPooled(to string, size int, payload interface{}, release 
 	}
 	e.lastArrive[to] = arrive
 	if v.reorder > 0 {
-		arrive = arrive.Add(v.reorder) // see Send: bounded reordering
+		// Held back past the FIFO point without advancing lastArrive, so
+		// later messages to the same destination may overtake — bounded
+		// reordering.
+		arrive = arrive.Add(v.reorder)
 		atomic.AddInt64(&n.Reordered, 1)
 	}
 
-	if n.Params.DropProb > 0 && n.rng.Float64() < n.Params.DropProb {
-		n.countDrop(&n.DroppedFault)
-		pm.finish()
-		return txDone
-	}
 	dst, ok := n.endpoints[to]
 	if !ok {
 		panic(fmt.Sprintf("fabric: send to unknown endpoint %q", to))
@@ -429,13 +322,4 @@ func (e *Endpoint) SendPooled(to string, size int, payload interface{}, release 
 	}
 	e.k.Schedule(arrive, pm.fn)
 	return txDone
-}
-
-// Endpoint returns a registered endpoint by name (nil if absent).
-func (n *Network) Endpoint(name string) *Endpoint { return n.endpoints[name] }
-
-// RTT estimates the round-trip time for a request of reqSize and a response
-// of respSize with no queueing, useful for calibration tests.
-func (n *Network) RTT(reqSize, respSize int) time.Duration {
-	return 2*n.Params.Propagation + n.SerializeCost(reqSize) + n.SerializeCost(respSize)
 }

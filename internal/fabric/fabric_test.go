@@ -11,15 +11,15 @@ func pair(p Params) (*sim.Kernel, *Network, *Endpoint, *Endpoint, *[]sim.Time) {
 	k := sim.New()
 	n := New(k, p, 1)
 	var arrivals []sim.Time
-	b := n.Attach("b", func(at sim.Time, m *Message) { arrivals = append(arrivals, at) })
-	a := n.Attach("a", nil)
+	b := n.AttachOn(k, "b", func(at sim.Time, m *Message) { arrivals = append(arrivals, at) })
+	a := n.AttachOn(k, "a", nil)
 	return k, n, a, b, &arrivals
 }
 
 func TestDeliveryLatency(t *testing.T) {
 	p := DefaultParams()
 	k, _, a, _, arrivals := pair(p)
-	a.Send(&Message{To: "b", Size: 0})
+	a.SendPooled("b", 0, nil, nil)
 	k.Run()
 	if len(*arrivals) != 1 {
 		t.Fatalf("delivered %d", len(*arrivals))
@@ -33,8 +33,8 @@ func TestSerializationAndQueueing(t *testing.T) {
 	p := DefaultParams()
 	k, n, a, _, arrivals := pair(p)
 	// Two 64 KiB messages back to back share the egress link.
-	a.Send(&Message{To: "b", Size: 65536})
-	a.Send(&Message{To: "b", Size: 65536})
+	a.SendPooled("b", 65536, nil, nil)
+	a.SendPooled("b", 65536, nil, nil)
 	k.Run()
 	ser := n.SerializeCost(65536)
 	want1 := sim.Time(0).Add(ser + p.Propagation)
@@ -57,37 +57,23 @@ func TestSerializeCost(t *testing.T) {
 func TestDownEndpointDrops(t *testing.T) {
 	k, n, a, b, arrivals := pair(DefaultParams())
 	b.SetUp(false)
-	a.Send(&Message{To: "b", Size: 10})
+	released := 0
+	a.SendPooled("b", 10, nil, func() { released++ })
 	k.Run()
 	if len(*arrivals) != 0 {
 		t.Fatal("message delivered to down endpoint")
 	}
-	if n.Dropped != 1 {
-		t.Fatalf("Dropped = %d", n.Dropped)
+	if n.Dropped != 1 || n.DroppedFault != 0 {
+		t.Fatalf("Dropped = %d, DroppedFault = %d, want 1 and 0", n.Dropped, n.DroppedFault)
+	}
+	if released != 1 {
+		t.Fatalf("release fired %d times for the dropped message, want 1", released)
 	}
 	b.SetUp(true)
-	a.Send(&Message{To: "b", Size: 10})
+	a.SendPooled("b", 10, nil, nil)
 	k.Run()
 	if len(*arrivals) != 1 {
 		t.Fatal("message not delivered after endpoint came back")
-	}
-}
-
-func TestDropProbability(t *testing.T) {
-	p := DefaultParams()
-	p.DropProb = 0.5
-	k, n, a, _, arrivals := pair(p)
-	const total = 2000
-	for i := 0; i < total; i++ {
-		a.Send(&Message{To: "b", Size: 1})
-	}
-	k.Run()
-	got := len(*arrivals)
-	if got < total/3 || got > 2*total/3 {
-		t.Fatalf("delivered %d of %d with 50%% drop", got, total)
-	}
-	if n.Dropped+int64(got) != total {
-		t.Fatalf("dropped %d + delivered %d != %d", n.Dropped, got, total)
 	}
 }
 
@@ -101,7 +87,7 @@ func TestBusyQueueingAddsLatency(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			i := i
 			k.After(time.Duration(i)*time.Millisecond, func() {
-				a.Send(&Message{To: "b", Size: 64})
+				a.SendPooled("b", 64, nil, nil)
 			})
 		}
 		k.Run()
@@ -139,32 +125,41 @@ func TestUnknownEndpointPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	a.Send(&Message{To: "nowhere", Size: 1})
+	a.SendPooled("nowhere", 1, nil, nil)
 	k.Run()
 }
 
 func TestDuplicateAttachPanics(t *testing.T) {
 	n := New(sim.New(), DefaultParams(), 1)
-	n.Attach("x", nil)
+	n.AttachOn(n.K, "x", nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	n.Attach("x", nil)
+	n.AttachOn(n.K, "x", nil)
 }
 
+// TestRTTEstimate measures an idle request/response round trip: two
+// propagation delays plus the serialization of each direction.
 func TestRTTEstimate(t *testing.T) {
-	n := New(sim.New(), Params{Propagation: time.Microsecond, BytesPerSec: 1e9}, 1)
+	k := sim.New()
+	n := New(k, Params{Propagation: time.Microsecond, BytesPerSec: 1e9}, 1)
+	var b *Endpoint
+	var back sim.Time
+	a := n.AttachOn(k, "a", func(at sim.Time, m *Message) { back = at })
+	b = n.AttachOn(k, "b", func(at sim.Time, m *Message) { b.SendPooled("a", 1000, nil, nil) })
+	a.SendPooled("b", 1000, nil, nil)
+	k.Run()
 	want := 2*time.Microsecond + 2*time.Microsecond // prop*2 + 1000B + 1000B
-	if got := n.RTT(1000, 1000); got != want {
+	if got := back.Duration(); got != want {
 		t.Fatalf("RTT = %v, want %v", got, want)
 	}
 }
 
 func TestStats(t *testing.T) {
 	k, n, a, _, _ := pair(DefaultParams())
-	a.Send(&Message{To: "b", Size: 100})
+	a.SendPooled("b", 100, nil, nil)
 	k.Run()
 	if n.BytesSent != 100 || n.Delivered != 1 {
 		t.Fatalf("stats: %d bytes, %d delivered", n.BytesSent, n.Delivered)
@@ -179,15 +174,15 @@ func TestPerPairFIFOProperty(t *testing.T) {
 	k := sim.New()
 	n := New(k, p, 77)
 	var got []int
-	n.Attach("dst", func(at sim.Time, m *Message) {
+	n.AttachOn(k, "dst", func(at sim.Time, m *Message) {
 		got = append(got, m.Payload.(int))
 	})
-	src := n.Attach("src", nil)
+	src := n.AttachOn(k, "src", nil)
 	const total = 500
 	for i := 0; i < total; i++ {
 		i := i
 		k.After(time.Duration(i)*100*time.Nanosecond, func() {
-			src.Send(&Message{To: "dst", Size: 32, Payload: i})
+			src.SendPooled("dst", 32, i, nil)
 		})
 	}
 	k.Run()

@@ -16,10 +16,12 @@ type arrival struct {
 }
 
 // runAdversary pushes n zero-size messages from a→b at a fixed interval
-// under the given adversary and returns the observed delivery schedule plus
-// the network for counter inspection. Zero-size messages serialize for free,
-// so a message sent at t reaches the injector's judgment at exactly t.
-func runAdversary(t *testing.T, spec FaultSpec, seed uint64, n int, every time.Duration) ([]arrival, *Network) {
+// under the given adversary and returns the observed delivery schedule, the
+// time each message's release hook fired, and the network for counter
+// inspection. Zero-size messages serialize for free, so a message sent at t
+// reaches the injector's judgment at exactly t. Whatever the adversary does
+// to a message, its release hook must fire exactly once.
+func runAdversary(t *testing.T, spec FaultSpec, seed uint64, n int, every time.Duration) ([]arrival, map[int]sim.Time, *Network) {
 	t.Helper()
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
@@ -28,18 +30,28 @@ func runAdversary(t *testing.T, spec FaultSpec, seed uint64, n int, every time.D
 	net := New(k, DefaultParams(), 1)
 	net.SetInjector(NewInjector(spec, seed))
 	var got []arrival
-	net.Attach("b", func(at sim.Time, m *Message) {
+	net.AttachOn(k, "b", func(at sim.Time, m *Message) {
 		got = append(got, arrival{ID: m.Payload.(int), At: at})
 	})
-	a := net.Attach("a", nil)
+	a := net.AttachOn(k, "a", nil)
+	released := make(map[int]sim.Time, n)
 	for i := 0; i < n; i++ {
 		i := i
+		release := func() {
+			if _, twice := released[i]; twice {
+				t.Fatalf("message %d: release hook fired twice", i)
+			}
+			released[i] = k.Now()
+		}
 		k.Schedule(sim.Time(int64(i)*int64(every)), func() {
-			a.Send(&Message{To: "b", Size: 0, Payload: i})
+			a.SendPooled("b", 0, i, release)
 		})
 	}
 	k.Run()
-	return got, net
+	if len(released) != n {
+		t.Fatalf("release hook fired for %d of %d messages", len(released), n)
+	}
+	return got, released, net
 }
 
 // TestInjectorDeterministicSchedule runs each adversary mechanism twice at
@@ -67,13 +79,13 @@ func TestInjectorDeterministicSchedule(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			a1, _ := runAdversary(t, c.spec, 9, 200, time.Microsecond)
-			a2, _ := runAdversary(t, c.spec, 9, 200, time.Microsecond)
+			a1, _, _ := runAdversary(t, c.spec, 9, 200, time.Microsecond)
+			a2, _, _ := runAdversary(t, c.spec, 9, 200, time.Microsecond)
 			if !reflect.DeepEqual(a1, a2) {
 				t.Fatal("same (spec, seed, traffic) produced different delivery schedules")
 			}
 			if c.seeded {
-				a3, _ := runAdversary(t, c.spec, 10, 200, time.Microsecond)
+				a3, _, _ := runAdversary(t, c.spec, 10, 200, time.Microsecond)
 				if reflect.DeepEqual(a1, a3) {
 					t.Fatal("different seed produced an identical schedule — seed is not wired through")
 				}
@@ -88,7 +100,7 @@ func TestInjectorDeterministicSchedule(t *testing.T) {
 // partition counter.
 func TestPartitionHealRestoresConnectivity(t *testing.T) {
 	spec := FaultSpec{Partitions: []PartitionSpec{{From: "a", To: "b", StartUS: 100, EndUS: 300}}}
-	got, net := runAdversary(t, spec, 3, 50, 10*time.Microsecond) // sends at 0,10,...,490µs
+	got, _, net := runAdversary(t, spec, 3, 50, 10*time.Microsecond) // sends at 0,10,...,490µs
 	seen := make(map[int]bool, len(got))
 	for _, ar := range got {
 		seen[ar.ID] = true
@@ -106,7 +118,7 @@ func TestPartitionHealRestoresConnectivity(t *testing.T) {
 	if net.DroppedFault != 20 {
 		t.Errorf("DroppedFault = %d, want 20", net.DroppedFault)
 	}
-	if inj := net.Injector(); inj.DropsPartition != 20 || inj.DropsBurst != 0 {
+	if inj := net.inj; inj.DropsPartition != 20 || inj.DropsBurst != 0 {
 		t.Errorf("drop attribution: partition=%d burst=%d, want 20/0", inj.DropsPartition, inj.DropsBurst)
 	}
 }
@@ -122,12 +134,12 @@ func TestPartitionDirectionality(t *testing.T) {
 			Partitions: []PartitionSpec{{From: "a", To: "b", Symmetric: symmetric}},
 		}, 1))
 		var atB, atA int
-		net.Attach("b", func(at sim.Time, m *Message) { atB++ })
-		net.Attach("a", func(at sim.Time, m *Message) { atA++ })
+		b := net.AttachOn(k, "b", func(at sim.Time, m *Message) { atB++ })
+		a := net.AttachOn(k, "a", func(at sim.Time, m *Message) { atA++ })
 		for i := 0; i < 10; i++ {
 			k.Schedule(sim.Time(int64(i)*int64(time.Microsecond)), func() {
-				net.Endpoint("a").Send(&Message{To: "b", Size: 0})
-				net.Endpoint("b").Send(&Message{To: "a", Size: 0})
+				a.SendPooled("b", 0, nil, nil)
+				b.SendPooled("a", 0, nil, nil)
 			})
 		}
 		k.Run()
@@ -147,7 +159,7 @@ func TestPartitionDirectionality(t *testing.T) {
 func TestReorderBoundRespected(t *testing.T) {
 	const maxUS = 20
 	spec := FaultSpec{ReorderProb: 1, ReorderMaxUS: maxUS}
-	got, net := runAdversary(t, spec, 5, 100, time.Microsecond)
+	got, _, net := runAdversary(t, spec, 5, 100, time.Microsecond)
 	if len(got) != 100 {
 		t.Fatalf("delivered %d of 100 — reordering must not lose messages", len(got))
 	}
@@ -168,10 +180,11 @@ func TestReorderBoundRespected(t *testing.T) {
 }
 
 // TestDuplicateDeliveredTwice turns every message into a duplicate and
-// checks each arrives exactly twice, the copy strictly after the original.
+// checks each arrives exactly twice, the copy strictly after the original,
+// and that the sender's release hook fires once, after the copy.
 func TestDuplicateDeliveredTwice(t *testing.T) {
 	spec := FaultSpec{DupProb: 1, DupDelayUS: 5}
-	got, net := runAdversary(t, spec, 6, 50, time.Microsecond)
+	got, released, net := runAdversary(t, spec, 6, 50, time.Microsecond)
 	if len(got) != 100 {
 		t.Fatalf("delivered %d arrivals for 50 duplicated sends, want 100", len(got))
 	}
@@ -185,9 +198,16 @@ func TestDuplicateDeliveredTwice(t *testing.T) {
 			t.Fatalf("message %d: copy at %v not strictly after original at %v", ar.ID, ar.At, prev)
 		}
 	}
+	last := make(map[int]sim.Time, 50)
+	for _, ar := range got {
+		last[ar.ID] = ar.At
+	}
 	for id, c := range count {
 		if c != 2 {
 			t.Errorf("message %d delivered %d times, want 2", id, c)
+		}
+		if released[id] != last[id] {
+			t.Errorf("message %d released at %v, want at its second copy's arrival %v", id, released[id], last[id])
 		}
 	}
 	if net.Duplicated != 50 {
@@ -199,7 +219,7 @@ func TestDuplicateDeliveredTwice(t *testing.T) {
 // reordering — exactly the traffic inside its window.
 func TestGraySlowdownWindowed(t *testing.T) {
 	spec := FaultSpec{Gray: []GraySpec{{Endpoint: "b", MeanUS: 10, EndUS: 200}}}
-	got, net := runAdversary(t, spec, 8, 40, 10*time.Microsecond) // sends at 0,10,...,390µs
+	got, _, net := runAdversary(t, spec, 8, 40, 10*time.Microsecond) // sends at 0,10,...,390µs
 	if len(got) != 40 {
 		t.Fatalf("delivered %d of 40 — gray failures must not lose messages", len(got))
 	}
@@ -219,8 +239,8 @@ func TestGraySlowdownWindowed(t *testing.T) {
 	if slowed == 0 {
 		t.Fatal("no extra latency inside the gray window")
 	}
-	if net.Injector().GrayDelays != 20 {
-		t.Errorf("GrayDelays = %d, want 20 (one per in-window message at prob 1)", net.Injector().GrayDelays)
+	if net.inj.GrayDelays != 20 {
+		t.Errorf("GrayDelays = %d, want 20 (one per in-window message at prob 1)", net.inj.GrayDelays)
 	}
 }
 
@@ -229,7 +249,7 @@ func TestGraySlowdownWindowed(t *testing.T) {
 // on the burst attribution counter.
 func TestBurstDropsAttributed(t *testing.T) {
 	spec := FaultSpec{Bursts: []BurstSpec{{PeriodUS: 100, LenUS: 50, DropProb: 1, To: "b"}}}
-	got, net := runAdversary(t, spec, 2, 30, 10*time.Microsecond) // sends at 0,10,...,290µs
+	got, _, net := runAdversary(t, spec, 2, 30, 10*time.Microsecond) // sends at 0,10,...,290µs
 	seen := make(map[int]bool, len(got))
 	for _, ar := range got {
 		seen[ar.ID] = true
@@ -245,7 +265,7 @@ func TestBurstDropsAttributed(t *testing.T) {
 			t.Errorf("message %d at %v: inBurst=%v but delivered=%v", i, at, inBurst, seen[i])
 		}
 	}
-	if inj := net.Injector(); inj.DropsBurst != int64(drops) || inj.DropsPartition != 0 {
+	if inj := net.inj; inj.DropsBurst != int64(drops) || inj.DropsPartition != 0 {
 		t.Errorf("drop attribution: burst=%d partition=%d, want %d/0", inj.DropsBurst, inj.DropsPartition, drops)
 	}
 }

@@ -142,9 +142,6 @@ func (pl *Pool) PauseRenew() { pl.pause++ }
 // ResumeRenew undoes one PauseRenew.
 func (pl *Pool) ResumeRenew() { pl.pause-- }
 
-// Live returns the number of handles this client keeps leases on.
-func (pl *Pool) Live() int { return len(pl.live) }
-
 // conn checks a pooled connection to server s out round-robin.
 func (pl *Pool) conn(s int) rpc.Recoverable {
 	set := pl.conns[s]

@@ -92,43 +92,6 @@ func PutCommit(b []byte, seq uint64, op byte, n int) {
 	binary.LittleEndian.PutUint64(b, Commit(seq, op, n))
 }
 
-// Encode builds the on-PM image of an entry. When payload is nil or shorter
-// than n (synthetic benchmark traffic with a real header prefix), only the
-// available bytes are materialized; the commit word is then never durable
-// and such entries are — by design — not recoverable.
-func Encode(seq uint64, op byte, n int, payload []byte) []byte {
-	if len(payload) < n {
-		return EncodeInto(make([]byte, HeaderBytes+len(payload)), seq, op, n, payload)
-	}
-	return EncodeInto(make([]byte, EntrySize(n)), seq, op, n, payload)
-}
-
-// EncodeInto encodes the entry image into b, which must be exactly
-// EntrySize(n) bytes (full entry) or HeaderBytes+len(payload) bytes
-// (synthetic short image), and returns b. Padding bytes are zeroed so a
-// reused scratch buffer yields the same image a fresh allocation would.
-func EncodeInto(b []byte, seq uint64, op byte, n int, payload []byte) []byte {
-	PutHeader(b, seq, op, n)
-	copy(b[HeaderBytes:], payload)
-	if len(payload) < n {
-		if len(b) != HeaderBytes+len(payload) {
-			panic(fmt.Sprintf("redolog: short image buffer %d != %d", len(b), HeaderBytes+len(payload)))
-		}
-		return b
-	}
-	if len(payload) != n {
-		panic(fmt.Sprintf("redolog: payload %d != n %d", len(payload), n))
-	}
-	if len(b) != int(EntrySize(n)) {
-		panic(fmt.Sprintf("redolog: image buffer %d != entry size %d", len(b), EntrySize(n)))
-	}
-	for i := HeaderBytes + n; i < len(b)-CommitBytes; i++ {
-		b[i] = 0
-	}
-	PutCommit(b[len(b)-CommitBytes:], seq, op, n)
-	return b
-}
-
 // rec tracks one in-ring entry (or wrap slack) in the volatile FIFO window.
 type rec struct {
 	seq      uint64 // 0 for wrap slack
@@ -217,9 +180,6 @@ func New(k *sim.Kernel, pm *pmem.Device, base, size int64) *Log {
 // Base returns the region base address.
 func (l *Log) Base() int64 { return l.base }
 
-// Capacity returns the entry-area size in bytes.
-func (l *Log) Capacity() int64 { return l.size }
-
 // Outstanding returns the number of appended-but-unconsumed entries, the
 // quantity the paper's back-pressure threshold watches.
 func (l *Log) Outstanding() int { return len(l.bySeq) }
@@ -285,49 +245,29 @@ func (l *Log) Reserve(n int) (uint64, int64, error) {
 }
 
 // AppendNIC reserves space and persists a fully formed entry over the DMA
-// path starting at time at, returning (seq, durable-completion time). This
-// is the WFlush/SFlush ingestion path: no CPU involved. The entry is
-// persisted as three segments — header scratch, payload taken directly from
-// the caller's (wire) buffer, commit scratch — so no joined image is ever
-// staged; payload must stay untouched until the returned completion time.
+// path starting at time at, returning (seq, durable-completion time): what
+// the NIC does for a WFlush/SFlush request, with no CPU involved. The entry
+// is persisted as three segments — header scratch, payload taken directly
+// from the caller's (wire) buffer, commit scratch — so no joined image is
+// ever staged; payload must stay untouched until the returned completion
+// time. A payload shorter than n (synthetic benchmark traffic)
+// materializes only the header and available bytes — no commit word — so
+// such entries are, by design, not recoverable.
 func (l *Log) AppendNIC(at sim.Time, op byte, n int, payload []byte) (uint64, sim.Time, error) {
-	seq, addr, err := l.Reserve(n)
-	if err != nil {
-		return 0, 0, err
-	}
-	done := l.persistEntry(at, addr, seq, op, n, payload, pmem.DMA)
-	return seq, done, nil
-}
-
-// AppendCPU persists an entry over the CPU path, blocking p until durable.
-// This is the RFlush ingestion path: the receiver CPU copies the payload
-// from the message buffer into the log and flushes it. The same zero-copy
-// segment persist as AppendNIC; payload must stay untouched until the
-// append is durable (the call blocks that long, so callers rarely care).
-func (l *Log) AppendCPU(p *sim.Proc, op byte, n int, payload []byte) (uint64, int64, error) {
-	seq, addr, err := l.Reserve(n)
-	if err != nil {
-		return 0, 0, err
-	}
-	done := l.persistEntry(p.K.Now(), addr, seq, op, n, payload, pmem.CPU)
-	p.Sleep(done.Sub(p.K.Now()))
-	return seq, addr, nil
-}
-
-// persistEntry issues the segmented persist of one entry image. A payload
-// shorter than n (synthetic benchmark traffic) materializes only the header
-// and available bytes — no commit word — matching Encode's short image.
-func (l *Log) persistEntry(at sim.Time, addr int64, seq uint64, op byte, n int, payload []byte, path pmem.Path) sim.Time {
 	if len(payload) > n {
 		panic(fmt.Sprintf("redolog: payload %d != n %d", len(payload), n))
+	}
+	seq, addr, err := l.Reserve(n)
+	if err != nil {
+		return 0, 0, err
 	}
 	foot := int(EntrySize(n))
 	PutHeader(l.hdr[:], seq, op, n)
 	if len(payload) < n {
-		return l.PM.PersistParts(at, addr, foot, l.hdr[:], payload, path)
+		return seq, l.PM.PersistParts(at, addr, foot, l.hdr[:], payload, pmem.DMA), nil
 	}
 	PutCommit(l.cmt[:], seq, op, n)
-	return l.PM.PersistSegs(at, addr, foot, l.hdr[:], payload, l.cmt[:], path)
+	return seq, l.PM.PersistSegs(at, addr, foot, l.hdr[:], payload, l.cmt[:], pmem.DMA), nil
 }
 
 // Consume marks seq processed. Space is reclaimed — and the durable head
@@ -408,15 +348,6 @@ func (l *Log) persistCtrl(at sim.Time) sim.Time {
 		l.K.Schedule(t2, settle)
 	}
 	return t2
-}
-
-// EntryAddr returns the PM address of a live entry.
-func (l *Log) EntryAddr(seq uint64) (int64, bool) {
-	r, ok := l.bySeq[seq]
-	if !ok {
-		return 0, false
-	}
-	return l.lo + r.off, true
 }
 
 // RecoverInfo summarizes one Recover scan for observers.
@@ -566,22 +497,6 @@ func (l *Log) Recover(p *sim.Proc) []Entry {
 	done := l.persistCtrl(p.K.Now())
 	p.Sleep(done.Sub(p.K.Now()))
 	return out
-}
-
-// Accounting is a snapshot of the ring's volatile cursors for tests and
-// invariant checks.
-type Accounting struct {
-	Used, DurUsed, Tail int64
-	WindowLen, Live     int
-	NextSeq             uint64
-}
-
-// Snapshot returns the current accounting state.
-func (l *Log) Snapshot() Accounting {
-	return Accounting{
-		Used: l.used, DurUsed: l.durUsed, Tail: l.tail,
-		WindowLen: len(l.window), Live: len(l.bySeq), NextSeq: l.nextSeq,
-	}
 }
 
 // CheckAccounting verifies the ring's cursors against a from-scratch

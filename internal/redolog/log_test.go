@@ -290,23 +290,6 @@ func TestRecoveredLogContinuesSeq(t *testing.T) {
 	}
 }
 
-func TestAppendCPUPath(t *testing.T) {
-	k, pm, l := newLog(1 << 16)
-	var addr int64
-	k.Go("cpu", func(p *sim.Proc) {
-		var err error
-		_, addr, err = l.AppendCPU(p, 3, 256, payload(1, 256))
-		if err != nil {
-			t.Error(err)
-		}
-	})
-	k.Run()
-	// Entry is durable: header seq at addr.
-	if pm.ReadBytes(addr, 1)[0] != 1 {
-		t.Fatal("CPU-appended entry not durable")
-	}
-}
-
 func TestSyntheticPayloadNotRecoverable(t *testing.T) {
 	k, pm, l := newLog(1 << 16)
 	_, done, _ := l.AppendNIC(k.Now(), 1, 4096, nil) // timing-only
@@ -320,16 +303,36 @@ func TestSyntheticPayloadNotRecoverable(t *testing.T) {
 	}
 }
 
+// TestEntrySizeAndEncode checks the entry footprint and the image AppendNIC
+// persists: header, payload, zeroed padding and the commit word for a full
+// payload; the header alone for a synthetic (nil) one.
 func TestEntrySizeAndEncode(t *testing.T) {
 	if EntrySize(0) != 24 || EntrySize(1) != 32 || EntrySize(8) != 32 {
 		t.Fatalf("EntrySize: %d %d %d", EntrySize(0), EntrySize(1), EntrySize(8))
 	}
-	b := Encode(5, 7, 16, bytes.Repeat([]byte{1}, 16))
-	if int64(len(b)) != EntrySize(16) {
-		t.Fatalf("encoded len %d", len(b))
+	k, pm, l := newLog(1 << 16)
+	body := bytes.Repeat([]byte{1}, 12)
+	seq, done, err := l.AppendNIC(k.Now(), 7, len(body), body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if Encode(5, 7, 16, nil); len(Encode(5, 7, 16, nil)) != HeaderBytes {
-		t.Fatal("nil-payload encode should be header-only")
+	k.RunUntil(done)
+	foot := EntrySize(len(body))
+	want := make([]byte, foot)
+	PutHeader(want, seq, 7, len(body))
+	copy(want[HeaderBytes:], body)
+	PutCommit(want[foot-CommitBytes:], seq, 7, len(body))
+	if got := pm.ReadBytes(l.lo, int(foot)); !bytes.Equal(got, want) {
+		t.Fatalf("entry image %x, want %x", got, want)
+	}
+
+	seq, done, _ = l.AppendNIC(k.Now(), 7, 16, nil)
+	k.RunUntil(done)
+	img := pm.ReadBytes(l.lo+foot, int(EntrySize(16)))
+	hdr := make([]byte, HeaderBytes)
+	PutHeader(hdr, seq, 7, 16)
+	if !bytes.Equal(img[:HeaderBytes], hdr) || !bytes.Equal(img[HeaderBytes:], make([]byte, len(img)-HeaderBytes)) {
+		t.Fatalf("synthetic entry image %x, want the header alone", img)
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 // cites as the group-based alternative to its point-to-point primitives.
 type Chain struct {
 	head *rnic.QP
-	len  int
 
 	// Writes counts chain writes issued.
 	Writes int64
@@ -52,21 +51,12 @@ func NewChain(client *host.Host, replicas []*host.Host) (*Chain, error) {
 		prevSrv.ChainNext = fwd
 		prevSrv = next
 	}
-	return &Chain{head: headQP, len: len(replicas)}, nil
+	return &Chain{head: headQP}, nil
 }
-
-// Len returns the chain length.
-func (c *Chain) Len() int { return c.len }
 
 // Write performs one group-durable write: it blocks p until every replica
 // in the chain has persisted [addr, addr+n).
 func (c *Chain) Write(p *sim.Proc, addr int64, n int, data []byte) sim.Time {
 	c.Writes++
 	return c.head.WriteFlush(p, addr, n, data)
-}
-
-// WriteAsync is Write without blocking.
-func (c *Chain) WriteAsync(addr int64, n int, data []byte) *sim.Future[sim.Time] {
-	c.Writes++
-	return c.head.WriteFlushAsync(addr, n, data)
 }

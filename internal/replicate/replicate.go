@@ -117,9 +117,6 @@ func New(k *sim.Kernel, policy Policy, replicas []rpc.Client) (*Client, error) {
 	return c, nil
 }
 
-// Replicas returns the replication factor.
-func (c *Client) Replicas() int { return len(c.replicas) }
-
 // Live returns how many replicas are currently marked up.
 func (c *Client) Live() int {
 	live := 0
@@ -152,10 +149,6 @@ func (c *Client) MarkUp(i int) {
 
 // Down reports whether replica i is currently marked down.
 func (c *Client) Down(i int) bool { return c.down[i] }
-
-// InSync reports whether replica i is live and has acknowledged every
-// completed write — i.e. eligible to serve reads under the staleness guard.
-func (c *Client) InSync(i int) bool { return !c.down[i] && c.acked[i] >= c.completed }
 
 // Replica exposes replica i's client (recovery and resync drivers use it).
 func (c *Client) Replica(i int) rpc.AsyncClient { return c.replicas[i] }
@@ -285,6 +278,3 @@ func (c *Client) ReadTimeout(p *sim.Proc, req *rpc.Request, d time.Duration) (*r
 	}
 	return c.replicas[i].Call(p, req)
 }
-
-// Primary exposes the primary replica's client (recovery drivers use it).
-func (c *Client) Primary() rpc.AsyncClient { return c.replicas[0] }

@@ -263,13 +263,22 @@ func TestMembershipWriteSet(t *testing.T) {
 	r := newRig(t, 3, rpc.WFlushRPC, -1)
 	c, _ := New(r.k, WaitQuorum, r.clients)
 	all, _ := New(r.k, WaitAll, r.clients)
+	// readers reports which replicas the next n reads are routed to, and
+	// how many lagging replicas the routing skipped.
+	readers := func(n int) (map[int]bool, int64) {
+		skips, got := c.StaleSkips, map[int]bool{}
+		for j := 0; j < n; j++ {
+			got[c.pickReader()] = true
+		}
+		return got, c.StaleSkips - skips
+	}
 	r.k.Go("driver", func(p *sim.Proc) {
 		c.MarkDown(2)
 		if _, acked, err := c.Write(p, &rpc.Request{Op: rpc.OpWrite, Key: 3, Size: 1024}); err != nil || acked > 2 {
 			t.Errorf("quorum write with one down replica: acked=%d err=%v", acked, err)
 		}
-		if c.InSync(2) {
-			t.Error("down replica reported in sync")
+		if got, _ := readers(3); got[2] {
+			t.Error("down replica routed a read")
 		}
 		c.MarkDown(1)
 		if _, _, err := c.Write(p, &rpc.Request{Op: rpc.OpWrite, Key: 3, Size: 1024}); err != ErrUnavailable {
@@ -277,8 +286,8 @@ func TestMembershipWriteSet(t *testing.T) {
 		}
 		c.MarkUp(1)
 		c.MarkUp(2)
-		if !c.InSync(2) {
-			t.Error("readmitted replica not in sync")
+		if got, skips := readers(3); !got[2] || skips != 0 {
+			t.Errorf("readmitted replica not in sync: readers %v, %d stale skips", got, skips)
 		}
 		// WaitAll over a shrunken live set completes at 2 ACKs.
 		all.MarkDown(0)

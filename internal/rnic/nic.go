@@ -80,9 +80,9 @@ func New(k *sim.Kernel, name string, net *fabric.Network, pm *pmem.Device, llc *
 		rx: sim.NewResource(k), tx: sim.NewResource(k), pcie: sim.NewResource(k),
 		qps: make(map[int]*QP),
 	}
-	// Attach on the host's kernel: identical to Attach on a single-kernel
-	// deployment, and the endpoint's partition when the host lives on one
-	// kernel of a multi-kernel engine.
+	// Attach on the host's kernel: the network's own kernel on a
+	// single-kernel deployment, and the endpoint's partition when the host
+	// lives on one kernel of a multi-kernel engine.
 	n.EP = net.AttachOn(k, name, n.handleWire)
 	return n
 }
@@ -199,9 +199,6 @@ func (n *NIC) Restart() {
 	n.EP.SetUp(true)
 	n.mrs = nil
 }
-
-// Epoch returns the crash epoch.
-func (n *NIC) Epoch() int { return n.epoch }
 
 // txJob is a pooled, pre-bound WQE-processing event: post fills it in and
 // schedules fn, avoiding a closure per posted message.

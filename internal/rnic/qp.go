@@ -66,12 +66,6 @@ type QP struct {
 	dead bool
 }
 
-// NIC returns the owning NIC.
-func (q *QP) NIC() *NIC { return q.nic }
-
-// RemoteName returns the peer NIC's fabric name.
-func (q *QP) RemoteName() string { return q.remoteNIC }
-
 // Dead reports whether the QP was destroyed by a crash.
 func (q *QP) Dead() bool { return q.dead }
 
@@ -241,11 +235,6 @@ func (q *QP) WriteAsync(raddr int64, n int, data []byte) *sim.Future[sim.Time] {
 	return f
 }
 
-// Write posts a write and blocks p until the work completion.
-func (q *QP) Write(p *sim.Proc, raddr int64, n int, data []byte) sim.Time {
-	return q.WriteAsync(raddr, n, data).Wait(p)
-}
-
 // WriteImmAsync is WriteAsync with an immediate value that raises a receive
 // completion at the remote CPU.
 func (q *QP) WriteImmAsync(raddr int64, n int, data []byte, imm uint32) *sim.Future[sim.Time] {
@@ -259,11 +248,6 @@ func (q *QP) WriteImmAsync(raddr int64, n int, data []byte, imm uint32) *sim.Fut
 	q.acks[m.Seq] = f
 	q.reliablePost(m, q.wireSize(n), f)
 	return f
-}
-
-// WriteImm posts a write-with-immediate and blocks until the completion.
-func (q *QP) WriteImm(p *sim.Proc, raddr int64, n int, data []byte, imm uint32) sim.Time {
-	return q.WriteImmAsync(raddr, n, data, imm).Wait(p)
 }
 
 // WriteFlushAsync posts a write followed by a WFlush (RC only). The returned
@@ -318,11 +302,6 @@ func (q *QP) SendAsync(n int, data []byte) *sim.Future[sim.Time] {
 	return f
 }
 
-// Send posts a send and blocks p until the work completion.
-func (q *QP) Send(p *sim.Proc, n int, data []byte) sim.Time {
-	return q.SendAsync(n, data).Wait(p)
-}
-
 // SendFlushAsync posts a send followed by an SFlush (RC only). The future
 // resolves when the payload is durable in the remote PM.
 //
@@ -353,11 +332,6 @@ func (q *QP) SendFlushAsync(n int, data []byte) *sim.Future[sim.Time] {
 	q.flushes[m.Seq] = f
 	q.reliablePost(m, q.wireSize(n), f)
 	return f
-}
-
-// SendFlush posts send+SFlush and blocks p until durable.
-func (q *QP) SendFlush(p *sim.Proc, n int, data []byte) sim.Time {
-	return q.SendFlushAsync(n, data).Wait(p)
 }
 
 // ReadAsync posts a one-sided read of n bytes at remote address raddr.

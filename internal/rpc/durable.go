@@ -263,8 +263,8 @@ func (c *durableClient) admit(p *sim.Proc, n int, mutating bool) (uint64, int64,
 
 // encodeEntry builds the redo-log entry image for req in a pooled
 // per-connection buffer (released when seq's response completes): the full
-// entry, or the short header-only prefix for synthetic payloads — exactly
-// what redolog.Encode would have produced.
+// entry (header, request, zeroed padding, commit word), or the short
+// header-only prefix for synthetic payloads, which never recovers.
 func (c *durableClient) encodeEntry(seq uint64, req *Request, n int) []byte {
 	op := byte(req.Op)
 	reqLen := reqImageBytes(req)

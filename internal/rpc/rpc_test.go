@@ -154,8 +154,10 @@ func TestDurableWriteIsDurableAtReady(t *testing.T) {
 				if c.Log().Appends != 1 {
 					t.Fatalf("appends = %d", c.Log().Appends)
 				}
-				if addr, ok := c.Log().EntryAddr(1); ok {
-					img := b.srv.PM.ReadBytes(addr, 16)
+				// A fresh ring's first entry follows the log's 16-byte
+				// control area.
+				if c.Log().Outstanding() == 1 {
+					img := b.srv.PM.ReadBytes(c.Log().Base()+16, 16)
 					if img[0] == 0 {
 						t.Error("log entry header not durable at persist-ack")
 					}

@@ -90,9 +90,6 @@ func (s *Store) Has(key uint64) bool {
 	return ok
 }
 
-// Len returns the object count.
-func (s *Store) Len() int { return len(s.addrs) }
-
 // Crash drops the store's volatile state: the version watermarks are
 // rebuilt from the durable redo logs as recovery replays them in order.
 func (s *Store) Crash() { s.vers = nil }

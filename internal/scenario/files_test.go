@@ -10,7 +10,8 @@ import (
 )
 
 // TestShippedScenarioFiles loads and runs every scenario in /scenarios at a
-// reduced op count: the shipped examples must never rot.
+// reduced op count, twice: the shipped examples must never rot, and each
+// must be deterministic — the two runs' JSON reports byte-identical.
 func TestShippedScenarioFiles(t *testing.T) {
 	dir := filepath.Join("..", "..", "scenarios")
 	entries, err := os.ReadDir(dir)
@@ -45,20 +46,34 @@ func TestShippedScenarioFiles(t *testing.T) {
 			if !reflect.DeepEqual(spec, again) {
 				t.Fatalf("round-trip changed the spec:\n%+v\n%+v", spec, again)
 			}
-			// Shrink for test speed; semantics unchanged.
-			spec.Ops = 300
-			spec.Objects = 128
-			if spec.Crashes != nil {
-				spec.Crashes.Count = 1
-				spec.Crashes.RestartMS = 2
-				spec.Crashes.RetransferMS = 1
+			run := func() []byte {
+				spec, err := Load(bytes.NewReader(enc))
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Shrink for test speed; semantics unchanged.
+				spec.Ops = 300
+				spec.Objects = 128
+				if spec.Crashes != nil {
+					spec.Crashes.Count = 1
+					spec.Crashes.RestartMS = 2
+					spec.Crashes.RetransferMS = 1
+				}
+				rep, err := spec.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Ops == 0 {
+					t.Fatal("scenario ran zero ops")
+				}
+				out, err := json.Marshal(rep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
 			}
-			rep, err := spec.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.Ops == 0 {
-				t.Fatal("scenario ran zero ops")
+			if a, b := run(), run(); !bytes.Equal(a, b) {
+				t.Fatalf("two runs of the same spec reported differently:\n%s\n%s", a, b)
 			}
 		})
 	}

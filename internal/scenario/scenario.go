@@ -330,8 +330,12 @@ func (s *Spec) Run() (*Report, error) {
 	wg := sim.NewWaitGroup(k)
 	per := s.Ops / s.Clients
 	var end sim.Time
+	// callErr is the first failed call; it stops the run (e.g. a FaSST
+	// object too large for one UD frame).
+	var callErr error
 	for i := 0; i < s.Clients; i++ {
-		cli := host.New(k, fmt.Sprintf("client-%d", i), net, hpCli, pmem.DefaultParams(), nicp)
+		name := fmt.Sprintf("client-%d", i)
+		cli := host.New(k, name, net, hpCli, pmem.DefaultParams(), nicp)
 		client := rpc.New(kind, cli, engine, cfg)
 		mix := ycsb.NewMix(s.ReadFraction, int64(s.Objects), s.ObjectSize, s.Seed+uint64(i)*7919)
 		wg.Add(1)
@@ -340,7 +344,11 @@ func (s *Spec) Run() (*Report, error) {
 			for j := 0; j < per; j++ {
 				r, err := client.Call(p, mix.Next())
 				if err != nil {
-					panic(err)
+					if callErr == nil {
+						callErr = fmt.Errorf("scenario: %s: %w", name, err)
+					}
+					k.Stop()
+					return
 				}
 				lat.Add(r.ReadyAt.Sub(r.IssuedAt))
 			}
@@ -353,6 +361,10 @@ func (s *Spec) Run() (*Report, error) {
 		completed = true
 	})
 	k.Run()
+	if callErr != nil {
+		k.Shutdown()
+		return nil, callErr
+	}
 	if !completed {
 		return nil, fmt.Errorf("scenario: run did not complete (protocol stall)")
 	}

@@ -51,6 +51,19 @@ func TestRunUnknownRPC(t *testing.T) {
 	}
 }
 
+// TestFaSSTOversizeObjectErrors runs FaSST with objects whose request
+// frame exceeds the UD MTU: the run must stop with the first client's
+// error, not panic.
+func TestFaSSTOversizeObjectErrors(t *testing.T) {
+	for _, size := range []int{4 << 10, 64 << 10} {
+		s := &Spec{RPC: "FaSST", Ops: 20, Objects: 16, ObjectSize: size, Clients: 2}
+		rep, err := s.Run()
+		if err == nil || !strings.HasPrefix(err.Error(), "scenario: client-0: ") || !strings.Contains(err.Error(), "UD MTU") {
+			t.Errorf("%d-byte objects: report %+v, error %v, want client-0's UD MTU error", size, rep, err)
+		}
+	}
+}
+
 func TestRunMultiClient(t *testing.T) {
 	s := &Spec{RPC: "FaRM", Ops: 600, Objects: 128, ObjectSize: 512, Clients: 3}
 	rep, err := s.Run()

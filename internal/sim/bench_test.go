@@ -168,7 +168,7 @@ func BenchmarkChanPushPop(b *testing.B) {
 	k.Go("producer", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			c.Push(i)
-			p.Yield()
+			p.Sleep(0)
 		}
 	})
 	b.ResetTimer()
@@ -191,7 +191,7 @@ func BenchmarkCondSignalTimeout(b *testing.B) {
 	k.Go("signaler", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			c.Signal()
-			p.Yield()
+			p.Sleep(0)
 		}
 	})
 	b.ResetTimer()

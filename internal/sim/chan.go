@@ -105,21 +105,6 @@ func (c *Chan[T]) deliverHead() {
 	fn(c.popFront())
 }
 
-// PopTimeout is like Pop but gives up after d. ok is false on timeout.
-func (c *Chan[T]) PopTimeout(p *Proc, d time.Duration) (v T, ok bool) {
-	deadline := p.K.Now().Add(d)
-	for c.Len() == 0 {
-		remain := deadline.Sub(p.K.Now())
-		if remain <= 0 {
-			return v, false
-		}
-		if !c.cond.WaitTimeout(p, remain) && c.Len() == 0 {
-			return v, false
-		}
-	}
-	return c.popFront(), true
-}
-
 // TryPop removes and returns the head item without blocking.
 func (c *Chan[T]) TryPop() (v T, ok bool) {
 	if c.Len() == 0 {

@@ -44,25 +44,6 @@ func TestChanTryPop(t *testing.T) {
 	}
 }
 
-func TestChanPopTimeout(t *testing.T) {
-	k := New()
-	c := NewChan[int](k)
-	var ok1, ok2 bool
-	k.Go("a", func(p *Proc) {
-		_, ok1 = c.PopTimeout(p, time.Millisecond)
-		v, ok := c.PopTimeout(p, 10*time.Millisecond)
-		ok2 = ok && v == 7
-	})
-	k.After(3*time.Millisecond, func() { c.Push(7) })
-	k.Run()
-	if ok1 {
-		t.Fatal("first PopTimeout should time out")
-	}
-	if !ok2 {
-		t.Fatal("second PopTimeout should succeed with 7")
-	}
-}
-
 func TestChanDrain(t *testing.T) {
 	k := New()
 	c := NewChan[int](k)

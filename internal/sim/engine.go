@@ -90,7 +90,6 @@ type Engine struct {
 	// all kernels quiesced (see AddFlushHook).
 	hooks []func()
 
-	stopped atomic.Bool
 	crossed uint64 // cross-partition messages delivered
 	windows uint64 // windows executed; the partitioned crash coordinate
 
@@ -156,9 +155,6 @@ func (e *Engine) Kernels() []*Kernel { return e.kernels }
 
 // Lookahead returns the engine's conservative lookahead.
 func (e *Engine) Lookahead() time.Duration { return time.Duration(e.lookahead) }
-
-// Workers returns the worker count the engine was built with.
-func (e *Engine) Workers() int { return e.workers }
 
 // Fired reports the total events executed across all partitions.
 func (e *Engine) Fired() uint64 {
@@ -285,10 +281,6 @@ func (e *Engine) PostAfterLookahead(src, dst *Kernel, fn func()) {
 	e.Post(src, dst, src.Now()+e.lookahead, fn)
 }
 
-// Stop makes Run return at the next window barrier. Safe to call from any
-// partition's events.
-func (e *Engine) Stop() { e.stopped.Store(true) }
-
 // startWorkers lazily brings up the barrier worker pool: helpers = workers-1
 // goroutines (capped at one per kernel), each owning a round-robin shard of
 // the kernels; the coordinator runs shard 0 itself. The pool lives until
@@ -398,19 +390,16 @@ func (e *Engine) helperLoop(shard int) {
 func (e *Engine) runSerial() { e.coord.runWindow(e.kernels, e.deadline) }
 
 // stepWindows executes up to budget conservative windows and reports how
-// many ran (fewer only when the simulation went quiescent or was stopped).
-// Each window: deliver the previous window's cross messages, open the window
-// at the globally earliest event (idle stretches are jumped in one step,
-// exactly like the serial kernel), run every kernel with work up to the
-// inclusive edge, barrier. A window with one active kernel runs it on the
+// many ran (fewer only when the simulation went quiescent). Each window:
+// deliver the previous window's cross messages, open the window at the
+// globally earliest event (idle stretches are jumped in one step, exactly
+// like the serial kernel), run every kernel with work up to the inclusive
+// edge, barrier. A window with one active kernel runs it on the
 // coordinator; windows with several active kernels release the worker
 // barrier.
 func (e *Engine) stepWindows(budget int) int {
 	ran := 0
 	for ran < budget {
-		if e.stopped.Load() {
-			return ran
-		}
 		e.flush()
 		next := Time(math.MaxInt64)
 		for _, k := range e.kernels {
@@ -522,21 +511,19 @@ func (e *Engine) stepMerged() {
 }
 
 // Run executes windows until every partition is quiescent (no pending events
-// and no undelivered cross messages) or Stop is called.
+// and no undelivered cross messages).
 func (e *Engine) Run() {
-	e.stopped.Store(false)
 	const chunk = 1 << 30
 	for e.stepWindows(chunk) == chunk {
 	}
 }
 
 // RunWindows executes at most n windows and reports how many ran (fewer only
-// when the simulation went quiescent or was stopped first). It pauses the
-// world at an exact window barrier — no kernel mid-event, a global order over
-// everything executed so far — which is where the partitioned crash sweep
-// injects crashes; see Windows.
+// when the simulation went quiescent first). It pauses the world at an exact
+// window barrier — no kernel mid-event, a global order over everything
+// executed so far — which is where the partitioned crash sweep injects
+// crashes; see Windows.
 func (e *Engine) RunWindows(n int) int {
-	e.stopped.Store(false)
 	return e.stepWindows(n)
 }
 
@@ -549,7 +536,6 @@ func (e *Engine) RunWindows(n int) int {
 // again: the next Run/RunWindows restarts the worker pool with fresh barrier
 // state (kernel queues and free lists start empty, as after construction).
 func (e *Engine) Shutdown() {
-	e.stopped.Store(true)
 	if e.workersUp {
 		e.barQuit.Store(true)
 		e.barGen.Add(1)

@@ -155,16 +155,13 @@ func runTraceWorkload(nodes []*traceNode, rounds int, lookahead Time, send func(
 				}
 			}
 		})
-		// Consumer: pops until the workload drains, with a resource in the
-		// loop so contention timing is exercised too.
+		// Consumer: pops for as long as items arrive, with a resource in the
+		// loop so contention timing is exercised too. It stays parked once
+		// the workload drains; the caller shuts the kernels down.
 		nd.k.Go(fmt.Sprintf("cons-%d", nd.id), func(p *Proc) {
 			p.Sleep(time.Duration(nd.id)) // align to this node's residue class
 			for {
-				v, ok := nd.ch.PopTimeout(p, time.Duration(m*50000))
-				if !ok {
-					nd.emit("done")
-					return
-				}
+				v := nd.ch.Pop(p)
 				// A cross push wakes this proc in the sender pair's class;
 				// realign into our own before acting.
 				if d := int64(toResidue(p.Now(), int64(nd.id), m) - p.Now()); d > 0 {
@@ -226,6 +223,7 @@ func TestEnginePartitionPropertyDeterminism(t *testing.T) {
 				src.k.Schedule(at, fn)
 			})
 			serialK.Run()
+			serialK.Shutdown()
 			want := mergedTrace(t, serial)
 
 			for _, workers := range []int{1, 2, 4} {
@@ -235,6 +233,7 @@ func TestEnginePartitionPropertyDeterminism(t *testing.T) {
 					e.Post(src.k, dst.k, at, fn)
 				})
 				e.Run()
+				e.Shutdown()
 				if got := mergedTrace(t, par); got != want {
 					t.Fatalf("nodes=%d seed=%d workers=%d: trace diverged from serial\nserial:\n%s\nparallel:\n%s",
 						nodes, seed, workers, want, got)
@@ -246,7 +245,7 @@ func TestEnginePartitionPropertyDeterminism(t *testing.T) {
 
 // TestEngineCrossStress hammers the window barrier from many kernels at
 // once: every kernel's procs push through local chans, wait on conds via
-// PopTimeout, and fling cross posts at other partitions, with enough workers
+// Pop, and fling cross posts at other partitions, with enough workers
 // that windows genuinely overlap. Run under -race (the sim CI job does) this
 // is the proof that parallel mode is race-free; the conservation check
 // proves no message was lost or duplicated at a barrier.
@@ -281,14 +280,13 @@ func TestEngineCrossStress(t *testing.T) {
 		})
 		p.k.Go("receiver", func(pr *Proc) {
 			for {
-				if _, ok := p.in.PopTimeout(pr, time.Millisecond); !ok {
-					return
-				}
+				p.in.Pop(pr)
 				p.got++
 			}
 		})
 	}
 	e.Run()
+	e.Shutdown()
 	sent, got := 0, 0
 	for _, p := range parts {
 		sent += p.sent
@@ -312,6 +310,7 @@ func traceRun(t *testing.T, nodes int, seed uint64, rounds int, lookahead Time, 
 		e.Post(src.k, dst.k, at, fn)
 	})
 	e.Run()
+	t.Cleanup(e.Shutdown)
 	return mergedTrace(t, nds), e
 }
 
@@ -346,6 +345,7 @@ func TestEngineRunWindowsExact(t *testing.T) {
 			if total != wantWin {
 				t.Fatalf("seed=%d step=%d: stepped run visited %d windows, Run visited %d", seed, step, total, wantWin)
 			}
+			e.Shutdown()
 			if got := mergedTrace(t, nds); got != want {
 				t.Fatalf("seed=%d step=%d: stepped trace diverged", seed, step)
 			}

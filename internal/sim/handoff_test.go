@@ -50,7 +50,7 @@ func handoffSchedule(k *Kernel, trace *[]string) {
 	k.Go("producer", func(p *Proc) {
 		for i := 0; i < 3; i++ {
 			ch.Push(i)
-			p.Yield()
+			p.Sleep(0)
 			p.Sleep(us)
 		}
 	})

@@ -145,11 +145,11 @@ type Kernel struct {
 	seq    uint64
 	events eventHeap
 	// nowQ is the fast path for events scheduled at exactly the current
-	// virtual time — Cond wakes, Yields, completion chains. They bypass the
-	// heap on a FIFO ring consumed in (at, seq) order relative to the heap:
-	// every heap entry at the same timestamp was scheduled earlier (lower
-	// seq — a later same-time schedule lands here too, because the clock
-	// cannot advance while the ring is non-empty), so draining the heap
+	// virtual time — Cond wakes, zero-delay sleeps, completion chains. They
+	// bypass the heap on a FIFO ring consumed in (at, seq) order relative to
+	// the heap: every heap entry at the same timestamp was scheduled earlier
+	// (lower seq — a later same-time schedule lands here too, because the
+	// clock cannot advance while the ring is non-empty), so draining the heap
 	// first at equal timestamps reproduces the heap's total order exactly.
 	nowQ    []*event
 	nowHead int
@@ -414,7 +414,7 @@ func (k *Kernel) AfterFuncMonotonic(d time.Duration, fn func()) {
 // Callers that discard the handle should use Schedule instead.
 func (k *Kernel) At(t Time, fn func()) *Timer {
 	ev := k.scheduleEvent(t, fn)
-	return &Timer{k: k, ev: ev, seq: ev.seq, at: t}
+	return &Timer{k: k, ev: ev, seq: ev.seq}
 }
 
 // After schedules fn to run d from now.
@@ -432,7 +432,6 @@ type Timer struct {
 	k   *Kernel
 	ev  *event
 	seq uint64
-	at  Time
 }
 
 // Stop cancels the timer. It is safe to call after the event fired (no-op).
@@ -446,9 +445,6 @@ func (t *Timer) Stop() {
 		t.k.dead++
 	}
 }
-
-// When returns the virtual time the timer fires at.
-func (t *Timer) When() Time { return t.at }
 
 // Run executes events until the queue is empty or Stop is called.
 func (k *Kernel) Run() {

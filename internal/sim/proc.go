@@ -7,7 +7,7 @@ import (
 
 // Proc is a simulated thread of execution. Procs are backed by goroutines,
 // but only one goroutine holds a kernel at a time: a proc's body executes
-// between being handed the kernel and its next blocking call (Sleep, Yield,
+// between being handed the kernel and its next blocking call (Sleep,
 // Chan.Pop, Cond.Wait, ...). There the proc runs the event loop itself until
 // an event wakes a proc: if that is the proc itself it carries on with no
 // goroutine switch, otherwise it hands the kernel straight to the woken proc
@@ -39,11 +39,6 @@ type Proc struct {
 // (after already-scheduled events at the same timestamp).
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	return k.GoAt(k.now, name, fn)
-}
-
-// GoAfter spawns a proc that starts after delay d.
-func (k *Kernel) GoAfter(d time.Duration, name string, fn func(p *Proc)) *Proc {
-	return k.GoAt(k.now.Add(d), name, fn)
 }
 
 // GoAt spawns a proc that starts at time t.
@@ -147,10 +142,6 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.block()
 }
 
-// Yield reschedules the proc at the current time, after other pending events
-// with the same timestamp.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.K.Now() }
 
@@ -175,9 +166,6 @@ func (p *Proc) Kill() {
 
 // Dead reports whether the proc has finished.
 func (p *Proc) Dead() bool { return p.dead }
-
-// Killed reports whether the proc was killed (it may not have unwound yet).
-func (p *Proc) Killed() bool { return p.killed }
 
 func (p *Proc) String() string { return fmt.Sprintf("proc(%s)", p.Name) }
 

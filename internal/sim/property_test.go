@@ -37,11 +37,9 @@ func TestResourceFIFOProperty(t *testing.T) {
 			prev = c
 		}
 		// The last completion is at least the total service time (no
-		// overlap) and the busy-time accounting is exact.
-		if completions[len(completions)-1] < Time(totalService) {
-			return false
-		}
-		return r.BusyTime() == totalService
+		// overlap), and the next request queues behind it.
+		last := completions[len(completions)-1]
+		return last >= Time(totalService) && r.NextFree() == last
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

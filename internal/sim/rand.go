@@ -21,9 +21,6 @@ func (r *Rand) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Int63 returns a non-negative pseudo-random int64.
-func (r *Rand) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Intn returns a pseudo-random int in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
@@ -69,19 +66,6 @@ func (r *Rand) Norm(mean, stddev float64) float64 {
 // never negative.
 func (r *Rand) LogNorm(mu, sigma float64) float64 {
 	return math.Exp(r.Norm(mu, sigma))
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // Fork returns a new generator deterministically derived from this one,

@@ -106,25 +106,6 @@ func TestRandLogNormPositive(t *testing.T) {
 	}
 }
 
-func TestRandPermIsPermutation(t *testing.T) {
-	r := NewRand(9)
-	f := func(n uint8) bool {
-		m := int(n % 64)
-		p := r.Perm(m)
-		seen := make([]bool, m)
-		for _, v := range p {
-			if v < 0 || v >= m || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return len(p) == m
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRandFork(t *testing.T) {
 	r := NewRand(10)
 	f1 := r.Fork()
@@ -147,9 +128,6 @@ func TestRandIntnPanics(t *testing.T) {
 func TestRandInt63Family(t *testing.T) {
 	r := NewRand(20)
 	for i := 0; i < 1000; i++ {
-		if r.Int63() < 0 {
-			t.Fatal("Int63 negative")
-		}
 		v := r.Int63n(77)
 		if v < 0 || v >= 77 {
 			t.Fatalf("Int63n out of range: %d", v)

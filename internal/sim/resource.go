@@ -15,8 +15,6 @@ type Resource struct {
 	k *Kernel
 	// nextFree is the earliest time a new request can start service.
 	nextFree Time
-	// busy accumulates total busy time for utilization accounting.
-	busy time.Duration
 }
 
 // NewResource returns an idle resource.
@@ -25,17 +23,7 @@ func NewResource(k *Kernel) *Resource { return &Resource{k: k} }
 // Reserve queues a request of the given service duration and returns the
 // time at which it completes.
 func (r *Resource) Reserve(service time.Duration) Time {
-	if service < 0 {
-		service = 0
-	}
-	start := r.k.Now()
-	if r.nextFree > start {
-		start = r.nextFree
-	}
-	end := start.Add(service)
-	r.nextFree = end
-	r.busy += service
-	return end
+	return r.ReserveAt(r.k.Now(), service)
 }
 
 // ReserveAt is like Reserve but for a request arriving at time at (>= now).
@@ -49,18 +37,8 @@ func (r *Resource) ReserveAt(at Time, service time.Duration) Time {
 	}
 	end := start.Add(service)
 	r.nextFree = end
-	r.busy += service
 	return end
 }
-
-// Use reserves the resource and sleeps p until the request completes.
-func (r *Resource) Use(p *Proc, service time.Duration) {
-	end := r.Reserve(service)
-	p.Sleep(end.Sub(p.K.Now()))
-}
-
-// BusyTime returns the cumulative busy time.
-func (r *Resource) BusyTime() time.Duration { return r.busy }
 
 // NextFree returns the earliest service start time for a new request.
 func (r *Resource) NextFree() Time { return r.nextFree }
@@ -85,35 +63,4 @@ func (c CostModel) Cost(n int) time.Duration {
 		d += time.Duration(float64(n) / c.BytesPerSec * 1e9)
 	}
 	return d
-}
-
-// Mutex is a FIFO mutual-exclusion lock for procs.
-type Mutex struct {
-	k      *Kernel
-	locked bool
-	cond   Cond
-}
-
-// NewMutex returns an unlocked mutex.
-func NewMutex(k *Kernel) *Mutex {
-	m := &Mutex{k: k}
-	m.cond.K = k
-	return m
-}
-
-// Lock blocks p until the mutex is acquired.
-func (m *Mutex) Lock(p *Proc) {
-	for m.locked {
-		m.cond.Wait(p)
-	}
-	m.locked = true
-}
-
-// Unlock releases the mutex and wakes one waiter.
-func (m *Mutex) Unlock() {
-	if !m.locked {
-		panic("sim: unlock of unlocked mutex")
-	}
-	m.locked = false
-	m.cond.Signal()
 }

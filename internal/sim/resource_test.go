@@ -17,9 +17,6 @@ func TestResourceFIFOQueueing(t *testing.T) {
 	if e2 != Time(15*time.Microsecond) {
 		t.Fatalf("e2 = %v (should queue behind e1)", e2)
 	}
-	if r.BusyTime() != 15*time.Microsecond {
-		t.Fatalf("busy = %v", r.BusyTime())
-	}
 }
 
 func TestResourceIdleGap(t *testing.T) {
@@ -35,12 +32,19 @@ func TestResourceIdleGap(t *testing.T) {
 	k.Run()
 }
 
+// TestResourceUse checks synchronous use: two procs that each reserve the
+// resource and sleep until their request completes finish one service time
+// apart.
 func TestResourceUse(t *testing.T) {
 	k := New()
 	r := NewResource(k)
+	use := func(p *Proc) Time {
+		p.Sleep(r.Reserve(10 * time.Microsecond).Sub(p.Now()))
+		return p.Now()
+	}
 	var t1, t2 Time
-	k.Go("a", func(p *Proc) { r.Use(p, 10*time.Microsecond); t1 = p.Now() })
-	k.Go("b", func(p *Proc) { r.Use(p, 10*time.Microsecond); t2 = p.Now() })
+	k.Go("a", func(p *Proc) { t1 = use(p) })
+	k.Go("b", func(p *Proc) { t2 = use(p) })
 	k.Run()
 	if t1 != Time(10*time.Microsecond) || t2 != Time(20*time.Microsecond) {
 		t.Fatalf("t1=%v t2=%v", t1, t2)
@@ -82,38 +86,6 @@ func TestCostModelMonotonic(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestMutexFIFO(t *testing.T) {
-	k := New()
-	m := NewMutex(k)
-	var order []int
-	for i := 0; i < 3; i++ {
-		i := i
-		k.GoAfter(time.Duration(i)*time.Microsecond, "p", func(p *Proc) {
-			m.Lock(p)
-			order = append(order, i)
-			p.Sleep(10 * time.Microsecond)
-			m.Unlock()
-		})
-	}
-	k.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("lock order: %v", order)
-		}
-	}
-}
-
-func TestMutexDoubleUnlockPanics(t *testing.T) {
-	k := New()
-	m := NewMutex(k)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	m.Unlock()
 }
 
 func TestResourceNextFreeAndReset(t *testing.T) {

@@ -17,20 +17,12 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 // String formats t exactly like time.Duration.String ("1.5µs", "2m3.004s"),
 // but through a local formatter: one string allocation, no conversion through
 // the time package. Trace lines format a Time on every event, so this is on
-// the tracing hot path; AppendTo is the zero-allocation variant for callers
-// that own a scratch buffer. timeStringEquivalence in time_test.go pins the
+// the tracing hot path. timeStringEquivalence in time_test.go pins the
 // output byte-identical to the stdlib across the full value range, and the
-// alloc test pins String to 1 alloc and AppendTo to 0.
+// alloc test pins String to 1 alloc.
 func (t Time) String() string {
 	var buf [32]byte
 	return string(t.appendTo(buf[:0]))
-}
-
-// AppendTo appends the formatted time to dst and returns the extended slice.
-// It performs no allocation when dst has capacity (max formatted length is
-// 32 bytes).
-func (t Time) AppendTo(dst []byte) []byte {
-	return t.appendTo(dst)
 }
 
 func (t Time) appendTo(dst []byte) []byte {

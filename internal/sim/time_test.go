@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// TestTimeStringEquivalence pins Time.String (and AppendTo) byte-identical to
+// TestTimeStringEquivalence pins Time.String byte-identical to
 // time.Duration.String across edge cases and a broad random sweep of every
 // magnitude band.
 func TestTimeStringEquivalence(t *testing.T) {
@@ -16,9 +16,6 @@ func TestTimeStringEquivalence(t *testing.T) {
 		want := time.Duration(v).String()
 		if got := Time(v).String(); got != want {
 			t.Fatalf("Time(%d).String() = %q, want %q", v, got, want)
-		}
-		if got := string(Time(v).AppendTo(nil)); got != want {
-			t.Fatalf("Time(%d).AppendTo(nil) = %q, want %q", v, got, want)
 		}
 	}
 
@@ -49,7 +46,7 @@ func TestTimeStringEquivalence(t *testing.T) {
 }
 
 // TestTimeStringAllocs pins the formatter's allocation budget: String is one
-// string allocation, AppendTo into a sized buffer is zero. Tracing formats a
+// string allocation. Tracing formats a
 // Time per event, so regressions here show up directly in parallel-run walls.
 func TestTimeStringAllocs(t *testing.T) {
 	v := Time(26*time.Hour + 3*time.Minute + 4*time.Second + 567891234)
@@ -57,12 +54,7 @@ func TestTimeStringAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { sink = v.String() }); n > 1 {
 		t.Fatalf("Time.String allocates %.1f times per call, want <= 1", n)
 	}
-	buf := make([]byte, 0, 32)
-	var bsink []byte
-	if n := testing.AllocsPerRun(200, func() { bsink = v.AppendTo(buf[:0]) }); n != 0 {
-		t.Fatalf("Time.AppendTo allocates %.1f times per call, want 0", n)
-	}
-	_, _ = sink, bsink
+	_ = sink
 }
 
 func BenchmarkTimeString(b *testing.B) {
@@ -70,14 +62,5 @@ func BenchmarkTimeString(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = v.String()
-	}
-}
-
-func BenchmarkTimeAppendTo(b *testing.B) {
-	v := Time(1234567)
-	buf := make([]byte, 0, 32)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf = v.AppendTo(buf[:0])
 	}
 }

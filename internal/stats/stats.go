@@ -63,11 +63,7 @@ func (l *Latency) Mean() time.Duration {
 	if len(l.samples) == 0 {
 		return 0
 	}
-	var sum time.Duration
-	for _, s := range l.samples {
-		sum += s
-	}
-	return sum / time.Duration(len(l.samples))
+	return l.Sum() / time.Duration(len(l.samples))
 }
 
 // Min returns the smallest sample.
@@ -112,28 +108,6 @@ func (l *Latency) Stddev() time.Duration {
 	return time.Duration(math.Sqrt(ss / float64(n-1)))
 }
 
-// Summary is a compact snapshot of a latency distribution.
-type Summary struct {
-	Count                  int
-	Mean, P50, P95, P99    time.Duration
-	P999, Min, Max, Stddev time.Duration
-}
-
-// Summarize computes the standard summary.
-func (l *Latency) Summarize() Summary {
-	return Summary{
-		Count: l.Count(), Mean: l.Mean(),
-		P50: l.Percentile(50), P95: l.Percentile(95),
-		P99: l.Percentile(99), P999: l.Percentile(99.9),
-		Min: l.Min(), Max: l.Max(), Stddev: l.Stddev(),
-	}
-}
-
-// Micros formats d with microsecond precision, as the paper's plots do.
-func Micros(d time.Duration) string {
-	return fmt.Sprintf("%.2fus", float64(d)/float64(time.Microsecond))
-}
-
 // Throughput describes a completed-operations-over-time measurement.
 type Throughput struct {
 	Ops     int
@@ -148,35 +122,6 @@ func (t Throughput) KOPS() float64 {
 	return float64(t.Ops) / t.Elapsed.Seconds() / 1e3
 }
 
-// OPS returns operations per second.
-func (t Throughput) OPS() float64 { return t.KOPS() * 1e3 }
-
 func (t Throughput) String() string {
 	return fmt.Sprintf("%.1f KOPS (%d ops in %v)", t.KOPS(), t.Ops, t.Elapsed)
-}
-
-// Counter is a named monotone counter used for model introspection
-// (retransmissions, log replays, cache flushes, ...).
-type Counter struct {
-	Name string
-	N    int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.N++ }
-
-// Addn adds n.
-func (c *Counter) Addn(n int64) { c.N += n }
-
-// Series is an ordered list of (x, y) points for figure output.
-type Series struct {
-	Label string
-	X     []float64
-	Y     []float64
-}
-
-// AddPoint appends a point.
-func (s *Series) AddPoint(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
 }

@@ -6,10 +6,7 @@
 // replayed. cmd/prdmasim exposes it via -trace.
 package trace
 
-import (
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // Event is one recorded trace point.
 type Event struct {
@@ -23,12 +20,10 @@ type Event struct {
 
 // Tracer records events into a bounded ring buffer.
 type Tracer struct {
-	max     int
-	events  []Event
-	start   int // ring start when full
-	full    bool
-	dropped int64
-	cats    map[string]bool // nil: all categories pass
+	max    int
+	events []Event
+	start  int // ring start when full
+	full   bool
 
 	// now supplies virtual time; the tracer stays decoupled from the sim
 	// package so any clock works.
@@ -43,25 +38,9 @@ func New(now func() int64, max int) *Tracer {
 	return &Tracer{max: max, now: now}
 }
 
-// Filter restricts recording to the given categories; no arguments clears
-// the filter (record everything).
-func (t *Tracer) Filter(cats ...string) {
-	if len(cats) == 0 {
-		t.cats = nil
-		return
-	}
-	t.cats = make(map[string]bool, len(cats))
-	for _, c := range cats {
-		t.cats[c] = true
-	}
-}
-
 // Emit records one event. It is the function components call; pass it
 // around as a value (`tracer.Emit`) so components need no trace import.
 func (t *Tracer) Emit(cat, format string, args ...interface{}) {
-	if t.cats != nil && !t.cats[cat] {
-		return
-	}
 	ev := Event{AtNanos: t.now(), Cat: cat, Msg: fmt.Sprintf(format, args...)}
 	if len(t.events) < t.max {
 		t.events = append(t.events, ev)
@@ -69,16 +48,9 @@ func (t *Tracer) Emit(cat, format string, args ...interface{}) {
 	}
 	// Ring: overwrite the oldest.
 	t.full = true
-	t.dropped++
 	t.events[t.start] = ev
 	t.start = (t.start + 1) % t.max
 }
-
-// Len returns the number of retained events.
-func (t *Tracer) Len() int { return len(t.events) }
-
-// Dropped returns how many events the ring evicted.
-func (t *Tracer) Dropped() int64 { return t.dropped }
 
 // Events returns the retained events in chronological order.
 func (t *Tracer) Events() []Event {
@@ -92,24 +64,4 @@ func (t *Tracer) Events() []Event {
 		out = append(out, t.events[(t.start+i)%t.max])
 	}
 	return out
-}
-
-// WriteTo renders the trace as one line per event.
-func (t *Tracer) WriteTo(w io.Writer) (int64, error) {
-	var n int64
-	if t.dropped > 0 {
-		c, err := fmt.Fprintf(w, "... %d earlier events evicted ...\n", t.dropped)
-		n += int64(c)
-		if err != nil {
-			return n, err
-		}
-	}
-	for _, ev := range t.Events() {
-		c, err := fmt.Fprintf(w, "%12.3fus  %-8s %s\n", float64(ev.AtNanos)/1e3, ev.Cat, ev.Msg)
-		n += int64(c)
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
 }

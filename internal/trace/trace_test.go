@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func fixedClock(t *int64) func() int64 {
 	return func() int64 { return *t }
@@ -40,41 +37,6 @@ func TestRingEviction(t *testing.T) {
 	}
 	if evs[0].Msg != "ev4" || evs[2].Msg != "ev6" {
 		t.Fatalf("ring order wrong: %+v", evs)
-	}
-	if tr.Dropped() != 4 {
-		t.Fatalf("dropped = %d", tr.Dropped())
-	}
-}
-
-func TestFilter(t *testing.T) {
-	now := int64(0)
-	tr := New(fixedClock(&now), 10)
-	tr.Filter("keep")
-	tr.Emit("keep", "yes")
-	tr.Emit("drop", "no")
-	if tr.Len() != 1 {
-		t.Fatalf("len = %d", tr.Len())
-	}
-	tr.Filter() // clear
-	tr.Emit("drop", "now kept")
-	if tr.Len() != 2 {
-		t.Fatalf("len = %d", tr.Len())
-	}
-}
-
-func TestWriteTo(t *testing.T) {
-	now := int64(1500)
-	tr := New(fixedClock(&now), 2)
-	tr.Emit("rnic", "hello")
-	tr.Emit("rnic", "a")
-	tr.Emit("rnic", "b") // evicts "hello"
-	var sb strings.Builder
-	if _, err := tr.WriteTo(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "evicted") || !strings.Contains(out, "1.500us") || strings.Contains(out, "hello") {
-		t.Fatalf("output:\n%s", out)
 	}
 }
 
