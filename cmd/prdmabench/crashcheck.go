@@ -55,10 +55,24 @@ func newSweepFlags(fs *flag.FlagSet) *sweepFlags {
 // -pmpool one pool (WFlush unless -family picks another family), else one
 // durable-RPC target per matching (family, mix) cell. -points, -torn,
 // -shards and -replicas override the cluster and pool defaults only when
-// given.
+// given. A sweep flag the selected target does not read is an error, not
+// silently ignored (validateModes already confines -faults and -workloads
+// to the cluster target).
 func (f *sweepFlags) targets() ([]crashcheck.Target, error) {
 	set := map[string]bool{}
 	f.fs.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
+	target, unread := "durable-RPC", "shards replicas simpar"
+	switch {
+	case *f.cluster:
+		target, unread = "cluster", "family mix torn"
+	case *f.pmpool:
+		target, unread = "pmpool", "mix objsize shards replicas simpar"
+	}
+	for _, name := range strings.Fields(unread) {
+		if set[name] {
+			return nil, fmt.Errorf("crashcheck: the %s sweep does not read -%s", target, name)
+		}
+	}
 	seed := int64(*f.seed)
 	var kinds []rpc.Kind
 	for _, k := range rpc.DurableKinds {

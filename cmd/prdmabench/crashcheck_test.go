@@ -121,7 +121,8 @@ func TestClusterCells(t *testing.T) {
 }
 
 // TestBadShapesExit2 runs the built command on shapes its drivers cannot
-// build: each must exit 2 with a message naming the problem, not panic.
+// build, and on sweep flags the selected crash-sweep target does not read:
+// each must exit 2 with a message naming the problem, not panic or run.
 func TestBadShapesExit2(t *testing.T) {
 	gobin, err := exec.LookPath("go")
 	if err != nil {
@@ -136,6 +137,21 @@ func TestBadShapesExit2(t *testing.T) {
 		"-cluster -scale quick -replicas 0":                           "-shards and -replicas must be positive",
 		"-crashcheck -cluster -shards 0":                              "-shards and -replicas must be positive",
 		"-crashcheck -family WFlush -mix writes -objsize 8 -points 2": "needs ObjSize ≥ 16",
+		"-crashcheck -shards 2":                                       "the durable-RPC sweep does not read -shards",
+		"-crashcheck -replicas 2":                                     "the durable-RPC sweep does not read -replicas",
+		"-crashcheck -simpar 2":                                       "the durable-RPC sweep does not read -simpar",
+		"-crashcheck -faults partition":                               "-faults selects cluster sweep cells: it needs -crashcheck -cluster",
+		"-crashcheck -workloads A":                                    "-workloads selects cluster sweep cells: it needs -crashcheck -cluster",
+		"-crashcheck -cluster -family WFlush":                         "the cluster sweep does not read -family",
+		"-crashcheck -cluster -mix batch":                             "the cluster sweep does not read -mix",
+		"-crashcheck -cluster -torn 4":                                "the cluster sweep does not read -torn",
+		"-crashcheck -pmpool -mix batch":                              "the pmpool sweep does not read -mix",
+		"-crashcheck -pmpool -objsize 8":                              "the pmpool sweep does not read -objsize",
+		"-crashcheck -pmpool -shards 2":                               "the pmpool sweep does not read -shards",
+		"-crashcheck -pmpool -replicas 2":                             "the pmpool sweep does not read -replicas",
+		"-crashcheck -pmpool -simpar 2":                               "the pmpool sweep does not read -simpar",
+		"-crashcheck -pmpool -faults partition":                       "-faults selects cluster sweep cells: it needs -crashcheck -cluster",
+		"-crashcheck -pmpool -workloads A":                            "-workloads selects cluster sweep cells: it needs -crashcheck -cluster",
 	} {
 		out, err := exec.Command(bin, strings.Fields(args)...).CombinedOutput()
 		var exit *exec.ExitError

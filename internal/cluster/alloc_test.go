@@ -91,8 +91,8 @@ func BenchmarkReplicatedPut(b *testing.B) {
 	}
 }
 
-// TestPartitionedSwitchRegression pins the goroutine switches per op of a
-// partitioned-cluster pass at one engine worker, shaped like the
+// TestPartitionedSwitchRegression pins the switches (Kernel.Switches) per
+// op of a partitioned-cluster pass at one engine worker, shaped like the
 // benchmark's kv_cluster (8 shards × 2 replicas behind 4 gateways, 16
 // clients, half reads). The rpc receive loops and the servers' worker
 // pools run as kernel callbacks and each multi-kernel window's kernels run

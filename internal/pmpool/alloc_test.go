@@ -47,7 +47,7 @@ func TestRenewCountOverflowRejected(t *testing.T) {
 // TestPoolSwitchRegression pins the pool server as kernel callbacks: a
 // server with leases (LeaseTTL > 0) spawns no proc, its worker and its
 // lease reclaimer run as callbacks, and one client's alloc→write→read→free
-// cycle costs at most 0.25 goroutine switches. What is left is the client's
+// cycle costs at most 0.25 switches. What is left is the client's
 // lease renewer waking every LeaseTTL/3 and handing the kernel back.
 //
 // Measured on the reference toolchain: 0.06 switches per cycle. With the

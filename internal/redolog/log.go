@@ -33,6 +33,7 @@ package redolog
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"prdma/internal/pmem"
@@ -199,15 +200,20 @@ func (l *Log) NextSeq() uint64 {
 // UsedBytes returns the occupied ring capacity.
 func (l *Log) UsedBytes() int64 { return l.used }
 
+// ErrEntryTooLarge is the error Reserve returns for an entry larger than
+// the whole ring. Unlike a full ring, no amount of waiting makes room.
+var ErrEntryTooLarge = errors.New("redolog: entry exceeds ring capacity")
+
 // Reserve allocates ring space for an n-byte-payload entry, assigns it the
 // next sequence number, and returns (seq, PM address). It fails when the
-// ring is full — the caller throttles, per §4.2. Entries never wrap: if the
-// tail room is insufficient the cursor jumps to the ring start and the
-// skipped slack is reclaimed with its FIFO turn.
+// ring is full — the caller throttles, per §4.2 — and, for good, with
+// ErrEntryTooLarge. Entries never wrap: if the tail room is insufficient
+// the cursor jumps to the ring start and the skipped slack is reclaimed
+// with its FIFO turn.
 func (l *Log) Reserve(n int) (uint64, int64, error) {
 	foot := EntrySize(n)
 	if foot > l.size {
-		return 0, 0, fmt.Errorf("redolog: entry of %d bytes exceeds ring capacity %d", foot, l.size)
+		return 0, 0, fmt.Errorf("%w: %d-byte entry, %d-byte ring", ErrEntryTooLarge, foot, l.size)
 	}
 	slack := int64(-1) // -1: no wrap needed
 	if tailroom := l.size - l.tail; tailroom < foot {

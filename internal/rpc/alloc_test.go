@@ -190,7 +190,7 @@ func TestDurableEchoAllocRegression(t *testing.T) {
 	}
 }
 
-// TestReceiveLoopSwitchRegression pins the goroutine switches of a
+// TestReceiveLoopSwitchRegression pins the switches (Kernel.Switches) of a
 // single-client 64 B write followed by Done.Wait, for every kind plus Herd,
 // LITE and Hotpot. Every receive loop runs as kernel callbacks (recvLoop),
 // and so do the worker pool and the store's apply (worker, storeApply), so

@@ -11,12 +11,7 @@ type Pending struct {
 	Durable *sim.Future[sim.Time]
 	// Done resolves when the RPC is fully processed (response received).
 	Done *sim.Future[sim.Time]
-
-	data []byte
 }
-
-// Data returns the response payload; valid once Done has resolved.
-func (p *Pending) Data() []byte { return p.data }
 
 // AsyncClient issues RPCs without blocking the caller — the building block
 // for replication (§4.5), where one write fans out to several replicas and
@@ -35,12 +30,7 @@ func (c *durableClient) CallAsync(p *sim.Proc, req *Request) (*Pending, error) {
 	if err != nil {
 		return nil, err
 	}
-	pend := &Pending{IssuedAt: issued, Durable: durF}
 	done := sim.NewFuture[sim.Time](p.K)
-	respF.Then(func(rm respMsg) {
-		pend.data = rm.data
-		done.Complete(rm.at)
-	})
-	pend.Done = done
-	return pend, nil
+	respF.Then(func(rm respMsg) { done.Complete(rm.at) })
+	return &Pending{IssuedAt: issued, Durable: durF, Done: done}, nil
 }

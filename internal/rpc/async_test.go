@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -42,27 +41,6 @@ func TestCallAsyncPipelinesWrites(t *testing.T) {
 	if b.s.Handled != depth {
 		t.Fatalf("handled %d of %d", b.s.Handled, depth)
 	}
-}
-
-func TestCallAsyncReadDataDelivered(t *testing.T) {
-	b := newBench(t, 256, nil, nil)
-	c := b.client(SFlushRPC).(AsyncClient)
-	payload := bytes.Repeat([]byte{0x77}, 256)
-	b.run(t, func(p *sim.Proc) {
-		w, err := c.CallAsync(p, &Request{Op: OpWrite, Key: 4, Size: 256, Payload: payload})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Done.Wait(p)
-		r, err := c.CallAsync(p, &Request{Op: OpRead, Key: 4, Size: 256, Payload: []byte{}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Done.Wait(p)
-		if !bytes.Equal(r.Data(), payload) {
-			t.Errorf("async read returned %d bytes, mismatch", len(r.Data()))
-		}
-	})
 }
 
 func TestCallAsyncDurableBeforeDone(t *testing.T) {

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -250,6 +251,9 @@ func (c *durableClient) admit(p *sim.Proc, n int, mutating bool) (uint64, int64,
 		return c.log.NextSeq(), -1, nil
 	}
 	seq, addr, err := c.log.Reserve(n)
+	if errors.Is(err, redolog.ErrEntryTooLarge) {
+		return 0, 0, err
+	}
 	for err != nil {
 		// Ring full: §4.2 back-pressure — throttle and retry.
 		p.Sleep(5 * time.Microsecond)

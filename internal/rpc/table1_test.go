@@ -165,7 +165,7 @@ func TestMojimReadsFromPrimaryOnly(t *testing.T) {
 
 // TestMojimSwitchRegression pins Mojim's primary and mirror loops as kernel
 // callbacks: building the servers and the connection spawns no proc, and a
-// mirrored write costs the client's call no goroutine switch (0.00
+// mirrored write costs the client's call no switch (0.00
 // measured on the reference toolchain). With the two loops and the
 // servers' workers as procs, building the connection spawned two and a
 // write cost 4.00 switches.

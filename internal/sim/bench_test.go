@@ -122,7 +122,7 @@ func pingPong(k *Kernel, n int) {
 
 // BenchmarkProcSwitch measures a proc sleep/wake cycle. A lone sleeping
 // proc runs the event loop itself and its next resume is its own, so the
-// cycle costs no goroutine switch at all; the cached per-proc wake thunk
+// cycle costs no switch at all; the cached per-proc wake thunk
 // makes it 0 allocs/op (TestProcAllocRegression pins both).
 func BenchmarkProcSwitch(b *testing.B) {
 	k := New()
@@ -134,8 +134,8 @@ func BenchmarkProcSwitch(b *testing.B) {
 
 // BenchmarkProcPingPong measures the direct handoff between two procs: they
 // bounce a token through a Chan each way, so every resume wakes the other
-// proc and costs exactly one goroutine switch. One iteration is a round
-// trip, two resumes.
+// proc and costs exactly one switch, two coroutine switches through the
+// run's resumer. One iteration is a round trip, two resumes.
 func BenchmarkProcPingPong(b *testing.B) {
 	k := New()
 	b.ReportAllocs()

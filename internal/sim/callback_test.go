@@ -185,7 +185,7 @@ func TestFutureWaitFunc(t *testing.T) {
 
 // TestCallbackConsumerPanicReachesCaller: a callback consumer that panics
 // surfaces at Run's caller with its own value, whether the loop ran on the
-// caller's goroutine or on the proc goroutine of the producer that woke it.
+// caller's goroutine or inside the producer proc that woke it.
 func TestCallbackConsumerPanicReachesCaller(t *testing.T) {
 	for _, fromProc := range []bool{false, true} {
 		k := New()
@@ -314,7 +314,7 @@ func TestEngineChainHandsBackOnce(t *testing.T) {
 }
 
 // TestEngineChainPanic: a callback that panics in the second kernel of a
-// chain, while a proc goroutine of the first kernel runs it, reaches the
+// chain, while a proc of the first kernel runs it, reaches the
 // caller of Engine.Run with its own value; Shutdown then leaves no
 // goroutine behind.
 func TestEngineChainPanic(t *testing.T) {
@@ -347,13 +347,7 @@ func TestEngineChainPanic(t *testing.T) {
 			t.Fatalf("kernel %d kept %d procs after Shutdown", k.Partition(), k.Procs())
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > start {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: %d after Shutdown, %d before the engine", runtime.NumGoroutine(), start)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitGoroutines(t, start)
 }
 
 // TestEngineChainStopFromProc: a proc that stops its own kernel mid-chain

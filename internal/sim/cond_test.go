@@ -91,30 +91,6 @@ func TestCondSignalTimeoutSameInstant(t *testing.T) {
 	}
 }
 
-// TestCondSignalSkipsKilledWaiter: killing a blocked proc invalidates its
-// queue entry; a subsequent Signal must reach the next live waiter instead
-// of being swallowed.
-func TestCondSignalSkipsKilledWaiter(t *testing.T) {
-	k := New()
-	c := NewCond(k)
-	resumed := false
-	var b bool
-	pa := k.Go("a", func(p *Proc) {
-		c.Wait(p)
-		resumed = true
-	})
-	k.GoAt(Time(time.Microsecond), "b", func(p *Proc) { b = c.WaitTimeout(p, 50*time.Microsecond) })
-	k.Schedule(Time(5*time.Microsecond), func() { pa.Kill() })
-	k.Schedule(Time(10*time.Microsecond), func() { c.Signal() })
-	k.Run()
-	if resumed {
-		t.Error("killed proc resumed past Wait")
-	}
-	if !b {
-		t.Error("signal should skip the killed waiter and wake b")
-	}
-}
-
 // TestCondNoStaleBookkeeping: signaled procs that never wait again must
 // leave the Cond completely empty — the regression this guards against kept
 // a "woken" record per signaled proc forever.
@@ -142,29 +118,34 @@ func TestCondNoStaleBookkeeping(t *testing.T) {
 	}
 }
 
-// TestCondBroadcastMixedStaleness: Broadcast over a queue containing live,
-// timed-out, and killed entries wakes exactly the live ones.
+// TestCondBroadcastMixedStaleness: Broadcast over a queue containing live
+// entries, a timed-out one, and the stale entry of a proc that timed out and
+// waits again wakes exactly the live waits, each once.
 func TestCondBroadcastMixedStaleness(t *testing.T) {
 	k := New()
 	c := NewCond(k)
 	var live1, live2, timedOut bool
+	rewaits := 0
 	k.Go("timeout", func(p *Proc) { timedOut = !c.WaitTimeout(p, 2*time.Microsecond) })
-	victim := k.Go("victim", func(p *Proc) {
-		c.Wait(p)
-		t.Error("killed proc resumed")
+	k.Go("rewaiter", func(p *Proc) {
+		for !c.WaitTimeout(p, 3*time.Microsecond) {
+			rewaits++
+		}
 	})
 	k.GoAt(Time(time.Microsecond), "live1", func(p *Proc) { live1 = c.WaitTimeout(p, time.Second) })
 	k.GoAt(Time(time.Microsecond), "live2", func(p *Proc) {
 		c.Wait(p)
 		live2 = true
 	})
-	k.Schedule(Time(3*time.Microsecond), func() { victim.Kill() })
 	k.Schedule(Time(5*time.Microsecond), func() { c.Broadcast() })
 	k.Run()
 	if !timedOut {
 		t.Error("timeout waiter should have timed out before the broadcast")
 	}
-	if !live1 || !live2 {
-		t.Errorf("live waiters not woken: live1=%v live2=%v", live1, live2)
+	if !live1 || !live2 || rewaits != 1 {
+		t.Errorf("live waiters not woken once: live1=%v live2=%v rewaiter timeouts=%d, want 1", live1, live2, rewaits)
+	}
+	if n := len(c.waiters); n != 0 {
+		t.Errorf("stale cond entries left behind: %d", n)
 	}
 }

@@ -72,6 +72,9 @@ type Engine struct {
 	barCond   *sync.Cond
 	hwg       sync.WaitGroup
 	workersUp bool
+	// faults holds each shard's panic from the window just run, for the
+	// coordinator to re-raise once every shard reported (see runShard).
+	faults []any
 
 	// serialized is a nesting counter: while positive, windows execute as an
 	// exact global event merge on the stepping goroutine (see stepMerged).
@@ -134,7 +137,7 @@ func NewEngine(lookahead time.Duration, workers int) *Engine {
 	if workers < 1 {
 		workers = 1
 	}
-	return &Engine{lookahead: Time(lookahead), workers: workers, deadline: -1, spin: barSpinRounds, coord: newChain()}
+	return &Engine{lookahead: Time(lookahead), workers: workers, deadline: -1, spin: barSpinRounds}
 }
 
 // NewKernel adds a partition to the engine and returns its kernel. Create
@@ -313,6 +316,7 @@ func (e *Engine) startWorkers() {
 		e.barDone.Store(0)
 		e.sleepers.Store(0)
 		e.reshard()
+		e.faults = make([]any, e.helpers+1)
 		for i := 1; i <= e.helpers; i++ {
 			e.hwg.Add(1)
 			go e.helperLoop(i)
@@ -345,7 +349,7 @@ func (e *Engine) reshard() {
 // publishes this shard's kernel state back.
 func (e *Engine) helperLoop(shard int) {
 	defer e.hwg.Done()
-	c := newChain()
+	var c chain
 	seen := uint64(0)
 	for {
 		spins := 0
@@ -379,9 +383,18 @@ func (e *Engine) helperLoop(shard int) {
 		if e.barQuit.Load() {
 			return
 		}
-		c.runWindow(e.shards[shard], e.deadline)
+		e.faults[shard] = e.runShard(&c, shard)
 		e.barDone.Add(1)
 	}
+}
+
+// runShard runs one worker's shard of the open window as a chain and
+// returns the panic it raised, if any: a model panic on a helper must reach
+// the caller of Run, not end the process on the helper's goroutine.
+func (e *Engine) runShard(c *chain, shard int) (fault any) {
+	defer func() { fault = recover() }()
+	c.runWindow(e.shards[shard], e.deadline)
+	return nil
 }
 
 // runSerial executes the current window's active kernels in creation order
@@ -455,8 +468,14 @@ func (e *Engine) stepWindows(budget int) int {
 			e.barCond.Broadcast()
 			e.barMu.Unlock()
 		}
-		e.coord.runWindow(e.shards[0], e.deadline)
+		e.faults[0] = e.runShard(&e.coord, 0)
 		e.waitHelpers()
+		for _, r := range e.faults {
+			if r != nil {
+				clear(e.faults)
+				panic(r) // the lowest shard's, whatever the timing
+			}
+		}
 	}
 	return ran
 }
@@ -529,9 +548,9 @@ func (e *Engine) RunWindows(n int) int {
 
 // Shutdown tears the deployment down: stops the worker pool and reaps every
 // kernel's parked procs and event pools. Back-to-back deployments in one
-// process previously pinned ~100 MB each, because every proc goroutine left
-// blocked at its resume channel (plus the event free lists keeping payload
-// buffers reachable) survived the deployment. The engine must be paused at a
+// process previously pinned ~100 MB each, because every proc left suspended
+// in a blocking call (plus the event free lists keeping payload buffers
+// reachable) survived the deployment. The engine must be paused at a
 // barrier (not running). A shut-down engine may be rescheduled and run
 // again: the next Run/RunWindows restarts the worker pool with fresh barrier
 // state (kernel queues and free lists start empty, as after construction).

@@ -11,7 +11,8 @@ import (
 // handoffSchedule books a proc-heavy schedule on k that exercises every way
 // the kernel changes hands: sleepers whose next resume is often their own, a
 // Cond signal and a Cond timeout, a Chan round trip, a canceled timer, and a
-// proc killed while it waits. Every step appends "time label" to trace.
+// proc left waiting for Shutdown to kill. Every step appends "time label"
+// to trace.
 func handoffSchedule(k *Kernel, trace *[]string) {
 	log := func(format string, args ...any) {
 		*trace = append(*trace, fmt.Sprintf("%d %s", k.Now(), fmt.Sprintf(format, args...)))
@@ -59,15 +60,10 @@ func handoffSchedule(k *Kernel, trace *[]string) {
 	k.AfterFunc(2*us, func() { decoy.Stop() })
 
 	idle := NewCond(k)
-	victim := k.Go("victim", func(p *Proc) {
+	k.Go("victim", func(p *Proc) {
 		defer log("victim unwound")
 		idle.Wait(p)
 		log("victim woke")
-	})
-	k.Go("killer", func(p *Proc) {
-		p.Sleep(5 * us)
-		victim.Kill()
-		log("kill")
 	})
 }
 
@@ -81,9 +77,10 @@ func TestRunEventsBoundary(t *testing.T) {
 	handoffSchedule(ref, &want)
 	ref.Run()
 	total := ref.Fired()
-	if ref.Procs() != 0 {
-		t.Fatalf("reference run leaked %d procs", ref.Procs())
+	if ref.Procs() != 1 {
+		t.Fatalf("reference run left %d procs, want the victim", ref.Procs())
 	}
+	ref.Shutdown()
 	all := fmt.Sprint(want)
 	for _, s := range []string{"signaled woke ok=true", "timeout woke ok=false", "pop 2", "victim unwound"} {
 		if !strings.Contains(all, s) {
@@ -106,6 +103,7 @@ func TestRunEventsBoundary(t *testing.T) {
 			t.Fatalf("RunEvents(%d) ran %d (Fired %d), want %d", n, ran, k.Fired(), wantRan)
 		}
 		k.Run()
+		k.Shutdown()
 		if !same(got) || k.Fired() != total || k.Procs() != 0 {
 			t.Fatalf("RunEvents(%d)+Run: fired %d procs %d trace\n%v\nwant fired %d trace\n%v",
 				n, k.Fired(), k.Procs(), got, total, want)
@@ -118,6 +116,7 @@ func TestRunEventsBoundary(t *testing.T) {
 	handoffSchedule(k, &got)
 	for k.RunEvents(1) == 1 {
 	}
+	k.Shutdown()
 	if !same(got) || k.Fired() != total {
 		t.Fatalf("single-stepped: fired %d trace\n%v\nwant fired %d trace\n%v", k.Fired(), got, total, want)
 	}
@@ -177,6 +176,13 @@ func TestCallbackPanicOnProcReachesCaller(t *testing.T) {
 	if k.Procs() != 0 || k.Fired() != fired {
 		t.Fatalf("Shutdown left %d procs and fired %d events, want 0 and 0", k.Procs(), k.Fired()-fired)
 	}
+	waitGoroutines(t, start)
+}
+
+// waitGoroutines fails t unless the goroutine count falls back to start
+// within a few seconds: every proc's coroutine must be gone.
+func waitGoroutines(t *testing.T, start int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > start {
 		if time.Now().After(deadline) {
@@ -184,6 +190,88 @@ func TestCallbackPanicOnProcReachesCaller(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// TestProcPanicReachesCaller: a panic in a proc's body reaches the caller of
+// Run with its own value: on a standalone kernel, and on an engine at
+// workers 1 and 2, where the panicking proc's kernel runs on the helper
+// worker in a window shared with the other kernel. Shutdown then reaps the
+// other proc and leaves no goroutine behind.
+func TestProcPanicReachesCaller(t *testing.T) {
+	start := runtime.NumGoroutine()
+	boom := fmt.Errorf("boom in a proc body")
+	for _, workers := range []int{0, 1, 2} {
+		var ks []*Kernel
+		var run, shutdown func()
+		if workers == 0 {
+			k := New()
+			ks, run, shutdown = []*Kernel{k, k}, k.Run, k.Shutdown
+		} else {
+			e := NewEngine(100, workers)
+			ks, run, shutdown = []*Kernel{e.NewKernel(), e.NewKernel()}, e.Run, e.Shutdown
+		}
+		ks[0].Go("bystander", func(p *Proc) {
+			for {
+				p.Sleep(100)
+			}
+		})
+		ks[1].Go("panicker", func(p *Proc) {
+			p.Sleep(250)
+			panic(boom)
+		})
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			run()
+			return nil
+		}()
+		if got != boom {
+			t.Fatalf("workers=%d: Run panicked with %v, want %v", workers, got, boom)
+		}
+		if ks[1].Now() != 250 {
+			t.Fatalf("workers=%d: panicking kernel stopped at %v, want 250", workers, ks[1].Now())
+		}
+		shutdown()
+		for _, k := range ks {
+			if k.Procs() != 0 {
+				t.Fatalf("workers=%d: %d procs after Shutdown", workers, k.Procs())
+			}
+		}
+	}
+	waitGoroutines(t, start)
+}
+
+// TestShutdownReapsUnstartedAndWaiting: Shutdown kills a proc that never
+// started and one blocked in Cond.WaitTimeout. The first body never runs,
+// the second unwinds through its defers without returning from the wait,
+// and Procs reads 0. A proc whose deferred cleanup blocks again is killed
+// in that call too.
+func TestShutdownReapsUnstartedAndWaiting(t *testing.T) {
+	start := runtime.NumGoroutine()
+	k := New()
+	c := NewCond(k)
+	var trace []string
+	k.GoAt(Time(time.Second), "unstarted", func(p *Proc) { trace = append(trace, "unstarted ran") })
+	k.Go("waiter", func(p *Proc) {
+		defer func() { trace = append(trace, "waiter unwound") }()
+		c.WaitTimeout(p, time.Hour)
+		trace = append(trace, "waiter woke")
+	})
+	k.Go("cleaner", func(p *Proc) {
+		defer func() {
+			p.Sleep(time.Microsecond)
+			trace = append(trace, "cleaner slept")
+		}()
+		p.Sleep(time.Hour)
+	})
+	k.RunFor(time.Millisecond)
+	if k.Procs() != 3 {
+		t.Fatalf("%d procs before Shutdown, want 3", k.Procs())
+	}
+	k.Shutdown()
+	if s := fmt.Sprint(trace); s != "[waiter unwound]" || k.Procs() != 0 {
+		t.Fatalf("after Shutdown: trace %s, %d procs; want [waiter unwound], 0", s, k.Procs())
+	}
+	waitGoroutines(t, start)
 }
 
 // TestProcAllocRegression pins both proc benchmarks at 0 allocs/op: once

@@ -7,17 +7,18 @@
 // can run as a chain of events (Chan.PopFunc, Future.WaitFunc,
 // Kernel.AfterFunc) and cost no goroutine; a Cond schedules a callback
 // waiter's wake in the FIFO slot a proc's would take, so both kinds see the
-// same events in the same order. Procs are backed by goroutines, but only
-// one goroutine holds a kernel at a time and control passes between them
-// synchronously over channels, so the simulation is deterministic regardless
-// of the Go scheduler. There is no kernel goroutine: the event loop runs on
-// whichever goroutine holds the kernel — the caller of Run, or the proc
-// that just blocked or exited. A blocking proc runs the loop itself and
-// resumes the next proc directly (or simply carries on when the next resume
-// is its own); the kernel returns to the caller only when the run's bounds
-// are reached, and an engine window's kernels run as one chain that returns
-// to its caller once. See DESIGN.md "Direct proc handoff", "Receive loops
-// run as callbacks" and "One chain per window".
+// same events in the same order. A proc's body runs in a runtime coroutine
+// (iter.Pull), and only one body holds a kernel at a time, so the simulation
+// is deterministic regardless of the Go scheduler. There is no kernel
+// goroutine: the goroutine that calls Run is the run's one resumer, and the
+// event loop runs either there or inside the proc that just blocked or
+// exited. A blocking proc runs the loop itself and simply carries on when
+// the next resume is its own; otherwise it records the woken proc and
+// yields, and the resumer resumes that proc. A switch is a coroutine switch
+// on the resumer's thread: no channel, and no other thread to wake. An
+// engine window's kernels run as one chain with one resumer. See DESIGN.md
+// "Direct proc handoff", "Receive loops run as callbacks" and "One chain
+// per window".
 //
 // Virtual time is measured in integer nanoseconds (Time). All latencies in
 // the PRDMA models are expressed as time.Duration and added to Time values.
@@ -174,33 +175,31 @@ type Kernel struct {
 	fired uint64
 
 	// Bounds of the current RunUntil/RunEvents/runHead. They live here, not
-	// on the caller's stack, because whichever goroutine holds the kernel
-	// runs the loop (see loop).
+	// on the caller's stack, because the loop also runs inside procs (see
+	// loop).
 	deadline Time   // no event later than this fires
 	budget   uint64 // live events the run may still fire
 	oneHead  bool   // runHead: the run ends after one pop, live or canceled
 	stopped  bool   // Stop was called
-	// next is the proc the last fired event made runnable; set by schedule,
-	// consumed by loop as soon as the event returns.
+	// next is the proc the last fired event made runnable; set by the
+	// proc's wake event, consumed by loop as soon as the event returns.
 	next *Proc
 
 	// ch is the chain the kernel's current run belongs to: solo for the
 	// kernel's own RunUntil/RunEvents/runHead, an engine chain inside a
-	// window. The goroutine that reaches the run's bounds goes on with the
-	// chain, which hands back to its caller once. Proc-to-proc transfers go
-	// straight to the next proc's resume channel.
+	// window. A blocking proc records the next proc to resume on it.
 	ch   *chain
 	solo chain
 	// cur is the proc whose body is running; nil while the loop and event
 	// callbacks run.
 	cur *Proc
-	// switches counts goroutine transfers: a resume handed to another
-	// proc's goroutine, or a chain handed back to its caller.
+	// switches counts transfers of the kernel: a resume of another proc,
+	// or a chain handed back to its caller.
 	switches uint64
 
 	procs int // live procs, for leak diagnostics
-	// live registers every spawned proc until its goroutine exits, so
-	// Shutdown can reap procs parked in blocking calls (or never started).
+	// live registers every spawned proc until its body exits, so Shutdown
+	// can reap procs suspended in blocking calls (or never started).
 	live map[*Proc]struct{}
 
 	// eng/engID are set when the kernel is one partition of a multi-kernel
@@ -212,7 +211,7 @@ type Kernel struct {
 // New returns a fresh kernel at virtual time zero.
 func New() *Kernel {
 	k := &Kernel{engID: -1, live: make(map[*Proc]struct{})}
-	k.solo = chain{ks: []*Kernel{k}, done: make(chan struct{})}
+	k.solo = chain{ks: []*Kernel{k}}
 	return k
 }
 
@@ -323,10 +322,10 @@ func (k *Kernel) Procs() int { return k.procs }
 // Fired reports how many events have executed since New.
 func (k *Kernel) Fired() uint64 { return k.fired }
 
-// Switches reports how many goroutine transfers the kernel has made since
-// New: resumes handed to another proc's goroutine, and runs handed back to
-// their caller. A proc whose next resume is its own, and a callback waiter,
-// cost none.
+// Switches reports how many transfers of the kernel it has made since New:
+// resumes of a proc other than the one that blocked, and runs handed back
+// to their caller by a proc. A proc whose next resume is its own, and a
+// callback waiter, cost none.
 func (k *Kernel) Switches() uint64 { return k.switches }
 
 // schedule books fn at time t, drawing the event from the free list.
@@ -478,12 +477,12 @@ func (k *Kernel) run(deadline Time, budget uint64, oneHead bool) uint64 {
 // chain runs kernels back to back under one set of bounds. A kernel's own
 // RunUntil, RunEvents or runHead is a chain of one; an engine window's
 // active kernels, run serially or one shard per engine worker, are a chain
-// of several. Each kernel's run starts on whichever goroutine holds the
-// chain: the caller, or the proc goroutine on which the previous kernel's
-// run ended. So when runs end on proc goroutines the chain goes back to its
-// caller once, not once per kernel. One goroutine holds the chain at a time,
-// and every transfer is a channel operation: a proc's resume, or done. See
-// DESIGN.md "One chain per window".
+// of several. The goroutine that runs the chain is its one resumer: it
+// starts each kernel's run and resumes each proc the runs wake, and the
+// loop also runs inside a proc that blocked or exited, which goes on with
+// the chain's next kernels when its kernel's run ends. So the chain comes
+// back to its caller once, not once per kernel. See DESIGN.md "One chain
+// per window".
 type chain struct {
 	ks   []*Kernel
 	next int // index in ks of the next kernel to start
@@ -496,14 +495,13 @@ type chain struct {
 	// k is the kernel whose run is in progress; the hand-back counts as
 	// its switch.
 	k *Kernel
-	// done returns the chain to the goroutine that called run.
-	done chan struct{}
-	// fault is a callback panic recovered on a proc goroutine, carried to
-	// the chain's caller, which re-raises it.
+	// pending is the proc to resume next, recorded by the proc that yields;
+	// nil ends the chain.
+	pending *Proc
+	// fault is a callback panic recovered inside a proc, carried to the
+	// resumer, which re-raises it.
 	fault any
 }
-
-func newChain() chain { return chain{done: make(chan struct{})} }
 
 // runWindow runs ks as one chain up to the inclusive window edge deadline,
 // skipping the kernels with nothing to do in the window.
@@ -512,27 +510,37 @@ func (c *chain) runWindow(ks []*Kernel, deadline Time) {
 	c.run()
 }
 
-// run drives the chain from the calling goroutine. When a kernel's loop
-// makes a proc runnable the caller hands that kernel over and parks on done:
-// the procs then pass the kernel among themselves, the goroutine that ends
-// its run starts the chain's next kernel, and the one that ends the last
-// run hands the chain back. A callback panic caught on a proc goroutine is
-// re-raised here with the same value.
+// run drives the chain from the calling goroutine.
 func (c *chain) run() {
 	c.next = 0
 	if p := c.step(); p != nil {
-		p.K.handOver(p)
-		<-c.done
-		if r := c.fault; r != nil {
-			c.fault = nil
-			panic(r)
-		}
+		c.drive(p)
 	}
 }
 
-// step starts the chain's remaining kernels in order on the calling
-// goroutine. It returns the first proc a kernel's loop makes runnable, for
-// the caller to hand that kernel to, or nil once every run has ended.
+// drive is the resumer's loop: it resumes p, then each proc the previous
+// one recorded as pending when it yielded, until one yields with none. Each
+// resume counts as a switch of the resumed proc's kernel, and the return to
+// the caller as one of the last kernel run: Switches counts transfers of a
+// kernel, not coroutine switches. A callback panic caught inside a proc is
+// re-raised here with the same value; a panic in a proc's body comes out of
+// resume.
+func (c *chain) drive(p *Proc) {
+	for ; p != nil; p = c.pending {
+		c.pending = nil
+		p.K.cur = p
+		p.K.switches++
+		p.resume()
+	}
+	c.k.switches++
+	if r := c.fault; r != nil {
+		c.fault = nil
+		panic(r)
+	}
+}
+
+// step starts the chain's remaining kernels in order. It returns the first
+// proc a kernel's loop makes runnable, or nil once every run has ended.
 func (c *chain) step() *Proc {
 	for c.next < len(c.ks) {
 		k := c.ks[c.next]
@@ -552,12 +560,12 @@ func (c *chain) step() *Proc {
 	return nil
 }
 
-// onProc runs k's loop on a proc goroutine and, once k's run ends there, the
-// chain's remaining kernels. It returns the proc to hand a kernel to, or nil
+// onProc runs k's loop inside a proc and, once k's run ends there, the
+// chain's remaining kernels. It returns the proc to resume next, or nil
 // when the chain is done. A callback panic must not unwind the proc's body
 // (its defers and recovers belong to the model, not to the event that
-// failed), so it is caught here and stored for the chain's caller to
-// re-raise, and the chain ends.
+// failed), so it is caught here and stored for the resumer to re-raise,
+// and the chain ends.
 func (c *chain) onProc(k *Kernel) (next *Proc) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -570,16 +578,10 @@ func (c *chain) onProc(k *Kernel) (next *Proc) {
 	return next
 }
 
-// handBack returns the chain to its caller.
-func (c *chain) handBack() {
-	c.k.switches++
-	c.done <- struct{}{}
-}
-
 // loop is the kernel's one event loop. It pops and fires events in (at, seq)
 // order until the run's bounds are reached, returning nil, or until a fired
-// event makes a proc runnable, returning that proc for the caller to hand
-// the kernel to. It runs on whichever goroutine holds the kernel.
+// event makes a proc runnable, returning that proc for the caller to
+// resume. It runs on the chain's resumer or inside a proc that blocked.
 func (k *Kernel) loop() *Proc {
 	for k.budget > 0 && !k.stopped && k.pendingAny() {
 		if at, _ := k.NextEventAt(); at > k.deadline {
@@ -618,15 +620,14 @@ func (k *Kernel) loop() *Proc {
 func (k *Kernel) Stop() { k.stopped = true }
 
 // Shutdown kills every live proc and releases the kernel's event pools so a
-// finished deployment stops pinning memory. Each proc goroutine is parked at
-// its resume channel (in a blocking call, or at spawn if it never started);
-// Shutdown hands it the kernel with the kill flag set, and it unwinds while
-// the caller waits — when Shutdown returns, no proc goroutine remains. The
-// run is stopped first, so the exit path's loop fires nothing and hands the
-// kernel straight back through the kernel's own chain, with no kernel left
-// to start. A proc whose deferred cleanup blocks again is simply re-reaped
-// on the next loop iteration. Must not be called from inside the
-// simulation.
+// finished deployment stops pinning memory. Each proc is suspended in a
+// blocking call, or has not started; Shutdown resumes it with the kill flag
+// set, and it unwinds before the resume returns — when Shutdown returns, no
+// proc coroutine remains. The run is stopped first, so the exit path's loop
+// fires nothing and yields straight back through the kernel's own chain,
+// with no kernel left to start. A proc whose deferred cleanup blocks again
+// is simply re-reaped on the next loop iteration. Must not be called from
+// inside the simulation.
 func (k *Kernel) Shutdown() {
 	if k.cur != nil {
 		panic("sim: Shutdown from inside the simulation")
@@ -643,8 +644,7 @@ func (k *Kernel) Shutdown() {
 		p.waitGen++
 		p.waiting = false
 		k.ch, c.next, c.k = c, len(c.ks), k
-		k.handOver(p) // kill unwind → exit path removes p from live
-		<-c.done
+		c.drive(p) // kill unwind → exit path removes p from live
 	}
 	k.events = nil
 	k.nowQ = nil

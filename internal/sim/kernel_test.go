@@ -141,37 +141,42 @@ func TestProcYield(t *testing.T) {
 	}
 }
 
+// TestProcKill: Shutdown kills a sleeping proc; it unwinds through its
+// defers without running past the blocking call.
 func TestProcKill(t *testing.T) {
 	k := New()
-	reached := false
-	p := k.Go("victim", func(p *Proc) {
+	reached, unwound := false, false
+	k.Go("victim", func(p *Proc) {
+		defer func() { unwound = true }()
 		p.Sleep(time.Second)
 		reached = true
 	})
-	k.After(time.Millisecond, func() { p.Kill() })
-	k.Run()
-	if reached {
-		t.Fatal("killed proc kept running")
-	}
-	if !p.Dead() {
-		t.Fatal("killed proc not dead")
+	k.RunFor(time.Millisecond)
+	k.Shutdown()
+	if reached || !unwound {
+		t.Fatalf("killed proc: ran past its sleep %v, unwound %v", reached, unwound)
 	}
 	if k.Procs() != 0 {
 		t.Fatalf("leaked procs: %d", k.Procs())
 	}
 }
 
+// TestProcKillWhileWaitingOnCond: Shutdown kills a proc blocked in
+// Cond.Wait; the wait never returns.
 func TestProcKillWhileWaitingOnCond(t *testing.T) {
 	k := New()
 	c := NewCond(k)
-	p := k.Go("waiter", func(p *Proc) {
+	k.Go("waiter", func(p *Proc) {
 		c.Wait(p)
 		t.Error("wait returned on killed proc")
 	})
-	k.After(time.Millisecond, func() { p.Kill() })
 	k.Run()
-	if !p.Dead() {
-		t.Fatal("proc not dead")
+	if k.Procs() != 1 {
+		t.Fatalf("waiter not blocked: %d procs", k.Procs())
+	}
+	k.Shutdown()
+	if k.Procs() != 0 {
+		t.Fatalf("leaked procs: %d", k.Procs())
 	}
 }
 
@@ -309,11 +314,9 @@ func TestProcAccessors(t *testing.T) {
 	if p.String() != "proc(named)" {
 		t.Fatalf("String = %q", p.String())
 	}
-	p.Kill()
-	p.Kill() // idempotent
-	k.Run()
-	if !p.Dead() {
-		t.Fatal("not dead")
+	k.Shutdown()
+	k.Shutdown() // idempotent
+	if k.Procs() != 0 {
+		t.Fatalf("%d procs after Shutdown", k.Procs())
 	}
-	p.Kill() // killing the dead: no-op
 }

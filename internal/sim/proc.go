@@ -1,24 +1,32 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"time"
 )
 
-// Proc is a simulated thread of execution. Procs are backed by goroutines,
-// but only one goroutine holds a kernel at a time: a proc's body executes
-// between being handed the kernel and its next blocking call (Sleep,
-// Chan.Pop, Cond.Wait, ...). There the proc runs the event loop itself until
-// an event wakes a proc: if that is the proc itself it carries on with no
-// goroutine switch, otherwise it hands the kernel straight to the woken proc
-// and parks. This gives sequential, deterministic semantics while letting
-// protocol code be written in a natural blocking style.
+// Proc is a simulated thread of execution. Each proc's body runs in a
+// runtime coroutine (iter.Pull), and only one body holds a kernel at a
+// time: it executes between being resumed and its next blocking call
+// (Sleep, Chan.Pop, Cond.Wait, ...). There the proc runs the event loop
+// itself until an event wakes a proc: if that is the proc itself it carries
+// on with no switch, otherwise it records the woken proc on its chain and
+// yields to the chain's resumer, which resumes that proc next. This gives
+// sequential, deterministic semantics while letting protocol code be
+// written in a natural blocking style.
 type Proc struct {
 	K      *Kernel
 	Name   string
-	resume chan struct{}
-	dead   bool
 	killed bool
+
+	// resume runs the body, with its caller suspended, until the body
+	// yields or returns; yield, called from the body, returns control to
+	// the resumer.
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
 
 	// wakeFn is the proc's resume thunk, allocated once at spawn so that
 	// Sleep/wake cycles schedule with zero allocations.
@@ -27,8 +35,8 @@ type Proc struct {
 	// Cond wait bookkeeping. A proc blocks on at most one Cond at a time,
 	// so the per-wait state lives here instead of in per-wait heap nodes.
 	// waitGen tags each wait; entries in a Cond's queue carry the tag, so
-	// entries from an expired wait (timeout, kill) are recognized as stale
-	// and skipped lazily — no O(n) removal, no retained "woken" list.
+	// entries from an expired wait (timeout, Shutdown) are recognized as
+	// stale and skipped lazily — no O(n) removal, no retained "woken" list.
 	waitGen      uint64
 	waiting      bool
 	waitWoken    bool
@@ -41,87 +49,71 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	return k.GoAt(k.now, name, fn)
 }
 
-// GoAt spawns a proc that starts at time t.
+// GoAt spawns a proc that starts at time t. Its wake event only records it
+// as the proc to run next; the loop hands it the kernel once the event
+// returns.
 func (k *Kernel) GoAt(t Time, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{K: k, Name: name, resume: make(chan struct{})}
-	p.wakeFn = func() { k.schedule(p) }
+	p := &Proc{K: k, Name: name}
+	p.wakeFn = func() { k.next = p }
+	p.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer p.exit()
+		if !p.killed {
+			fn(p)
+		}
+	})
 	k.procs++
 	k.live[p] = struct{}{}
-	go func() {
-		<-p.resume // wait for first scheduling
-		if !p.killed {
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						if _, ok := r.(procKilled); ok {
-							return // Kill() unwound the proc
-						}
-						panic(r)
-					}
-				}()
-				fn(p)
-			}()
-		}
-		p.dead = true
-		k.procs--
-		delete(k.live, p)
-		k.pass(p) // p is dead, so the kernel always moves on
-	}()
 	k.Schedule(t, p.wakeFn)
 	return p
 }
 
-// procKilled is the panic payload used to unwind a killed proc.
+// procKilled is the panic payload that unwinds a proc Shutdown reaps.
 type procKilled struct{}
 
-// schedule is the body of p's wake event: it records p as the proc to run
-// next, and the loop hands p the kernel as soon as the event returns.
-func (k *Kernel) schedule(p *Proc) {
-	if !p.dead {
-		k.next = p
+// exit retires p once its body returns or unwinds. A kill unwind ends like
+// a return: p runs the loop once more, and the chain goes on with the proc
+// it records. Any other panic goes on to the resumer, whose resume call
+// re-raises it with the same value.
+func (p *Proc) exit() {
+	k := p.K
+	k.procs--
+	delete(k.live, p)
+	if r := recover(); r != nil {
+		if _, ok := r.(procKilled); !ok {
+			k.cur = nil
+			panic(r)
+		}
 	}
+	k.pass(p)
 }
 
-// handOver gives the kernel to p, which resumes from its blocking call (or
-// starts) on its own goroutine. The caller must not touch the kernel again
-// until it is handed back.
-func (k *Kernel) handOver(p *Proc) {
-	k.cur = p
-	k.switches++
-	p.resume <- struct{}{}
-}
-
-// pass runs the event loop on p's goroutine after p blocked or exited, then
-// passes the kernel on. It reports whether the next resume is p's own, in
-// which case p simply continues. Otherwise the kernel has gone to the next
-// proc; or the run's bounds were reached, p's goroutine went on with the
-// rest of the run's chain (see chain), and has handed a later kernel to its
-// proc or the chain back to its caller.
+// pass runs the event loop for p, which just blocked or exited, and reports
+// whether the next resume is p's own, in which case p simply continues.
+// Otherwise it records for the chain's resumer the proc to resume next, or
+// nil once the run's bounds were reached and the chain's remaining kernels
+// ran with no proc to wake.
 func (k *Kernel) pass(p *Proc) bool {
 	k.cur = nil
 	c := k.ch
 	next := c.onProc(k)
-	switch {
-	case next == p:
+	if next == p {
 		k.cur = p
 		return true
-	case next != nil:
-		next.K.handOver(next)
-	default:
-		c.handBack()
 	}
+	c.pending = next
 	return false
 }
 
-// block suspends p until its wake event fires. Meanwhile p's goroutine runs
-// the event loop; see pass.
+// block suspends p until its wake event fires. Meanwhile p runs the event
+// loop; see pass.
 func (p *Proc) block() {
 	k := p.K
 	if k.cur != p {
 		panic("sim: blocking call from a proc that is not running")
 	}
 	if !k.pass(p) {
-		<-p.resume
+		p.yield(struct{}{})
 	}
 	if p.killed {
 		panic(procKilled{})
@@ -145,28 +137,6 @@ func (p *Proc) Sleep(d time.Duration) {
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.K.Now() }
 
-// Kill terminates the proc the next time it would resume. A proc cannot kill
-// itself; it should just return instead.
-func (p *Proc) Kill() {
-	if p.dead || p.killed {
-		return
-	}
-	if p.K.cur == p {
-		panic("sim: proc cannot Kill itself; return instead")
-	}
-	p.killed = true
-	// Wake it so the kill panic unwinds it promptly. If it is currently
-	// blocked on a Cond/Chan it will be resumed here; double resumes are
-	// harmless because killed procs unwind immediately. Any Cond entry it
-	// leaves behind is invalidated by bumping the wait generation.
-	p.waitGen++
-	p.waiting = false
-	p.wakeAt(p.K.now)
-}
-
-// Dead reports whether the proc has finished.
-func (p *Proc) Dead() bool { return p.dead }
-
 func (p *Proc) String() string { return fmt.Sprintf("proc(%s)", p.Name) }
 
 // beginWait opens a Cond wait and returns its generation tag.
@@ -189,8 +159,7 @@ func (p *Proc) endWait() bool {
 // waitActive reports whether p is still blocked in the wait tagged gen and
 // has not yet been woken by anyone (signal or timeout).
 func (p *Proc) waitActive(gen uint64) bool {
-	return p.waiting && p.waitGen == gen && !p.waitWoken &&
-		!p.dead && !p.killed
+	return p.waiting && p.waitGen == gen && !p.waitWoken
 }
 
 // Cond is a waiting list that procs can block on, and callbacks can queue

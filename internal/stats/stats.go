@@ -66,24 +66,6 @@ func (l *Latency) Mean() time.Duration {
 	return l.Sum() / time.Duration(len(l.samples))
 }
 
-// Min returns the smallest sample.
-func (l *Latency) Min() time.Duration {
-	if len(l.samples) == 0 {
-		return 0
-	}
-	l.sortIfNeeded()
-	return l.samples[0]
-}
-
-// Max returns the largest sample.
-func (l *Latency) Max() time.Duration {
-	if len(l.samples) == 0 {
-		return 0
-	}
-	l.sortIfNeeded()
-	return l.samples[len(l.samples)-1]
-}
-
 // Sum returns the total of all samples.
 func (l *Latency) Sum() time.Duration {
 	var sum time.Duration
@@ -91,21 +73,6 @@ func (l *Latency) Sum() time.Duration {
 		sum += s
 	}
 	return sum
-}
-
-// Stddev returns the sample standard deviation.
-func (l *Latency) Stddev() time.Duration {
-	n := len(l.samples)
-	if n < 2 {
-		return 0
-	}
-	mean := float64(l.Mean())
-	var ss float64
-	for _, s := range l.samples {
-		d := float64(s) - mean
-		ss += d * d
-	}
-	return time.Duration(math.Sqrt(ss / float64(n-1)))
 }
 
 // Throughput describes a completed-operations-over-time measurement.
