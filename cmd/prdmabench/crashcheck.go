@@ -9,10 +9,10 @@ import (
 	"time"
 
 	"prdma/internal/bench"
+	"prdma/internal/cluster"
 	"prdma/internal/crashcheck"
 	"prdma/internal/fabric"
 	"prdma/internal/rpc"
-	"prdma/internal/scenario"
 	"prdma/internal/ycsb"
 )
 
@@ -37,7 +37,7 @@ func newSweepFlags(fs *flag.FlagSet) *sweepFlags {
 		family:     fs.String("family", "", "crashcheck: restrict to one RPC family (substring, e.g. WFlush or S-RFlush)"),
 		mix:        fs.String("mix", "", "crashcheck: restrict to one traffic mix (writes|readwrite|batch)"),
 		mutant:     fs.String("mutant", "", "crashcheck: seed a known bug class the sweep must catch (exit 1): ackbug (durable RPC, cluster), resurrect (cluster) or leak (pmpool)"),
-		faults:     fs.String("faults", "", "crashcheck -cluster: comma-separated fabric adversaries, one sweep per (fault, workload) cell (all = every builtin: "+strings.Join(scenario.FaultNames(), ",")+")"),
+		faults:     fs.String("faults", "", "crashcheck -cluster: comma-separated fabric adversaries, one sweep per (fault, workload) cell (all = every builtin: "+strings.Join(cluster.FaultNames(), ",")+")"),
 		workloads:  fs.String("workloads", "", "crashcheck -cluster: YCSB workload letters for the cells, e.g. ADF (default: the 70/30 mix)"),
 		seed:       fs.Uint64("seed", 1, "random seed"),
 		points:     fs.Int("points", 300, "crashcheck: event-boundary crash points per family/mix cell"),
@@ -88,7 +88,7 @@ func (f *sweepFlags) targets() ([]crashcheck.Target, error) {
 		}
 		wls := []ycsb.Workload{0}
 		if *f.workloads != "" {
-			if wls, err = scenario.ParseWorkloads(*f.workloads); err != nil {
+			if wls, err = ycsb.ParseWorkloads(*f.workloads); err != nil {
 				return nil, err
 			}
 		}
@@ -171,11 +171,11 @@ func (f *sweepFlags) faultSpecs() ([]*fabric.FaultSpec, error) {
 	}
 	names := strings.Split(*f.faults, ",")
 	if *f.faults == "all" {
-		names = scenario.FaultNames()
+		names = cluster.FaultNames()
 	}
 	var out []*fabric.FaultSpec
 	for _, name := range names {
-		spec, err := scenario.FaultByName(strings.TrimSpace(name))
+		spec, err := cluster.FaultByName(strings.TrimSpace(name))
 		if err != nil {
 			return nil, err
 		}

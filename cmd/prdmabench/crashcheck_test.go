@@ -10,8 +10,8 @@ import (
 	"strings"
 	"testing"
 
+	"prdma/internal/cluster"
 	"prdma/internal/crashcheck"
-	"prdma/internal/scenario"
 )
 
 // parseTargets parses args through the CLI's sweep flags and returns the
@@ -104,8 +104,8 @@ func TestClusterCells(t *testing.T) {
 	if def.Shards != 2 {
 		t.Errorf("the default cluster sweep has %d shards, want the CI-sized 2", def.Shards)
 	}
-	if n := len(parseTargets(t, strings.Fields("-crashcheck -cluster -faults all"))); n != len(scenario.FaultNames()) {
-		t.Errorf("-faults all selects %d cells, want %d", n, len(scenario.FaultNames()))
+	if n := len(parseTargets(t, strings.Fields("-crashcheck -cluster -faults all"))); n != len(cluster.FaultNames()) {
+		t.Errorf("-faults all selects %d cells, want %d", n, len(cluster.FaultNames()))
 	}
 	for _, args := range []string{"-crashcheck -faults partition", "-cluster -workloads A", "-fig 8 -json x.json"} {
 		set := map[string]bool{}

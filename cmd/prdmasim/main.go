@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"os"
 
-	"prdma/internal/scenario"
+	"prdma/internal/bench"
 )
 
 const exampleSpec = `{
@@ -57,7 +57,7 @@ func main() {
 		defer f.Close()
 		in = f
 	}
-	spec, err := scenario.Load(in)
+	spec, err := bench.Load(in)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -2,7 +2,8 @@
 // paper's evaluation (§5). Each driver builds fresh clusters, runs the
 // workload the paper describes, and returns rows shaped like the published
 // plot. cmd/prdmabench prints them; the repository's bench_test.go wraps
-// them as Go benchmarks; EXPERIMENTS.md records paper-vs-measured.
+// them as Go benchmarks; EXPERIMENTS.md records paper-vs-measured. JSON
+// scenarios (Spec, cmd/prdmasim) run on the same drivers.
 package bench
 
 import (
@@ -123,24 +124,36 @@ func newHost(k *sim.Kernel, name string, net *fabric.Network, hp host.Params, d 
 }
 
 // build instantiates a deployment.
-func (d *deployment) build() *cluster {
+func (d *deployment) build() (*cluster, error) {
 	k := sim.New()
 	net := fabric.New(k, d.net, d.seed)
 	srv := host.New(k, "server", net, d.hostSrv, d.pm, d.nic)
 	store, err := rpc.NewStore(srv, d.objects, d.objSize)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
 	engine := rpc.NewServer(srv, store, d.cfg)
 	c := &cluster{k: k, net: net, server: srv, engine: engine, store: store}
 	for i := 0; i < d.senders; i++ {
 		c.cli = append(c.cli, host.New(k, fmt.Sprintf("client-%d", i), net, d.hostCli, d.pm, d.nic))
 	}
+	return c, nil
+}
+
+// mustBuild is build for the figures, whose deployments always fit.
+func (d *deployment) mustBuild() *cluster {
+	c, err := d.build()
+	if err != nil {
+		panic(err)
+	}
 	return c
 }
 
 // Common tweaks.
-func heavyLoad(d *deployment) { d.cfg.ProcessingTime = 100 * time.Microsecond }
+func processing(t time.Duration) tweak { return func(d *deployment) { d.cfg.ProcessingTime = t } }
+
+var heavyLoad = processing(100 * time.Microsecond)
+
 func withSenders(n int) tweak { return func(d *deployment) { d.senders = n } }
 func busyNetwork(d *deployment) {
 	// A background flood of small packets: queueing delay plus reduced
@@ -172,33 +185,45 @@ func (m microResult) KOPS() float64 {
 	return stats.Throughput{Ops: m.Ops, Elapsed: m.Elapsed}.KOPS()
 }
 
-// micro runs the §5.1 micro-benchmark: `ops` object accesses with the given
-// read fraction over a zipfian key distribution, spread across the
-// deployment's senders in closed loops.
+// micro runs the §5.1 micro-benchmark (closedLoop) on a fresh deployment.
 func (o Options) micro(kind rpc.Kind, d *deployment, ops int, readFrac float64) microResult {
-	c := d.build()
+	m, err := d.mustBuild().closedLoop(kind, d, ops, readFrac)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// closedLoop runs the §5.1 micro-benchmark on c, built from d: `ops` object
+// accesses with the given read fraction over a zipfian key distribution,
+// spread across the deployment's senders in closed loops. A failed call
+// stops the run and is returned, prefixed with its client host's name.
+func (c *cluster) closedLoop(kind rpc.Kind, d *deployment, ops int, readFrac float64) (microResult, error) {
 	lat := stats.NewLatency(ops)
 	// The workload starts at virtual time zero: build() performs no
 	// simulated work and every driver proc spawns at Time 0, so the
 	// joiner's finish time is also the elapsed workload duration.
 	var end sim.Time
+	var callErr error
 	wg := sim.NewWaitGroup(c.k)
 	per := ops / d.senders
 	if per == 0 {
 		per = 1
 	}
-	for s := 0; s < d.senders; s++ {
-		s := s
+	for s, cli := range c.cli {
 		wg.Add(1)
-		client := rpc.New(kind, c.cli[s], c.engine, d.cfg)
-		mix := ycsb.NewMix(readFrac, int64(d.objects), d.objSize, o.Seed+uint64(s)*7919)
+		client := rpc.New(kind, cli, c.engine, d.cfg)
+		mix := ycsb.NewMix(readFrac, int64(d.objects), d.objSize, d.seed+uint64(s)*7919)
 		c.k.Go(fmt.Sprintf("driver-%d", s), func(p *sim.Proc) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				req := mix.Next()
-				r, err := client.Call(p, req)
+				r, err := client.Call(p, mix.Next())
 				if err != nil {
-					panic(err)
+					if callErr == nil {
+						callErr = fmt.Errorf("%s: %w", cli.Name, err)
+					}
+					c.k.Stop()
+					return
 				}
 				lat.Add(r.ReadyAt.Sub(r.IssuedAt))
 			}
@@ -211,8 +236,12 @@ func (o Options) micro(kind rpc.Kind, d *deployment, ops int, readFrac float64) 
 		done = true
 	})
 	c.k.Run()
+	if callErr != nil {
+		c.k.Shutdown()
+		return microResult{}, callErr
+	}
 	if !done {
-		panic("bench: micro run did not complete")
+		return microResult{}, fmt.Errorf("run did not complete (protocol stall)")
 	}
 	total := per * d.senders
 	var cliSW time.Duration
@@ -223,7 +252,7 @@ func (o Options) micro(kind rpc.Kind, d *deployment, ops int, readFrac float64) 
 		Kind: kind, Lat: lat, Elapsed: end.Duration(), Ops: total,
 		SenderSW:   cliSW / time.Duration(total),
 		ReceiverSW: c.server.SWTime / time.Duration(total),
-	}
+	}, nil
 }
 
 // skip reports whether a kind cannot run a configuration (FaSST's UD MTU).

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	kv "prdma/internal/cluster"
+	"prdma/internal/fabric"
 	"prdma/internal/sim"
 	"prdma/internal/stats"
 )
@@ -24,10 +25,11 @@ func (o Options) ClusterFigures(shards, replicas int) []Table {
 // clusterFig is one completed cluster run plus its phase boundaries.
 type clusterFig struct {
 	p            kv.Params
+	load         kv.Load
 	c            *kv.PCluster
 	ct           *kv.Controller
 	res          *kv.LoadResult
-	ops, clients int
+	crashes      int
 	victim       int
 	crashAt      sim.Time
 	resyncDoneAt sim.Time
@@ -36,7 +38,6 @@ type clusterFig struct {
 }
 
 func (o Options) clusterFigRun(shards, replicas int) *clusterFig {
-	k := sim.New()
 	p := kv.DefaultParams()
 	p.Shards, p.Replicas = shards, replicas
 	p.PoolSize = 8
@@ -48,54 +49,68 @@ func (o Options) clusterFigRun(shards, replicas int) *clusterFig {
 	p.Grace = 300 * time.Microsecond
 	// The run must comfortably outlast the outage (restart + resync) or the
 	// post-failover phase starves: 3x the figure-wide op count, crash at 20%.
-	f := &clusterFig{p: p, ops: 3 * o.Ops, clients: o.Ops / 5}
-	if f.clients < 8 {
-		f.clients = 8
+	load := kv.Load{Clients: min(max(o.Ops/5, 8), 20000), Ops: 3 * o.Ops, ReadFrac: 0.5, Verify: true, Seed: o.Seed}
+	f, err := clusterRun(p, load, true, nil)
+	if err != nil {
+		panic(err)
 	}
-	if f.clients > 20000 {
-		f.clients = 20000
+	return f
+}
+
+// clusterRun is the one-kernel cluster run: it deploys p, installs fault
+// on the fabric if one is given, starts the failover controller, crashes
+// shard 0's primary once a fifth of load's operations have completed if
+// crash is set, drives load to completion and waits up to 200 ms for full
+// health, then checks every acknowledged write on every live replica. An
+// error means the run could not start; how it went is in the result.
+func clusterRun(p kv.Params, load kv.Load, crash bool, fault *fabric.FaultSpec) (*clusterFig, error) {
+	if fault != nil {
+		// Adversary runs retransmit aggressively: a sub-millisecond
+		// partition or drop burst must be ridden out by RC retries well
+		// inside the retry budget, not kill the queue pair.
+		p.NIC.RetransmitInterval = 100 * time.Microsecond
+		p.NIC.RetryCount = 64
 	}
+	k := sim.New()
 	c, err := kv.New(k, p)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
-	f.c = c
+	if fault != nil {
+		c.Net.SetInjector(fabric.NewInjector(*fault, p.Seed^0xfa175eed))
+	}
+	f := &clusterFig{p: p, load: load, c: c}
 	if f.ct, err = c.StartController(); err != nil {
-		panic(err)
+		return nil, err
 	}
-	// Crash shard 0's primary once 20% of operations have completed.
-	c.CrashPrimaryAfter(0, int64(f.ops/5), func(victim int, at sim.Time) {
-		f.victim, f.crashAt = victim, at
-	})
-
-	load, err := c.StartLoad(kv.Load{
-		Clients:  f.clients,
-		Ops:      f.ops,
-		ReadFrac: 0.5,
-		Verify:   true,
-		Seed:     o.Seed,
-	})
+	if crash {
+		c.CrashPrimaryAfter(0, int64(load.Ops/5), func(victim int, at sim.Time) {
+			f.crashes++
+			f.victim, f.crashAt = victim, at
+		})
+	}
+	lg, err := c.StartLoad(load)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
-	k.Go("cluster-bench", func(mp *sim.Proc) {
-		load.Wait(mp)
+	k.Go("cluster-run", func(mp *sim.Proc) {
+		lg.Wait(mp)
 		f.healthy = c.AwaitHealthy(mp, 200*time.Millisecond)
 		mp.Sleep(2 * time.Millisecond) // engines apply their tails
 		f.ct.Stop()
 	})
 	k.Run()
-	f.res = load.Collect()
+	f.res = lg.Collect()
 	f.resyncDoneAt = f.ct.LastEvent("resync-done")
 	f.consistency = c.CheckConsistency()
-	k.Shutdown() // tables below read counters and samples only; reap the parked procs
-	return f
+	k.Shutdown() // callers read counters and samples only; reap the parked procs
+	return f, nil
 }
 
 func (f *clusterFig) phaseTable() Table {
 	t := Table{
 		Title: fmt.Sprintf("Cluster failover: %d shards x %d replicas, %d clients zipfian(0.99), crash primary s0r%d at 20%% of %d ops",
-			f.p.Shards, f.p.Replicas, f.clients, f.victim, f.ops),
+			f.p.Shards, f.p.Replicas, f.load.Clients, f.victim, f.load.Ops),
 		Header: []string{"phase", "ops", "p50 (us)", "p99 (us)", "KOPS"},
 		Notes:  "failover = crash..resync-done: shard-0 ops ride retry loops until the survivors serve the quorum, the other shards are untouched; post returns to baseline with the victim readmitted",
 	}

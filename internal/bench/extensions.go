@@ -38,7 +38,7 @@ func (o Options) Fig7CaseStudy() Table {
 // octopusCase measures write latency for the case-study pair.
 func (o Options) octopusCase(durable bool, size int) time.Duration {
 	d := o.deploy(size)
-	c := d.build()
+	c := d.mustBuild()
 	var client rpc.Client
 	if durable {
 		client = rpc.NewOctopusDurable(c.cli[0], c.engine, d.cfg)

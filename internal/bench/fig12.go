@@ -68,40 +68,52 @@ func (o Options) Fig12() Table {
 // RDMA re-transfer interval. Virtual time is cheap during the idle waits,
 // so no scaling is needed.
 func (o Options) failureRun(kind rpc.Kind, readFrac float64, pipeline int) failure.Measurement {
-	d := o.deploy(4096, workers(3))
 	// A small real per-request processing cost (the paper's workloads do
 	// real work): the server is then the shared steady-state bottleneck
 	// and the normalized ratio isolates persistence-path and recovery
 	// differences.
-	d.cfg.ProcessingTime = 5 * time.Microsecond
-	c := d.build()
-	client := rpc.New(kind, c.cli[0], c.engine, d.cfg).(rpc.Recoverable)
-
-	fp := failure.Params{
+	d := o.deploy(4096, workers(3), processing(5*time.Microsecond))
+	m, _, err := d.mustBuild().failureLoop(kind, d, readFrac, failure.Params{
 		Restart:      300 * time.Millisecond,
 		Retransfer:   100 * time.Millisecond,
 		Crashes:      5,
 		OpsPerWindow: o.Ops/10 + 100,
 		Pipeline:     pipeline,
+	})
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// failureLoop runs the failure workload on c, built from d with one sender:
+// kind's recoverable client issues the read/write mix through a
+// failure.Driver with fp, which crashes and restarts the server. Writes
+// carry real bytes, so logged entries are recoverable. It returns the
+// measurement and the virtual time the run took.
+func (c *cluster) failureLoop(kind rpc.Kind, d *deployment, readFrac float64, fp failure.Params) (failure.Measurement, time.Duration, error) {
+	client, ok := rpc.New(kind, c.cli[0], c.engine, d.cfg).(rpc.Recoverable)
+	if !ok {
+		return failure.Measurement{}, 0, fmt.Errorf("%v does not support crash recovery", kind)
 	}
 	drv := failure.NewDriver(c.k, c.server, c.engine, client, fp)
-	mix := ycsb.NewMix(readFrac, int64(d.objects), 4096, o.Seed)
-	payload := make([]byte, 4096)
+	mix := ycsb.NewMix(readFrac, int64(d.objects), d.objSize, d.seed)
+	payload := make([]byte, d.objSize)
 	var m failure.Measurement
+	var start, end sim.Time
 	c.k.Go("failure-driver", func(p *sim.Proc) {
-		m = drv.Run(p, func(i int) *rpc.Request {
+		start = p.Now()
+		m = drv.Run(p, func(int) *rpc.Request {
 			req := mix.Next()
 			if req.Op == rpc.OpWrite {
-				req.Payload = payload // real bytes: entries must be recoverable
+				req.Payload = payload
 			} else {
 				req.Payload = []byte{}
 			}
 			return req
 		})
+		end = p.Now()
 	})
 	c.k.Run()
-	// The scaled restart only affects measurement speed; recovery overhead
-	// beyond the restart is what PerCrashCost isolates, and ExpectedTotal
-	// re-applies the paper's real 300 ms restart.
-	return m
+	return m, end.Sub(start), nil
 }

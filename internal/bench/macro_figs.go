@@ -51,7 +51,7 @@ func (o Options) Fig10() Table {
 func (o Options) pageRankTime(kind rpc.Kind, g *graph.Graph) float64 {
 	d := o.deploy(4096)
 	d.objects = 16 // adjacency objects allocate lazily per vertex key
-	c := d.build()
+	c := d.mustBuild()
 	client := rpc.New(kind, c.cli[0], c.engine, d.cfg)
 	pr := &graph.PageRank{G: g, Client: client, Iterations: o.PageRankIters}
 	var elapsed sim.Time
@@ -93,7 +93,7 @@ func (o Options) Fig11() Table {
 // ycsbLatency runs one workload and returns the mean RPC latency in seconds.
 func (o Options) ycsbLatency(kind rpc.Kind, w ycsb.Workload) (mean time.Duration) {
 	d := o.deploy(4096)
-	c := d.build()
+	c := d.mustBuild()
 	client := rpc.New(kind, c.cli[0], c.engine, d.cfg)
 	store := kv.Open(client, c.cli[0], d.objects, 4096)
 	cfg := ycsb.DefaultConfig()

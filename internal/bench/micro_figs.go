@@ -249,7 +249,7 @@ func (o Options) Fig19() Table {
 // batchRun executes o.Ops writes grouped into batches of bs.
 func (o Options) batchRun(kind rpc.Kind, size, bs int) time.Duration {
 	d := o.deploy(size)
-	c := d.build()
+	c := d.mustBuild()
 	client := rpc.New(kind, c.cli[0], c.engine, d.cfg)
 	bc, _ := client.(rpc.BatchClient)
 	var elapsed time.Duration

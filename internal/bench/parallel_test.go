@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"prdma/internal/sim"
 )
 
 // render flattens tables to the exact bytes prdmabench would print.
@@ -65,16 +67,26 @@ func TestRunnerOrdering(t *testing.T) {
 	}
 }
 
+// explodeCell panics from a named frame, which the re-raised panic's stack
+// must show.
+func explodeCell(i int) { panic(fmt.Sprintf("cell %d exploded", i)) }
+
 // TestRunnerPanicPropagates: a cell panic must drain the pool and re-raise
-// on the caller, preserving the drivers' panic-on-model-bug contract.
+// on the caller with the cell's value and stack, preserving the drivers'
+// panic-on-model-bug contract.
 func TestRunnerPanicPropagates(t *testing.T) {
 	r := NewRunner(4)
 	var ran atomic.Int32
 	defer func() {
-		if p := recover(); p == nil {
-			t.Error("cell panic was swallowed")
-		} else if s, ok := p.(string); !ok || s != "cell 5 exploded" {
-			t.Errorf("unexpected panic payload: %v", p)
+		p, ok := recover().(*sim.Panic)
+		if !ok {
+			t.Fatal("cell panic was swallowed or re-raised without its stack")
+		}
+		if s, ok := p.Value.(string); !ok || s != "cell 5 exploded" {
+			t.Errorf("unexpected panic payload: %v", p.Value)
+		}
+		if !strings.Contains(string(p.Stack), "bench.explodeCell(") {
+			t.Errorf("the re-raised panic's stack does not name the panicking function:\n%s", p.Stack)
 		}
 		if got := ran.Load(); got != 16 {
 			t.Errorf("pool did not drain: %d/16 cells ran", got)
@@ -83,7 +95,7 @@ func TestRunnerPanicPropagates(t *testing.T) {
 	r.Do(16, func(i int) {
 		ran.Add(1)
 		if i == 5 {
-			panic("cell 5 exploded")
+			explodeCell(i)
 		}
 	})
 }

@@ -37,11 +37,13 @@ type pmpoolCell struct {
 	leaked           int
 }
 
-// pmpoolDeploy builds servers pool nodes and clients client hosts, each
-// with its own striping Pool front end, on a fresh kernel.
-func pmpoolDeploy(k *sim.Kernel, servers, clients int, seed uint64) ([]*pmpool.Server, []*pmpool.Pool) {
+// pmpoolDeploy builds servers pool nodes, each serving with workers rpc
+// workers, and clients client hosts, each with its own striping Pool front
+// end over kind's durable RPC, on a fresh kernel.
+func pmpoolDeploy(k *sim.Kernel, servers, clients int, kind rpc.Kind, workers int, seed uint64) ([]*pmpool.Server, []*pmpool.Pool) {
 	net := fabric.New(k, fabric.DefaultParams(), seed|1)
 	rcfg := rpc.DefaultConfig()
+	rcfg.Workers = workers
 	rcfg.LogBytes = 128 << 10
 	scfg := pmpool.DefaultServerConfig()
 	scfg.PoolBytes = 512 * 4096
@@ -54,6 +56,7 @@ func pmpoolDeploy(k *sim.Kernel, servers, clients int, seed uint64) ([]*pmpool.S
 	for c := range pools {
 		h := host.New(k, fmt.Sprintf("cli%d", c), net, host.DefaultParams(), pmem.DefaultParams(), rnic.DefaultParams())
 		pcfg := pmpool.DefaultPoolConfig(uint64(c + 1))
+		pcfg.Kind = kind
 		pcfg.ConnsPerServer = 2
 		pcfg.LeaseTTL = scfg.LeaseTTL
 		pools[c] = pmpool.NewPool(h, srvs, rcfg, pcfg)
@@ -83,7 +86,7 @@ func (o Options) pmpoolGridCell(servers, clients int) pmpoolCell {
 	sizes := []int64{64, 256, 1024, 3000}
 
 	k := sim.New()
-	srvs, pools := pmpoolDeploy(k, servers, clients, o.Seed)
+	srvs, pools := pmpoolDeploy(k, servers, clients, rpc.WFlushRPC, rpc.DefaultConfig().Workers, o.Seed)
 	var start, end sim.Time
 	wg := sim.NewWaitGroup(k)
 	wg.Add(clients)
@@ -160,50 +163,66 @@ func (o Options) pmpoolGridTable() Table {
 	return t
 }
 
+// pmpoolShuffleRun is one disaggregated shuffle through a pool deployment.
+type pmpoolShuffleRun struct {
+	ranks, local []float64 // through the pool, and the in-memory baseline
+	stats        pmpool.ShuffleStats
+	elapsed      time.Duration
+	leaked       int
+}
+
+// pmpoolShuffle deploys a pool (pmpoolDeploy) and runs the shuffle PageRank
+// of g through it, every block capped at one pool slab, then stops the pool,
+// counts the blocks it leaked and runs the in-memory baseline. An error is
+// the shuffle's.
+func pmpoolShuffle(g *graph.Graph, cfg pmpool.ShuffleConfig, servers, clients int, kind rpc.Kind, workers int, seed uint64) (*pmpoolShuffleRun, error) {
+	cfg.MaxChunk = 4096 // every block must fit one pool slab
+	k := sim.New()
+	defer k.Shutdown()
+	srvs, pools := pmpoolDeploy(k, servers, clients, kind, workers, seed)
+	r := &pmpoolShuffleRun{}
+	var err error
+	var start, end sim.Time
+	k.Go("pmpool-shuffle", func(p *sim.Proc) {
+		start = p.Now()
+		r.ranks, r.stats, err = pmpool.ShufflePageRank(p, pools, g, cfg)
+		end = p.Now()
+		pmpoolStop(srvs, pools)
+	})
+	k.Run()
+	if err != nil {
+		return nil, fmt.Errorf("pmpool shuffle: %w", err)
+	}
+	for _, s := range srvs {
+		r.leaked += s.Live()
+	}
+	r.elapsed = end.Sub(start)
+	r.local = pmpool.LocalShufflePageRank(g, cfg)
+	return r, nil
+}
+
 func (o Options) pmpoolShuffleTable() Table {
 	ds := graph.Dataset{
 		Name:  graph.WordAssociation.Name,
 		Nodes: graph.WordAssociation.Nodes / o.GraphScale,
 		Edges: graph.WordAssociation.Edges / o.GraphScale,
 	}
-	g := graph.Generate(ds, o.Seed)
 	cfg := pmpool.DefaultShuffleConfig()
 	cfg.Iterations = o.PageRankIters
-	cfg.MaxChunk = 4096 // every block must fit one pool slab
-
-	k := sim.New()
-	srvs, pools := pmpoolDeploy(k, 2, 2, o.Seed)
-	var ranks []float64
-	var shuffleStats pmpool.ShuffleStats
-	var start, end sim.Time
-	k.Go("pmpool-shuffle", func(p *sim.Proc) {
-		start = p.Now()
-		var err error
-		ranks, shuffleStats, err = pmpool.ShufflePageRank(p, pools, g, cfg)
-		if err != nil {
-			panic(fmt.Sprintf("pmpool shuffle: %v", err))
-		}
-		end = p.Now()
-		pmpoolStop(srvs, pools)
-	})
-	k.Run()
-	leaked := 0
-	for _, s := range srvs {
-		leaked += s.Live()
+	r, err := pmpoolShuffle(graph.Generate(ds, o.Seed), cfg, 2, 2, rpc.WFlushRPC, rpc.DefaultConfig().Workers, o.Seed)
+	if err != nil {
+		panic(err)
 	}
-	k.Shutdown()
-
-	local := pmpool.LocalShufflePageRank(g, cfg)
-	identical := len(ranks) == len(local)
+	identical := len(r.ranks) == len(r.local)
 	var maxDelta float64
-	for i := range local {
-		if i >= len(ranks) {
+	for i := range r.local {
+		if i >= len(r.ranks) {
 			break
 		}
-		if math.Float64bits(ranks[i]) != math.Float64bits(local[i]) {
+		if math.Float64bits(r.ranks[i]) != math.Float64bits(r.local[i]) {
 			identical = false
 		}
-		if d := math.Abs(ranks[i] - local[i]); d > maxDelta {
+		if d := math.Abs(r.ranks[i] - r.local[i]); d > maxDelta {
 			maxDelta = d
 		}
 	}
@@ -218,10 +237,10 @@ func (o Options) pmpoolShuffleTable() Table {
 		Notes:  "the only channel between map and reduce is remote PM; identical emit/reduce code on both paths makes the float accumulation order — and so the ranks — bit-identical",
 	}
 	t.Rows = [][]string{
-		{"shuffle blocks", fmt.Sprintf("%d", shuffleStats.Blocks)},
-		{"shuffle bytes", fmt.Sprintf("%d", shuffleStats.Bytes)},
-		{"wall (us)", fmtUS(end.Sub(start))},
-		{"blocks leaked", fmt.Sprintf("%d", leaked)},
+		{"shuffle blocks", fmt.Sprintf("%d", r.stats.Blocks)},
+		{"shuffle bytes", fmt.Sprintf("%d", r.stats.Bytes)},
+		{"wall (us)", fmtUS(r.elapsed)},
+		{"blocks leaked", fmt.Sprintf("%d", r.leaked)},
 		{"ranks", equal},
 	}
 	return t

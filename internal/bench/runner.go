@@ -2,7 +2,10 @@ package bench
 
 import (
 	"runtime"
+	"runtime/debug"
 	"sync"
+
+	"prdma/internal/sim"
 )
 
 // Runner fans independent experiment cells across a bounded worker pool.
@@ -34,8 +37,8 @@ func (o Options) runner() *Runner { return NewRunner(o.Parallel) }
 
 // Do runs fn(i) for every i in [0, n), spread across the pool. It returns
 // only when all cells finished. A panic in any cell is re-raised on the
-// caller after the pool drains, preserving the sequential drivers' panic-on-
-// model-bug contract.
+// caller after the pool drains, as a *sim.Panic that carries the cell's
+// stack, preserving the sequential drivers' panic-on-model-bug contract.
 func (r *Runner) Do(n int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -64,6 +67,9 @@ func (r *Runner) Do(n int, fn func(i int)) {
 				func() {
 					defer func() {
 						if p := recover(); p != nil {
+							if _, ok := p.(*sim.Panic); !ok {
+								p = &sim.Panic{Value: p, Stack: debug.Stack()}
+							}
 							panicOnce.Do(func() { panicked = p })
 						}
 					}()

@@ -184,14 +184,15 @@ func TestFutureWaitFunc(t *testing.T) {
 }
 
 // TestCallbackConsumerPanicReachesCaller: a callback consumer that panics
-// surfaces at Run's caller with its own value, whether the loop ran on the
-// caller's goroutine or inside the producer proc that woke it.
+// surfaces at Run's caller with its own value and the stack it panicked on,
+// whether the loop ran on the caller's goroutine or inside the producer
+// proc that woke it.
 func TestCallbackConsumerPanicReachesCaller(t *testing.T) {
 	for _, fromProc := range []bool{false, true} {
 		k := New()
 		ch := NewChan[int](k)
 		boom := fmt.Errorf("truncated item")
-		ch.PopFunc(func(int) { panic(boom) })
+		ch.PopFunc(func(int) { explode(boom) })
 		if fromProc {
 			k.Go("producer", func(p *Proc) {
 				ch.Push(1)
@@ -201,14 +202,8 @@ func TestCallbackConsumerPanicReachesCaller(t *testing.T) {
 		} else {
 			k.Schedule(3, func() { ch.Push(1) })
 		}
-		got := func() (r any) {
-			defer func() { r = recover() }()
-			k.Run()
-			return nil
-		}()
-		if got != boom {
-			t.Fatalf("fromProc=%v: Run panicked with %v, want %v", fromProc, got, boom)
-		}
+		got, stack := recoverRun(k.Run)
+		checkPanic(t, fmt.Sprintf("fromProc=%v: Run", fromProc), got, stack, boom)
 		k.Shutdown()
 	}
 }
@@ -314,9 +309,9 @@ func TestEngineChainHandsBackOnce(t *testing.T) {
 }
 
 // TestEngineChainPanic: a callback that panics in the second kernel of a
-// chain, while a proc of the first kernel runs it, reaches the
-// caller of Engine.Run with its own value; Shutdown then leaves no
-// goroutine behind.
+// chain, while a proc of the first kernel runs it, reaches the caller of
+// Engine.Run with its own value and the stack it panicked on; Shutdown then
+// leaves no goroutine behind.
 func TestEngineChainPanic(t *testing.T) {
 	start := runtime.NumGoroutine()
 	e := NewEngine(100, 1)
@@ -329,15 +324,9 @@ func TestEngineChainPanic(t *testing.T) {
 			}
 		})
 	}
-	k1.Schedule(350, func() { panic(boom) })
-	got := func() (r any) {
-		defer func() { r = recover() }()
-		e.Run()
-		return nil
-	}()
-	if got != boom {
-		t.Fatalf("Engine.Run panicked with %v, want %v", got, boom)
-	}
+	k1.Schedule(350, func() { explode(boom) })
+	got, stack := recoverRun(e.Run)
+	checkPanic(t, "Engine.Run", got, stack, boom)
 	if k1.Now() != 350 || k0.Switches() == 0 {
 		t.Fatalf("k1 stopped at %v (want 350), k0 switched %d times", k1.Now(), k0.Switches())
 	}

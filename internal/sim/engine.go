@@ -74,7 +74,7 @@ type Engine struct {
 	workersUp bool
 	// faults holds each shard's panic from the window just run, for the
 	// coordinator to re-raise once every shard reported (see runShard).
-	faults []any
+	faults []*Panic
 
 	// serialized is a nesting counter: while positive, windows execute as an
 	// exact global event merge on the stepping goroutine (see stepMerged).
@@ -316,7 +316,7 @@ func (e *Engine) startWorkers() {
 		e.barDone.Store(0)
 		e.sleepers.Store(0)
 		e.reshard()
-		e.faults = make([]any, e.helpers+1)
+		e.faults = make([]*Panic, e.helpers+1)
 		for i := 1; i <= e.helpers; i++ {
 			e.hwg.Add(1)
 			go e.helperLoop(i)
@@ -389,10 +389,15 @@ func (e *Engine) helperLoop(shard int) {
 }
 
 // runShard runs one worker's shard of the open window as a chain and
-// returns the panic it raised, if any: a model panic on a helper must reach
-// the caller of Run, not end the process on the helper's goroutine.
-func (e *Engine) runShard(c *chain, shard int) (fault any) {
-	defer func() { fault = recover() }()
+// returns the panic it raised, if any, as a *Panic: a model panic on a
+// helper must reach the caller of Run, not end the process on the helper's
+// goroutine.
+func (e *Engine) runShard(c *chain, shard int) (fault *Panic) {
+	defer func() {
+		if r := recover(); r != nil {
+			fault = carry(r)
+		}
+	}()
 	c.runWindow(e.shards[shard], e.deadline)
 	return nil
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -148,10 +149,44 @@ func TestStopFromProc(t *testing.T) {
 	}
 }
 
+// explode panics with v from a named frame, which the stack a re-raised
+// panic carries must show.
+func explode(v any) { panic(v) }
+
+// recoverRun calls run and returns the value it panicked with and the stack
+// of the panic: the one a *Panic carries, or, for a panic that was never
+// re-raised, the stack at the recover, which still holds the panicking
+// frames.
+func recoverRun(run func()) (value any, stack string) {
+	defer func() {
+		r := recover()
+		if p, ok := r.(*Panic); ok {
+			value, stack = p.Value, string(p.Stack)
+			return
+		}
+		value, stack = r, string(debug.Stack())
+	}()
+	run()
+	return nil, ""
+}
+
+// checkPanic fails t unless run panicked with want, on a stack that names
+// the panicking function.
+func checkPanic(t *testing.T, what string, got any, stack string, want any) {
+	t.Helper()
+	if got != want {
+		t.Fatalf("%s panicked with %v, want %v", what, got, want)
+	}
+	if !strings.Contains(stack, "sim.explode(") {
+		t.Fatalf("%s: the panic's stack does not name the panicking function:\n%s", what, stack)
+	}
+}
+
 // TestCallbackPanicOnProcReachesCaller: a callback that panics while a proc
-// goroutine runs the loop must surface to the Run caller with its own value,
-// and the kernel must still shut down cleanly. Without the transfer the
-// panic would unwind the proc's goroutine and crash the process.
+// goroutine runs the loop must surface to the Run caller with its own value
+// and the stack it panicked on, and the kernel must still shut down
+// cleanly. Without the transfer the panic would unwind the proc's goroutine
+// and crash the process.
 func TestCallbackPanicOnProcReachesCaller(t *testing.T) {
 	start := runtime.NumGoroutine()
 	k := New()
@@ -159,18 +194,12 @@ func TestCallbackPanicOnProcReachesCaller(t *testing.T) {
 	k.Go("bystander", func(p *Proc) { p.Sleep(time.Hour) })
 	k.Go("owner", func(p *Proc) {
 		// The callback fires from the loop this proc runs once it blocks.
-		k.AfterFunc(time.Microsecond, func() { panic(boom) })
+		k.AfterFunc(time.Microsecond, func() { explode(boom) })
 		p.Sleep(2 * time.Microsecond)
 		t.Error("owner resumed past the panic")
 	})
-	got := func() (r any) {
-		defer func() { r = recover() }()
-		k.Run()
-		return nil
-	}()
-	if got != boom {
-		t.Fatalf("Run panicked with %v, want %v", got, boom)
-	}
+	got, stack := recoverRun(k.Run)
+	checkPanic(t, "Run", got, stack, boom)
 	fired := k.Fired()
 	k.Shutdown()
 	if k.Procs() != 0 || k.Fired() != fired {
@@ -193,10 +222,10 @@ func waitGoroutines(t *testing.T, start int) {
 }
 
 // TestProcPanicReachesCaller: a panic in a proc's body reaches the caller of
-// Run with its own value: on a standalone kernel, and on an engine at
-// workers 1 and 2, where the panicking proc's kernel runs on the helper
-// worker in a window shared with the other kernel. Shutdown then reaps the
-// other proc and leaves no goroutine behind.
+// Run with its own value and the body's stack: on a standalone kernel, and
+// on an engine at workers 1 and 2, where the panicking proc's kernel runs
+// on the helper worker in a window shared with the other kernel. Shutdown
+// then reaps the other proc and leaves no goroutine behind.
 func TestProcPanicReachesCaller(t *testing.T) {
 	start := runtime.NumGoroutine()
 	boom := fmt.Errorf("boom in a proc body")
@@ -217,16 +246,10 @@ func TestProcPanicReachesCaller(t *testing.T) {
 		})
 		ks[1].Go("panicker", func(p *Proc) {
 			p.Sleep(250)
-			panic(boom)
+			explode(boom)
 		})
-		got := func() (r any) {
-			defer func() { r = recover() }()
-			run()
-			return nil
-		}()
-		if got != boom {
-			t.Fatalf("workers=%d: Run panicked with %v, want %v", workers, got, boom)
-		}
+		got, stack := recoverRun(run)
+		checkPanic(t, fmt.Sprintf("workers=%d: Run", workers), got, stack, boom)
 		if ks[1].Now() != 250 {
 			t.Fatalf("workers=%d: panicking kernel stopped at %v, want 250", workers, ks[1].Now())
 		}

@@ -500,7 +500,7 @@ type chain struct {
 	pending *Proc
 	// fault is a callback panic recovered inside a proc, carried to the
 	// resumer, which re-raises it.
-	fault any
+	fault *Panic
 }
 
 // runWindow runs ks as one chain up to the inclusive window edge deadline,
@@ -523,8 +523,8 @@ func (c *chain) run() {
 // resume counts as a switch of the resumed proc's kernel, and the return to
 // the caller as one of the last kernel run: Switches counts transfers of a
 // kernel, not coroutine switches. A callback panic caught inside a proc is
-// re-raised here with the same value; a panic in a proc's body comes out of
-// resume.
+// re-raised here as the *Panic onProc stored; a panic in a proc's body comes
+// out of resume.
 func (c *chain) drive(p *Proc) {
 	for ; p != nil; p = c.pending {
 		c.pending = nil
@@ -564,12 +564,12 @@ func (c *chain) step() *Proc {
 // chain's remaining kernels. It returns the proc to resume next, or nil
 // when the chain is done. A callback panic must not unwind the proc's body
 // (its defers and recovers belong to the model, not to the event that
-// failed), so it is caught here and stored for the resumer to re-raise,
-// and the chain ends.
+// failed), so it is caught here and stored, with its stack, for the
+// resumer to re-raise, and the chain ends.
 func (c *chain) onProc(k *Kernel) (next *Proc) {
 	defer func() {
 		if r := recover(); r != nil {
-			c.fault, next = r, nil
+			c.fault, next = carry(r), nil
 		}
 	}()
 	if next = k.loop(); next == nil {

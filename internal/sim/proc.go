@@ -74,7 +74,7 @@ type procKilled struct{}
 // exit retires p once its body returns or unwinds. A kill unwind ends like
 // a return: p runs the loop once more, and the chain goes on with the proc
 // it records. Any other panic goes on to the resumer, whose resume call
-// re-raises it with the same value.
+// re-raises it as a *Panic that carries the body's stack.
 func (p *Proc) exit() {
 	k := p.K
 	k.procs--
@@ -82,7 +82,7 @@ func (p *Proc) exit() {
 	if r := recover(); r != nil {
 		if _, ok := r.(procKilled); !ok {
 			k.cur = nil
-			panic(r)
+			panic(carry(r))
 		}
 	}
 	k.pass(p)

@@ -6,7 +6,9 @@
 package ycsb
 
 import (
+	"fmt"
 	"math"
+	"strings"
 
 	"prdma/internal/rpc"
 	"prdma/internal/sim"
@@ -93,6 +95,24 @@ const (
 var Workloads = []Workload{A, B, C, D, E, F}
 
 func (w Workload) String() string { return string(w) }
+
+// ParseWorkloads maps a string like "ABF" (or "A,B,F") to workloads.
+func ParseWorkloads(s string) ([]Workload, error) {
+	var out []Workload
+	for _, r := range strings.ToUpper(s) {
+		if r == ',' || r == ' ' {
+			continue
+		}
+		if r < 'A' || r > 'F' {
+			return nil, fmt.Errorf("ycsb: unknown workload %q (A–F)", string(r))
+		}
+		out = append(out, Workload(r))
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("ycsb: no workloads in %q", s)
+	}
+	return out, nil
+}
 
 // Config shapes a workload run.
 type Config struct {

@@ -1,6 +1,7 @@
 package ycsb
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -275,5 +276,22 @@ func TestMixKeysInRange(t *testing.T) {
 		if k := m.Next().Key; k >= 500 {
 			t.Fatalf("key %d out of range", k)
 		}
+	}
+}
+
+func TestParseWorkloads(t *testing.T) {
+	ws, err := ParseWorkloads("a,B F")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Workload{A, B, F}
+	if !reflect.DeepEqual(ws, want) {
+		t.Fatalf("got %v want %v", ws, want)
+	}
+	if _, err := ParseWorkloads("AG"); err == nil {
+		t.Fatal("workload G should be rejected")
+	}
+	if _, err := ParseWorkloads(""); err == nil {
+		t.Fatal("empty workload set should be rejected")
 	}
 }
