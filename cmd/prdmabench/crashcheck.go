@@ -45,7 +45,7 @@ func newSweepFlags(fs *flag.FlagSet) *sweepFlags {
 		objsize:    fs.Int("objsize", 0, "crashcheck: per-request object bytes (0 = harness default)"),
 		shards:     fs.Int("shards", 4, "cluster: number of shard groups (a -crashcheck -cluster sweep uses 2 unless this is given)"),
 		replicas:   fs.Int("replicas", 3, "cluster: replication factor per shard"),
-		simpar:     fs.Int("simpar", 0, "parallel simulation workers for partitioned runs (0 = one kernel; with -crashcheck -cluster, N>0 crashes at window barriers on the partitioned engine instead of at event indices)"),
+		simpar:     fs.Int("simpar", 0, "engine workers for -crashcheck -cluster and the -parscale smoke (0 = 1 for the sweep, 4 for the smoke); output is identical at any count"),
 	}
 }
 
@@ -55,9 +55,10 @@ func newSweepFlags(fs *flag.FlagSet) *sweepFlags {
 // -pmpool one pool (WFlush unless -family picks another family), else one
 // durable-RPC target per matching (family, mix) cell. -points, -torn,
 // -shards and -replicas override the cluster and pool defaults only when
-// given. A sweep flag the selected target does not read is an error, not
-// silently ignored (validateModes already confines -faults and -workloads
-// to the cluster target).
+// given, and then as given (Sweep rejects a negative count). A sweep flag
+// the selected target does not read is an error, not silently ignored
+// (validateModes already confines -faults and -workloads to the cluster
+// target).
 func (f *sweepFlags) targets() ([]crashcheck.Target, error) {
 	set := map[string]bool{}
 	f.fs.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
@@ -93,7 +94,7 @@ func (f *sweepFlags) targets() ([]crashcheck.Target, error) {
 			}
 		}
 		base := crashcheck.DefaultClusterConfig(seed)
-		if set["points"] && *f.points > 0 {
+		if set["points"] {
 			base.Points = *f.points
 		}
 		if set["shards"] {
@@ -124,10 +125,10 @@ func (f *sweepFlags) targets() ([]crashcheck.Target, error) {
 			kind = kinds[0]
 		}
 		cfg := crashcheck.DefaultPMPoolConfig(kind, seed)
-		if set["points"] && *f.points > 0 {
+		if set["points"] {
 			cfg.Points = *f.points
 		}
-		if set["torn"] && *f.torn >= 0 {
+		if set["torn"] {
 			cfg.TornPoints = *f.torn
 		}
 		cfg.Mutant = *f.mutant
@@ -153,10 +154,14 @@ func (f *sweepFlags) targets() ([]crashcheck.Target, error) {
 	return ts, nil
 }
 
-// clusterShape rejects a -shards or -replicas value no cluster deployment
-// can be built with, so -cluster exits with a message instead of a panic.
-func (f *sweepFlags) clusterShape() error {
-	if *f.shards <= 0 || *f.replicas <= 0 {
+// shape rejects a negative -simpar and, with -cluster, a -shards or
+// -replicas value no cluster deployment can be built with, so the run
+// exits with a message instead of a panic.
+func (f *sweepFlags) shape() error {
+	if *f.simpar < 0 {
+		return fmt.Errorf("-simpar must not be negative (got %d)", *f.simpar)
+	}
+	if *f.cluster && (*f.shards <= 0 || *f.replicas <= 0) {
 		return fmt.Errorf("cluster: -shards and -replicas must be positive (got %d and %d)", *f.shards, *f.replicas)
 	}
 	return nil

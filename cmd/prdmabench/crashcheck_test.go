@@ -121,8 +121,9 @@ func TestClusterCells(t *testing.T) {
 }
 
 // TestBadShapesExit2 runs the built command on shapes its drivers cannot
-// build, and on sweep flags the selected crash-sweep target does not read:
-// each must exit 2 with a message naming the problem, not panic or run.
+// build, on negative counts, and on sweep flags the selected crash-sweep
+// target does not read: each must exit 2 with a message naming the
+// problem, not panic or run.
 func TestBadShapesExit2(t *testing.T) {
 	gobin, err := exec.LookPath("go")
 	if err != nil {
@@ -152,6 +153,12 @@ func TestBadShapesExit2(t *testing.T) {
 		"-crashcheck -pmpool -simpar 2":                               "the pmpool sweep does not read -simpar",
 		"-crashcheck -pmpool -faults partition":                       "-faults selects cluster sweep cells: it needs -crashcheck -cluster",
 		"-crashcheck -pmpool -workloads A":                            "-workloads selects cluster sweep cells: it needs -crashcheck -cluster",
+		"-crashcheck -family WFlush -mix writes -points -3":           "negative crash-point count",
+		"-crashcheck -cluster -points -3":                             "negative crash-point count",
+		"-crashcheck -pmpool -points -5 -torn -2":                     "negative crash-point count",
+		"-crashcheck -pmpool -torn -2":                                "negative crash-point count",
+		"-crashcheck -cluster -simpar -2":                             "-simpar must not be negative",
+		"-cluster -scale quick -simpar -1":                            "-simpar must not be negative",
 	} {
 		out, err := exec.Command(bin, strings.Fields(args)...).CombinedOutput()
 		var exit *exec.ExitError

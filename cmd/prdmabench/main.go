@@ -17,8 +17,8 @@
 //	prdmabench -cluster            # sharded replicated KV: failover figure (4 shards x 3 replicas)
 //	prdmabench -cluster -shards 8 -replicas 5 -scale full       # bigger deployment
 //	prdmabench -crashcheck -cluster -points 20   # crash-point sweep over the cluster failover/resync path (2 shards x 3 replicas unless -shards/-replicas say otherwise)
-//	prdmabench -crashcheck -cluster -simpar 4 -points 12   # window-barrier sweep on the partitioned engine
-//	prdmabench -crashcheck -cluster -mutant ackbug   # cluster mutant-detection check (expect exit 1; add -simpar N for the engine)
+//	prdmabench -crashcheck -cluster -simpar 4 -points 12   # the same sweep on 4 engine workers
+//	prdmabench -crashcheck -cluster -mutant ackbug   # cluster mutant-detection check (expect exit 1)
 //	prdmabench -crashcheck -cluster -faults all -workloads ABCDEF -points 12   # fault x YCSB matrix: one cluster sweep per cell
 //	prdmabench -crashcheck -cluster -faults partition,gray -workloads AB -points 6   # reduced cell set
 //	prdmabench -parscale           # parallel-kernel scaling ladder + 1M-client open-loop smoke
@@ -27,13 +27,13 @@
 //	prdmabench -crashcheck -pmpool -points 60 -torn 12   # pool crash-point sweep (alloc/free/write invariants)
 //	prdmabench -crashcheck -pmpool -mutant leak   # seeded leak bug: the sweep must catch it (exit 1)
 //
-// -simpar selects the worker count for partitioned (multi-kernel) drivers.
-// With -crashcheck -cluster, -simpar N (N>0) switches the sweep's crash
-// coordinate from an event index on the one-kernel deployment to a
-// lookahead-window barrier on the partitioned engine; window indices are
-// worker-count-stable, so the minimal repro replays at -simpar 1. A fabric
-// adversary (-faults) needs the event coordinate. The one-kernel figure
-// drivers accept -simpar as a no-op so harnesses can pass it uniformly.
+// -simpar is the engine worker count of -crashcheck -cluster (faulted cells
+// included) and the -parscale smoke. Every cluster run is one gateway and
+// its shard groups on the engine's kernels; the cluster sweep crashes at
+// lookahead-window barriers, whose indices are worker-count-stable, so a
+// minimal repro replays at any -simpar. The figure drivers, -cluster
+// included (one worker), accept -simpar as a no-op so harnesses can pass it
+// uniformly; a negative value exits 2.
 //
 // Experiment cells and crash-sweep targets are independent deployments, so
 // they fan out across a worker pool (-parallel). Output is byte-identical at
@@ -102,11 +102,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if *sf.cluster {
-		if err := sf.clusterShape(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
+	if err := sf.shape(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	// heapProfile ends every mode that did not exit early.
 	heapProfile := func() {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	kv "prdma/internal/cluster"
@@ -57,13 +58,16 @@ func (o Options) clusterFigRun(shards, replicas int) *clusterFig {
 	return f
 }
 
-// clusterRun is the one-kernel cluster run: it deploys p, installs fault
-// on the fabric if one is given, starts the failover controller, crashes
-// shard 0's primary once a fifth of load's operations have completed if
-// crash is set, drives load to completion and waits up to 200 ms for full
-// health, then checks every acknowledged write on every live replica. An
-// error means the run could not start; how it went is in the result.
+// clusterRun is the cluster run: it deploys p with one gateway on a
+// one-worker engine, installs fault on the fabric if one is given, starts
+// the failover controller and the load, and steps it with a cluster.Driver.
+// With crash set, shard 0's primary crashes at the first barrier after a
+// fifth of load's operations have completed. The run ends once the load has
+// finished and the cluster is healthy again, or 200 ms after the load
+// finished; then every acknowledged write is checked on every live replica.
+// An error means the run could not start; how it went is in the result.
 func clusterRun(p kv.Params, load kv.Load, crash bool, fault *fabric.FaultSpec) (*clusterFig, error) {
+	p.Gateways = 1
 	if fault != nil {
 		// Adversary runs retransmit aggressively: a sub-millisecond
 		// partition or drop burst must be ridden out by RC retries well
@@ -71,11 +75,11 @@ func clusterRun(p kv.Params, load kv.Load, crash bool, fault *fabric.FaultSpec) 
 		p.NIC.RetransmitInterval = 100 * time.Microsecond
 		p.NIC.RetryCount = 64
 	}
-	k := sim.New()
-	c, err := kv.New(k, p)
+	c, err := kv.NewPartitioned(1, p)
 	if err != nil {
 		return nil, err
 	}
+	defer c.Eng.Shutdown() // callers read counters and samples only; reap the parked procs
 	if fault != nil {
 		c.Net.SetInjector(fabric.NewInjector(*fault, p.Seed^0xfa175eed))
 	}
@@ -83,28 +87,38 @@ func clusterRun(p kv.Params, load kv.Load, crash bool, fault *fabric.FaultSpec) 
 	if f.ct, err = c.StartController(); err != nil {
 		return nil, err
 	}
-	if crash {
-		c.CrashPrimaryAfter(0, int64(load.Ops/5), func(victim int, at sim.Time) {
-			f.crashes++
-			f.victim, f.crashAt = victim, at
-		})
-	}
 	lg, err := c.StartLoad(load)
 	if err != nil {
 		return nil, err
 	}
-	k.Go("cluster-run", func(mp *sim.Proc) {
-		lg.Wait(mp)
-		f.healthy = c.AwaitHealthy(mp, 200*time.Millisecond)
-		mp.Sleep(2 * time.Millisecond) // engines apply their tails
-		f.ct.Stop()
-	})
-	k.Run()
+	d := kv.NewDriver(c, f.ct, lg)
+	never := sim.Time(math.MaxInt64)
+	if crash {
+		target := int64(load.Ops / 5)
+		d.Run(func() bool { return lg.Done() || completed(c) >= target }, never)
+		f.crashes++
+		f.victim, f.crashAt = c.Groups[0].Primary, c.Now()
+		d.Crash(f.crashAt, 0, f.victim)
+	}
+	// Every operation's retries are bounded, so the load finishes.
+	d.Run(lg.Done, never)
+	d.Run(d.Settled, c.Now().Add(200*time.Millisecond))
+	f.healthy = c.Healthy()
+	d.Drain(c.Now().Add(200 * time.Millisecond))
 	f.res = lg.Collect()
 	f.resyncDoneAt = f.ct.LastEvent("resync-done")
 	f.consistency = c.CheckConsistency()
-	k.Shutdown() // callers read counters and samples only; reap the parked procs
 	return f, nil
+}
+
+// completed totals the single-key operations c's shards have served.
+func completed(c *kv.PCluster) int64 {
+	var n int64
+	for s := range c.Groups {
+		puts, gets := c.ShardOps(s)
+		n += puts + gets
+	}
+	return n
 }
 
 func (f *clusterFig) phaseTable() Table {

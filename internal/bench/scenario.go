@@ -125,10 +125,13 @@ type Report struct {
 	Elapsed string  `json:"virtualTime"`
 	KOPS    float64 `json:"kops"`
 
-	AvgUS float64 `json:"avgUS"`
-	P50US float64 `json:"p50US"`
-	P95US float64 `json:"p95US"`
-	P99US float64 `json:"p99US"`
+	// A latency the run did not measure is left out of the report: a crash
+	// run measures only the mean and a pool run none. A measured latency is
+	// never 0 µs.
+	AvgUS float64 `json:"avgUS,omitempty"`
+	P50US float64 `json:"p50US,omitempty"`
+	P95US float64 `json:"p95US,omitempty"`
+	P99US float64 `json:"p99US,omitempty"`
 
 	Counters map[string]int64 `json:"counters"`
 

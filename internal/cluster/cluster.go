@@ -25,9 +25,8 @@ type Params struct {
 	// PoolSize is the number of replicated connections pooled per shard —
 	// the per-shard concurrency limit on the client side.
 	PoolSize int
-	// Gateways is the number of client-side gateway partitions in a
-	// partitioned deployment (NewPartitioned); the one-kernel New always
-	// builds one gateway host and sets it to 1.
+	// Gateways is the number of client-side gateway partitions. The
+	// failover controller needs exactly one.
 	Gateways int
 	// VNodes is the virtual nodes per shard on the consistent-hash ring.
 	VNodes int
@@ -114,11 +113,11 @@ type wroteRec struct {
 // PGroup is one shard group: a kernel hosting all its replicas.
 //
 // The failover fields below the replica list are populated only when the
-// deployment has a single gateway (New always; NewPartitioned with
-// Gateways == 1), which is when the ctl connection is built. Despite living
-// next to the server-side replicas, they are client-side state: every one
-// of them is owned by the gateway kernel's procs — or by the driver at a
-// window barrier — and is never touched by the group's own kernel.
+// deployment has a single gateway, which is when the ctl connection is
+// built. Despite living next to the server-side replicas, they are
+// client-side state: every one of them is owned by the gateway kernel's
+// procs — or by the driver at a window barrier — and is never touched by
+// the group's own kernel.
 type PGroup struct {
 	ID       int
 	K        *sim.Kernel
@@ -170,9 +169,8 @@ type PGateway struct {
 	puts, gets []int64
 }
 
-// PCluster is a cluster deployment: gateway hosts, shard groups, ring. New
-// builds it on one kernel (Eng == nil); NewPartitioned spreads it over the
-// kernels of a sim.Engine.
+// PCluster is a cluster deployment: gateway hosts, shard groups and ring,
+// spread by NewPartitioned over the kernels of a sim.Engine.
 type PCluster struct {
 	Eng  *sim.Engine
 	P    Params
@@ -188,35 +186,6 @@ func (p Params) validate() error {
 		return errors.New("cluster: Shards, Replicas, PoolSize must be positive")
 	}
 	return nil
-}
-
-// New builds the one-kernel cluster testbed: one gateway (client) host and
-// Shards×Replicas storage nodes on kernel k, each replica with its own
-// store, engine, and PoolSize+1 durable connections from the gateway (the
-// pool plus the failover controller's). P.Gateways is forced to 1.
-func New(k *sim.Kernel, p Params) (*PCluster, error) {
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
-	p.Gateways = 1
-	c := &PCluster{P: p, Ring: NewRing(p.Shards, p.VNodes, p.Seed)}
-	c.Net = fabric.New(k, p.Net, p.Seed^0x5eed)
-	gw := c.addGateway(k, "gateway")
-	for s := 0; s < p.Shards; s++ {
-		grp, err := c.addGroup(k, s)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < p.PoolSize; i++ {
-			if err := c.addPooled(gw, grp); err != nil {
-				return nil, err
-			}
-		}
-		if err := c.addCtl(gw, grp); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
 }
 
 // NewPartitioned builds the cluster on a fresh engine with the given worker
@@ -369,9 +338,6 @@ func (c *PCluster) CoordStats() (windows, idleSkips, barriers uint64, slabHits, 
 // reference at a window barrier (kernels may sit at slightly different
 // clocks there; the maximum is monotone across barriers).
 func (c *PCluster) Now() sim.Time {
-	if c.Eng == nil {
-		return c.Gateways[0].K.Now()
-	}
 	var t sim.Time
 	for _, k := range c.Eng.Kernels() {
 		if now := k.Now(); now > t {
@@ -384,15 +350,14 @@ func (c *PCluster) Now() sim.Time {
 // CrashReplica fails replica r of shard s: the host loses volatile state (PM
 // survives), the engine drops its queue, the store forgets its version
 // watermarks. The failover controller notices via its detector poll. The
-// caller owns the restart: on one kernel it arms RestartReplica with
-// AfterFunc(P.Restart) right after the crash. On an engine the crash is
-// driver context only, at a window barrier, inside a serialized engine span
-// — it mutates server-kernel state and flips liveness the gateway-side
-// controller polls, which is only sound where a global event order exists;
-// the driver restarts at a later barrier and must hold the Serialize token
-// until the cluster is Healthy.
+// crash is driver context only, at a window barrier, inside a serialized
+// engine span — it mutates server-kernel state and flips liveness the
+// gateway-side controller polls, which is only sound where a global event
+// order exists. The caller owns the restart at a later barrier and must
+// hold the Serialize token until the cluster is Healthy; Driver does all
+// of this.
 func (c *PCluster) CrashReplica(s, r int) {
-	if c.Eng != nil && !c.Eng.Serialized() {
+	if !c.Eng.Serialized() {
 		panic("cluster: CrashReplica outside a serialized engine span")
 	}
 	rep := c.Groups[s].Replicas[r]
@@ -406,9 +371,9 @@ func (c *PCluster) CrashReplica(s, r int) {
 	rep.Store.Crash()
 }
 
-// RestartReplica brings a crashed replica back. On an engine it runs in
-// driver context at a window barrier at least P.Restart past the crash (the
-// caller models the restart latency by choosing the barrier).
+// RestartReplica brings a crashed replica back. It runs in driver context at
+// a window barrier at least P.Restart past the crash (the caller models the
+// restart latency by choosing the barrier).
 func (c *PCluster) RestartReplica(s, r int) {
 	rep := c.Groups[s].Replicas[r]
 	if rep.alive {
@@ -417,31 +382,6 @@ func (c *PCluster) RestartReplica(s, r int) {
 	rep.Host.Restart()
 	rep.alive = true
 	rep.Restarts++
-}
-
-// CrashPrimaryAfter spawns a script proc on a one-kernel deployment that,
-// once at least ops operations have completed cluster-wide, crashes shard
-// s's current primary, arms its restart P.Restart later, and reports the
-// victim and the crash time to onCrash. Triggering on the op count (not
-// wall time) keeps the crash placement meaningful at every scale.
-func (c *PCluster) CrashPrimaryAfter(s int, ops int64, onCrash func(victim int, at sim.Time)) {
-	c.Gateways[0].K.Go("crash-script", func(sp *sim.Proc) {
-		for {
-			var total int64
-			for g := range c.Groups {
-				puts, gets := c.ShardOps(g)
-				total += puts + gets
-			}
-			if total >= ops {
-				break
-			}
-			sp.Sleep(20 * time.Microsecond)
-		}
-		victim := c.Groups[s].Primary
-		c.CrashReplica(s, victim)
-		sp.K.AfterFunc(c.P.Restart, func() { c.RestartReplica(s, victim) })
-		onCrash(victim, sp.Now())
-	})
 }
 
 // Healthy reports whether every replica is up and — when a controller
@@ -456,19 +396,6 @@ func (c *PCluster) Healthy() bool {
 				return false
 			}
 		}
-	}
-	return true
-}
-
-// AwaitHealthy blocks p until Healthy or the deadline; it reports success.
-// One-kernel deployments only: it polls state other kernels own.
-func (c *PCluster) AwaitHealthy(p *sim.Proc, d time.Duration) bool {
-	deadline := p.Now().Add(d)
-	for !c.Healthy() {
-		if p.Now() > deadline {
-			return false
-		}
-		p.Sleep(100 * time.Microsecond)
 	}
 	return true
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -8,20 +9,34 @@ import (
 	"prdma/internal/sim"
 )
 
+// quickParams is a one-gateway deployment, the shape the failover
+// controller needs.
 func quickParams() Params {
 	p := DefaultParams()
 	p.Shards = 2
 	p.Replicas = 3
 	p.PoolSize = 2
+	p.Gateways = 1
 	p.Objects = 256
 	p.ObjSize = 64
 	return p
 }
 
-// runWithController drives l on a one-kernel deployment under a running
-// failover controller: a driver proc waits out the load, awaits full health,
-// gives the engines an apply window, and stops the controller.
-func runWithController(t *testing.T, k *sim.Kernel, c *PCluster, l Load) (res *LoadResult, ct *Controller, healthy bool) {
+// newQuick builds quickParams on a one-worker engine.
+func newQuick(t *testing.T) *PCluster {
+	t.Helper()
+	c, err := NewPartitioned(1, quickParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Eng.Shutdown)
+	return c
+}
+
+// runWithController drives l under a running failover controller: the
+// driver crashes shard 0's primary at crashAt (0: never), runs the load out,
+// waits up to 50 ms for full health, and drains the engine.
+func runWithController(t *testing.T, c *PCluster, l Load, crashAt time.Duration) (res *LoadResult, ct *Controller, healthy bool) {
 	t.Helper()
 	ct, err := c.StartController()
 	if err != nil {
@@ -31,25 +46,22 @@ func runWithController(t *testing.T, k *sim.Kernel, c *PCluster, l Load) (res *L
 	if err != nil {
 		t.Fatal(err)
 	}
-	k.Go("main", func(p *sim.Proc) {
-		load.Wait(p)
-		healthy = c.AwaitHealthy(p, 50*time.Millisecond)
-		p.Sleep(2 * time.Millisecond) // engines apply
-		ct.Stop()
-	})
-	k.Run()
+	d := NewDriver(c, ct, load)
+	if crashAt > 0 {
+		d.Crash(sim.Time(crashAt), 0, c.Groups[0].Primary)
+	}
+	d.Run(load.Done, math.MaxInt64)
+	d.Run(d.Settled, c.Now().Add(50*time.Millisecond))
+	healthy = c.Healthy()
+	d.Drain(c.Now().Add(50 * time.Millisecond))
 	return load.Collect(), ct, healthy
 }
 
 // TestClusterPutGetConverges drives a healthy cluster and checks every
 // acknowledged write is byte-identical on all replicas once settled.
 func TestClusterPutGetConverges(t *testing.T) {
-	k := sim.New()
-	c, err := New(k, quickParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, _, _ := runWithController(t, k, c, Load{Clients: 8, Ops: 400, ReadFrac: 0.5, Verify: true, Seed: 3})
+	c := newQuick(t)
+	res, _, _ := runWithController(t, c, Load{Clients: 8, Ops: 400, ReadFrac: 0.5, Verify: true, Seed: 3}, 0)
 	if len(res.Samples) != 400 {
 		t.Fatalf("samples: got %d, want 400", len(res.Samples))
 	}
@@ -64,18 +76,14 @@ func TestClusterPutGetConverges(t *testing.T) {
 	}
 }
 
-// TestClusterOpenLoopVerified drives a verified open loop on one kernel under
-// a controller. The arrival rate overloads the workers, so several of them
-// serve the same logical client at once: every read must still verify and
-// the replicas must converge.
+// TestClusterOpenLoopVerified drives a verified open loop through one
+// gateway under a controller. The arrival rate overloads the workers, so
+// several of them serve the same logical client at once: every read must
+// still verify and the replicas must converge.
 func TestClusterOpenLoopVerified(t *testing.T) {
-	k := sim.New()
-	c, err := New(k, quickParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newQuick(t)
 	l := Load{Clients: 8, Ops: 600, ReadFrac: 0.3, OpenLoop: true, Rate: 2e6, Verify: true, Seed: 13}
-	res, _, healthy := runWithController(t, k, c, l)
+	res, _, healthy := runWithController(t, c, l, 0)
 	if !healthy {
 		t.Fatal("cluster not healthy after the load")
 	}
@@ -94,19 +102,9 @@ func TestClusterOpenLoopVerified(t *testing.T) {
 // detect it, promote a survivor, resync the rejoiner, and no acknowledged
 // write may be lost or diverge.
 func TestClusterFailover(t *testing.T) {
-	k := sim.New()
-	p := quickParams()
-	c, err := New(k, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newQuick(t)
 	// Crash shard 0's primary once traffic is flowing.
-	k.AfterFunc(500*time.Microsecond, func() {
-		victim := c.Groups[0].Primary
-		c.CrashReplica(0, victim)
-		k.AfterFunc(p.Restart, func() { c.RestartReplica(0, victim) })
-	})
-	res, ct, healthy := runWithController(t, k, c, Load{Clients: 8, Ops: 1200, ReadFrac: 0.5, Verify: true, Seed: 7})
+	res, ct, healthy := runWithController(t, c, Load{Clients: 8, Ops: 1200, ReadFrac: 0.5, Verify: true, Seed: 7}, 500*time.Microsecond)
 	if !healthy {
 		t.Error("cluster never became healthy again")
 	}
@@ -142,11 +140,7 @@ func TestClusterFailover(t *testing.T) {
 // open-loop latency must exceed the closed-loop mean on the same cluster.
 func TestClusterOpenLoop(t *testing.T) {
 	run := func(open bool) (time.Duration, int) {
-		k := sim.New()
-		c, err := New(k, quickParams())
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := newQuick(t)
 		l := Load{Clients: 4, Ops: 300, ReadFrac: 0.5, Seed: 11}
 		if open {
 			l.OpenLoop = true
@@ -175,11 +169,7 @@ func TestClusterOpenLoop(t *testing.T) {
 // TestClusterRouting pins routing determinism: the same key always lands on
 // the same shard, and the load spreads across all shards.
 func TestClusterRouting(t *testing.T) {
-	k := sim.New()
-	c, err := New(k, quickParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newQuick(t)
 	seen := make(map[int]int)
 	for key := uint64(0); key < 512; key++ {
 		s := c.Ring.Shard(key)
@@ -208,7 +198,7 @@ func flipAckedByte(t *testing.T, c *PCluster, r int) {
 }
 
 // TestCheckConsistencyCatchesDivergence pins the negative path of the
-// consistency checker on both deployment shapes: one flipped byte of an
+// consistency checker with one gateway and with two: one flipped byte of an
 // acked slot in a live replica's PM must be reported as a divergence.
 func TestCheckConsistencyCatchesDivergence(t *testing.T) {
 	l := Load{Clients: 4, Ops: 200, ReadFrac: 0.3, Verify: true, Seed: 5}
@@ -223,12 +213,10 @@ func TestCheckConsistencyCatchesDivergence(t *testing.T) {
 			t.Fatalf("corrupted replica: got %v, want a divergence", err)
 		}
 	}
+	// The "New" row keeps the name of the one-gateway shape the failover
+	// drills deploy; "NewPartitioned" runs two gateways.
 	t.Run("New", func(t *testing.T) {
-		k := sim.New()
-		c, err := New(k, quickParams())
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := newQuick(t)
 		if _, err := c.RunLoad(l); err != nil {
 			t.Fatal(err)
 		}

@@ -42,9 +42,10 @@ type Event struct {
 // controller touches — the connection pool, the acknowledged-write record,
 // the membership marks — must live on one kernel.
 //
-// Serialization contract on an engine: crashes are injected by the driver
-// at window barriers inside a serialized engine span (CrashReplica), and
-// the driver holds the Serialize token until the cluster reports Healthy.
+// Serialization contract: crashes are injected by the Driver at window
+// barriers inside a serialized engine span (CrashReplica), and the Driver
+// holds the Serialize token until the cluster reports Healthy with nothing
+// left to inject.
 // Every controller action that reaches across partitions outside the
 // lookahead discipline — re-establishing connections (server-side log
 // recovery driven from a gateway proc), polling a victim's engine queue
@@ -67,8 +68,8 @@ type Controller struct {
 }
 
 // StartController begins failure detection on a dedicated gateway proc.
-// The deployment needs a single gateway (New, or NewPartitioned with
-// Gateways == 1 — only then are the controller connections built).
+// The deployment needs a single gateway (Gateways == 1 — only then are the
+// controller connections built).
 func (c *PCluster) StartController() (*Controller, error) {
 	if len(c.Gateways) != 1 || c.Groups[0].ctl == nil {
 		return nil, errors.New("cluster: failover controller needs a single gateway")
@@ -292,8 +293,8 @@ func (ct *Controller) resync(p *sim.Proc, grp *PGroup, r int) {
 }
 
 // reestablish rebuilds one client's connection to replica r, replaying its
-// durable redo-log backlog server-side. On an engine the driver's
-// serialized crash span makes the cross-partition Reestablish legal; a
+// durable redo-log backlog server-side. The driver's serialized crash span
+// makes the cross-partition Reestablish legal; a
 // refusal (misuse outside a serialized span) replays nothing and surfaces
 // as a lost-write violation downstream.
 func reestablish(p *sim.Proc, cl *replicate.Client, r int) int {
@@ -360,8 +361,8 @@ func (ct *Controller) ship(p *sim.Proc, grp *PGroup, r int, floor sim.Time, ship
 }
 
 // waitApplied waits until the replica's engine queue is drained and its
-// workers have had time to finish in-flight applies (on an engine, a
-// cross-partition read: serialized crash span only).
+// workers have had time to finish in-flight applies (a cross-partition
+// read: serialized crash span only).
 func waitApplied(p *sim.Proc, rep *Replica) bool {
 	for rep.Engine.QueueDepth() > 0 {
 		if !rep.alive {

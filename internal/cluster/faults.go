@@ -12,9 +12,9 @@ import (
 // drop bursts. Cluster scenarios pick one by name ("faultName"), and
 // `prdmabench -crashcheck -cluster -faults … -workloads …` runs the cluster
 // crash-point sweep once per (adversary, YCSB workload) cell. Endpoint
-// prefixes assume New's host names (a "gateway" client host and
-// "s<shard>r<replica>" storage nodes) at the sweep's 2 shards × 3 replicas;
-// windows assume its default load's ~0.6–2 ms span. Every partition heals
+// prefixes assume NewPartitioned's host names ("gw<gateway>" client hosts
+// and "s<shard>r<replica>" storage nodes) at the sweep's 2 shards × 3
+// replicas; windows assume its default load's ~0.6–2 ms span. Every partition heals
 // within the run, so retransmission — not operator surgery — must restore
 // connectivity.
 func builtinFaults() []fabric.FaultSpec {
@@ -36,7 +36,7 @@ func builtinFaults() []fabric.FaultSpec {
 			// flow — the half-open link failure mode.
 			Name: "asym-partition",
 			Partitions: []fabric.PartitionSpec{
-				{From: "gateway", To: "s0r2", StartUS: 150, EndUS: 500},
+				{From: "gw", To: "s0r2", StartUS: 150, EndUS: 500},
 			},
 		},
 		{

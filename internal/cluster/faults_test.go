@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"prdma/internal/cluster"
@@ -67,13 +68,21 @@ func TestMatrixCellsClean(t *testing.T) {
 	}
 }
 
-// TestMatrixDeterministic runs the same cell twice and expects identical
-// results: the whole sweep is a pure function of the seed.
+// TestMatrixDeterministic runs a faulted cell at 1 and 4 engine workers
+// and expects identical results: the whole sweep is a pure function of the
+// seed, whatever the worker count, because every link draws its faults
+// from its own stream.
 func TestMatrixDeterministic(t *testing.T) {
 	cfg := cellTarget(t, 11, "chaos", ycsb.B)
-	a, b := sweep(t, cfg), sweep(t, cfg)
+	cfg.Workers = 1
+	a := sweep(t, cfg)
+	cfg.Workers = 4
+	b := sweep(t, cfg)
+	if a.Ref.FaultDrops == 0 || a.Ref.Duplicated == 0 {
+		t.Fatalf("chaos cell injected nothing: %+v", a.Ref)
+	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed, different results:\n%+v\n%+v", a, b)
+		t.Fatalf("workers 1 and 4 disagree:\n%+v\n%+v", a, b)
 	}
 }
 
@@ -96,7 +105,31 @@ func TestMatrixMutantsDetected(t *testing.T) {
 	}
 }
 
+// TestFaultByName resolves every builtin adversary, validates it, and
+// checks each endpoint prefix it names matches a host of the sweep's
+// deployment, so no cut or gray failure is silently inert.
 func TestFaultByName(t *testing.T) {
+	p := cluster.DefaultParams()
+	p.Shards, p.Gateways = 2, 1
+	c, err := cluster.NewPartitioned(1, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Eng.Shutdown()
+	hosts := []string{c.Gateways[0].Host.Name}
+	for _, grp := range c.Groups {
+		for _, rep := range grp.Replicas {
+			hosts = append(hosts, rep.Host.Name)
+		}
+	}
+	matches := func(prefix string) bool {
+		for _, h := range hosts {
+			if strings.HasPrefix(h, prefix) {
+				return true
+			}
+		}
+		return false
+	}
 	for _, name := range cluster.FaultNames() {
 		f, err := cluster.FaultByName(name)
 		if err != nil {
@@ -104,6 +137,21 @@ func TestFaultByName(t *testing.T) {
 		}
 		if err := f.Validate(); err != nil {
 			t.Errorf("builtin fault %q invalid: %v", name, err)
+		}
+		var prefixes []string
+		for _, cut := range f.Partitions {
+			prefixes = append(prefixes, cut.From, cut.To)
+		}
+		for _, g := range f.Gray {
+			prefixes = append(prefixes, g.Endpoint)
+		}
+		for _, b := range f.Bursts {
+			prefixes = append(prefixes, b.To)
+		}
+		for _, prefix := range prefixes {
+			if !matches(prefix) {
+				t.Errorf("builtin fault %q names %q, which matches no host of %v", name, prefix, hosts)
+			}
 		}
 	}
 	if _, err := cluster.FaultByName("nope"); err == nil {

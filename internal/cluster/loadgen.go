@@ -13,11 +13,10 @@ import (
 	"prdma/internal/ycsb"
 )
 
-// This file is the cluster load generator, for both deployments: per-gateway
-// client procs on the gateways' kernels (one gateway on a New deployment),
-// with every gateway's samples, counters and verification state owned by its
-// own kernel and merged canonically after the run, so no shared mutable state
-// crosses kernels on the data plane.
+// This file is the cluster load generator: per-gateway client procs on the
+// gateways' kernels, with every gateway's samples, counters and verification
+// state owned by its own kernel and merged canonically after the run, so no
+// shared mutable state crosses kernels on the data plane.
 
 // Load configures the cluster load generator.
 type Load struct {
@@ -215,13 +214,12 @@ type gwRun struct {
 	issuedVer map[uint64]uint32
 	end       sim.Time
 	done      bool
-	joined    *sim.Cond // broadcast when done flips
 }
 
 // LoadRun is an in-flight load started by StartLoad: the client procs are
-// spawned but the caller owns the stepping (a kernel or engine Run, or
-// RunWindows from a crash-injection driver). Done and Collect may only be
-// called from driver context (at a window barrier on an engine).
+// spawned but the caller owns the stepping (an engine Run, or a Driver).
+// Done and Collect may only be called from driver context, at a window
+// barrier.
 type LoadRun struct {
 	runs []*gwRun
 }
@@ -234,16 +232,6 @@ func (r *LoadRun) Done() bool {
 		}
 	}
 	return true
-}
-
-// Wait blocks p until every gateway's workload has completed. One-kernel
-// deployments only: p must run on the gateway's kernel.
-func (r *LoadRun) Wait(p *sim.Proc) {
-	for _, run := range r.runs {
-		for !run.done {
-			run.joined.Wait(p)
-		}
-	}
 }
 
 // Collect merges the per-gateway results canonically (by completion time,
@@ -276,7 +264,7 @@ func (r *LoadRun) Collect() *LoadResult {
 // the deployment to completion, and merges the per-gateway results
 // canonically (by completion time, then gateway). A running failover
 // controller never lets the run complete; drive such deployments with
-// StartLoad instead.
+// StartLoad and a Driver instead.
 //
 // The closed loop gives every client a static quota of Ops/Clients plain
 // ops or YCSB generator draws (a workload-F read-modify-write is a read
@@ -292,17 +280,12 @@ func (c *PCluster) RunLoad(l Load) (*LoadResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.Eng == nil {
-		c.Gateways[0].K.Run()
-	} else {
-		c.Eng.Run()
-	}
+	c.Eng.Run()
 	return run.Collect(), nil
 }
 
 // StartLoad validates l and spawns the per-gateway client procs without
-// running the deployment — one-kernel drivers Wait on the run from a proc,
-// the crash-injection drivers step windows themselves (see RunLoad for the
+// running the deployment — a Driver steps its windows (see RunLoad for the
 // one-shot form and the workload semantics).
 func (c *PCluster) StartLoad(l Load) (*LoadRun, error) {
 	if l.Clients <= 0 || l.Ops <= 0 {
@@ -338,7 +321,7 @@ func (c *PCluster) StartLoad(l Load) (*LoadRun, error) {
 	for g := 0; g < G; g++ {
 		g := g
 		gw := c.Gateways[g]
-		run := &gwRun{issuedVer: make(map[uint64]uint32), clientSet: make(map[int]struct{}), joined: sim.NewCond(gw.K)}
+		run := &gwRun{issuedVer: make(map[uint64]uint32), clientSet: make(map[int]struct{})}
 		runs[g] = run
 		nextVer := make(map[uint64]uint32)
 
@@ -524,7 +507,6 @@ func (c *PCluster) StartLoad(l Load) (*LoadRun, error) {
 			wg.Wait(p)
 			run.end = p.Now()
 			run.done = true
-			run.joined.Broadcast()
 		})
 	}
 

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"prdma/internal/rpc"
-	"prdma/internal/sim"
 	"prdma/internal/ycsb"
 )
 
@@ -159,25 +158,15 @@ func TestPartitionedFailoverRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Eng.RunWindows(40)
-	c.Eng.Serialize()
-	c.CrashReplica(0, 0)
-	crashAt := c.Now()
-	restarted := false
-	horizon := crashAt.Add(100 * time.Millisecond)
-	for !(load.Done() && c.Healthy()) && c.Now() < horizon {
-		if !restarted && c.Now() >= crashAt.Add(c.P.Restart) {
-			c.RestartReplica(0, 0)
-			restarted = true
-		}
-		if c.Eng.RunWindows(16) == 0 {
-			break
-		}
+	d := NewDriver(c, ct, load)
+	d.StepTo(40)
+	d.Crash(c.Now(), 0, 0)
+	horizon := c.Now().Add(100 * time.Millisecond)
+	d.Run(d.Settled, horizon)
+	if c.Eng.Serialized() {
+		t.Error("driver still holds the Serialize token with the cluster healthy and nothing left to inject")
 	}
-	ct.Stop()
-	for c.Now() < horizon && c.Eng.RunWindows(256) != 0 {
-	}
-	c.Eng.Unserialize()
+	d.Drain(horizon)
 	res := load.Collect()
 	if !load.Done() {
 		t.Fatal("load never finished")
@@ -213,56 +202,42 @@ func TestPartitionedFailoverRecovery(t *testing.T) {
 	c.Eng.Shutdown()
 }
 
-// TestPartitionedMatchesSerialSemantics pins the one load generator's
-// semantics on both deployments: every mix — the plain 70/30 closed loop
-// and YCSB A (updates), E (scans and inserts) and F (read-modify-writes) —
-// ends consistent with every read verified and every issued op accounted
-// for (timings differ — the topologies are different — but semantics must
-// not).
+// TestPartitionedMatchesSerialSemantics pins the load generator's
+// semantics: every mix — the plain 70/30 closed loop and YCSB A (updates),
+// E (scans and inserts) and F (read-modify-writes) — ends consistent with
+// every read verified and every issued op accounted for.
 func TestPartitionedMatchesSerialSemantics(t *testing.T) {
-	deployments := []struct {
-		name  string
-		build func() (*PCluster, error)
-	}{
-		// The New rows also pin RunLoad on one kernel, with no engine to run.
-		{"New", func() (*PCluster, error) { return New(sim.New(), partParams()) }},
-		{"NewPartitioned", func() (*PCluster, error) { return NewPartitioned(2, partParams()) }},
-	}
 	for _, wl := range []ycsb.Workload{0, ycsb.A, ycsb.E, ycsb.F} {
-		for _, d := range deployments {
-			name := "plain"
-			if wl != 0 {
-				name = "ycsb" + wl.String()
-			}
-			t.Run(name+"/"+d.name, func(t *testing.T) {
-				l := Load{Clients: 4, Ops: 200, ReadFrac: 0.3, KeySpace: 256, Theta: 0.99, Workload: wl, Verify: true, Seed: 9}
-				c, err := d.build()
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := c.RunLoad(l)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Errors != 0 || res.BadReads != 0 {
-					t.Fatalf("errors=%d badReads=%d", res.Errors, res.BadReads)
-				}
-				samples, ops := expectedOps(l)
-				if len(res.Samples) != samples || res.Writes+res.Reads != ops {
-					t.Fatalf("%d samples, writes=%d reads=%d; want %d samples, %d ops",
-						len(res.Samples), res.Writes, res.Reads, samples, ops)
-				}
-				if res.End <= 0 || res.Throughput() <= 0 {
-					t.Fatalf("degenerate timing end=%v", res.End)
-				}
-				if err := c.CheckConsistency(); err != nil {
-					t.Fatalf("consistency: %v", err)
-				}
-				if c.Eng != nil {
-					c.Eng.Shutdown()
-				}
-			})
+		name := "plain"
+		if wl != 0 {
+			name = "ycsb" + wl.String()
 		}
+		t.Run(name+"/NewPartitioned", func(t *testing.T) {
+			l := Load{Clients: 4, Ops: 200, ReadFrac: 0.3, KeySpace: 256, Theta: 0.99, Workload: wl, Verify: true, Seed: 9}
+			c, err := NewPartitioned(2, partParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Eng.Shutdown()
+			res, err := c.RunLoad(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Errors != 0 || res.BadReads != 0 {
+				t.Fatalf("errors=%d badReads=%d", res.Errors, res.BadReads)
+			}
+			samples, ops := expectedOps(l)
+			if len(res.Samples) != samples || res.Writes+res.Reads != ops {
+				t.Fatalf("%d samples, writes=%d reads=%d; want %d samples, %d ops",
+					len(res.Samples), res.Writes, res.Reads, samples, ops)
+			}
+			if res.End <= 0 || res.Throughput() <= 0 {
+				t.Fatalf("degenerate timing end=%v", res.End)
+			}
+			if err := c.CheckConsistency(); err != nil {
+				t.Fatalf("consistency: %v", err)
+			}
+		})
 	}
 }
 

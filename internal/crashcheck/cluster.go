@@ -17,24 +17,22 @@
 //  4. Read sanity: every read during the run returned a well-formed
 //     payload no newer than the issued history.
 //
-// The crash coordinate depends on the deployment. On one kernel (Workers ==
-// 0, cluster.New) it is "after event i". Under parallel execution no global
-// event index is stable — worker threads interleave events inside a window
-// — but window barriers are: every boundary is a global quiesce point, and
-// with identical inputs the i-th window covers the same events in every run
-// at any worker count. So with Workers ≥ 1 (cluster.NewPartitioned) the
-// sweep crashes "at window i" instead, injecting the crash at that barrier
-// inside a serialized engine span. The driver holds the Serialize token —
-// and with it the single-kernel-equivalent global event order the failover
-// choreography needs — from the crash until the cluster is healthy again,
-// firing restarts and second crashes at the first barrier past their due
-// time. A violation's minimal repro is its (seed, coordinate) pair, and a
-// window found at Workers=8 replays at Workers=1.
+// The deployment is cluster.NewPartitioned with one gateway, and the crash
+// coordinate is "at window i". Under parallel execution no global event
+// index is stable — worker threads interleave events inside a window — but
+// window barriers are: every boundary is a global quiesce point, and with
+// identical inputs the i-th window covers the same events in every run at
+// any worker count. The sweep hands each point to cluster.Driver, which
+// crashes at that barrier inside a serialized engine span and holds the
+// Serialize token — and with it the global event order the failover
+// choreography needs — until the cluster is healthy with nothing left to
+// inject, firing restarts and second crashes at the first barrier past
+// their due time. A violation's minimal repro is its (seed, window) pair,
+// and a window found at Workers=8 replays at Workers=1.
 package crashcheck
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -63,9 +61,7 @@ type ClusterConfig struct {
 	Shards, Replicas int
 	// ObjSize is the object size in bytes (≥ 16 for versioned payloads).
 	ObjSize int
-	// Workers selects the crash coordinate: 0 crashes at an event index on
-	// the one-kernel deployment; N ≥ 1 crashes at a window index on the
-	// partitioned deployment run by an N-worker engine. Window indices are
+	// Workers is the engine's worker count (0 = 1). Window indices are
 	// worker-count-stable, so a violation found at Workers=8 replays at
 	// Workers=1.
 	Workers int
@@ -74,7 +70,7 @@ type ClusterConfig struct {
 	// spec and seed for the reference run and every crash point). Fault
 	// runs shorten the RC retransmit interval and raise the retry budget
 	// so sub-millisecond partitions are ridden out by retransmission
-	// instead of killing queue pairs. Workers == 0 only.
+	// instead of killing queue pairs.
 	Fault *fabric.FaultSpec
 	// Workload, when set, drives the load from a YCSB core workload
 	// (ycsb.A..ycsb.F) instead of the default 70/30 mix.
@@ -134,45 +130,29 @@ func (cfg ClusterConfig) plan() plan {
 		}
 		name += "/" + fault + "/" + wl
 	}
-	// The floor skips the setup transient; the rng salt keeps the two
-	// coordinates' point sets independent.
-	pl := plan{
-		name: name, coord: "event", seed: cfg.Seed,
+	// The floor skips the setup transient.
+	return plan{
+		name: name, coord: "window", seed: cfg.Seed,
 		points: cfg.Points, second: cfg.SecondCrashEvery,
-		salt: 0x7E57C0DE, floor: 50, mutant: cfg.Mutant, mutants: []string{"ackbug", "resurrect"},
+		salt: 0x9A27170, floor: 20, mutant: cfg.Mutant, mutants: []string{"ackbug", "resurrect"},
 	}
-	if cfg.Workers > 0 {
-		pl.coord, pl.salt, pl.floor = "window", 0x9A27170, 20
-	}
-	return pl
 }
 
-func (cfg ClusterConfig) deploy(bool) (deployment, error) {
-	if cfg.Workers > 0 && cfg.Fault != nil {
-		return nil, errors.New("crashcheck: Fault needs the event coordinate (Workers == 0)")
-	}
-	return newClusterRun(cfg)
-}
-
-// clusterRun is one deployment plus its in-flight load. With Workers == 0
-// k is the one kernel and a proc waits out the load; otherwise the sweep
-// driver steps the engine.
+// clusterRun is one deployment plus its in-flight load and the driver that
+// steps it.
 type clusterRun struct {
 	c    *cluster.PCluster
-	k    *sim.Kernel
-	ct   *cluster.Controller
 	load *cluster.LoadRun
-	// loadEnd is the crash coordinate at which the load completed.
-	loadEnd uint64
+	d    *cluster.Driver
 
 	// auditMsgs collects §4.2 ack-contract breaks observed by the
 	// post-replay audit (see auditReplay).
 	auditMsgs []string
 }
 
-// newClusterRun builds the deployment for cfg's coordinate and starts the
-// controller and the load.
-func newClusterRun(cfg ClusterConfig) (*clusterRun, error) {
+// deploy builds the deployment for cfg and starts the controller and the
+// load.
+func (cfg ClusterConfig) deploy(bool) (deployment, error) {
 	p := cluster.DefaultParams()
 	p.Shards = cfg.Shards
 	p.Replicas = cfg.Replicas
@@ -199,23 +179,18 @@ func newClusterRun(cfg ClusterConfig) (*clusterRun, error) {
 	}
 	r := &clusterRun{}
 	var err error
-	if cfg.Workers == 0 {
-		r.k = sim.New()
-		r.c, err = cluster.New(r.k, p)
-	} else {
-		r.c, err = cluster.NewPartitioned(cfg.Workers, p)
-	}
-	if err != nil {
+	if r.c, err = cluster.NewPartitioned(cfg.Workers, p); err != nil {
 		return nil, err
 	}
 	if cfg.Fault != nil {
 		r.c.Net.SetInjector(fabric.NewInjector(*cfg.Fault, (uint64(cfg.Seed)|1)^0xfa175eed))
 	}
 	r.c.EnableAckAudit()
-	if r.ct, err = r.c.StartController(); err != nil {
+	ct, err := r.c.StartController()
+	if err != nil {
 		return nil, err
 	}
-	r.ct.AuditReplay = r.auditReplay
+	ct.AuditReplay = r.auditReplay
 	load := cluster.Load{
 		Clients:  cfg.Clients,
 		Ops:      cfg.Ops,
@@ -227,45 +202,23 @@ func newClusterRun(cfg ClusterConfig) (*clusterRun, error) {
 	if r.load, err = r.c.StartLoad(load); err != nil {
 		return nil, err
 	}
-	if r.k != nil {
-		r.k.Go("cluster-load", func(mp *sim.Proc) {
-			r.load.Wait(mp)
-			r.loadEnd = r.k.Fired()
-		})
-	}
+	r.d = cluster.NewDriver(r.c, ct, r.load)
 	return r, nil
 }
 
-func (r *clusterRun) shutdown() {
-	if r.k != nil {
-		r.k.Shutdown()
-	} else {
-		r.c.Eng.Shutdown()
-	}
-}
+func (r *clusterRun) shutdown() { r.c.Eng.Shutdown() }
 
-// horizon bounds a windowed run's settle phase from t. The controller polls
-// forever, so the engine never quiesces on its own; sim time bounds the run.
+// horizon bounds a run's settle phase from t. The controller polls forever,
+// so the engine never quiesces on its own; sim time bounds the run.
 func horizon(t sim.Time) sim.Time { return t.Add(120 * time.Millisecond) }
 
 // reference runs the crash-free load to completion (or the horizon); the
-// coordinate space ends where the load finished.
+// coordinate space ends at the window where the load finished.
 func (r *clusterRun) reference(res *Result) sim.Time {
-	if r.k != nil {
-		r.settle()
-	} else {
-		end := horizon(0)
-		for !(r.load.Done() && r.c.Healthy()) && r.c.Now() < end {
-			if r.c.Eng.RunWindows(16) == 0 {
-				break
-			}
-			if r.loadEnd == 0 && r.load.Done() {
-				r.loadEnd = r.c.Eng.Windows()
-			}
-		}
-		r.drain(end)
-	}
-	res.Events = r.loadEnd
+	end := horizon(0)
+	r.d.Run(r.d.Settled, end)
+	r.d.Drain(end)
+	res.Events = r.d.LoadDone
 	res.Ref = r.refStats()
 	return r.c.Now()
 }
@@ -283,116 +236,16 @@ func (r *clusterRun) crash(pt Point, _ time.Duration) sim.Time {
 	second := (victim + 1) % replicas
 	secondAfter := r.c.P.Restart + time.Duration(pt.Event%40)*50*time.Microsecond
 
-	if r.k != nil {
-		r.k.RunEvents(pt.Event)
-		at := r.k.Now()
-		r.crashNow(s, victim)
-		if pt.SecondCrash {
-			r.k.AfterFunc(secondAfter, func() { r.crashNow(s, second) })
-		}
-		r.settle()
-		return at
-	}
-
-	r.stepTo(pt.Event)
+	r.d.StepTo(pt.Event)
 	at := r.c.Now()
-	// The driver holds the Serialize token across the whole crash/recovery
-	// span: every post-crash window runs single-kernel equivalent, which is
-	// what legalizes the controller's cross-partition reestablish/quiesce/
-	// drain choreography.
-	r.c.Eng.Serialize()
-	pend := []injection{{due: at, crash: true, s: s, r: victim}}
+	r.d.Crash(at, s, victim)
 	if pt.SecondCrash {
-		pend = append(pend, injection{due: at.Add(secondAfter), crash: true, s: s, r: second})
+		r.d.Crash(at.Add(secondAfter), s, second)
 	}
 	end := horizon(at)
-	r.settleWindows(pend, end)
-	r.drain(end)
-	r.c.Eng.Unserialize()
+	r.d.Run(r.d.Settled, end)
+	r.d.Drain(end)
 	return at
-}
-
-// crashNow crashes a one-kernel replica and arms its restart P.Restart
-// later.
-func (r *clusterRun) crashNow(s, ri int) {
-	if !r.c.Groups[s].Replicas[ri].Alive() {
-		return
-	}
-	r.c.CrashReplica(s, ri)
-	r.k.AfterFunc(r.c.P.Restart, func() { r.c.RestartReplica(s, ri) })
-}
-
-// settle advances a one-kernel run until the load completes and the
-// cluster is healthy again (or the bounded horizon passes), then gives the
-// engines a final apply window.
-func (r *clusterRun) settle() {
-	for i := 0; i < 60 && !(r.load.Done() && r.c.Healthy()); i++ {
-		r.k.RunUntil(r.k.Now().Add(2 * time.Millisecond))
-	}
-	r.k.RunUntil(r.k.Now().Add(3 * time.Millisecond))
-}
-
-// stepTo advances the engine to exactly window w (a no-op if already past).
-func (r *clusterRun) stepTo(w uint64) {
-	for r.c.Eng.Windows() < w {
-		n := int(w - r.c.Eng.Windows())
-		if n > 4096 {
-			n = 4096
-		}
-		if r.c.Eng.RunWindows(n) == 0 {
-			return // quiescent before w: crash lands on a drained engine
-		}
-	}
-}
-
-// injection is a driver-side pending intervention, fired at the first window
-// barrier at or past its due time. Crashes enqueue the victim's restart
-// P.Restart later — only barriers may flip replica liveness on an engine.
-type injection struct {
-	due   sim.Time
-	crash bool
-	s, r  int
-}
-
-// settleWindows fires due injections and steps windows until every
-// injection has fired, the load has finished, and the cluster is healthy —
-// or the horizon passes. Returns at a window barrier.
-func (r *clusterRun) settleWindows(pend []injection, end sim.Time) {
-	for {
-		now := r.c.Now()
-		for i := 0; i < len(pend); {
-			inj := pend[i]
-			if inj.due > now {
-				i++
-				continue
-			}
-			pend = append(pend[:i], pend[i+1:]...)
-			if inj.crash {
-				r.c.CrashReplica(inj.s, inj.r)
-				pend = append(pend, injection{due: now.Add(r.c.P.Restart), s: inj.s, r: inj.r})
-			} else {
-				r.c.RestartReplica(inj.s, inj.r)
-			}
-			i = 0
-		}
-		if len(pend) == 0 && r.load.Done() && r.c.Healthy() {
-			return
-		}
-		if now >= end {
-			return
-		}
-		if r.c.Eng.RunWindows(16) == 0 {
-			return
-		}
-	}
-}
-
-// drain stops the controller and runs the engine quiescent (bounded, in case
-// an auxiliary proc is still polling).
-func (r *clusterRun) drain(end sim.Time) {
-	r.ct.Stop()
-	for r.c.Now() < end && r.c.Eng.RunWindows(256) != 0 {
-	}
 }
 
 // auditReplay holds a rejoining replica to its §4.2 ack contract at the

@@ -4,9 +4,9 @@
 // the remote PM pool (PMPoolConfig). Sweep runs the target's workload once
 // crash-free to size its crash coordinate space, then replays it once per
 // selected crash point — an event boundary, a seeded offset *inside* an
-// in-flight PM persist window (a torn write), or, on the partitioned
-// cluster, a window barrier — crashes there, lets recovery run, and asserts
-// the paper's crash-consistency contract end to end:
+// in-flight PM persist window (a torn write), or, on the cluster, a window
+// barrier — crashes there, lets recovery run, and asserts the paper's
+// crash-consistency contract end to end:
 //
 //  1. No acked write is ever lost: every operation whose durability
 //     completed before the crash is either already applied or replayed.
@@ -87,7 +87,7 @@ type deployment interface {
 // Point identifies one crash placement.
 type Point struct {
 	// Event is the index the crash lands on in the target's coordinate: an
-	// event boundary, or a window barrier on the partitioned cluster.
+	// event boundary, or a window barrier on the cluster.
 	Event uint64
 	// TornFrac, when positive, advances the clock from the event
 	// boundary to this fraction of an in-flight persist window before
@@ -140,8 +140,8 @@ type Result struct {
 	// Points is how many distinct crash points were swept.
 	Points int
 	// Events is the coordinate space the points were sampled from: the
-	// reference run's event count, or for the cluster the event or window
-	// at which its load finished.
+	// reference run's event count, or for the cluster the window at which
+	// its load finished.
 	Events uint64
 	// Ref measures the cluster's crash-free reference run.
 	Ref RefStats
@@ -185,11 +185,14 @@ func (r *Result) record(pt Point, ref bool, at sim.Time, msgs []string) {
 
 // Sweep runs the target's crash-free reference to size its coordinate
 // space, then replays the workload once per crash point and collects
-// violations. It fails on a mutant the target does not have, or when the
-// target cannot be deployed.
+// violations. It fails on a negative point count, on a mutant the target
+// does not have, or when the target cannot be deployed.
 func Sweep(t Target) (Result, error) {
 	pl := t.plan()
 	res := Result{Target: pl.name, Coord: pl.coord, Seed: pl.seed}
+	if pl.points < 0 || pl.torn < 0 {
+		return res, fmt.Errorf("crashcheck: %s: negative crash-point count (points %d, torn %d)", pl.name, pl.points, pl.torn)
+	}
 	if pl.mutant != "" && !slices.Contains(pl.mutants, pl.mutant) {
 		return res, fmt.Errorf("crashcheck: %s has no mutant %q (%s)", pl.name, pl.mutant, strings.Join(pl.mutants, ", "))
 	}

@@ -86,8 +86,6 @@ func TestTargets(t *testing.T) {
 			"WFlush-RPC/writes seed=1 event=3582 at=", Point{Event: 2000, TornFrac: 0.5, SecondCrash: true}, "resurrect"},
 		{"pmpool", poolCfg, withMutant(poolBug, "leak"), replayed,
 			"pmpool/WFlush-RPC seed=1 reference run at=", Point{Event: 3000, TornFrac: 0.5, SecondCrash: true}, "ackbug"},
-		{"cluster-event", cluster(2, 6, 0), withMutant(cluster(3, 6, 0), "resurrect"), failovers,
-			"cluster seed=3 event=807 at=", Point{Event: 9000, SecondCrash: true}, "leak"},
 		{"cluster-window", cluster(2, 4, 2), withMutant(cluster(3, 6, 2), "ackbug"), failovers,
 			"cluster seed=3 window=346 at=", Point{Event: 300, SecondCrash: true}, "leak"},
 	} {
@@ -131,6 +129,24 @@ func TestTargets(t *testing.T) {
 	for _, tgt := range []Target{small, smallCluster} {
 		if _, err := Sweep(tgt); err == nil || !strings.Contains(err.Error(), "ObjSize ≥ 16") {
 			t.Errorf("%s with 8-byte objects: err = %v, want an ObjSize error", tgt.plan().name, err)
+		}
+	}
+}
+
+// TestSweepRejectsNegativeCounts pins that a negative point or torn count
+// is an error on every target, not a huge unsigned count or a default.
+func TestSweepRejectsNegativeCounts(t *testing.T) {
+	rpcPoints := DefaultConfig(rpc.WFlushRPC, MixWrites, 1)
+	rpcPoints.Points = -3
+	rpcTorn := DefaultConfig(rpc.WFlushRPC, MixWrites, 1)
+	rpcTorn.TornPoints = -1
+	cluster := DefaultClusterConfig(1)
+	cluster.Points = -3
+	pool := DefaultPMPoolConfig(rpc.WFlushRPC, 1)
+	pool.TornPoints = -2
+	for _, tgt := range []Target{rpcPoints, rpcTorn, cluster, pool} {
+		if _, err := Sweep(tgt); err == nil || !strings.Contains(err.Error(), "negative crash-point count") {
+			t.Errorf("%s: err = %v, want a negative-count error", tgt.plan().name, err)
 		}
 	}
 }

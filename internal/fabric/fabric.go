@@ -81,10 +81,9 @@ type Network struct {
 	K      *sim.Kernel
 	Params Params
 
-	endpoints   map[string]*Endpoint
-	rng         *sim.Rand
-	inj         *Injector
-	partitioned bool
+	endpoints map[string]*Endpoint
+	rng       *sim.Rand
+	inj       *Injector
 
 	// reclaim indexes dirty cross-transfer slabs by destination partition;
 	// the engine flush hook drains it at every window barrier (see xfer.go).
@@ -113,11 +112,12 @@ func New(k *sim.Kernel, p Params, seed uint64) *Network {
 
 // SetInjector installs (or, with nil, removes) a fault injector. With no
 // injector the send path is bit-for-bit identical to an unfaulted build.
+// Every link starts a fresh stream from the new injector's seed.
 func (n *Network) SetInjector(i *Injector) {
-	if i != nil && n.partitioned {
-		panic("fabric: the fault injector requires a single-kernel network (shared rng)")
-	}
 	n.inj = i
+	for _, e := range n.endpoints {
+		e.links = nil
+	}
 }
 
 // Endpoint is one NIC port attached to the network.
@@ -141,16 +141,21 @@ type Endpoint struct {
 	// xfer pools cross-partition transfer envelopes, indexed by destination
 	// partition (see xfer.go).
 	xfer []*xferDir
+	// links holds the fault injector's per-destination random streams
+	// (nil until the first faulted send): kept on the source so only its
+	// partition draws from them.
+	links map[string]*sim.Rand
 }
 
 // AttachOn creates an endpoint whose state lives on kernel k: the network's
 // own kernel, or one partition of a sim.Engine when the deployment is split
 // across kernels. The handler runs at message arrival time. Sends between
 // endpoints on different kernels deep-copy Transferable payloads and deliver
-// through the engine barrier. Random per-message behavior (fault injection,
-// busy-network queueing) draws from the network's single rng, whose
-// consumption order would depend on partition interleaving, so it is
-// rejected on partitioned networks.
+// through the engine barrier. Busy-network queueing draws from the
+// network's single rng, whose consumption order would depend on partition
+// interleaving, so it is rejected on partitioned networks; the fault
+// injector draws from per-link streams kept on the source endpoint and
+// works on any network.
 func (n *Network) AttachOn(k *sim.Kernel, name string, handler func(at sim.Time, m *Message)) *Endpoint {
 	if _, dup := n.endpoints[name]; dup {
 		panic(fmt.Sprintf("fabric: duplicate endpoint %q", name))
@@ -162,10 +167,9 @@ func (n *Network) AttachOn(k *sim.Kernel, name string, handler func(at sim.Time,
 		if sim.Time(n.Params.Propagation) < sim.Time(k.Engine().Lookahead()) {
 			panic("fabric: engine lookahead exceeds the network propagation delay")
 		}
-		if n.inj != nil || n.Params.BusyQueueMean > 0 {
-			panic("fabric: fault injection and random congestion require a single-kernel network (shared rng)")
+		if n.Params.BusyQueueMean > 0 {
+			panic("fabric: random congestion requires a single-kernel network (shared rng)")
 		}
-		n.partitioned = true
 	}
 	if eng := k.Engine(); eng != nil {
 		// Size the transfer-slab reclaim index for this partition and hook
@@ -272,7 +276,7 @@ func (e *Endpoint) SendPooled(to string, size int, payload interface{}, release 
 
 	var v verdict
 	if n.inj != nil {
-		v = n.inj.judge(txDone, e.Name, to)
+		v = n.inj.judge(txDone, e.Name, to, e.link(to))
 		if v.drop {
 			atomic.AddInt64(&n.Dropped, 1)
 			atomic.AddInt64(&n.DroppedFault, 1)
@@ -301,12 +305,19 @@ func (e *Endpoint) SendPooled(to string, size int, payload interface{}, release 
 	if !ok {
 		panic(fmt.Sprintf("fabric: send to unknown endpoint %q", to))
 	}
+	if v.dup > 0 {
+		atomic.AddInt64(&n.Duplicated, 1)
+	}
 	if dst.k != e.k {
 		// Cross-partition: clone the payload into a pooled transfer envelope
 		// (before finish — the sender's release may reuse its buffers), then
 		// finish this envelope immediately: release fires at send time, which
-		// is legal because the clone detaches the sender's buffers.
+		// is legal because the clone detaches the sender's buffers. A
+		// duplicate is a second envelope with its own clone.
 		e.postCross(dst, arrive, to, size, payload)
+		if v.dup > 0 {
+			e.postCross(dst, arrive.Add(v.dup), to, size, payload)
+		}
 		pm.finish()
 		return txDone
 	}
@@ -314,7 +325,6 @@ func (e *Endpoint) SendPooled(to string, size int, payload interface{}, release 
 	if v.dup > 0 {
 		// Duplicated delivery allocates its closures — acceptable: faults
 		// are never active on the alloc-pinned benchmark paths.
-		atomic.AddInt64(&n.Duplicated, 1)
 		dupAt := arrive.Add(v.dup)
 		e.k.Schedule(arrive, func() { pm.deliverAt(arrive, false) })
 		e.k.Schedule(dupAt, func() { pm.deliverAt(dupAt, true) })
@@ -322,4 +332,18 @@ func (e *Endpoint) SendPooled(to string, size int, payload interface{}, release 
 	}
 	e.k.Schedule(arrive, pm.fn)
 	return txDone
+}
+
+// link returns the fault injector's stream for messages from e to the
+// endpoint named to, seeding it on first use.
+func (e *Endpoint) link(to string) *sim.Rand {
+	rng := e.links[to]
+	if rng == nil {
+		if e.links == nil {
+			e.links = make(map[string]*sim.Rand)
+		}
+		rng = e.Net.inj.stream(e.Name, to)
+		e.links[to] = rng
+	}
+	return rng
 }

@@ -8,13 +8,18 @@
 // every adversary here, which is exactly what the cluster crash sweep's
 // fault × workload cells assert.
 //
-// All randomness comes from one splitmix64 stream seeded at construction,
-// so a (spec, seed) pair reproduces the exact delivery schedule.
+// Every link — a (source endpoint, destination) pair — draws from its own
+// splitmix64 stream, seeded from (seed, source, destination) and kept on the
+// source endpoint. A link's schedule is therefore a pure function of (spec,
+// seed, that link's traffic): extra traffic elsewhere never moves it, and
+// on a partitioned network only the source's kernel ever draws from it.
 package fabric
 
 import (
 	"fmt"
+	"hash/fnv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"prdma/internal/sim"
@@ -135,10 +140,12 @@ func (s *FaultSpec) Validate() error {
 // fabric's behavior — timing, stats, allocation — exactly unchanged.
 type Injector struct {
 	Spec FaultSpec
-	rng  *sim.Rand
+	seed uint64
 
 	// Per-adversary counters, split finer than the network's DroppedFault
-	// total so the matrix figure can attribute loss.
+	// total so the matrix figure can attribute loss. Partitions bump them
+	// concurrently, so they are atomic adds (sums, so the totals stay
+	// deterministic at any worker count).
 	DropsPartition int64
 	DropsBurst     int64
 	GrayDelays     int64
@@ -149,7 +156,15 @@ type Injector struct {
 // NewInjector builds an injector for spec. The seed fixes the full delivery
 // schedule: same (spec, seed, traffic) ⇒ identical drops, delays, copies.
 func NewInjector(spec FaultSpec, seed uint64) *Injector {
-	return &Injector{Spec: spec, rng: sim.NewRand(seed)}
+	return &Injector{Spec: spec, seed: seed}
+}
+
+// stream returns the link from→to's random stream, seeded from (seed, from,
+// to) by an FNV-1a hash of the two names.
+func (i *Injector) stream(from, to string) *sim.Rand {
+	h := fnv.New64a()
+	h.Write([]byte(from + "\x00" + to))
+	return sim.NewRand(i.seed ^ h.Sum64())
 }
 
 // verdict is the injector's judgment on one message.
@@ -172,9 +187,10 @@ func inWindow(t sim.Time, startUS, endUS int) bool {
 }
 
 // judge decides the fate of a message leaving `from` for `to` at time t
-// (its tx-complete instant). Draw order is fixed so the schedule is a pure
-// function of (spec, seed, traffic).
-func (i *Injector) judge(t sim.Time, from, to string) verdict {
+// (its tx-complete instant), drawing from rng, the link's stream. Draw order
+// is fixed so the schedule is a pure function of (spec, seed, the link's
+// traffic).
+func (i *Injector) judge(t sim.Time, from, to string, rng *sim.Rand) verdict {
 	var v verdict
 	s := &i.Spec
 	for _, p := range s.Partitions {
@@ -183,7 +199,7 @@ func (i *Injector) judge(t sim.Time, from, to string) verdict {
 		}
 		if (prefixMatch(p.From, from) && prefixMatch(p.To, to)) ||
 			(p.Symmetric && prefixMatch(p.From, to) && prefixMatch(p.To, from)) {
-			i.DropsPartition++
+			atomic.AddInt64(&i.DropsPartition, 1)
 			v.drop = true
 			return v
 		}
@@ -194,8 +210,8 @@ func (i *Injector) judge(t sim.Time, from, to string) verdict {
 		}
 		phase := (t - sim.Time(b.StartUS)*sim.Time(time.Microsecond)) %
 			(sim.Time(b.PeriodUS) * sim.Time(time.Microsecond))
-		if phase < sim.Time(b.LenUS)*sim.Time(time.Microsecond) && i.rng.Float64() < b.DropProb {
-			i.DropsBurst++
+		if phase < sim.Time(b.LenUS)*sim.Time(time.Microsecond) && rng.Float64() < b.DropProb {
+			atomic.AddInt64(&i.DropsBurst, 1)
 			v.drop = true
 			return v
 		}
@@ -209,19 +225,19 @@ func (i *Injector) judge(t sim.Time, from, to string) verdict {
 			if prob == 0 {
 				prob = 1
 			}
-			if i.rng.Float64() < prob {
-				i.GrayDelays++
-				v.extra += time.Duration(i.rng.Exp(float64(g.MeanUS) * float64(time.Microsecond)))
+			if rng.Float64() < prob {
+				atomic.AddInt64(&i.GrayDelays, 1)
+				v.extra += time.Duration(rng.Exp(float64(g.MeanUS) * float64(time.Microsecond)))
 			}
 		}
 	}
-	if s.ReorderProb > 0 && i.rng.Float64() < s.ReorderProb {
-		i.Reorders++
-		v.reorder = time.Duration(1 + i.rng.Int63n(int64(s.ReorderMaxUS)*int64(time.Microsecond)))
+	if s.ReorderProb > 0 && rng.Float64() < s.ReorderProb {
+		atomic.AddInt64(&i.Reorders, 1)
+		v.reorder = time.Duration(1 + rng.Int63n(int64(s.ReorderMaxUS)*int64(time.Microsecond)))
 	}
-	if s.DupProb > 0 && i.rng.Float64() < s.DupProb {
-		i.Duplicates++
-		v.dup = time.Duration(i.rng.Exp(float64(s.DupDelayUS) * float64(time.Microsecond)))
+	if s.DupProb > 0 && rng.Float64() < s.DupProb {
+		atomic.AddInt64(&i.Duplicates, 1)
+		v.dup = time.Duration(rng.Exp(float64(s.DupDelayUS) * float64(time.Microsecond)))
 		if v.dup <= 0 {
 			v.dup = time.Microsecond
 		}

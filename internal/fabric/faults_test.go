@@ -94,6 +94,48 @@ func TestInjectorDeterministicSchedule(t *testing.T) {
 	}
 }
 
+// TestLinkScheduleIgnoresOtherLinks sends a→b under a random adversary
+// twice: alone, and with two c→d messages before every a→b send. a→b's
+// delivery schedule must not move, because each link draws from its own
+// stream; on one shared stream the c→d draws would shift every a→b fate.
+func TestLinkScheduleIgnoresOtherLinks(t *testing.T) {
+	spec := FaultSpec{
+		ReorderProb: 0.3, ReorderMaxUS: 10,
+		DupProb: 0.3, DupDelayUS: 5,
+		Bursts: []BurstSpec{{PeriodUS: 40, LenUS: 20, DropProb: 0.5}},
+	}
+	run := func(extra bool) []arrival {
+		k := sim.New()
+		net := New(k, DefaultParams(), 1)
+		net.SetInjector(NewInjector(spec, 3))
+		var got []arrival
+		net.AttachOn(k, "b", func(at sim.Time, m *Message) {
+			got = append(got, arrival{ID: m.Payload.(int), At: at})
+		})
+		net.AttachOn(k, "d", func(sim.Time, *Message) {})
+		a, c := net.AttachOn(k, "a", nil), net.AttachOn(k, "c", nil)
+		for i := 0; i < 200; i++ {
+			i := i
+			k.Schedule(sim.Time(int64(i)*int64(time.Microsecond)), func() {
+				if extra {
+					c.SendPooled("d", 0, i, nil)
+					c.SendPooled("d", 0, i, nil)
+				}
+				a.SendPooled("b", 0, i, nil)
+			})
+		}
+		k.Run()
+		return got
+	}
+	alone, busy := run(false), run(true)
+	if len(alone) == 0 {
+		t.Fatal("a→b delivered nothing")
+	}
+	if !reflect.DeepEqual(alone, busy) {
+		t.Fatal("c→d traffic moved the a→b fault schedule")
+	}
+}
+
 // TestPartitionHealRestoresConnectivity cuts a→b for [100µs, 300µs) and
 // expects exactly the in-window messages to vanish: connectivity before the
 // cut and — the heal contract — after it, with every loss attributed to the

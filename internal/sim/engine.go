@@ -414,7 +414,10 @@ func (e *Engine) runSerial() { e.coord.runWindow(e.kernels, e.deadline) }
 // like the serial kernel), run every kernel with work up to the inclusive
 // edge, barrier. A window with one active kernel runs it on the
 // coordinator; windows with several active kernels release the worker
-// barrier.
+// barrier. It returns to the driver with every kernel's clock raised to the
+// latest (syncClocks, legal at any barrier: every pending event lies past
+// the last window edge), so a proc the driver spawns on a kernel that sat
+// idle cannot post into a kernel's past.
 func (e *Engine) stepWindows(budget int) int {
 	ran := 0
 	for ran < budget {
@@ -426,7 +429,7 @@ func (e *Engine) stepWindows(budget int) int {
 			}
 		}
 		if next == math.MaxInt64 {
-			return ran
+			break
 		}
 		e.deadline = next + e.lookahead - 1
 		e.windows++
@@ -482,6 +485,7 @@ func (e *Engine) stepWindows(budget int) int {
 			}
 		}
 	}
+	e.syncClocks()
 	return ran
 }
 

@@ -411,3 +411,25 @@ func TestEngineSoloDeliversInOrder(t *testing.T) {
 		t.Fatalf("crossed=%d, want 2", e.Crossed())
 	}
 }
+
+// TestEngineRunReturnsSyncedClocks pins the driver's view after a run: two
+// kernels left quiescent at different clocks, a proc spawned on the lagging
+// one posting across, and a second run. Without the clock sync at the end of
+// every run the proc starts behind the clock the other kernel already
+// reached, its post lands in that kernel's past, and the run panics.
+func TestEngineRunReturnsSyncedClocks(t *testing.T) {
+	la := Time(100)
+	e := NewEngine(time.Duration(la), 1)
+	ahead, behind := e.NewKernel(), e.NewKernel()
+	ahead.Schedule(10_000, func() {})
+	behind.Schedule(5_000, func() {})
+	e.Run()
+	var got Time
+	behind.Go("late", func(p *Proc) {
+		e.Post(behind, ahead, p.Now()+la, func() { got = ahead.Now() })
+	})
+	e.Run()
+	if want := Time(10_000) + la; got != want {
+		t.Fatalf("post delivered at %v, want %v", got, want)
+	}
+}
