@@ -294,9 +294,10 @@ func (ct *Controller) resync(p *sim.Proc, grp *PGroup, r int) {
 
 // reestablish rebuilds one client's connection to replica r, replaying its
 // durable redo-log backlog server-side. The driver's serialized crash span
-// makes the cross-partition Reestablish legal; a
-// refusal (misuse outside a serialized span) replays nothing and surfaces
-// as a lost-write violation downstream.
+// makes the cross-partition Reestablish legal; a refusal (misuse outside a
+// serialized span) replays nothing and surfaces as a lost-write violation
+// downstream, and a crash of r during it (rpc.ErrCrashed) replays nothing
+// and fails the resync's liveness check.
 func reestablish(p *sim.Proc, cl *replicate.Client, r int) int {
 	rec, ok := cl.Replica(r).(rpc.Recoverable)
 	if !ok {

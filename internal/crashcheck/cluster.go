@@ -54,8 +54,6 @@ type ClusterConfig struct {
 	// same shard, timed to land during the first resync window — at every
 	// n-th point. 0 disables.
 	SecondCrashEvery int
-	// Ops and Clients size the closed-loop verified workload.
-	Ops, Clients int
 	// Shards and Replicas shape the deployment (one gateway: the failover
 	// controller requires it).
 	Shards, Replicas int
@@ -81,6 +79,13 @@ type ClusterConfig struct {
 	Mutant string
 }
 
+// The cluster target's closed-loop verified workload: clusterOps operations
+// from clusterClients clients.
+const (
+	clusterOps     = 240
+	clusterClients = 6
+)
+
 // DefaultClusterConfig returns a CI-sized cluster sweep: a 2-shard,
 // 3-replica quorum cluster, small objects, enough operations that crashes
 // land across issue, failover, and resync phases.
@@ -89,8 +94,6 @@ func DefaultClusterConfig(seed int64) ClusterConfig {
 		Seed:             seed,
 		Points:           60,
 		SecondCrashEvery: 6,
-		Ops:              240,
-		Clients:          6,
 		Shards:           2,
 		Replicas:         3,
 		ObjSize:          64,
@@ -152,7 +155,7 @@ type clusterRun struct {
 
 // deploy builds the deployment for cfg and starts the controller and the
 // load.
-func (cfg ClusterConfig) deploy(bool) (deployment, error) {
+func (cfg ClusterConfig) deploy() (deployment, error) {
 	p := cluster.DefaultParams()
 	p.Shards = cfg.Shards
 	p.Replicas = cfg.Replicas
@@ -192,8 +195,8 @@ func (cfg ClusterConfig) deploy(bool) (deployment, error) {
 	}
 	ct.AuditReplay = r.auditReplay
 	load := cluster.Load{
-		Clients:  cfg.Clients,
-		Ops:      cfg.Ops,
+		Clients:  clusterClients,
+		Ops:      clusterOps,
 		ReadFrac: 0.3,
 		Workload: cfg.Workload,
 		Verify:   true,

@@ -22,8 +22,13 @@
 //  5. A crash during recovery is itself recoverable: selected points arm
 //     a second crash timed to land while the first recovery is in flight.
 //
-// Each target adds its own end-state checks (replica convergence for the
-// cluster, no leaked or resurrected slot for the pool). Determinism: the
+// The durable-RPC and pool targets crash their one server through
+// failure.Server, the protocol Fig. 12's driver runs; the cluster target
+// crashes replicas through cluster.Driver. Each target adds its own
+// end-state checks (replica convergence for the cluster, no leaked or
+// resurrected slot for the pool). The reference run and every crash point
+// build the same deployment, so a crash at point i lands after the
+// reference run's first i coordinate steps. Determinism: the
 // workload is precomputed from a seed, the simulator is deterministic, and
 // crashes are placed by coordinate index or by an exact simulated time
 // inside a persist window, so every violation is replayable from (seed,
@@ -46,9 +51,10 @@ import (
 type Target interface {
 	// plan names the target and says where its crash points fall.
 	plan() plan
-	// deploy builds one fresh deployment: the crash-free reference run
-	// (reference set) or one crash point.
-	deploy(reference bool) (deployment, error)
+	// deploy builds one fresh deployment. The reference run and every
+	// crash point build the same one, so a crash at point i lands after
+	// the reference run's first i coordinate steps.
+	deploy() (deployment, error)
 }
 
 // plan is what Sweep needs to know about a target beside its deployments.
@@ -196,7 +202,7 @@ func Sweep(t Target) (Result, error) {
 	if pl.mutant != "" && !slices.Contains(pl.mutants, pl.mutant) {
 		return res, fmt.Errorf("crashcheck: %s has no mutant %q (%s)", pl.name, pl.mutant, strings.Join(pl.mutants, ", "))
 	}
-	ref, err := t.deploy(true)
+	ref, err := t.deploy()
 	if err != nil {
 		return res, err
 	}
@@ -209,7 +215,7 @@ func Sweep(t Target) (Result, error) {
 	points := pickPoints(pl, res.Events)
 	res.Points = len(points)
 	for _, pt := range points {
-		d, err := t.deploy(false)
+		d, err := t.deploy()
 		if err != nil {
 			return res, err
 		}

@@ -22,7 +22,7 @@ func mustSweep(t *testing.T, tg Target) Result {
 // returns the crash time, the verdict and the recovery work.
 func replay(t *testing.T, tg Target, pt Point) (sim.Time, []string, Result) {
 	t.Helper()
-	d, err := tg.deploy(false)
+	d, err := tg.deploy()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestTargets(t *testing.T) {
 		foreign string
 	}{
 		{"rpc", rpcCfg, withMutant(rpcBug, "ackbug"), replayed,
-			"WFlush-RPC/writes seed=1 event=3582 at=", Point{Event: 2000, TornFrac: 0.5, SecondCrash: true}, "resurrect"},
+			"WFlush-RPC/writes seed=1 event=3682 torn=0.249 at=", Point{Event: 2000, TornFrac: 0.5, SecondCrash: true}, "resurrect"},
 		{"pmpool", poolCfg, withMutant(poolBug, "leak"), replayed,
 			"pmpool/WFlush-RPC seed=1 reference run at=", Point{Event: 3000, TornFrac: 0.5, SecondCrash: true}, "ackbug"},
 		{"cluster-window", cluster(2, 4, 2), withMutant(cluster(3, 6, 2), "ackbug"), failovers,
@@ -184,7 +184,9 @@ func TestSweepClean(t *testing.T) {
 }
 
 // TestSecondCrashDuringRecoveryClean arms a second crash at every point,
-// so every recovery is itself interrupted and recovered again.
+// timed to land during the first recovery, and requires the sweep to stay
+// clean and at least a third of those crashes to interrupt a
+// re-establishment.
 func TestSecondCrashDuringRecoveryClean(t *testing.T) {
 	cfg := DefaultConfig(rpc.WFlushRPC, MixReadWrite, 7)
 	cfg.Points = 40
@@ -196,6 +198,115 @@ func TestSecondCrashDuringRecoveryClean(t *testing.T) {
 	}
 	if res.Replayed == 0 {
 		t.Errorf("no replays despite double crashes at every point")
+	}
+
+	points := pickPoints(cfg.plan(), res.Events)
+	interrupted := 0
+	for _, pt := range points {
+		d, err := cfg.deploy()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := d.(*run).Server
+		reestablish := s.Reestablish
+		hit := false
+		s.Reestablish = func(p *sim.Proc) (int, error) {
+			n, err := reestablish(p)
+			hit = hit || err != nil
+			return n, err
+		}
+		d.crash(pt, 0)
+		d.shutdown()
+		if hit {
+			interrupted++
+		}
+	}
+	if interrupted*3 < len(points) {
+		t.Errorf("second crashes interrupted %d of %d recoveries, want at least a third", interrupted, len(points))
+	}
+}
+
+// kernel returns a single-server deployment's kernel.
+func kernel(d deployment) *sim.Kernel {
+	switch r := d.(type) {
+	case *run:
+		return r.K
+	case *pmpoolRun:
+		return r.K
+	}
+	panic("crashcheck: not a single-server deployment")
+}
+
+// TestCrashLandsOnReferenceEvent pins the event coordinate on both
+// single-server targets: the reference run and a crash point build the same
+// deployment, so a crash at point i fires exactly the reference run's first
+// i events and lands at the simulated time the reference reached there (a
+// proc started only in crash runs shifts every later event).
+func TestCrashLandsOnReferenceEvent(t *testing.T) {
+	for _, tg := range []Target{
+		DefaultConfig(rpc.SFlushRPC, MixBatch, 5),
+		DefaultPMPoolConfig(rpc.WFlushRPC, 5),
+	} {
+		t.Run(tg.plan().name, func(t *testing.T) {
+			ref, err := tg.deploy()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var res Result
+			ref.reference(&res)
+			ref.shutdown()
+			pl := tg.plan()
+			pl.points, pl.torn, pl.second = 12, 0, 0
+			points := pickPoints(pl, res.Events)
+
+			ref, _ = tg.deploy()
+			defer ref.shutdown()
+			k := kernel(ref)
+			for _, pt := range points {
+				k.RunEvents(pt.Event - k.Fired())
+				d, _ := tg.deploy()
+				at := d.crash(pt, 0)
+				d.shutdown()
+				if at != k.Now() {
+					t.Errorf("crash at event %d landed at %v; the reference run reached that event at %v", pt.Event, at, k.Now())
+				}
+			}
+		})
+	}
+}
+
+// TestCoordinateEndsAtLoadDone pins the durable-RPC target's coordinate
+// space: it ends at the event in which the last worker finished, so every
+// picked point crashes the server with work still outstanding, not the
+// idle retransmit-timer tail that follows.
+func TestCoordinateEndsAtLoadDone(t *testing.T) {
+	for _, mix := range Mixes {
+		cfg := DefaultConfig(rpc.WRFlushRPC, mix, 3)
+		d, _ := cfg.deploy()
+		var res Result
+		d.reference(&res)
+		drained := d.(*run).K.Fired()
+		d.shutdown()
+		if res.Events == 0 || res.Events >= drained {
+			t.Fatalf("%v: coordinate space %d events of a %d-event run", mix, res.Events, drained)
+		}
+
+		d, _ = cfg.deploy()
+		r := d.(*run)
+		r.K.RunEvents(res.Events - 1)
+		if r.finished == pipeline {
+			t.Errorf("%v: the workload finished before event %d", mix, res.Events)
+		}
+		r.K.RunEvents(1)
+		if r.finished != pipeline {
+			t.Errorf("%v: the workload had not finished at event %d", mix, res.Events)
+		}
+		d.shutdown()
+		for _, pt := range pickPoints(cfg.plan(), res.Events) {
+			if pt.Event >= res.Events {
+				t.Fatalf("%v: point %d at or past the load's end %d", mix, pt.Event, res.Events)
+			}
+		}
 	}
 }
 

@@ -31,19 +31,19 @@ type PMPoolConfig struct {
 	Points           int
 	TornPoints       int
 	SecondCrashEvery int
-	// Ops is the total alloc/write/free cycle count across workers.
-	Ops int
-	// Workers is the number of concurrent client procs.
-	Workers int
-	// Restart is the server restart latency; Retransfer the call timeout.
-	Restart    time.Duration
-	Retransfer time.Duration
-	// LeaseTTL bounds orphaned allocations (abandoned cycles rely on it).
-	LeaseTTL time.Duration
 	// Mutant plants a seeded bug the sweep must catch. Supported: "leak"
 	// (Free skips the durable owner-word clear).
 	Mutant string
 }
+
+// The pool target's workload: poolOps alloc/write/free cycles across
+// poolWorkers client procs, and the lease that bounds orphaned allocations
+// (abandoned cycles rely on it).
+const (
+	poolOps     = 60
+	poolWorkers = 3
+	leaseTTL    = 3 * time.Millisecond
+)
 
 // DefaultPMPoolConfig returns a CI-sized pool sweep.
 func DefaultPMPoolConfig(kind rpc.Kind, seed int64) PMPoolConfig {
@@ -53,11 +53,6 @@ func DefaultPMPoolConfig(kind rpc.Kind, seed int64) PMPoolConfig {
 		Points:           200,
 		TornPoints:       40,
 		SecondCrashEvery: 5,
-		Ops:              60,
-		Workers:          3,
-		Restart:          2 * time.Millisecond,
-		Retransfer:       500 * time.Microsecond,
-		LeaseTTL:         3 * time.Millisecond,
 	}
 }
 
@@ -84,11 +79,11 @@ type pmpoolLedger struct {
 
 // genPMPoolCycles deals cycles to workers round-robin across a deterministic
 // size-class rotation (classes 64, 256 and 1024 after rounding).
-func genPMPoolCycles(cfg PMPoolConfig) [][]pmpoolCycle {
+func genPMPoolCycles() [][]pmpoolCycle {
 	sizes := []int64{64, 192, 520, 1000}
-	out := make([][]pmpoolCycle, cfg.Workers)
-	for i := 0; i < cfg.Ops; i++ {
-		w := i % cfg.Workers
+	out := make([][]pmpoolCycle, poolWorkers)
+	for i := 0; i < poolOps; i++ {
+		w := i % poolWorkers
 		cy := pmpoolCycle{
 			id:   uint64(w+1)<<32 | uint64(i+1),
 			size: sizes[i%len(sizes)],
@@ -120,7 +115,7 @@ type pmpoolRun struct {
 	progress []int
 }
 
-func newPMPoolRun(cfg PMPoolConfig, withMonitor bool) *pmpoolRun {
+func newPMPoolRun(cfg PMPoolConfig) *pmpoolRun {
 	k := sim.New()
 	net := fabric.New(k, fabric.DefaultParams(), uint64(cfg.Seed)|1)
 	srvHost := host.New(k, "pool", net, host.DefaultParams(), pmem.DefaultParams(), rnic.DefaultParams())
@@ -134,8 +129,8 @@ func newPMPoolRun(cfg PMPoolConfig, withMonitor bool) *pmpoolRun {
 	scfg := pmpool.ServerConfig{
 		PoolBytes:    32 * 4096,
 		SlabBytes:    4096,
-		LeaseTTL:     cfg.LeaseTTL,
-		ReclaimEvery: cfg.LeaseTTL / 4,
+		LeaseTTL:     leaseTTL,
+		ReclaimEvery: leaseTTL / 4,
 		LeakMutant:   cfg.Mutant == "leak",
 	}
 	srv := pmpool.NewServer(srvHost, rcfg, scfg)
@@ -143,43 +138,40 @@ func newPMPoolRun(cfg PMPoolConfig, withMonitor bool) *pmpoolRun {
 	pcfg := pmpool.DefaultPoolConfig(1)
 	pcfg.Kind = cfg.Kind
 	pcfg.ConnsPerServer = 2
-	pcfg.LeaseTTL = cfg.LeaseTTL
-	pcfg.Timeout = cfg.Retransfer
+	pcfg.LeaseTTL = leaseTTL
+	pcfg.Timeout = retransfer
 	pool := pmpool.NewPool(cliHost, []*pmpool.Server{srv}, rcfg, pcfg)
 
+	reestablish := func(p *sim.Proc) (int, error) {
+		// Hold the lease renewer off for the whole recovery span: a
+		// renewal appended while a log's recovery scan is in flight would
+		// be dropped from the rebuilt window.
+		pool.PauseRenew()
+		defer pool.ResumeRenew()
+		// Rebuild the server's volatile pool state from the durable
+		// metadata shadow first, then replay the unconsumed redo-log tail
+		// onto it.
+		if err := srv.Recover(p); err != nil {
+			return 0, err
+		}
+		return pool.Reestablish(p, 0)
+	}
 	r := &pmpoolRun{
-		server: &server{
-			k: k, h: srvHost, fail: srv.Crash, up: true,
-			restart: cfg.Restart, retransfer: cfg.Retransfer,
-		},
+		server:   newServer(k, srvHost, srv.Crash, reestablish),
 		cfg:      cfg,
-		cycles:   genPMPoolCycles(cfg),
+		cycles:   genPMPoolCycles(),
 		srv:      srv,
 		pool:     pool,
 		logs:     pool.Logs(),
 		ledger:   make(map[uint64]*pmpoolLedger),
-		progress: make([]int, cfg.Workers),
+		progress: make([]int, poolWorkers),
 	}
 	for _, lg := range r.logs {
 		r.watch(lg, 0)
 	}
-	for w := 0; w < cfg.Workers; w++ {
+	for w := 0; w < poolWorkers; w++ {
 		w := w
 		k.Go("pmpool-worker", func(p *sim.Proc) { r.worker(p, w) })
-	}
-	if withMonitor {
-		r.monitor(func(p *sim.Proc) (int, error) {
-			// Hold the lease renewer off for the whole recovery span: a
-			// renewal appended while a log's recovery scan is in flight
-			// would be dropped from the rebuilt window.
-			r.pool.PauseRenew()
-			defer r.pool.ResumeRenew()
-			// Rebuild the server's volatile pool state from the durable
-			// metadata shadow first, then replay the unconsumed redo-log
-			// tail onto it.
-			r.srv.Recover(p)
-			return r.pool.Reestablish(p, 0)
-		})
 	}
 	return r
 }
@@ -193,7 +185,7 @@ func (r *pmpoolRun) worker(p *sim.Proc, w int) {
 		r.ledger[cy.id] = led
 		var h *pmpool.Handle
 		for {
-			r.waitReady(p)
+			r.Ready(p)
 			var err error
 			if h, err = r.pool.AllocID(p, cy.id, cy.size); err == nil {
 				break
@@ -203,7 +195,7 @@ func (r *pmpoolRun) worker(p *sim.Proc, w int) {
 		led.addr = h.Addr
 		payload := fill(int(cy.size), cy.id, cy.ver)
 		for {
-			r.waitReady(p)
+			r.Ready(p)
 			if err := r.pool.Write(p, h, 0, payload); err == nil {
 				break
 			}
@@ -218,7 +210,7 @@ func (r *pmpoolRun) worker(p *sim.Proc, w int) {
 			// check requires its bytes intact.
 		default:
 			for {
-				r.waitReady(p)
+				r.Ready(p)
 				if err := r.pool.Free(p, h); err == nil {
 					break
 				}
@@ -287,7 +279,7 @@ func (r *pmpoolRun) verify() []string {
 					}
 				}
 			}
-			b := r.h.PM.ReadBytesInto(led.addr, scratch[:size])
+			b := r.Host.PM.ReadBytesInto(led.addr, scratch[:size])
 			ver, err := checkFill(b, id)
 			if err != nil {
 				bad("kept allocation %#x torn: %v", id, err)
@@ -325,8 +317,8 @@ func (cfg PMPoolConfig) plan() plan {
 	}
 }
 
-func (cfg PMPoolConfig) deploy(reference bool) (deployment, error) {
-	return newPMPoolRun(cfg, !reference), nil
+func (cfg PMPoolConfig) deploy() (deployment, error) {
+	return newPMPoolRun(cfg), nil
 }
 
 // reference runs the workload crash-free. The lease renewer and reclaimer
@@ -335,18 +327,17 @@ func (cfg PMPoolConfig) deploy(reference bool) (deployment, error) {
 // crashes can land inside reclamation too.
 func (r *pmpoolRun) reference(res *Result) sim.Time {
 	for !r.doneAll() {
-		if r.k.RunEvents(4096) == 0 {
+		if r.K.RunEvents(4096) == 0 {
 			break
 		}
 	}
-	r.k.RunFor(3 * r.cfg.LeaseTTL)
-	res.Events = r.k.Fired()
-	return r.k.Now()
+	r.K.RunFor(3 * leaseTTL)
+	res.Events = r.K.Fired()
+	return r.K.Now()
 }
 
 // crash settles long enough for recovery, replay, retries, and lease
 // reclamation of both abandoned and crash-resurrected orphans.
 func (r *pmpoolRun) crash(pt Point, span time.Duration) sim.Time {
-	return r.crashAt(pt, 3*r.cfg.Restart+2*span+
-		100*time.Duration(r.cfg.Ops)*r.cfg.Retransfer/10+4*r.cfg.LeaseTTL)
+	return r.crashAt(pt, 3*restart+2*span+100*time.Duration(poolOps)*retransfer/10+4*leaseTTL)
 }

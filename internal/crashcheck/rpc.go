@@ -59,10 +59,6 @@ type Config struct {
 	// SecondCrashEvery arms a second crash — timed to land while the
 	// first recovery is running — at every n-th point. 0 disables.
 	SecondCrashEvery int
-	// Ops is the number of client operations per run.
-	Ops int
-	// Pipeline is the number of concurrent client worker procs.
-	Pipeline int
 	// ObjSize is the object (and write payload) size in bytes.
 	ObjSize int
 	// Mutant plants a seeded bug the sweep must catch. Supported:
@@ -70,14 +66,16 @@ type Config struct {
 	// ACK at DMA placement instead of the durability horizon), which the
 	// sweep must report as lost acked writes.
 	Mutant string
-	// Restart is the server restart latency after a crash.
-	Restart time.Duration
-	// Retransfer is the client's call timeout / retry interval.
-	Retransfer time.Duration
 }
 
-// DefaultConfig returns a sweep sized for CI: small objects, a short
-// restart, and enough operations that the log ring wraps several times.
+// The durable-RPC target's workload: rpcOps client operations, enough that
+// the log ring wraps several times, issued by pipeline worker procs.
+const (
+	rpcOps   = 96
+	pipeline = 4
+)
+
+// DefaultConfig returns a sweep sized for CI, with small objects.
 func DefaultConfig(kind rpc.Kind, mix Mix, seed int64) Config {
 	return Config{
 		Kind:             kind,
@@ -86,11 +84,7 @@ func DefaultConfig(kind rpc.Kind, mix Mix, seed int64) Config {
 		Points:           250,
 		TornPoints:       50,
 		SecondCrashEvery: 5,
-		Ops:              96,
-		Pipeline:         4,
 		ObjSize:          256,
-		Restart:          2 * time.Millisecond,
-		Retransfer:       500 * time.Microsecond,
 	}
 }
 
@@ -105,13 +99,13 @@ func (cfg Config) plan() plan {
 	}
 }
 
-func (cfg Config) deploy(reference bool) (deployment, error) {
+func (cfg Config) deploy() (deployment, error) {
 	if cfg.ObjSize < 16 {
 		// Every write stamps its key and version into the object's first
 		// 16 bytes, which the post-crash read-back checks.
 		return nil, fmt.Errorf("crashcheck: the durable-RPC target needs ObjSize ≥ 16, got %d", cfg.ObjSize)
 	}
-	return newRun(cfg, !reference), nil
+	return newRun(cfg), nil
 }
 
 // reqSpec is one precomputed request: a versioned full-object write or a
@@ -130,22 +124,22 @@ type opSpec struct {
 	reqs  []reqSpec
 }
 
-// genOps precomputes the workload. Worker w handles ops w, w+Pipeline, …
-// and only touches keys ≡ w (mod Pipeline), so per-key writes are issued
+// genOps precomputes the workload. Worker w handles ops w, w+pipeline, …
+// and only touches keys ≡ w (mod pipeline), so per-key writes are issued
 // sequentially by one proc and versions are monotone per key.
 func genOps(cfg Config, rng *rand.Rand) []opSpec {
 	const keysPerWorker = 3
 	key := func(w int) uint64 {
-		return uint64(w + cfg.Pipeline*rng.Intn(keysPerWorker))
+		return uint64(w + pipeline*rng.Intn(keysPerWorker))
 	}
-	ops := make([]opSpec, cfg.Ops)
+	ops := make([]opSpec, rpcOps)
 	ver := uint32(0)
 	write := func(w int) reqSpec {
 		ver++
 		return reqSpec{key: key(w), ver: ver}
 	}
 	for i := range ops {
-		w := i % cfg.Pipeline
+		w := i % pipeline
 		switch {
 		case cfg.Mix == MixReadWrite && i%3 == 1:
 			ops[i] = opSpec{reqs: []reqSpec{{read: true, key: key(w)}}}
@@ -183,9 +177,13 @@ type run struct {
 	// blocked inside a call (stranded if still set at the end).
 	progress []int
 	inCall   []bool
+	// finished counts workers through their ops; loadDone is the fired
+	// event count when the last one finished.
+	finished int
+	loadDone uint64
 }
 
-func newRun(cfg Config, withMonitor bool) *run {
+func newRun(cfg Config) *run {
 	k := sim.New()
 	net := fabric.New(k, fabric.DefaultParams(), uint64(cfg.Seed)|1)
 	np := rnic.DefaultParams()
@@ -209,35 +207,27 @@ func newRun(cfg Config, withMonitor bool) *run {
 	rcfg.LogBytes = int64(16 * (cfg.ObjSize + 64))
 	engine := rpc.NewServer(srv, store, rcfg)
 
-	r := &run{
-		server: &server{
-			k: k, h: srv, restart: cfg.Restart, retransfer: cfg.Retransfer, up: true,
-			fail: func() { srv.Crash(); engine.Crash() },
-		},
-		cfg:      cfg,
-		store:    store,
-		acked:    make(map[uint64]uint32),
-		progress: make([]int, cfg.Pipeline),
-		inCall:   make([]bool, cfg.Pipeline),
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	r.ops = genOps(cfg, rng)
-
 	client := rpc.New(cfg.Kind, cli, engine, rcfg)
 	rec, ok := client.(rpc.Recoverable)
 	if !ok {
 		panic(fmt.Sprintf("crashcheck: %v is not recoverable", cfg.Kind))
 	}
-	r.client = rec
-	r.log = client.(interface{ Log() *redolog.Log }).Log()
+	r := &run{
+		server:   newServer(k, srv, func() { srv.Crash(); engine.Crash() }, rec.Reestablish),
+		cfg:      cfg,
+		ops:      genOps(cfg, rand.New(rand.NewSource(cfg.Seed))),
+		store:    store,
+		client:   rec,
+		log:      client.(interface{ Log() *redolog.Log }).Log(),
+		acked:    make(map[uint64]uint32),
+		progress: make([]int, pipeline),
+		inCall:   make([]bool, pipeline),
+	}
 	r.watch(r.log, cfg.ObjSize)
 
-	for w := 0; w < cfg.Pipeline; w++ {
+	for w := 0; w < pipeline; w++ {
 		w := w
 		k.Go("crashcheck-worker", func(p *sim.Proc) { r.worker(p, w) })
-	}
-	if withMonitor {
-		r.monitor(r.client.Reestablish)
 	}
 	return r
 }
@@ -254,11 +244,11 @@ func (r *run) buildReq(s reqSpec) *rpc.Request {
 // batch in flight at the crash can strand its worker forever on the dead
 // durability future; inCall records that for the liveness check.
 func (r *run) worker(p *sim.Proc, w int) {
-	for i := w; i < len(r.ops); i += r.cfg.Pipeline {
+	for i := w; i < len(r.ops); i += pipeline {
 		op := r.ops[i]
 		r.inCall[w] = true
 		for {
-			r.waitReady(p)
+			r.Ready(p)
 			var err error
 			if op.batch {
 				reqs := make([]*rpc.Request, len(op.reqs))
@@ -267,7 +257,7 @@ func (r *run) worker(p *sim.Proc, w int) {
 				}
 				_, err = r.client.(rpc.BatchClient).CallBatch(p, reqs)
 			} else {
-				_, err = r.client.CallTimeout(p, r.buildReq(op.reqs[0]), r.cfg.Retransfer)
+				_, err = r.client.CallTimeout(p, r.buildReq(op.reqs[0]), retransfer)
 			}
 			if err == nil {
 				break
@@ -283,18 +273,24 @@ func (r *run) worker(p *sim.Proc, w int) {
 		r.inCall[w] = false
 		r.progress[w]++
 	}
+	if r.finished++; r.finished == pipeline {
+		r.loadDone = r.K.Fired()
+	}
 }
 
+// reference runs the workload crash-free until the queue drains. The
+// coordinate space ends at the event in which the last worker finished:
+// what fires after it is the idle retransmit-timer tail.
 func (r *run) reference(res *Result) sim.Time {
-	r.k.Run()
-	res.Events = r.k.Fired()
-	return r.k.Now()
+	r.K.Run()
+	res.Events = r.loadDone
+	return r.K.Now()
 }
 
 // crash's settle horizon comfortably covers both restarts plus a full
 // re-execution of the workload.
 func (r *run) crash(pt Point, span time.Duration) sim.Time {
-	return r.crashAt(pt, 3*r.cfg.Restart+2*span+100*time.Duration(r.cfg.Ops)*r.cfg.Retransfer/10)
+	return r.crashAt(pt, 3*restart+2*span+100*time.Duration(rpcOps)*retransfer/10)
 }
 
 // verify checks the end state after the run settled: liveness, then the
@@ -304,8 +300,8 @@ func (r *run) verify() []string {
 	bad := func(format string, a ...any) {
 		out = append(out, fmt.Sprintf(format, a...))
 	}
-	for w := 0; w < r.cfg.Pipeline; w++ {
-		expected := (len(r.ops) - w + r.cfg.Pipeline - 1) / r.cfg.Pipeline
+	for w := 0; w < pipeline; w++ {
+		expected := (len(r.ops) - w + pipeline - 1) / pipeline
 		if r.inCall[w] {
 			if r.cfg.Mix != MixBatch {
 				bad("worker %d stranded mid-call (mix %v has timeouts everywhere)", w, r.cfg.Mix)
@@ -331,7 +327,7 @@ func (r *run) verify() []string {
 			bad("acked write lost: key %d ver %d never reached the store", key, want)
 			continue
 		}
-		b := r.h.PM.ReadBytesInto(r.store.Addr(key), obj)
+		b := r.Host.PM.ReadBytesInto(r.store.Addr(key), obj)
 		got, err := checkFill(b, key)
 		if err != nil {
 			bad("acked write torn: key %d acked ver %d: %v", key, want, err)

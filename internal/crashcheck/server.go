@@ -4,113 +4,82 @@ import (
 	"fmt"
 	"time"
 
+	"prdma/internal/failure"
 	"prdma/internal/host"
 	"prdma/internal/redolog"
 	"prdma/internal/rpc"
 	"prdma/internal/sim"
 )
 
-// server is the crash harness the single-server targets (Config and
-// PMPoolConfig) share: one server host that crashes and restarts as in the
-// §5.4 failure experiment (internal/failure), a monitor proc that
-// re-establishes the client connections after each restart, torn-window
-// crash placement, and the redo-log recovery check (invariants 2–4).
-type server struct {
-	k *sim.Kernel
-	h *host.Host
-	// fail crashes the server host and its RPC engine.
-	fail func()
-	// restart is the server restart latency; retransfer the client's call
-	// timeout / retry interval.
-	restart, retransfer time.Duration
+// The single-server targets' shared timing: the server restart latency
+// after a crash, and the clients' call timeout and retry interval.
+const (
+	restart    = 2 * time.Millisecond
+	retransfer = 500 * time.Microsecond
+)
 
-	up           bool
-	generation   int
-	reestGen     int
-	reconnecting bool
-	replayed     int
+// server is what the single-server targets (Config and PMPoolConfig) add to
+// failure.Server, the crash protocol Fig. 12's driver runs (§5.4): torn-window
+// crash placement, the settle proc, and the redo-log recovery check
+// (invariants 2–4).
+type server struct {
+	*failure.Server
 
 	// recoverViolations collects invariant 2/3/4 breaks observed by the
 	// redo logs' OnRecover hooks.
 	recoverViolations []string
 }
 
-// monitor starts the proc that owns re-establishment, so replay is enqueued
-// before any worker's retried or new requests: after each restart it runs
-// reestablish, which recovers and replays and reports the replay count.
-// Start it after the workers. The reference run has none: its poll loop
-// would keep the event queue alive forever.
-func (s *server) monitor(reestablish func(p *sim.Proc) (int, error)) {
-	s.k.Go("crashcheck-monitor", func(p *sim.Proc) {
-		for {
-			p.Sleep(20 * time.Microsecond)
-			if s.up && s.reestGen != s.generation {
-				s.reconnecting = true
-				replayed, err := reestablish(p)
-				if err != nil {
-					panic(err) // serial harness: reestablish cannot refuse
-				}
-				s.replayed += replayed
-				s.reestGen = s.generation
-				s.reconnecting = false
-			}
-		}
-	})
-}
-
-// waitReady parks a worker while the server is down or reconnecting.
-func (s *server) waitReady(p *sim.Proc) {
-	for !s.up || s.reconnecting || s.reestGen != s.generation {
-		p.Sleep(s.retransfer / 4)
-	}
-}
-
-// crash fails the server and schedules its restart. Safe to call while
-// already down (no-op).
-func (s *server) crash() {
-	if !s.up {
-		return
-	}
-	s.up = false
-	s.fail()
-	s.k.AfterFunc(s.restart, func() {
-		s.h.Restart()
-		s.up = true
-		s.generation++
-	})
+// newServer returns the crash protocol for h: fail crashes the host and
+// its services, and reestablish re-establishes every client connection.
+func newServer(k *sim.Kernel, h *host.Host, fail func(), reestablish func(p *sim.Proc) (int, error)) *server {
+	return &server{Server: &failure.Server{
+		K: k, Host: h, Fail: fail, Reestablish: reestablish,
+		Restart: restart, Retransfer: retransfer,
+	}}
 }
 
 // crashAt runs the workload to pt, crashes the server there — inside an
 // in-flight persist at torn points — arms the second crash, and lets the
-// system settle for the given time past the crash. Returns the crash time.
+// system settle until the given time past the crash. Returns the crash
+// time.
 func (s *server) crashAt(pt Point, settle time.Duration) sim.Time {
-	s.k.RunEvents(pt.Event)
+	k := s.K
+	k.RunEvents(pt.Event)
 	if pt.TornFrac > 0 {
 		// Aim inside an in-flight persist: advance the clock (executing
 		// any earlier events) to the chosen fraction of its window.
-		if ws := s.h.PM.InflightTornWindows(s.k.Now()); len(ws) > 0 {
+		if ws := s.Host.PM.InflightTornWindows(k.Now()); len(ws) > 0 {
 			w := ws[int(pt.Event)%len(ws)]
 			start := w.Start
-			if now := s.k.Now(); start < now {
+			if now := k.Now(); start < now {
 				start = now
 			}
 			t := start.Add(time.Duration(pt.TornFrac * float64(w.End.Sub(start))))
-			if t > s.k.Now() {
-				s.k.RunUntil(t)
+			if t > k.Now() {
+				k.RunUntil(t)
 			}
 		}
 	}
-	at := s.k.Now()
-	s.crash()
+	at := k.Now()
+	s.Crash()
 	if pt.SecondCrash {
-		// Land a second crash shortly after the restart, while the
-		// recovery scan and replay are typically still in flight.
-		delta := time.Duration(pt.Event%40) * time.Microsecond
-		s.k.AfterFunc(s.restart+delta, s.crash)
+		// Land a second crash shortly after recovery begins, while the
+		// recovery scan and replay are still in flight.
+		s.CrashInRecovery(time.Duration(pt.Event%20) * time.Microsecond)
 	}
-	// The monitor proc polls forever, so the event queue never drains;
-	// bound the settle phase by time instead.
-	s.k.RunUntil(at.Add(settle))
+	// The settle proc re-establishes the server even when no worker calls
+	// again (all done, or stranded on a dead batch).
+	end := at.Add(settle)
+	k.Go("crashcheck-settle", func(p *sim.Proc) {
+		for p.Now() < end {
+			s.Ready(p)
+			p.Sleep(s.Retransfer)
+		}
+	})
+	// Lease renewers and retransmit timers keep the event queue alive;
+	// bound the settle phase by time.
+	k.RunUntil(end)
 	return at
 }
 
@@ -174,12 +143,12 @@ func checkLoggedReq(bad func(string, ...any), seq uint64, req *rpc.Request, size
 // the server's liveness.
 func (s *server) verify() []string {
 	out := append([]string(nil), s.recoverViolations...)
-	if !s.up {
+	if !s.Up() {
 		out = append(out, "server still down after settle horizon")
 	}
 	return out
 }
 
-func (s *server) tally(res *Result) { res.Replayed += int64(s.replayed) }
+func (s *server) tally(res *Result) { res.Replayed += int64(s.Replayed) }
 
-func (s *server) shutdown() { s.k.Shutdown() }
+func (s *server) shutdown() { s.K.Shutdown() }

@@ -43,12 +43,6 @@ func DefaultParams() Params {
 // ahead without risk (see sim.Engine).
 func (p Params) Lookahead() time.Duration { return p.Propagation }
 
-// Transferable is implemented by payloads that can cross between engine
-// partitions: CloneForTransfer returns a deep copy owned by nobody (no pools,
-// no refcounts), safe for the destination partition to read while the source
-// reuses the original's buffers.
-type Transferable interface{ CloneForTransfer() interface{} }
-
 // Message is one unit of wire transfer. Payload is opaque to the fabric.
 type Message struct {
 	From, To string
@@ -150,11 +144,11 @@ type Endpoint struct {
 // AttachOn creates an endpoint whose state lives on kernel k: the network's
 // own kernel, or one partition of a sim.Engine when the deployment is split
 // across kernels. The handler runs at message arrival time. Sends between
-// endpoints on different kernels deep-copy Transferable payloads and deliver
-// through the engine barrier. Busy-network queueing draws from the
-// network's single rng, whose consumption order would depend on partition
-// interleaving, so it is rejected on partitioned networks; the fault
-// injector draws from per-link streams kept on the source endpoint and
+// endpoints on different kernels clone TransferPooled payloads into pooled
+// envelopes and deliver through the engine barrier. Busy-network queueing
+// draws from the network's single rng, whose consumption order would depend
+// on partition interleaving, so it is rejected on partitioned networks; the
+// fault injector draws from per-link streams kept on the source endpoint and
 // works on any network.
 func (n *Network) AttachOn(k *sim.Kernel, name string, handler func(at sim.Time, m *Message)) *Endpoint {
 	if _, dup := n.endpoints[name]; dup {

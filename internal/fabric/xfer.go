@@ -1,7 +1,7 @@
 // Cross-partition transfer slabs: pooled delivery envelopes so that a
 // partition crossing in steady state allocates nothing — no Message, no
-// delivery closure, and (for payloads implementing TransferPooled) no clone
-// struct. Payload *data buffers* are still copied fresh per crossing:
+// delivery closure, and no clone struct. Payload *data buffers* are still
+// copied fresh per crossing:
 // receivers retain them past the delivery refcount (rx pipelines, deferred
 // PCIe applies, futures), so recycling them would be a use-after-free in
 // simulation form. See DESIGN.md §12.
@@ -13,13 +13,14 @@ import (
 	"prdma/internal/sim"
 )
 
-// TransferPooled is the recycling counterpart of Transferable. The clone it
-// returns must be safe for the destination partition while the source reuses
-// the original, like CloneForTransfer — but it may reuse `prev`, the clone
-// recycled from this slab slot's previous crossing, instead of allocating.
-// The returned clone must implement TransferRef, and must call `release`
-// exactly once when the receiver drops its last reference: that is what
-// parks the envelope (and with it the clone, via env.msg.Payload) for reuse.
+// TransferPooled is implemented by every payload that crosses between engine
+// partitions. The clone it returns must be safe for the destination
+// partition to read while the source reuses the original's buffers, and it
+// may reuse `prev`, the clone recycled from this slab slot's previous
+// crossing, instead of allocating. The returned clone must implement
+// TransferRef, and must call `release` exactly once when the receiver drops
+// its last reference: that is what parks the envelope (and with it the
+// clone, via env.msg.Payload) for reuse.
 type TransferPooled interface {
 	CloneForTransferPooled(prev interface{}, release func()) interface{}
 }
@@ -40,10 +41,8 @@ type xferEnv struct {
 	dst *Endpoint
 	at  sim.Time
 	msg Message
-	// pooled marks a payload cloned via TransferPooled: the envelope then
-	// parks when the clone's last receiver reference drops — possibly long
-	// after delivery — instead of when the handler returns.
-	pooled  bool
+	// release parks the envelope when the clone's last receiver reference
+	// drops — possibly long after delivery.
 	release func()
 	fn      func()
 }
@@ -96,37 +95,21 @@ func (e *Endpoint) postCross(dst *Endpoint, arrive sim.Time, to string, size int
 	env := e.getXfer(dst)
 	env.at = arrive
 	env.msg.From, env.msg.To, env.msg.Size = e.Name, to, size
-	switch p := payload.(type) {
-	case TransferPooled:
-		env.pooled = true
-		env.msg.Payload = p.CloneForTransferPooled(env.msg.Payload, env.release)
-	case Transferable:
-		env.pooled = false
-		env.msg.Payload = p.CloneForTransfer()
-	default:
-		env.pooled = false
-		env.msg.Payload = payload
-	}
+	env.msg.Payload = payload.(TransferPooled).CloneForTransferPooled(env.msg.Payload, env.release)
 	e.k.Engine().Post(e.k, dst.k, arrive, env.fn)
 }
 
-// deliver runs on the destination partition at arrival time.
+// deliver runs on the destination partition at arrival time. The receiver
+// may still hold references to the clone; the release hook bound at clone
+// time parks the envelope when the last drops.
 func (env *xferEnv) deliver() {
 	env.dst.deliver(env.at, &env.msg)
-	if env.pooled {
-		// The receiver may still hold references to the clone; the release
-		// hook bound at clone time parks the envelope when the last drops.
-		env.msg.Payload.(TransferRef).DropTransferRef()
-		return
-	}
-	env.msg.Payload = nil
-	env.park()
+	env.msg.Payload.(TransferRef).DropTransferRef()
 }
 
 // park returns the envelope to its slab. It runs on the destination
-// partition (at delivery for plain payloads, at the last reference drop for
-// pooled clones); the spent list stays destination-owned until the engine's
-// flush hook moves it back to free.
+// partition at the clone's last reference drop; the spent list stays
+// destination-owned until the engine's flush hook moves it back to free.
 func (env *xferEnv) park() {
 	d := env.dir
 	d.spent = append(d.spent, env)

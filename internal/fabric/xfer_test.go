@@ -34,11 +34,6 @@ func (p *xferPayload) DropTransferRef() {
 	}
 }
 
-// plainPayload exercises the non-pooled Transferable fallback.
-type plainPayload struct{ v int }
-
-func (p *plainPayload) CloneForTransfer() interface{} { return &plainPayload{v: p.v} }
-
 // xferPair is a two-partition deployment with a cross ping-pong workload:
 // a sends to b, b's handler replies to a, each hop paced by the propagation
 // delay so every crossing rides the engine barrier.
@@ -114,38 +109,6 @@ func TestCrossTransferAllocFree(t *testing.T) {
 	per := testing.AllocsPerRun(5, func() { run(rounds) }) / (2 * rounds)
 	if per != 0 {
 		t.Fatalf("steady-state cross transfer allocates %.2f/crossing, want 0", per)
-	}
-}
-
-// TestCrossTransferPlainFallback checks the non-pooled Transferable path
-// still deep-copies per crossing and delivers correctly through the slab
-// envelope (the envelope recycles at delivery; the clone is GC-owned).
-func TestCrossTransferPlainFallback(t *testing.T) {
-	var last *plainPayload
-	p := DefaultParams()
-	e := sim.NewEngine(p.Lookahead(), 1)
-	ka, kb := e.NewKernel(), e.NewKernel()
-	n := New(ka, p, 7)
-	n.AttachOn(kb, "b", func(at sim.Time, m *Message) { last = m.Payload.(*plainPayload) })
-	a := n.AttachOn(ka, "a", nil)
-
-	// Both sends run as events on a (cross posts must come from inside the
-	// simulation); the gap between them spans several windows so the first
-	// envelope is parked and reclaimed before the second send.
-	src := &plainPayload{v: 41}
-	var first *plainPayload
-	ka.Schedule(0, func() { a.SendPooled("b", 64, src, nil) })
-	ka.Schedule(5000, func() {
-		first = last
-		src.v = 42
-		a.SendPooled("b", 64, src, nil)
-	})
-	e.Run()
-	if first == nil || first == src || first.v != 41 || last == first || last.v != 42 {
-		t.Fatalf("plain fallback: first=%+v last=%+v (src %p)", first, last, src)
-	}
-	if hits, misses := n.XferSlabStats(); hits != 1 || misses != 1 {
-		t.Fatalf("slab stats hits=%d misses=%d, want 1/1 (envelope reused even for plain payloads)", hits, misses)
 	}
 }
 

@@ -42,23 +42,18 @@ func TestAckedWritesSurviveAnyCrashSchedule(t *testing.T) {
 		}
 
 		rng := sim.NewRand(seed)
-		serverUp := true
-		gen := 0
+		s := &Server{
+			K: k, Host: srv, Fail: func() { srv.Crash(); engine.Crash() },
+			Reestablish: client.Reestablish, Restart: time.Millisecond, Retransfer: 200 * time.Microsecond,
+		}
 		handled := 0
 		ok := true
 
 		k.Go("driver", func(p *sim.Proc) {
-			myGen := 0
 			for round := 0; round <= len(crashGaps); round++ {
 				// A burst of writes.
 				for i := 0; i < 25; i++ {
-					for !serverUp {
-						p.Sleep(200 * time.Microsecond)
-					}
-					if myGen != gen {
-						myGen = gen
-						client.Reestablish(p)
-					}
+					s.Ready(p)
 					key := uint64(rng.Intn(keys))
 					version++
 					ver := version
@@ -72,24 +67,11 @@ func TestAckedWritesSurviveAnyCrashSchedule(t *testing.T) {
 				if round < len(crashGaps) {
 					// Crash after a schedule-dependent pause.
 					p.Sleep(time.Duration(crashGaps[round]%500) * time.Microsecond)
-					srv.Crash()
-					engine.Crash()
-					serverUp = false
-					k.After(time.Millisecond, func() {
-						srv.Restart()
-						serverUp = true
-						gen++
-					})
+					s.Crash()
 				}
 			}
 			// Settle: reconnect if needed, let the backlog apply.
-			for !serverUp {
-				p.Sleep(200 * time.Microsecond)
-			}
-			if myGen != gen {
-				myGen = gen
-				client.Reestablish(p)
-			}
+			s.Ready(p)
 			p.Sleep(10 * time.Millisecond)
 
 			// Verify every acknowledged write.

@@ -16,6 +16,11 @@
 // time and the actual per-crash overhead over several injected crashes,
 // then extrapolates the expected total for any availability level — the
 // quantity Fig. 12 normalizes (see Measurement.ExpectedTotal).
+//
+// Server is the crash protocol itself: crash, restart, and the rule the
+// clients follow to re-establish the server after each restart. The crash
+// sweep's durable-RPC and pool targets (internal/crashcheck) run the same
+// one, so the sweep checks the recovery path the figure measures.
 package failure
 
 import (
@@ -62,75 +67,130 @@ type Measurement struct {
 	PerCrashCost time.Duration // recovery overhead beyond the restart time
 }
 
-// Driver runs the workload against one Recoverable client.
-type Driver struct {
-	K      *sim.Kernel
-	Server *host.Host
-	Engine *rpc.Server
-	Client rpc.Recoverable
-	P      Params
+// Server is the single-server crash protocol: one server host that fails
+// and restarts Restart later, and the rule its clients follow around it.
+// Fig. 12's driver and the crash sweep's durable-RPC and pool targets all
+// run it, so the sweep checks the recovery path the figure measures.
+//
+// Clients call Ready before every attempt. While the server is down Ready
+// sleeps a re-transfer interval at a time. The first proc to find a new
+// incarnation re-establishes it, and the others wait until that finishes;
+// a re-establishment a crash interrupts is re-run once the server is back.
+type Server struct {
+	K *sim.Kernel
+	// Host is the server machine; Crash restarts it Restart later.
+	Host *host.Host
+	// Fail crashes the host and every service on it.
+	Fail func()
+	// Reestablish re-establishes the clients against a new incarnation and
+	// returns how many requests it replayed from the redo logs. A crash
+	// that interrupts it must make it return an error.
+	Reestablish func(p *sim.Proc) (int, error)
+	// Restart is the restart latency; Retransfer the clients' re-transfer
+	// interval, which Ready sleeps while the server is down.
+	Restart, Retransfer time.Duration
 
-	serverUp bool
-	// generation counts restarts so exactly one proc re-establishes the
-	// connection per crash; reconnecting holds the other procs off while
-	// the log recovery scan (which takes media-read time) is in flight.
-	generation   int
-	reestGen     int
-	reconnecting bool
+	// Replayed totals the requests every re-establishment replayed.
+	Replayed int
+
+	down bool
+	// generation counts restarts so exactly one proc re-establishes each
+	// incarnation (reestGen is the last one it began on); reconnecting
+	// holds the other procs off while the recovery scan, which takes media
+	// read time, is in flight.
+	generation, reestGen int
+	reconnecting         bool
+	// inRecovery, when armed, is how far into the next re-establishment
+	// one more crash lands.
+	inRecovery      time.Duration
+	inRecoveryArmed bool
 }
 
-// NewDriver wraps an established connection.
+// Up reports whether the server is running (it may still await
+// re-establishment).
+func (s *Server) Up() bool { return !s.down }
+
+// Crash fails the server and schedules its restart. A crash landing while
+// the server is already down is ignored: a second restart would
+// double-count the failure.
+func (s *Server) Crash() {
+	if s.down {
+		return
+	}
+	s.down = true
+	s.Fail()
+	s.K.AfterFunc(s.Restart, func() {
+		s.Host.Restart()
+		s.down = false
+		s.generation++
+	})
+}
+
+// CrashInRecovery arms one more crash to land d after the next
+// re-establishment begins: inside it when d is shorter than the recovery
+// scan, else during the replay the scan started.
+func (s *Server) CrashInRecovery(d time.Duration) {
+	s.inRecovery, s.inRecoveryArmed = d, true
+}
+
+// Ready returns once the server is up and its current incarnation is
+// re-established, re-establishing it on the calling proc if no proc has
+// begun to.
+func (s *Server) Ready(p *sim.Proc) {
+	for {
+		for s.down {
+			p.Sleep(s.Retransfer)
+		}
+		if s.reestGen != s.generation {
+			s.reestGen = s.generation
+			s.reconnecting = true
+			if s.inRecoveryArmed {
+				s.inRecoveryArmed = false
+				s.K.AfterFunc(s.inRecovery, s.Crash)
+			}
+			n, err := s.Reestablish(p)
+			s.reconnecting = false
+			s.Replayed += n
+			if err != nil && !s.down && s.reestGen == s.generation {
+				panic(err) // not a crash: a serial-kernel reestablish cannot refuse
+			}
+		}
+		for s.reconnecting {
+			p.Sleep(10 * time.Microsecond)
+		}
+		if !s.down && s.reestGen == s.generation {
+			return
+		}
+	}
+}
+
+// Driver runs the workload against one Recoverable client, crashing its
+// server mid-window.
+type Driver struct {
+	K      *sim.Kernel
+	Server *Server
+	Client rpc.Recoverable
+	P      Params
+}
+
+// NewDriver wraps an established connection to engine on server.
 func NewDriver(k *sim.Kernel, server *host.Host, engine *rpc.Server, client rpc.Recoverable, p Params) *Driver {
 	if p.Pipeline <= 0 {
 		p.Pipeline = 1
 	}
-	return &Driver{K: k, Server: server, Engine: engine, Client: client, P: p, serverUp: true}
-}
-
-// crash fails the server host and schedules its restart. A crash landing
-// while the server is already down (or still restarting) is ignored: double-
-// crashing would schedule a second restart and double-count the failure.
-func (d *Driver) crash() {
-	if !d.serverUp {
-		return
-	}
-	d.serverUp = false
-	d.Server.Crash()
-	d.Engine.Crash()
-	d.K.AfterFunc(d.P.Restart, func() {
-		d.Server.Restart()
-		d.serverUp = true
-		d.generation++
-	})
+	return &Driver{K: k, Client: client, P: p, Server: &Server{
+		K: k, Host: server, Fail: func() { server.Crash(); engine.Crash() },
+		Reestablish: client.Reestablish, Restart: p.Restart, Retransfer: p.Retransfer,
+	}}
 }
 
 // callUntilDone drives one operation to completion across any number of
-// crashes, counting re-sends, and waiting out restarts.
+// crashes, counting re-sends.
 func (d *Driver) callUntilDone(p *sim.Proc, req *rpc.Request, m *Measurement) {
-	attempts := 0
-	for {
-		for !d.serverUp {
-			p.Sleep(d.P.Retransfer)
-		}
-		if d.reestGen != d.generation {
-			d.reestGen = d.generation
-			d.reconnecting = true
-			replayed, err := d.Client.Reestablish(p)
-			if err != nil {
-				panic(err) // serial-kernel driver: reestablish cannot refuse
-			}
-			m.Replayed += replayed
-			d.reconnecting = false
-		}
-		for d.reconnecting {
-			p.Sleep(10 * time.Microsecond)
-		}
-		attempts++
-		_, err := d.Client.CallTimeout(p, req, d.P.Retransfer)
-		if err == nil {
-			if attempts > 1 {
-				m.Resent += attempts - 1
-			}
+	for attempt := 0; ; attempt++ {
+		d.Server.Ready(p)
+		if _, err := d.Client.CallTimeout(p, req, d.P.Retransfer); err == nil {
+			m.Resent += attempt
 			return
 		}
 	}
@@ -180,7 +240,7 @@ func (d *Driver) Run(p *sim.Proc, gen func(i int) *rpc.Request) Measurement {
 		fired := false
 		timer := d.K.After(time.Duration(half)*m.CleanPerOp, func() {
 			fired = true
-			d.crash()
+			d.Server.Crash()
 		})
 		d.window(p, d.P.OpsPerWindow, (c+1)*d.P.OpsPerWindow, gen, &m)
 		timer.Stop()
@@ -198,6 +258,7 @@ func (d *Driver) Run(p *sim.Proc, gen func(i int) *rpc.Request) Measurement {
 	if m.Crashes > 0 {
 		m.PerCrashCost = recoveryCost / time.Duration(m.Crashes)
 	}
+	m.Replayed = d.Server.Replayed
 	return m
 }
 

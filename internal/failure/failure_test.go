@@ -2,6 +2,7 @@ package failure
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -227,10 +228,82 @@ func TestFastWindowLeavesNoArmedCrash(t *testing.T) {
 	if m.PerCrashCost != 0 {
 		t.Fatalf("PerCrashCost = %v from zero observed crashes", m.PerCrashCost)
 	}
-	if !d.serverUp {
+	if !d.Server.Up() {
 		t.Fatal("server left down after Run")
 	}
 	if want := p.OpsPerWindow * (p.Crashes + 1); m.Ops != want {
 		t.Fatalf("ops = %d, want %d", m.Ops, want)
+	}
+}
+
+// checkedClient runs check before every call the driver issues.
+type checkedClient struct {
+	rpc.Recoverable
+	check func()
+}
+
+func (c checkedClient) CallTimeout(p *sim.Proc, req *rpc.Request, d time.Duration) (*rpc.Response, error) {
+	c.check()
+	return c.Recoverable.CallTimeout(p, req, d)
+}
+
+// A crash that lands while the first incarnation after a crash is being
+// re-established interrupts it: Ready must wait out the second restart and
+// re-establish the new incarnation before any call goes out, and the down
+// server must execute nothing.
+func TestCrashDuringReestablish(t *testing.T) {
+	r := newRig(t, 1)
+	c := rpc.New(rpc.WFlushRPC, r.cli, r.engine, r.engine.Cfg).(rpc.Recoverable)
+	p := shortParams()
+	p.Crashes = 1
+	d := NewDriver(r.k, r.srv, r.engine, c, p)
+	s := d.Server
+
+	var errs []error
+	reestablish := s.Reestablish
+	s.Reestablish = func(pp *sim.Proc) (int, error) {
+		n, err := reestablish(pp)
+		errs = append(errs, err)
+		return n, err
+	}
+	// handledDown counts requests the engine finished between a crash and
+	// its restart.
+	var handledDown int64
+	fail := s.Fail
+	s.Fail = func() {
+		fail()
+		at := r.engine.Handled
+		r.k.AfterFunc(p.Restart-1, func() { handledDown += r.engine.Handled - at })
+	}
+	badCalls := 0
+	d.Client = checkedClient{c, func() {
+		if !s.Up() || (len(errs) > 0 && errs[len(errs)-1] != nil) {
+			badCalls++
+		}
+	}}
+	// The first re-establishment follows the window's crash.
+	s.CrashInRecovery(2 * time.Microsecond)
+
+	var m Measurement
+	r.k.Go("driver", func(pp *sim.Proc) { m = d.Run(pp, writeGen) })
+	r.k.Run()
+
+	if r.srv.Crashes != 2 || m.Crashes != 1 {
+		t.Fatalf("host crashed %d times, driver counted %d; want 2 and 1", r.srv.Crashes, m.Crashes)
+	}
+	if len(errs) != 2 || !errors.Is(errs[0], rpc.ErrCrashed) || errs[1] != nil {
+		t.Fatalf("re-establishments returned %v; want ErrCrashed, then success", errs)
+	}
+	if m.Replayed == 0 {
+		t.Fatal("the second incarnation replayed nothing")
+	}
+	if badCalls != 0 {
+		t.Fatalf("%d calls went out while the server was down or not re-established", badCalls)
+	}
+	if handledDown != 0 {
+		t.Fatalf("the server handled %d requests while down", handledDown)
+	}
+	if want := p.OpsPerWindow * (p.Crashes + 1); m.Ops != want || !s.Up() {
+		t.Fatalf("ops = %d (want %d), up = %v", m.Ops, want, s.Up())
 	}
 }

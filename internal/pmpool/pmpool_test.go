@@ -225,7 +225,10 @@ func TestPoolCrashRecovery(t *testing.T) {
 		srv.Crash()
 		srv.H.Restart()
 		p.Sleep(100 * time.Microsecond)
-		srv.Recover(p)
+		if err := srv.Recover(p); err != nil {
+			t.Errorf("recover: %v", err)
+			return
+		}
 		if _, err := pool.Reestablish(p, 0); err != nil {
 			t.Errorf("reestablish: %v", err)
 			return

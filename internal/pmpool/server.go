@@ -351,11 +351,8 @@ func (h *handled) answer(r ctrlResult) {
 func (s *Server) handle(req *rpc.Request, done func(img []byte)) {
 	if s.down {
 		// Restarted but not yet recovered: decline so the transport leaves
-		// the entry durable in the redo log instead of consuming it. This
-		// window is real — a second crash landing inside a client's
-		// Reestablish makes its internal retry replay into a server whose
-		// Recover has not rerun yet; consuming here would discard an acked
-		// request forever.
+		// the entry durable in the redo log instead of consuming it;
+		// consuming here would discard an acked request forever.
 		done(rpc.Declined)
 		return
 	}
@@ -553,55 +550,55 @@ func (s *Server) Crash() {
 // carved it never committed, or its last slot was freed and the slab
 // coalesced). Run it after Host.Restart and before the clients'
 // Reestablish, so redo-log replay applies onto rebuilt state; replayed
-// allocs and frees then dedup against exactly what was durable.
-func (s *Server) Recover(p *sim.Proc) {
-	for {
-		epoch := s.H.PM.Epoch()
-		nslabs := int(s.Cfg.PoolBytes / s.Cfg.SlabBytes)
-		unitsPerSlab := int(s.Cfg.SlabBytes / unitBytes)
-		slabs := pmem.NewSlabs(s.dataBase, s.Cfg.PoolBytes, s.Cfg.SlabBytes)
-		byID := make(map[uint64]allocInfo)
-		classes := s.H.PM.ReadSync(p, s.classTable, nslabs*8)
-		adopted := int64(0)
-		for i := 0; i < nslabs; i++ {
-			c := int64(binary.LittleEndian.Uint64(classes[i*8:]))
-			if c == 0 {
+// allocs and frees then dedup against exactly what was durable. A crash
+// during the scan leaves the server down and returns rpc.ErrCrashed; run
+// it again after the restart.
+func (s *Server) Recover(p *sim.Proc) error {
+	epoch := s.H.PM.Epoch()
+	nslabs := int(s.Cfg.PoolBytes / s.Cfg.SlabBytes)
+	unitsPerSlab := int(s.Cfg.SlabBytes / unitBytes)
+	slabs := pmem.NewSlabs(s.dataBase, s.Cfg.PoolBytes, s.Cfg.SlabBytes)
+	byID := make(map[uint64]allocInfo)
+	classes := s.H.PM.ReadSync(p, s.classTable, nslabs*8)
+	adopted := int64(0)
+	for i := 0; i < nslabs; i++ {
+		c := int64(binary.LittleEndian.Uint64(classes[i*8:]))
+		if c == 0 {
+			continue
+		}
+		// Owner words for this slab's units, one timed read per slab.
+		words := s.H.PM.ReadSync(p, s.ownerTable+int64(i*unitsPerSlab)*8, unitsPerSlab*8)
+		slabBase := s.dataBase + int64(i)*s.Cfg.SlabBytes
+		for u := 0; u < unitsPerSlab; u++ {
+			if int64(u)*unitBytes%c != 0 {
+				continue // not a slot base for this class
+			}
+			id := binary.LittleEndian.Uint64(words[u*8:])
+			if id == 0 {
 				continue
 			}
-			// Owner words for this slab's units, one timed read per slab.
-			words := s.H.PM.ReadSync(p, s.ownerTable+int64(i*unitsPerSlab)*8, unitsPerSlab*8)
-			slabBase := s.dataBase + int64(i)*s.Cfg.SlabBytes
-			for u := 0; u < unitsPerSlab; u++ {
-				if int64(u)*unitBytes%c != 0 {
-					continue // not a slot base for this class
-				}
-				id := binary.LittleEndian.Uint64(words[u*8:])
-				if id == 0 {
-					continue
-				}
-				addr := slabBase + int64(u)*unitBytes
-				slabs.Adopt(addr, c)
-				byID[id] = allocInfo{addr: addr, class: c}
-				adopted++
-			}
+			addr := slabBase + int64(u)*unitBytes
+			slabs.Adopt(addr, c)
+			byID[id] = allocInfo{addr: addr, class: c}
+			adopted++
 		}
-		if s.H.PM.Epoch() != epoch {
-			continue // crashed again mid-scan: start over
-		}
-		s.slabs = slabs
-		s.byID = byID
-		// Recovered allocations get a fresh lease grace period: their
-		// owners are reconnecting and could not renew while we were down.
-		s.lease = make(map[uint64]sim.Time)
-		exp := p.Now().Add(s.Cfg.LeaseTTL)
-		for id := range byID {
-			s.lease[id] = exp
-		}
-		s.Adopted += adopted
-		s.Recoveries++
-		s.down = false
-		return
 	}
+	if s.H.PM.Epoch() != epoch {
+		return rpc.ErrCrashed
+	}
+	s.slabs = slabs
+	s.byID = byID
+	// Recovered allocations get a fresh lease grace period: their owners
+	// are reconnecting and could not renew while we were down.
+	s.lease = make(map[uint64]sim.Time)
+	exp := p.Now().Add(s.Cfg.LeaseTTL)
+	for id := range byID {
+		s.lease[id] = exp
+	}
+	s.Adopted += adopted
+	s.Recoveries++
+	s.down = false
+	return nil
 }
 
 // OwnedIDs returns the durable owned-id set by scanning the metadata shadow

@@ -77,31 +77,17 @@ func (n *NIC) newWireMsg() *wireMsg {
 	return m
 }
 
-// CloneForTransfer implements fabric.Transferable: when a message crosses
-// between engine partitions the fabric detaches it from the sending NIC's
-// pool with a deep copy. The clone has no owning NIC, so the receiver's
-// ref/unref calls are no-ops and the garbage collector owns its lifetime;
-// Data is copied because the original views a sender buffer that the sender
-// is free to reuse the moment its release hook fires.
-func (m *wireMsg) CloneForTransfer() interface{} {
-	c := &wireMsg{}
-	*c = *m
-	c.nic, c.refs, c.releaseFn = nil, 0, nil
-	if m.Data != nil {
-		c.Data = append([]byte(nil), m.Data...)
-	}
-	return c
-}
-
-// CloneForTransferPooled implements fabric.TransferPooled: like
-// CloneForTransfer, but the clone struct recycles through the fabric's
+// CloneForTransferPooled implements fabric.TransferPooled: when a message
+// crosses between engine partitions the fabric detaches it from the sending
+// NIC's pool with a copy whose struct recycles through the fabric's
 // transfer slab. prev is the clone this slab slot carried on its previous
 // crossing (nil on the first); its struct is reused, but Data is always
-// copied fresh — receivers retain that slice past the reference
-// count (deferred PCIe applies, Arrival/Recv channel pushes, read futures),
-// so buffer reuse would corrupt messages still being consumed. The clone
-// carries one reference for the in-flight delivery; receiver-side ref/unref
-// count it like a pool-owned message, and release fires at zero.
+// copied fresh — the original views a sender buffer the sender may reuse
+// the moment its release hook fires, and receivers retain the copy past the
+// reference count (deferred PCIe applies, Arrival/Recv channel pushes, read
+// futures), so buffer reuse would corrupt messages still being consumed.
+// The clone carries one reference for the in-flight delivery; receiver-side
+// ref/unref count it like a pool-owned message, and release fires at zero.
 func (m *wireMsg) CloneForTransferPooled(prev interface{}, release func()) interface{} {
 	c, _ := prev.(*wireMsg)
 	if c == nil {

@@ -75,9 +75,9 @@ func TestEngineModeRecovery(t *testing.T) {
 			done := 0
 
 			// One client-kernel proc owns re-establishment so the replay is
-			// enqueued before any worker's retried requests (the serial
-			// crashcheck monitor pattern; Reestablish is legal here because
-			// the driver holds the Serialize token across the outage).
+			// enqueued before any worker's retried requests (Reestablish is
+			// legal here because the driver holds the Serialize token across
+			// the outage).
 			kc.Go("monitor", func(p *sim.Proc) {
 				for {
 					p.Sleep(20 * time.Microsecond)

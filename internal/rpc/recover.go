@@ -18,6 +18,11 @@ var ErrTimeout = errors.New("rpc: call timed out")
 // around the recovery span — instead of crashing the run.
 var ErrCrossPartition = errors.New("rpc: not supported on a cross-partition connection")
 
+// ErrCrashed is returned by Reestablish when the server crashed again while
+// its connection was being re-established: nothing was replayed, and the
+// caller re-runs Reestablish after the restart.
+var ErrCrashed = errors.New("rpc: server crashed during reestablish")
+
 // Recoverable is the contract the failure-recovery experiments (§5.4,
 // Fig. 12) drive: calls with timeouts, and connection re-establishment
 // after a server restart. For durable RPCs, Reestablish also recovers the
@@ -28,9 +33,10 @@ type Recoverable interface {
 	// CallTimeout is Call with a deadline (the RDMA re-transfer interval).
 	CallTimeout(p *sim.Proc, req *Request, d time.Duration) (*Response, error)
 	// Reestablish rebuilds the connection after the server restarts and
-	// returns how many requests were replayed from the redo log. On an
-	// engine-mode connection it returns ErrCrossPartition unless the engine
-	// is inside a serialized span (recovery needs a global event order).
+	// returns how many requests were replayed from the redo log. It returns
+	// ErrCrashed if the server crashes again meanwhile, and on an
+	// engine-mode connection ErrCrossPartition unless the engine is inside
+	// a serialized span (recovery needs a global event order).
 	Reestablish(p *sim.Proc) (int, error)
 }
 
@@ -60,8 +66,8 @@ func (c *durableClient) CallTimeout(p *sim.Proc, req *Request, d time.Duration) 
 
 // Reestablish rebuilds the durable connection: fresh QPs and rings, redo-log
 // recovery from PM, and server-side replay of every recovered entry. If the
-// server crashes again mid-recovery, the whole procedure retries against the
-// new incarnation.
+// server crashes again mid-recovery, it replays nothing and returns
+// ErrCrashed; the caller re-runs it once the server is back.
 func (c *durableClient) Reestablish(p *sim.Proc) (int, error) {
 	if c.eng != nil && !c.eng.Serialized() {
 		// Recovery walks server PM from the client proc and replays into a
@@ -70,38 +76,35 @@ func (c *durableClient) Reestablish(p *sim.Proc) (int, error) {
 		// anything else must not attempt cross-partition recovery.
 		return 0, ErrCrossPartition
 	}
-	log := c.log
-	for {
-		epoch := c.srv.H.PM.Epoch()
-		// Retire the old connection's receive loops: they end at their
-		// next live check, or stay parked on the dead QPs.
-		old := c.conn
-		old.closed = true
+	epoch := c.srv.H.PM.Epoch()
+	// Retire the old connection's receive loops: they end at their next
+	// live check, or stay parked on the dead QPs.
+	old := c.conn
+	old.closed = true
 
-		nc := newConn(c.kind, old.cli, old.srv, old.cfg, c.cq.Transport)
-		nc.log = log
-		c.conn = nc
-		c.resQueue = nil
-		c.wire()
+	nc := newConn(c.kind, old.cli, old.srv, old.cfg, c.cq.Transport)
+	nc.log = c.log
+	c.conn = nc
+	c.resQueue = nil
+	c.wire()
 
-		// Recover the log from PM and replay: the server re-executes
-		// durable requests without the client re-sending data (§4.2).
-		entries := log.Recover(p)
-		if c.srv.H.PM.Epoch() != epoch {
-			continue // crashed again mid-recovery: start over
-		}
-		for _, e := range entries {
-			seq, req := decodeReq(e.Payload)
-			var respond func([]byte)
-			if c.kind.SendBased() {
-				respond = c.respondSend(seq, req)
-			} else {
-				respond = c.respondWrite(seq, req)
-			}
-			c.enqueueLogged(seq, req, respond)
-		}
-		return len(entries), nil
+	// Recover the log from PM and replay: the server re-executes durable
+	// requests without the client re-sending data (§4.2).
+	entries := c.log.Recover(p)
+	if c.srv.H.PM.Epoch() != epoch {
+		return 0, ErrCrashed
 	}
+	for _, e := range entries {
+		seq, req := decodeReq(e.Payload)
+		var respond func([]byte)
+		if c.kind.SendBased() {
+			respond = c.respondSend(seq, req)
+		} else {
+			respond = c.respondWrite(seq, req)
+		}
+		c.enqueueLogged(seq, req, respond)
+	}
+	return len(entries), nil
 }
 
 // CallTimeout implements Recoverable for the FaRM baseline.

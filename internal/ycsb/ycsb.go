@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 
 	"prdma/internal/rpc"
 	"prdma/internal/sim"
@@ -35,12 +36,34 @@ func NewZipfian(rng *sim.Rand, n int64, theta float64) *Zipfian {
 	return z
 }
 
+// zetas memoizes zetaStatic per (n, theta): the cluster load generator
+// builds one generator per client over the same key space, and workload D
+// one per draw. Concurrent runner cells and engine workers share it.
+var (
+	zetaMu sync.Mutex
+	zetas  = map[zetaKey]float64{}
+)
+
+type zetaKey struct {
+	n     int64
+	theta float64
+}
+
 func zetaStatic(n int64, theta float64) float64 {
-	sum := 0.0
-	for i := int64(1); i <= n; i++ {
-		sum += 1 / math.Pow(float64(i), theta)
+	key := zetaKey{n, theta}
+	zetaMu.Lock()
+	z, ok := zetas[key]
+	zetaMu.Unlock()
+	if ok {
+		return z
 	}
-	return sum
+	for i := int64(1); i <= n; i++ {
+		z += 1 / math.Pow(float64(i), theta)
+	}
+	zetaMu.Lock()
+	zetas[key] = z
+	zetaMu.Unlock()
+	return z
 }
 
 // Next draws the next key.

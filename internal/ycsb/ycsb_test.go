@@ -1,7 +1,9 @@
 package ycsb
 
 import (
+	"math"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -57,6 +59,30 @@ func TestScrambledSpreadsHotKeys(t *testing.T) {
 	}
 	if max < 5000 {
 		t.Fatalf("scrambling destroyed skew: max count %d", max)
+	}
+}
+
+// TestZetaMemo pins the ζ memo: generators built concurrently over shared
+// and distinct (n, θ) carry the sum computed term by term.
+func TestZetaMemo(t *testing.T) {
+	var wg sync.WaitGroup
+	gens := make([]*Zipfian, 16)
+	for i := range gens {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			gens[i] = NewZipfian(sim.NewRand(uint64(i)), int64(100+i%3), 0.9+0.01*float64(i%2))
+		}(i)
+	}
+	wg.Wait()
+	for _, z := range gens {
+		want := 0.0
+		for i := int64(1); i <= z.n; i++ {
+			want += 1 / math.Pow(float64(i), z.theta)
+		}
+		if z.zetan != want {
+			t.Fatalf("ζ(%d, %v) = %v, want %v", z.n, z.theta, z.zetan, want)
+		}
 	}
 }
 
