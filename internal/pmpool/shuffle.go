@@ -57,37 +57,41 @@ func mapRange(n, maps, m int) (int32, int32) {
 	return int32(lo), int32(hi)
 }
 
-// emitChunks encodes the contributions map partition m sends reducer r
-// under the current ranks, split into blocks of at most MaxChunk bytes.
-// Both the remote shuffle and the local baseline call it, so the bytes —
-// and therefore the floating-point accumulation order downstream — are
-// identical by construction.
-func emitChunks(g *graph.Graph, ranks []float64, cfg ShuffleConfig, m, r int) [][]byte {
+// emitChunks encodes the contributions map partition m sends every
+// reducer under the current ranks: chunks[r] holds reducer r's records in
+// node order, split into blocks of at most MaxChunk bytes. One walk over
+// the partition's edges fills every reducer's blocks, each allocated at
+// MaxChunk. Both the remote shuffle and the local baseline call it, so the
+// bytes — and therefore the floating-point accumulation order downstream —
+// are identical by construction.
+func emitChunks(g *graph.Graph, ranks []float64, cfg ShuffleConfig, m int) [][][]byte {
 	lo, hi := mapRange(g.Nodes(), cfg.Maps, m)
-	var chunks [][]byte
-	var cur []byte
+	chunks := make([][][]byte, cfg.Reducers)
+	cur := make([][]byte, cfg.Reducers)
 	for u := lo; u < hi; u++ {
 		deg := g.Degree(u)
 		if deg == 0 {
 			continue // dangling mass is dropped, identically in both paths
 		}
-		contrib := ranks[u] / float64(deg)
+		bits := math.Float64bits(ranks[u] / float64(deg))
 		for _, v := range g.Neighbors(u) {
-			if int(v)%cfg.Reducers != r {
-				continue
+			r := int(v) % cfg.Reducers
+			b := cur[r]
+			if len(b)+recordBytes > cfg.MaxChunk {
+				chunks[r] = append(chunks[r], b)
+				b = nil
 			}
-			if len(cur)+recordBytes > cfg.MaxChunk {
-				chunks = append(chunks, cur)
-				cur = nil
+			if b == nil {
+				b = make([]byte, 0, cfg.MaxChunk)
 			}
-			var rec [recordBytes]byte
-			binary.LittleEndian.PutUint32(rec[0:], uint32(v))
-			binary.LittleEndian.PutUint64(rec[4:], math.Float64bits(contrib))
-			cur = append(cur, rec[:]...)
+			b = binary.LittleEndian.AppendUint32(b, uint32(v))
+			cur[r] = binary.LittleEndian.AppendUint64(b, bits)
 		}
 	}
-	if len(cur) > 0 {
-		chunks = append(chunks, cur)
+	for r, b := range cur {
+		if len(b) > 0 {
+			chunks[r] = append(chunks[r], b)
+		}
 	}
 	return chunks
 }
@@ -155,8 +159,8 @@ func ShufflePageRank(p *sim.Proc, pools []*Pool, g *graph.Graph, cfg ShuffleConf
 			blocks[m] = make([][]block, cfg.Reducers)
 			k.Go(fmt.Sprintf("shuffle-map-%d", m), func(mp *sim.Proc) {
 				defer wg.Done()
-				for r := 0; r < cfg.Reducers; r++ {
-					for _, ch := range emitChunks(g, ranks, cfg, m, r) {
+				for r, chunks := range emitChunks(g, ranks, cfg, m) {
+					for _, ch := range chunks {
 						h, err := pool.Alloc(mp, int64(len(ch)))
 						if err != nil {
 							fail(err)
@@ -231,11 +235,15 @@ func LocalShufflePageRank(g *graph.Graph, cfg ShuffleConfig) []float64 {
 		ranks[i] = 1 / float64(n)
 	}
 	next := make([]float64, n)
+	chunks := make([][][][]byte, cfg.Maps) // [map][reducer] block lists
 	for iter := 0; iter < cfg.Iterations; iter++ {
+		for m := range chunks {
+			chunks[m] = emitChunks(g, ranks, cfg, m)
+		}
 		for r := 0; r < cfg.Reducers; r++ {
 			acc := make([]float64, n)
 			for m := 0; m < cfg.Maps; m++ {
-				if err := reduceChunks(acc, emitChunks(g, ranks, cfg, m, r)); err != nil {
+				if err := reduceChunks(acc, chunks[m][r]); err != nil {
 					panic(err) // emitChunks produces aligned blocks by construction
 				}
 			}

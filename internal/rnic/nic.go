@@ -36,12 +36,14 @@ type NIC struct {
 	// Free lists for the data plane: wire messages, WQE-processing thunks,
 	// inbound-processing thunks, and retransmit timers. All pre-bind their
 	// event closure once, so the steady-state send/receive path allocates
-	// nothing. Single-threaded per kernel, so no sync.
+	// nothing. Single-threaded per kernel, so no sync. snapFree holds the
+	// buffers read responses snapshot served memory into.
 	wmFree    []*wireMsg
 	txFree    []*txJob
 	rxFree    []*rxJob
 	retryFree []*retryJob
 	jobFree   []*nicJob
+	snapFree  [][]byte
 
 	// epoch invalidates in-flight receive-side work on crash (the data in
 	// the NIC's volatile SRAM and its pending DMA chain is lost).
@@ -154,7 +156,7 @@ func (n *NIC) CreateQP(t Transport) *QP {
 		Arrivals: sim.NewChan[Arrival](n.K),
 		acks:     make(map[uint64]*sim.Future[sim.Time]),
 		flushes:  make(map[uint64]*sim.Future[sim.Time]),
-		reads:    make(map[uint64]*sim.Future[[]byte]),
+		reads:    make(map[uint64]pendingRead),
 		notifies: make(map[uint64]*sim.Future[sim.Time]),
 		expected: 1,
 
@@ -341,13 +343,14 @@ func (j *nicJob) run() {
 	case jReadRespDRAM, jReadRespLLC, jReadRespPM:
 		rm := n.newWireMsg()
 		rm.Kind, rm.DstQP, rm.SrcQP, rm.Seq, rm.N = wReadResp, q.remoteQP, q.ID, seq, nb
+		rm.snap = n.snapshotBuf(nb)
 		switch kind {
 		case jReadRespDRAM:
-			rm.Data = n.DRAM.Read(addr, nb)
+			rm.Data = n.DRAM.ReadInto(addr, rm.snap)
 		case jReadRespLLC:
-			rm.Data = n.LLC.Read(addr, nb)
+			rm.Data = n.LLC.ReadInto(addr, rm.snap)
 		default:
-			rm.Data = n.PM.ReadBytes(addr, nb)
+			rm.Data = n.PM.ReadBytesInto(addr, rm.snap)
 		}
 		n.postAt(n.K.Now(), q.remoteNIC, rm, n.Params.HeaderBytes+nb)
 	}
@@ -369,8 +372,22 @@ func (n *NIC) scheduleApply(at sim.Time, kind uint8, addr int64, nb int, data []
 	n.K.Schedule(at, j.fn)
 }
 
+// snapshotBuf returns an n-byte buffer from the NIC's list for a read
+// response's payload; it comes back when the response message recycles.
+func (n *NIC) snapshotBuf(nb int) []byte {
+	var b []byte
+	if l := len(n.snapFree); l > 0 {
+		b = n.snapFree[l-1]
+		n.snapFree = n.snapFree[:l-1]
+	}
+	if cap(b) < nb {
+		b = make([]byte, nb)
+	}
+	return b[:nb]
+}
+
 // scheduleReadResp emits the read response at `at`, fetching the payload
-// from the source that kind names at fire time.
+// from the source that kind names at fire time into a pooled snapshot.
 func (n *NIC) scheduleReadResp(at sim.Time, kind uint8, q *QP, addr int64, nb int, seq uint64) {
 	j := n.newNICJob(kind)
 	j.q, j.addr, j.nb, j.seq = q, addr, nb, seq
@@ -438,10 +455,11 @@ func (n *NIC) process(m *wireMsg) {
 	case wRead:
 		n.inboundRead(q, m)
 	case wReadResp:
-		if f, ok := q.reads[m.Seq]; ok {
+		if r, ok := q.reads[m.Seq]; ok {
 			delete(q.reads, m.Seq)
-			q.settleRetry(m.Seq, f)
-			f.Complete(m.Data)
+			q.settleRetry(m.Seq, r.f)
+			copy(r.dst, m.Data) // the DMA into the requester's buffer
+			r.f.Complete(r.dst)
 		}
 	case wAck:
 		if f, ok := q.acks[m.Seq]; ok {

@@ -43,7 +43,7 @@ type QP struct {
 	seq      uint64
 	acks     map[uint64]*sim.Future[sim.Time]
 	flushes  map[uint64]*sim.Future[sim.Time]
-	reads    map[uint64]*sim.Future[[]byte]
+	reads    map[uint64]pendingRead
 	notifies map[uint64]*sim.Future[sim.Time]
 	// retryBySeq tracks the live retransmit job per in-flight RC message so
 	// the completion that settles it can release the job (and its message
@@ -63,7 +63,18 @@ type QP struct {
 	// QP: reads (and therefore flush emulation) wait for it.
 	lastDurable sim.Time
 
+	// probe is what the emulated flushes' 1-byte reads land in: their
+	// bytes are never looked at.
+	probe [1]byte
+
 	dead bool
+}
+
+// pendingRead is an outstanding one-sided read: the future its response
+// completes and the caller's buffer the response's bytes land in.
+type pendingRead struct {
+	f   *sim.Future[[]byte]
+	dst []byte
 }
 
 // Dead reports whether the QP was destroyed by a crash.
@@ -264,7 +275,7 @@ func (q *QP) WriteFlushAsync(raddr int64, n int, data []byte) *sim.Future[sim.Ti
 	if q.nic.Params.EmulateFlush {
 		q.WriteAsync(raddr, n, data)
 		durable := sim.NewFuture[sim.Time](q.nic.K)
-		rd := q.ReadAsync(raddr+int64(n)-1, 1)
+		rd := q.ReadAsync(raddr+int64(n)-1, q.probe[:])
 		k := q.nic.K
 		rd.Then(func([]byte) { durable.Complete(k.Now()) })
 		return durable
@@ -320,7 +331,7 @@ func (q *QP) SendFlushAsync(n int, data []byte) *sim.Future[sim.Time] {
 		k := q.nic.K
 		probe := q.FlushProbe
 		k.AfterFunc(q.nic.Params.AddrLookup, func() {
-			rd := q.ReadAsync(probe, 1)
+			rd := q.ReadAsync(probe, q.probe[:])
 			rd.Then(func([]byte) { durable.Complete(k.Now()) })
 		})
 		return durable
@@ -334,16 +345,20 @@ func (q *QP) SendFlushAsync(n int, data []byte) *sim.Future[sim.Time] {
 	return f
 }
 
-// ReadAsync posts a one-sided read of n bytes at remote address raddr.
-func (q *QP) ReadAsync(raddr int64, n int) *sim.Future[[]byte] {
+// ReadAsync posts a one-sided read of len(dst) bytes at remote address
+// raddr. The response's bytes land in dst, which the caller owns, and the
+// future resolves with dst. Only the first response is copied in: a
+// duplicate or a re-served retransmit finds the read settled and is
+// dropped, so dst is not written after the future resolves.
+func (q *QP) ReadAsync(raddr int64, dst []byte) *sim.Future[[]byte] {
 	if q.Transport == UD {
 		panic("rnic: RDMA read requires a connected transport")
 	}
 	m := q.nic.newWireMsg()
 	m.Kind, m.SrcQP, m.DstQP, m.Seq = wRead, q.ID, q.remoteQP, q.nextSeq()
-	m.Addr, m.N = raddr, n
+	m.Addr, m.N = raddr, len(dst)
 	f := sim.NewFuture[[]byte](q.nic.K)
-	q.reads[m.Seq] = f
+	q.reads[m.Seq] = pendingRead{f: f, dst: dst}
 	// A read request is small; the response carries the payload. Reads are
 	// idempotent: a retransmitted read is simply re-served, replacing a
 	// response the fabric may have lost.
@@ -355,9 +370,10 @@ func (q *QP) ReadAsync(raddr int64, n int) *sim.Future[[]byte] {
 	return f
 }
 
-// Read posts a read and blocks p for the data.
-func (q *QP) Read(p *sim.Proc, raddr int64, n int) []byte {
-	return q.ReadAsync(raddr, n).Wait(p)
+// Read posts a read into dst and blocks p until dst holds the data; it
+// returns dst.
+func (q *QP) Read(p *sim.Proc, raddr int64, dst []byte) []byte {
+	return q.ReadAsync(raddr, dst).Wait(p)
 }
 
 // Notify sends a small application-level notification (used by RFlush-based

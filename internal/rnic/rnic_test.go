@@ -252,7 +252,7 @@ func TestReadForcesFlushWithoutDDIO(t *testing.T) {
 	data := bytes.Repeat([]byte{0x42}, 65536)
 	r.k.Go("c", func(p *sim.Proc) {
 		cq.WriteAsync(0, len(data), data)
-		got := cq.Read(p, 65535, 1)
+		got := cq.Read(p, 65535, make([]byte, 1))
 		// The read drained the DMA: the byte it returns is durable.
 		if got[0] != 0x42 {
 			t.Errorf("read returned %v", got[0])
@@ -270,7 +270,7 @@ func TestDDIODefeatsReadAfterWrite(t *testing.T) {
 	data := bytes.Repeat([]byte{0x99}, 4096)
 	r.k.Go("c", func(p *sim.Proc) {
 		cq.WriteAsync(0, len(data), data)
-		got := cq.Read(p, 4095, 1)
+		got := cq.Read(p, 4095, make([]byte, 1))
 		if got[0] != 0x99 {
 			t.Errorf("read-after-write returned %v; DDIO should serve it from LLC", got[0])
 		}
@@ -578,7 +578,7 @@ func TestMRProtectionBlocksWrites(t *testing.T) {
 	cq, _ := r.connect(RC)
 	r.k.Go("c", func(p *sim.Proc) {
 		// Read of the protected window is fine.
-		cq.Read(p, 1<<20, 64)
+		cq.Read(p, 1<<20, make([]byte, 64))
 		// Write must fault: the future never completes and the QP errors.
 		_, ok := cq.WriteAsync(1<<20, 64, nil).WaitTimeout(p, 2*time.Millisecond)
 		if ok {
@@ -596,7 +596,7 @@ func TestMRProtectionBlocksReads(t *testing.T) {
 	r.sn.RegisterMRProt(1<<21, 4096, MemPM, true, false)
 	cq, _ := r.connect(RC)
 	r.k.Go("c", func(p *sim.Proc) {
-		_, ok := cq.ReadAsync(1<<21, 64).WaitTimeout(p, 2*time.Millisecond)
+		_, ok := cq.ReadAsync(1<<21, make([]byte, 64)).WaitTimeout(p, 2*time.Millisecond)
 		if ok {
 			t.Error("read of write-only MR completed")
 		}

@@ -54,6 +54,7 @@ type wireMsg struct {
 	Flush        bool   // piggy-backed native flush request
 	Tag          uint64 // notify tag
 
+	snap      []byte // a read response's pooled payload buffer
 	nic       *NIC
 	refs      int
 	releaseFn func() // pre-bound unref, handed to the fabric as release hook
@@ -94,7 +95,7 @@ func (m *wireMsg) CloneForTransferPooled(prev interface{}, release func()) inter
 		c = &wireMsg{}
 	}
 	*c = *m
-	c.nic, c.refs, c.releaseFn = nil, 1, nil
+	c.nic, c.refs, c.releaseFn, c.snap = nil, 1, nil, nil
 	c.xrel = release
 	if m.Data != nil {
 		c.Data = append([]byte(nil), m.Data...)
@@ -132,6 +133,9 @@ func (m *wireMsg) unref() {
 		m.Data, m.xrel = nil, nil
 		rel()
 		return
+	}
+	if m.snap != nil {
+		m.nic.snapFree = append(m.nic.snapFree, m.snap)
 	}
 	*m = wireMsg{nic: m.nic, releaseFn: m.releaseFn}
 	m.nic.wmFree = append(m.nic.wmFree, m)

@@ -122,7 +122,7 @@ func (c *octopusDurable) Call(p *sim.Proc, req *Request) (*Response, error) {
 		return &Response{IssuedAt: issued, ReadyAt: dur, DurableAt: dur, Durable: done, Done: done}, nil
 	default:
 		c.cli.Post(p)
-		data := c.cq.Read(p, addr, req.Size)
+		data := c.cq.Read(p, addr, make([]byte, req.Size))
 		c.srv.Store.Reads++
 		now := p.Now()
 		done.Complete(now)

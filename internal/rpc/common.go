@@ -101,17 +101,21 @@ func reqWireBytes(req *Request) int {
 	return reqHeaderBytes
 }
 
-// newRespImage returns a response image for an n-byte body: the buffer a
-// reply travels in, respHeaderBytes of header room and then the body. The
-// server fills the body where the data is produced (the store reads PM
-// straight into it), the responder writes the header in place, and the
-// client keeps the body as Response.Data — one buffer from PM to the
-// caller. A nil image is a header-only reply.
+// newRespImage returns a fresh response image for an n-byte body: the
+// buffer a reply travels in, respHeaderBytes of header room and then the
+// body. The server fills the body where the data is produced (the store
+// reads PM straight into it), the responder writes the header in place,
+// and the client keeps the body as Response.Data — one buffer from PM to
+// the caller. A nil image is a header-only reply. The store draws its
+// images from the requesting connection instead (conn.replyImage); the
+// fresh ones serve the connections that cannot pool them.
 func newRespImage(n int) []byte { return make([]byte, respHeaderBytes+n) }
 
 // NewReply returns a response image for an n-byte body together with that
 // body, for a Handler to fill: the image travels back in place and its body
-// becomes the caller's Response.Data.
+// becomes the caller's Response.Data. It is always a fresh image: a Handler
+// runs outside any connection, so its replies never come from (or return
+// to) a connection's reply pool.
 func NewReply(n int) (img, body []byte) {
 	img = newRespImage(n)
 	return img, img[respHeaderBytes:]
@@ -203,13 +207,17 @@ type Server struct {
 // respond sends the result's response image (nil: header only); the worker
 // charges the reply's CPU cost first — posting a work request, or for a
 // reply deposited by a local copy (copyReply, RFP) a memcpy of the image —
-// and calls it when that charge ends.
+// and calls it when that charge ends. conn and seq name the connection and
+// sequence the request arrived on: a reply image the store needs is drawn
+// from that connection (conn.replyImage).
 type workItem struct {
 	req       *Request
 	reqs      []*Request
 	respond   func(img []byte)
 	copyReply bool
 	consume   func(at sim.Time)
+	conn      *conn
+	seq       uint64
 	// epoch is the server crash epoch at enqueue time: items from before a
 	// crash are dropped (their state died with the DRAM work queue).
 	epoch int
@@ -333,6 +341,7 @@ func (w *worker) apply() {
 		h(r, w.applied)
 		return
 	}
+	w.store.from, w.store.seq = w.it.conn, w.it.seq
 	w.store.apply(r)
 }
 
@@ -413,18 +422,81 @@ type conn struct {
 	// batches passes decoded batch contents to the server (see batch.go).
 	batches map[uint64][]*Request
 
-	// imgFree pools request/entry image buffers; imgBySeq holds the buffer
-	// in flight for each sequence until its response completes (by then the
-	// server has applied the request, so nothing aliases the image). respFree
-	// and respBySeq do the same for header-only response images. A response
-	// that carries data travels in the image the server produced it in (see
-	// newRespImage), which escapes to the caller as Response.Data.
-	imgFree   [][]byte
-	imgBySeq  map[uint64][]byte
-	respFree  [][]byte
-	respBySeq map[uint64][]byte
+	// Buffer pools. reqImgs holds request/entry images and hdrImgs
+	// header-only response images; each buffer is registered under its
+	// sequence until that sequence's response completes and then goes
+	// back. Until then a request image may be aliased by the wire message,
+	// the device persist pipeline and the server-side request view, all of
+	// which quiesce before the response. replies holds the images of
+	// replies that carry a body — store reads and scans, RFP's deposit and
+	// its poll snapshots — and window keeps each one handed to a caller as
+	// Response.Data until RingSlots further replies have completed, as the
+	// response-ring slot it models is only overwritten RingSlots replies
+	// later; held counts completed replies modulo RingSlots. hdrImgs,
+	// replies and window serve only a pooled connection (see pooled);
+	// reqImgs, which only the client side touches, serves every durable
+	// one. The pools fill lazily.
+	reqImgs, hdrImgs, replies bufPool
+	window                    [][]byte
+	held                      int
+
+	// pooled is set on a connection whose replies may come from its pools:
+	// one kernel, replies over RC. Engine mode allocates, because the
+	// responder runs on the server's kernel and the pools are client-kernel
+	// state; so do UC/UD reply paths (Herd, FaSST), because only RC's
+	// in-order check keeps a duplicated reply from being decoded again
+	// after its image was reused.
+	pooled bool
 
 	closed bool
+}
+
+// bufPool is a free list of buffers, with the buffers in flight registered
+// under the sequence that holds them.
+type bufPool struct {
+	free  [][]byte
+	bySeq map[uint64][]byte
+}
+
+// get returns an n-byte buffer from the list, or a fresh one.
+func (b *bufPool) get(n int) []byte {
+	var buf []byte
+	if l := len(b.free); l > 0 {
+		buf = b.free[l-1]
+		b.free = b.free[:l-1]
+	}
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	return buf[:n]
+}
+
+// draw is get with the buffer registered under seq. A buffer seq already
+// held is dropped: a batch replies with its last result, so only the last
+// image it drew is sent.
+func (b *bufPool) draw(seq uint64, n int) []byte {
+	buf := b.get(n)
+	if b.bySeq == nil {
+		b.bySeq = make(map[uint64][]byte)
+	}
+	b.bySeq[seq] = buf
+	return buf
+}
+
+// take unregisters and returns seq's buffer (nil if it holds none).
+func (b *bufPool) take(seq uint64) []byte {
+	buf, ok := b.bySeq[seq]
+	if ok {
+		delete(b.bySeq, seq)
+	}
+	return buf
+}
+
+// put returns buf to the list; nil is ignored.
+func (b *bufPool) put(buf []byte) {
+	if buf != nil {
+		b.free = append(b.free, buf)
+	}
 }
 
 // newConn wires QPs and rings. The request ring is server DRAM — durable
@@ -433,9 +505,7 @@ type conn struct {
 func newConn(kind Kind, cli *host.Host, srv *Server, cfg Config, tp rnic.Transport) *conn {
 	c := &conn{
 		kind: kind, cli: cli, srv: srv, cfg: cfg,
-		pending:   make(map[uint64]*sim.Future[respMsg]),
-		imgBySeq:  make(map[uint64][]byte),
-		respBySeq: make(map[uint64][]byte),
+		pending: make(map[uint64]*sim.Future[respMsg]),
 	}
 	if cli.K != srv.H.K {
 		eng := cli.K.Engine()
@@ -443,6 +513,9 @@ func newConn(kind Kind, cli *host.Host, srv *Server, cfg Config, tp rnic.Transpo
 			panic("rpc: cross-kernel connection requires both hosts on one sim.Engine")
 		}
 		c.eng = eng
+	}
+	if c.pooled = c.eng == nil && tp == rnic.RC; c.pooled {
+		c.window = make([][]byte, cfg.RingSlots)
 	}
 	c.cq = cli.NIC.CreateQP(tp)
 	c.sq = srv.H.NIC.CreateQP(tp)
@@ -516,41 +589,77 @@ func (c *conn) await(seq uint64) *sim.Future[respMsg] {
 	return f
 }
 
-// getImage returns a pooled buffer of n bytes registered under seq; it
-// returns to the pool when seq's response completes. Until then the buffer
-// may be aliased by the wire message, the device persist pipeline, and the
-// server-side request view, all of which quiesce before the response.
-func (c *conn) getImage(seq uint64, n int) []byte {
-	var b []byte
-	if l := len(c.imgFree); l > 0 {
-		b = c.imgFree[l-1]
-		c.imgFree = c.imgFree[:l-1]
+// enqueue hands the request that arrived as seq to the server's worker
+// pool, which draws the reply's image from c.
+func (c *conn) enqueue(seq uint64, it workItem) {
+	it.conn, it.seq = c, seq
+	c.srv.enqueue(it)
+}
+
+// replyImage returns the response image for seq's n-byte reply body (see
+// newRespImage). A pooled connection draws it from its replies list and
+// registers it under seq: it comes back when the reply has completed and
+// RingSlots further replies have too (complete, hold), or at once when
+// nothing waits for it (releaseReply). An image whose reply never completes
+// — the server crashed, or the QP died — is dropped with the connection.
+func (c *conn) replyImage(seq uint64, n int) []byte {
+	if !c.pooled {
+		return newRespImage(n)
 	}
-	if cap(b) < n {
-		b = make([]byte, n)
+	return c.replies.draw(seq, respHeaderBytes+n)
+}
+
+// releaseReply returns seq's reply image to the list at once: its bytes
+// were copied where they go (RFP's deposit into server DRAM).
+func (c *conn) releaseReply(seq uint64) {
+	if c.pooled {
+		c.replies.put(c.replies.take(seq))
 	}
-	b = b[:n]
-	c.imgBySeq[seq] = b
-	return b
+}
+
+// replyBuf returns an n-byte buffer for a reply the client fetches itself
+// (RFP's poll snapshots): from the replies list on a pooled connection,
+// else fresh. The caller hands it to hold once it becomes Response.Data.
+func (c *conn) replyBuf(n int) []byte {
+	if !c.pooled {
+		return make([]byte, n)
+	}
+	return c.replies.get(n)
+}
+
+// hold records one completed reply on a pooled connection: img (nil for a
+// reply without a pooled image) takes the window slot of the reply that
+// completed RingSlots replies ago, whose image goes back to the list. So a
+// caller's Response.Data stays intact until RingSlots further replies
+// complete on the connection.
+func (c *conn) hold(img []byte) {
+	if !c.pooled {
+		return
+	}
+	c.replies.put(c.window[c.held])
+	c.window[c.held] = img
+	if c.held++; c.held == len(c.window) {
+		c.held = 0
+	}
 }
 
 // complete resolves the pending future for seq and releases any pooled
 // request/response images registered under it. Retransmit timers may still
 // reference the buffers, but a settled transfer is never re-read — and an
 // unsettled one means the response has not arrived, so complete has not run.
+// A reply image waits in the window (hold); one that no caller waits for —
+// its call timed out, or it answers a replayed entry — goes straight back.
 func (c *conn) complete(seq uint64, data []byte, at sim.Time) {
-	if b, ok := c.imgBySeq[seq]; ok {
-		delete(c.imgBySeq, seq)
-		c.imgFree = append(c.imgFree, b)
+	c.reqImgs.put(c.reqImgs.take(seq))
+	c.hdrImgs.put(c.hdrImgs.take(seq))
+	f, ok := c.pending[seq]
+	if !ok {
+		c.replies.put(c.replies.take(seq))
+		return
 	}
-	if b, ok := c.respBySeq[seq]; ok {
-		delete(c.respBySeq, seq)
-		c.respFree = append(c.respFree, b)
-	}
-	if f, ok := c.pending[seq]; ok {
-		delete(c.pending, seq)
-		f.Complete(respMsg{data: data, at: at})
-	}
+	delete(c.pending, seq)
+	c.hold(c.replies.take(seq))
+	f.Complete(respMsg{data: data, at: at})
 }
 
 // startWriteDrain consumes response writes landing in the client's response
@@ -593,21 +702,16 @@ func (c *conn) postClientRecvs() {
 
 // seal completes seq's response image in place and returns it: the bytes
 // the wire carries. A nil image — the write path's header-only reply, pure
-// control traffic — is drawn from the connection's pool and released when
-// seq completes at the client. Engine mode allocates header-only replies:
-// the responder runs on the server's kernel, and the pool
-// (respFree/respBySeq) is client-kernel state it must not touch.
+// control traffic — is drawn from the connection's hdrImgs pool and
+// released when seq completes at the client; a connection that is not
+// pooled (see conn.pooled) allocates it.
 func (c *conn) seal(seq uint64, img []byte) []byte {
-	if img == nil && c.eng != nil {
-		img = newRespImage(0)
-	} else if img == nil {
-		if l := len(c.respFree); l > 0 {
-			img = c.respFree[l-1]
-			c.respFree = c.respFree[:l-1]
+	if img == nil {
+		if c.pooled {
+			img = c.hdrImgs.draw(seq, respHeaderBytes)
 		} else {
 			img = newRespImage(0)
 		}
-		c.respBySeq[seq] = img
 	}
 	putRespHeader(img, seq)
 	return img

@@ -47,7 +47,7 @@ func (c *sendClient) startServerRecv() {
 		if isBatchOp(req.Op) {
 			reqs = c.batchReqs(seq, req)
 		}
-		c.srv.enqueue(workItem{req: req, reqs: reqs, respond: c.respondSend(seq, req)})
+		c.enqueue(seq, workItem{req: req, reqs: reqs, respond: c.respondSend(seq, req)})
 		return true
 	})
 }

@@ -209,7 +209,7 @@ func (c *durableClient) enqueueLogged(seq uint64, req *Request, respond func([]b
 			consume = func(at sim.Time) { c.log.Consume(at, seq) }
 		}
 	}
-	c.srv.enqueue(workItem{req: req, reqs: reqs, respond: respond, consume: consume})
+	c.enqueue(seq, workItem{req: req, reqs: reqs, respond: respond, consume: consume})
 }
 
 // mutatingOp reports whether op needs a durability acknowledgement. A
@@ -274,13 +274,13 @@ func (c *durableClient) encodeEntry(seq uint64, req *Request, n int) []byte {
 	reqLen := reqImageBytes(req)
 	if reqLen < n {
 		// Synthetic short image: header run only, never recoverable.
-		b := c.getImage(seq, redolog.HeaderBytes+reqLen)
+		b := c.reqImgs.draw(seq, redolog.HeaderBytes+reqLen)
 		redolog.PutHeader(b, seq, op, n)
 		encodeReqInto(b[redolog.HeaderBytes:], seq, req)
 		return b
 	}
 	foot := int(redolog.EntrySize(n))
-	b := c.getImage(seq, foot)
+	b := c.reqImgs.draw(seq, foot)
 	redolog.PutHeader(b, seq, op, n)
 	encodeReqInto(b[redolog.HeaderBytes:redolog.HeaderBytes+reqLen], seq, req)
 	for i := redolog.HeaderBytes + n; i < foot-redolog.CommitBytes; i++ {

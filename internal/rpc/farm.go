@@ -31,7 +31,7 @@ func startRingPoller(c *conn) {
 			return false // crashed while polling
 		}
 		seq, req := decodeReq(arr.Data)
-		c.srv.enqueue(workItem{req: req, respond: c.respondWrite(seq, req)})
+		c.enqueue(seq, workItem{req: req, respond: c.respondWrite(seq, req)})
 		return true
 	})
 }

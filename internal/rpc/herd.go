@@ -42,7 +42,7 @@ func (c *herdClient) startPoller() {
 	l := newRecvLoop(c.srv.H, c.sq.Arrivals, func() bool { return !c.closed })
 	l.start(func(arr rnic.Arrival) bool {
 		seq, req := decodeReq(arr.Data)
-		c.srv.enqueue(workItem{req: req, respond: func(img []byte) {
+		c.enqueue(seq, workItem{req: req, respond: func(img []byte) {
 			n := respWireBytes(req)
 			if n > rnic.UDMTU {
 				n = rnic.UDMTU // Herd segments large responses; model the first MTU

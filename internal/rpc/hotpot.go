@@ -104,9 +104,9 @@ func (c *hotpotClient) startServer() {
 				return true // commit without prepare: protocol bug guard
 			}
 			delete(c.staged, s-1)
-			c.srv.enqueue(workItem{req: staged, respond: c.respondSend(s, staged)})
+			c.enqueue(s, workItem{req: staged, respond: c.respondSend(s, staged)})
 		default:
-			c.srv.enqueue(workItem{req: r, respond: c.respondSend(s, r)})
+			c.enqueue(s, workItem{req: r, respond: c.respondSend(s, r)})
 		}
 		return true
 	})

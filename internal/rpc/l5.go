@@ -51,7 +51,7 @@ func (c *l5Client) startPoller() {
 		}
 		delete(stash, seq)
 		s, req := decodeReq(data)
-		c.srv.enqueue(workItem{req: req, respond: c.respondWrite(s, req)})
+		c.enqueue(s, workItem{req: req, respond: c.respondWrite(s, req)})
 		return true
 	})
 }

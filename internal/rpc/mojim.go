@@ -83,7 +83,7 @@ func (c *mojimClient) startPrimary() {
 		var r *Request
 		seq, r = decodeReq(rcv.Data)
 		if r.Op != OpWrite {
-			c.srv.enqueue(workItem{req: r, respond: c.respondSend(seq, r)})
+			c.enqueue(seq, workItem{req: r, respond: c.respondSend(seq, r)})
 			return true
 		}
 		req = r

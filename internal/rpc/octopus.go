@@ -59,7 +59,7 @@ func (c *immClient) startServerCQ() {
 // enqueueImage decodes a request image and hands it to the worker pool.
 func (c *immClient) enqueueImage(b []byte) {
 	seq, req := decodeReq(b)
-	c.srv.enqueue(workItem{req: req, respond: c.respondWriteImm(seq, req)})
+	c.enqueue(seq, workItem{req: req, respond: c.respondWriteImm(seq, req)})
 }
 
 func (c *immClient) Call(p *sim.Proc, req *Request) (*Response, error) {

@@ -14,6 +14,8 @@ type rfpClient struct {
 	*conn
 	// resultRing holds results in the server's DRAM, fetched by the client.
 	resultRing int64
+	// hdr is the header-only result the deposit copies into the slot.
+	hdr [respHeaderBytes]byte
 }
 
 // NewRFP connects an RFP-style client from cli to srv.
@@ -37,16 +39,16 @@ func (c *rfpClient) startPoller() {
 	l.start(func(arr rnic.Arrival) bool {
 		seq, req := decodeReq(arr.Data)
 		slot := c.resultSlot(seq)
-		c.srv.enqueue(workItem{req: req, copyReply: true, respond: func(img []byte) {
+		c.enqueue(seq, workItem{req: req, copyReply: true, respond: func(img []byte) {
 			// The result is deposited locally; no wire traffic —
-			// the client fetches it. The client never completes seq
-			// on the connection, so a header-only reply is not
-			// drawn from the pool.
+			// the client fetches it. The deposit copies the image
+			// into the slot, so it goes back to the pool at once.
 			if img == nil {
-				img = newRespImage(0)
+				img = c.hdr[:]
 			}
 			putRespHeader(img, seq)
 			c.srv.H.DRAM.Write(slot, img)
+			c.releaseReply(seq)
 		}})
 		return true
 	})
@@ -57,14 +59,17 @@ func (c *rfpClient) Call(p *sim.Proc, req *Request) (*Response, error) {
 	seq := c.nextSeq()
 	c.cli.Post(p)
 	c.cq.WriteAsync(c.reqSlot(seq), reqWireBytes(req), encodeReq(seq, req))
-	// Fetch loop: RDMA read the result slot until our seq appears.
+	// Fetch loop: RDMA read the result slot until our seq appears. Every
+	// poll reads into one connection-owned buffer; the poll that finds
+	// the result hands it to the caller (see conn.hold).
 	slot := c.resultSlot(seq)
+	buf := c.replyBuf(respWireBytes(req))
 	for {
 		p.Sleep(c.cfg.RFPPollInterval)
 		c.cli.Post(p)
-		b := c.cq.Read(p, slot, respWireBytes(req))
-		got, data := decodeResp(b)
+		got, data := decodeResp(c.cq.Read(p, slot, buf))
 		if got == seq {
+			c.hold(buf)
 			done := sim.NewFuture[sim.Time](p.K)
 			done.Complete(p.Now())
 			return &Response{

@@ -67,6 +67,13 @@ type Request struct {
 // Response is the outcome of an RPC.
 type Response struct {
 	// Data is the object contents for reads (nil for synthetic traffic).
+	// It lives in the connection's reply buffer, as a reply lives in its
+	// response-ring slot: on a single-kernel RC connection the buffer goes
+	// back to the connection once RingSlots further replies have completed
+	// on it, and the next reply may overwrite it. A caller that needs the
+	// data longer must copy it. Engine-mode (cross-kernel) connections, UD
+	// and UC replies (FaSST, Herd), Handler replies (NewReply) and the
+	// case study's one-sided reads return a fresh buffer each time.
 	Data []byte
 	// IssuedAt is when the sender started the call.
 	IssuedAt sim.Time

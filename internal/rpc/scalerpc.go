@@ -47,7 +47,7 @@ func (c *scaleClient) startPoller() {
 		c.enqueueReq(decodeReq(b))
 		l.next()
 	}
-	fetch := func() { c.sq.ReadAsync(c.stageBuf, size).WaitFunc(fetched) }
+	fetch := func() { c.sq.ReadAsync(c.stageBuf, make([]byte, size)).WaitFunc(fetched) }
 	l.start(func(arr rnic.Arrival) bool {
 		seq, req := decodeReq(arr.Data)
 		if req.ScanLen == warmupMark {
@@ -66,7 +66,7 @@ func (c *scaleClient) enqueueReq(seq uint64, req *Request) {
 	if isBatchOp(req.Op) {
 		reqs = c.batchReqs(seq, req)
 	}
-	c.srv.enqueue(workItem{req: req, reqs: reqs, respond: c.respondWrite(seq, req)})
+	c.enqueue(seq, workItem{req: req, reqs: reqs, respond: c.respondWrite(seq, req)})
 }
 
 func (c *scaleClient) Call(p *sim.Proc, req *Request) (*Response, error) {

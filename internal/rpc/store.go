@@ -99,19 +99,27 @@ func (s *Store) Crash() { s.vers = nil }
 // and hands it the request it has in hand. Writes copy the payload to the
 // object's PM home and persist it over the CPU store+clwb path — the slow
 // path the paper's durable RPCs take off the sender's critical path. Reads
-// and scans that want contents answer with a response image (see
-// newRespImage) whose body the PM contents land in; every other request
-// answers nil, a header-only reply.
+// and scans that want contents answer with a response image whose body
+// the PM contents land in, drawn from the requesting connection (from,
+// seq; see conn.replyImage) or fresh when there is none; every other
+// request answers nil, a header-only reply. A drawn image needs no
+// zeroing: the PM read writes every body byte, the responder every header
+// byte, and a scan truncates the image to the objects it read.
 //
 // Each blocking step of the apply is one scheduling call at the same
 // instant a proc's sleep would take: a write is the memcpy charge, then the
 // persist issued at its end, then a wait until durable; a read issues the
 // media read and copies the contents at its completion. The request, the
 // PM address and the image wait in the applier between steps, next to
-// continuations built once, so an apply allocates nothing but the image.
+// continuations built once, so an apply on a pooled connection allocates
+// nothing.
 type storeApply struct {
 	s   *Store
 	req *Request
+	// from and seq name the connection and sequence the request arrived
+	// on; from is nil for an applier that answers no connection.
+	from *conn
+	seq  uint64
 	// done receives the apply's response image (nil: header only), inline
 	// or from the apply's last event.
 	done func(img []byte)
@@ -166,7 +174,7 @@ func (a *storeApply) apply(req *Request) {
 			a.n = 1
 		}
 		if req.Payload != nil {
-			a.img = newRespImage(a.n * req.Size)
+			a.img = a.image(a.n * req.Size)
 		}
 		a.i, a.end = 0, respHeaderBytes
 		a.scanStep()
@@ -179,15 +187,23 @@ func (a *storeApply) apply(req *Request) {
 			s.readTiming(req.Size, a.answer)
 			return
 		}
-		a.addr, a.img = addr, newRespImage(req.Size)
+		a.addr, a.img = addr, a.image(req.Size)
 		s.H.PM.ReadFunc(addr, req.Size, a.readDone)
 	}
+}
+
+// image returns the response image for an n-byte body.
+func (a *storeApply) image(n int) []byte {
+	if a.from == nil {
+		return newRespImage(n)
+	}
+	return a.from.replyImage(a.seq, n)
 }
 
 // finish ends the apply: the applier is free again before done runs, so
 // done may start the next apply at once.
 func (a *storeApply) finish(img []byte) {
-	a.req, a.img = nil, nil
+	a.req, a.img, a.from = nil, nil, nil
 	a.done(img)
 }
 
