@@ -83,7 +83,7 @@ func TestTargets(t *testing.T) {
 		foreign string
 	}{
 		{"rpc", rpcCfg, withMutant(rpcBug, "ackbug"), replayed,
-			"WFlush-RPC/writes seed=1 event=3682 torn=0.249 at=", Point{Event: 2000, TornFrac: 0.5, SecondCrash: true}, "resurrect"},
+			"WFlush-RPC/writes seed=1 event=3644 second-crash at=", Point{Event: 2000, TornFrac: 0.5, SecondCrash: true}, "resurrect"},
 		{"pmpool", poolCfg, withMutant(poolBug, "leak"), replayed,
 			"pmpool/WFlush-RPC seed=1 reference run at=", Point{Event: 3000, TornFrac: 0.5, SecondCrash: true}, "ackbug"},
 		{"cluster-window", cluster(2, 4, 2), withMutant(cluster(3, 6, 2), "ackbug"), failovers,

@@ -1,13 +1,17 @@
-// Package dram is a volatile byte store: host main memory used for message
-// buffers and client-side indexes. Contents are lost on a crash. CPU access
-// latency is folded into the software-cost model (package host), so reads
-// and writes here are content operations only.
+// Package dram is a volatile byte store: the host main memory that peers
+// read back with one-sided reads, such as RFP's result ring and ScaleRPC's
+// staging buffer. Message rings and receive buffers are not stored here:
+// software reads an inbound message from its completion, so the NIC keeps
+// DMA'd bytes only in remote-readable regions (see package host's address
+// layout). Contents are lost on a crash. CPU access latency is folded into
+// the software-cost model (package host), so reads and writes here are
+// content operations only.
 //
 // The store is sparse and keeps only what was written. A page's first write
 // gives it one extent: the blockSize-aligned range covering the written
 // bytes, backed by one slice, or the whole 4 KiB page if that range would
 // pass half of it. A later write outside the extent makes the page whole,
-// so a page allocates at most twice. A 43-byte ring message therefore
+// so a page allocates at most twice. A 43-byte redo-log entry therefore
 // costs 256 bytes, while a 64 KiB object costs one page-sized allocation
 // per page. pmem.Device keeps its durable contents in the same store.
 package dram

@@ -17,13 +17,22 @@ import (
 	"prdma/internal/sim"
 )
 
-// Address-space layout: every host maps PM low and DRAM high. The regions
-// are sparse, so the sizes are generous.
+// Address-space layout: every host maps PM low and DRAM high, and DRAM is
+// two regions with an arena each. The message region holds what peers only
+// write or send into: request and response rings, receive buffers and
+// flag rings. It is registered remote-write-only, so software reads those
+// bytes from their completions and the NIC stores none of them in DRAM.
+// The readable region holds what a peer fetches with one-sided reads: RFP's
+// result ring and ScaleRPC's staging buffer. It is registered with full
+// remote access, and it is all that host DRAM holds. The regions are
+// sparse, so the sizes are generous.
 const (
 	PMBase   = int64(0)
 	PMSize   = int64(1) << 40
-	DRAMBase = int64(1) << 44
-	DRAMSize = int64(1) << 40
+	MsgBase  = int64(1) << 44
+	MsgSize  = int64(1) << 40
+	ReadBase = MsgBase + MsgSize
+	ReadSize = int64(1) << 40
 )
 
 // Params configures the software-cost model of one host.
@@ -68,9 +77,11 @@ type Host struct {
 	DRAM *dram.Memory
 	NIC  *rnic.NIC
 
-	// PMArena and DRAMArena hand out addresses in the two regions.
+	// PMArena hands out PM addresses; MsgArena and ReadArena hand out
+	// addresses in the message and readable DRAM regions.
 	PMArena   *pmem.Arena
-	DRAMArena *pmem.Arena
+	MsgArena  *pmem.Arena
+	ReadArena *pmem.Arena
 
 	rng *sim.Rand
 
@@ -90,13 +101,17 @@ func New(k *sim.Kernel, name string, net *fabric.Network, hp Params, pp pmem.Par
 	h.NIC = rnic.New(k, name, net, h.PM, h.LLC, h.DRAM, np)
 	h.registerMRs()
 	h.PMArena = pmem.NewArena(PMBase, PMSize)
-	h.DRAMArena = pmem.NewArena(DRAMBase, DRAMSize)
+	h.MsgArena = pmem.NewArena(MsgBase, MsgSize)
+	h.ReadArena = pmem.NewArena(ReadBase, ReadSize)
 	return h
 }
 
+// registerMRs registers PM and the readable DRAM region with full remote
+// access and the message region remote-write-only (see the layout above).
 func (h *Host) registerMRs() {
 	h.NIC.RegisterMR(PMBase, PMSize, rnic.MemPM)
-	h.NIC.RegisterMR(DRAMBase, DRAMSize, rnic.MemDRAM)
+	h.NIC.RegisterMRProt(MsgBase, MsgSize, rnic.MemDRAM, true, false)
+	h.NIC.RegisterMR(ReadBase, ReadSize, rnic.MemDRAM)
 }
 
 func hashName(s string) uint64 {

@@ -132,13 +132,13 @@ func TestCrashClearsVolatileKeepsPM(t *testing.T) {
 		return ok
 	}
 	h.PM.WriteRaw(0, []byte{1})
-	h.DRAM.Write(DRAMBase, []byte{2})
+	h.DRAM.Write(ReadBase, []byte{2})
 	h.LLC.InstallDirty(64, 1, []byte{3})
 	h.Crash()
 	if h.PM.ReadBytes(0, 1)[0] != 1 {
 		t.Fatal("PM lost on crash")
 	}
-	if h.DRAM.Read(DRAMBase, 1)[0] != 0 {
+	if h.DRAM.Read(ReadBase, 1)[0] != 0 {
 		t.Fatal("DRAM survived crash")
 	}
 	if h.LLC.DirtyIn(64, 1) {
@@ -158,17 +158,66 @@ func TestCrashClearsVolatileKeepsPM(t *testing.T) {
 
 func TestArenasDisjointRegions(t *testing.T) {
 	_, h := newHost("h", nil)
-	pa, err := h.PMArena.Alloc(1 << 20)
+	alloc := func(a *pmem.Arena) int64 {
+		addr, err := a.Alloc(1 << 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return addr
+	}
+	pa, ma, ra := alloc(h.PMArena), alloc(h.MsgArena), alloc(h.ReadArena)
+	if pa >= MsgBase || ma < MsgBase || ma >= ReadBase || ra < ReadBase {
+		t.Fatalf("arena addresses in wrong regions: pm=%#x msg=%#x read=%#x", pa, ma, ra)
+	}
+}
+
+// TestDRAMRegionsAfterRestart pins the DRAM regions' registrations, before
+// a crash and after Crash+Restart: a peer's write into the message region
+// reaches h's software in its arrival and stores nothing in DRAM, a peer's
+// read of it faults the QP, and a read of the readable region returns what
+// h's CPU wrote there.
+func TestDRAMRegionsAfterRestart(t *testing.T) {
+	k, h := newHost("h", nil)
+	peer := New(k, "peer", h.NIC.EP.Net, DefaultParams(), pmem.DefaultParams(), rnic.DefaultParams())
+	msg, err := h.MsgArena.Alloc(64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	da, err := h.DRAMArena.Alloc(1 << 20)
+	res, err := h.ReadArena.Alloc(64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pa >= DRAMBase || da < DRAMBase {
-		t.Fatalf("arena addresses in wrong regions: pm=%#x dram=%#x", pa, da)
+	check := func(when string) {
+		t.Helper()
+		want := []byte("deposited result")
+		h.DRAM.Write(res, want)
+		footprint, faults := h.DRAM.Footprint(), h.NIC.AccessViolations
+		q, r := peer.NIC.CreateQP(rnic.RC), h.NIC.CreateQP(rnic.RC)
+		rnic.Connect(q, r)
+		var got []byte
+		k.Go("peer", func(p *sim.Proc) {
+			q.WriteAsync(msg, 8, []byte("request!")).Wait(p)
+			got = q.Read(p, res, make([]byte, len(want)))
+			q.ReadAsync(msg, make([]byte, 8)) // faults: never completes
+		})
+		k.RunFor(time.Millisecond)
+		if a, ok := r.Arrivals.TryPop(); !ok || string(a.Data) != "request!" {
+			t.Fatalf("%s: the write's arrival carries %q (arrived: %v)", when, a.Data, ok)
+		}
+		if n := h.DRAM.Footprint(); n != footprint {
+			t.Fatalf("%s: DRAM holds %d bytes after the write, want the %d the CPU wrote", when, n, footprint)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: read of the readable region returned %q, want %q", when, got, want)
+		}
+		if d := h.NIC.AccessViolations - faults; d != 1 {
+			t.Fatalf("%s: read of the message region raised %d access violations, want 1", when, d)
+		}
 	}
+	check("before crash")
+	h.Crash()
+	h.Restart()
+	check("after restart")
 }
 
 func TestPostPollDispatchCharges(t *testing.T) {

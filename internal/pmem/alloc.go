@@ -53,3 +53,24 @@ func (a *Arena) Alloc(n int64) (int64, error) {
 	a.next += c
 	return addr, nil
 }
+
+// AllocArray makes count consecutive n-byte allocations at once and returns
+// the first address and the stride between them: element i is at
+// base + i·stride, and the arena is left as count calls to Alloc(n) would
+// leave it. If they would not all fit, it returns an error and allocates
+// nothing.
+func (a *Arena) AllocArray(n int64, count int) (base, stride int64, err error) {
+	if n <= 0 || count < 0 {
+		return 0, 0, fmt.Errorf("pmem: alloc of %d x %d bytes", count, n)
+	}
+	c, err := class(n)
+	if err != nil {
+		return 0, 0, err
+	}
+	if int64(count) > (a.base+a.size-a.next)/c {
+		return 0, 0, fmt.Errorf("pmem: arena exhausted (%d of %d used, want %d x %d)", a.next-a.base, a.size, count, c)
+	}
+	base = a.next
+	a.next += int64(count) * c
+	return base, c, nil
+}

@@ -41,6 +41,29 @@ func TestArenaExhaustion(t *testing.T) {
 	}
 }
 
+// TestAllocArrayMatchesAlloc pins AllocArray to the addresses count Allocs
+// would return, and the arena to the state they would leave, including an
+// array that does not fit, which allocates nothing.
+func TestAllocArrayMatchesAlloc(t *testing.T) {
+	a, b := NewArena(64, 1<<12), NewArena(64, 1<<12)
+	base, stride, err := a.AllocArray(100, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 5; i++ {
+		if want, _ := b.Alloc(100); base+i*stride != want {
+			t.Fatalf("element %d at %#x, Alloc gives %#x", i, base+i*stride, want)
+		}
+	}
+	if _, _, err := a.AllocArray(1000, 4); err == nil {
+		t.Fatal("expected exhaustion error")
+	}
+	x, _ := a.Alloc(64)
+	if y, _ := b.Alloc(64); x != y {
+		t.Fatalf("next allocation at %#x, Alloc gives %#x", x, y)
+	}
+}
+
 func TestArenaAllocZeroErrors(t *testing.T) {
 	a := NewArena(0, 1<<20)
 	if _, err := a.Alloc(0); err == nil {

@@ -69,7 +69,11 @@ type MR struct {
 	Len  int64
 	Kind MemKind
 	// RemoteWrite/RemoteRead grant one-sided access, as ibv_reg_mr access
-	// flags do. RegisterMR grants both; RegisterMRProt does not.
+	// flags do. RegisterMR grants both; RegisterMRProt does not. A DRAM
+	// region's flags also decide what the NIC stores there: software reads
+	// an inbound write or send from its completion (Recv.Data,
+	// Arrival.Data), so DMA into DRAM lands in host memory only where
+	// RemoteRead lets a peer read it back.
 	RemoteWrite bool
 	RemoteRead  bool
 }
@@ -90,7 +94,8 @@ func New(k *sim.Kernel, name string, net *fabric.Network, pm *pmem.Device, llc *
 }
 
 // RegisterMR registers [base, base+len) as kind memory with full remote
-// access.
+// access. In a DRAM region that means inbound writes and sends are stored
+// in DRAM, where one-sided reads serve them.
 func (n *NIC) RegisterMR(base, length int64, kind MemKind) MR {
 	mr := MR{Base: base, Len: length, Kind: kind, RemoteWrite: true, RemoteRead: true}
 	n.mrs = append(n.mrs, mr)
@@ -99,7 +104,10 @@ func (n *NIC) RegisterMR(base, length int64, kind MemKind) MR {
 
 // RegisterMRProt registers a region with explicit access flags. Later
 // registrations take precedence over earlier overlapping ones, so a
-// read-only window can be carved out of a full-access region.
+// read-only window can be carved out of a full-access region. A DRAM
+// region registered without remoteRead is a message region: inbound
+// writes and sends reach software through their completions only, and the
+// NIC stores none of their bytes in DRAM.
 func (n *NIC) RegisterMRProt(base, length int64, kind MemKind, remoteWrite, remoteRead bool) MR {
 	mr := MR{Base: base, Len: length, Kind: kind, RemoteWrite: remoteWrite, RemoteRead: remoteRead}
 	n.mrs = append([]MR{mr}, n.mrs...)
@@ -117,15 +125,11 @@ func (n *NIC) lookupMR(addr int64) MR {
 	panic(fmt.Sprintf("rnic(%s): access to unregistered address %#x", n.Name, addr))
 }
 
-// mrKind resolves the memory kind of addr.
-func (n *NIC) mrKind(addr int64) MemKind {
-	return n.lookupMR(addr).Kind
-}
-
-// checkAccess enforces the MR access flags for a one-sided operation:
-// a violation drops the request and moves the target QP into the error
-// state, which is how a real RNIC NAKs a protection fault.
-func (n *NIC) checkAccess(q *QP, addr int64, write bool) bool {
+// checkAccess enforces the MR access flags for a one-sided operation and
+// returns the MR covering addr: a violation drops the request and moves
+// the target QP into the error state, which is how a real RNIC NAKs a
+// protection fault.
+func (n *NIC) checkAccess(q *QP, addr int64, write bool) (MR, bool) {
 	mr := n.lookupMR(addr)
 	ok := mr.RemoteRead
 	if write {
@@ -138,7 +142,7 @@ func (n *NIC) checkAccess(q *QP, addr int64, write bool) bool {
 			n.Trace("rnic", "%s: PROTECTION FAULT addr=%#x write=%v qp=%d -> error state", n.Name, addr, write, q.ID)
 		}
 	}
-	return ok
+	return mr, ok
 }
 
 // pcieCost is the DMA transfer time for n bytes.
@@ -505,7 +509,8 @@ func (n *NIC) flushAck(q *QP, seq uint64) {
 }
 
 // inboundWrite handles write and write-imm: stage in SRAM, ACK (RC), DMA to
-// the target memory, and track/ack durability.
+// the target memory, and track/ack durability. DRAM keeps the bytes only
+// in a remote-readable MR (see MR); the completion carries them either way.
 func (n *NIC) inboundWrite(q *QP, m *wireMsg) {
 	if q.Transport == RC {
 		if m.Seq > q.expected {
@@ -533,7 +538,8 @@ func (n *NIC) inboundWrite(q *QP, m *wireMsg) {
 		}
 		q.expected++
 	}
-	if !n.checkAccess(q, m.Addr, true) {
+	mr, ok := n.checkAccess(q, m.Addr, true)
+	if !ok {
 		return // protection fault: NAK, QP error
 	}
 	n.StagedMsgs++
@@ -544,7 +550,6 @@ func (n *NIC) inboundWrite(q *QP, m *wireMsg) {
 	addr, nb, data := m.Addr, m.N, m.Data
 	seq, flush := m.Seq, m.Flush
 
-	kind := n.mrKind(addr)
 	pcieDone := n.pcie.Reserve(n.pcieCost(nb))
 	epoch := n.epoch
 
@@ -558,8 +563,10 @@ func (n *NIC) inboundWrite(q *QP, m *wireMsg) {
 	dj.imm, dj.srcQP = m.Imm, m.SrcQP
 
 	switch {
-	case kind == MemDRAM:
-		n.scheduleApply(pcieDone, jApplyDRAM, addr, nb, data)
+	case mr.Kind == MemDRAM:
+		if mr.RemoteRead {
+			n.scheduleApply(pcieDone, jApplyDRAM, addr, nb, data)
+		}
 		dj.durable = 0
 		n.K.Schedule(pcieDone, dj.fn)
 	case n.Params.DDIO && !flush:
@@ -657,17 +664,20 @@ func (n *NIC) inboundSend(q *QP, m *wireMsg) {
 }
 
 // placeSend performs the DMA chain for a send whose buffer is known. It
-// only uses m synchronously; scheduled events snapshot the fields.
+// only uses m synchronously; scheduled events snapshot the fields. A DRAM
+// buffer keeps the bytes only in a remote-readable MR, as in inboundWrite.
 func (n *NIC) placeSend(q *QP, m *wireMsg, buf RecvBuf) {
 	nb, data := m.N, m.Data
 	seq, srcQP, flush := m.Seq, m.SrcQP, m.Flush
-	kind := n.mrKind(buf.Addr)
+	mr := n.lookupMR(buf.Addr)
 	pcieDone := n.pcie.Reserve(n.pcieCost(nb))
 
 	var visible, durable sim.Time
 	switch {
-	case kind == MemDRAM:
-		n.scheduleApply(pcieDone, jApplyDRAM, buf.Addr, nb, data)
+	case mr.Kind == MemDRAM:
+		if mr.RemoteRead {
+			n.scheduleApply(pcieDone, jApplyDRAM, buf.Addr, nb, data)
+		}
 		visible, durable = pcieDone, 0
 	default:
 		d := n.PM.Persist(pcieDone, buf.Addr, nb, data, pmem.DMA)
@@ -742,13 +752,13 @@ func (n *NIC) inboundRead(q *QP, m *wireMsg) {
 // serveRead resolves a read once the DMA engine has drained ahead of it.
 // m is only used synchronously; scheduled events snapshot the fields.
 func (n *NIC) serveRead(q *QP, m *wireMsg) {
-	if !n.checkAccess(q, m.Addr, false) {
+	mr, ok := n.checkAccess(q, m.Addr, false)
+	if !ok {
 		return // protection fault: NAK, QP error
 	}
 	addr, nb, seq := m.Addr, m.N, m.Seq
-	kind := n.mrKind(addr)
 	switch {
-	case kind == MemDRAM:
+	case mr.Kind == MemDRAM:
 		done := n.pcie.Reserve(n.pcieCost(nb))
 		n.scheduleReadResp(done, jReadRespDRAM, q, addr, nb, seq)
 	case n.Params.DDIO && n.LLC.DirtyIn(addr, nb):

@@ -177,6 +177,54 @@ func TestSendRecvDelivery(t *testing.T) {
 	}
 }
 
+// TestWriteOnlyDRAMKeepsNoCopy pins what the NIC stores in a DRAM region
+// that peers may write but not read: a write, a write-imm and a send each
+// hand their bytes to software in the completion, and DRAM keeps none of
+// them, since no peer can read them back. A read of the region faults the
+// QP. TestSendRecvDelivery pins the full-access case, which must store.
+func TestWriteOnlyDRAMKeepsNoCopy(t *testing.T) {
+	r := newRig(nil)
+	r.sn.RegisterMRProt(dramBase, 1<<20, MemDRAM, true, false)
+	cq, sq := r.connect(RC)
+	sq.PostRecv(dramBase+8192, 4096)
+	write, imm, send := []byte("one-sided write"), []byte("write with imm"), []byte("two-sided send")
+	var arr Arrival
+	var immRecv, sendRecv Recv
+	r.k.Go("server", func(p *sim.Proc) {
+		arr = sq.Arrivals.Pop(p)
+		immRecv = sq.RecvCQ.Pop(p)
+		sendRecv = sq.RecvCQ.Pop(p)
+	})
+	r.k.Go("client", func(p *sim.Proc) {
+		cq.WriteAsync(dramBase, len(write), write).Wait(p)
+		cq.WriteImmAsync(dramBase+4096, len(imm), imm, 7).Wait(p)
+		cq.SendAsync(len(send), send).Wait(p)
+	})
+	r.k.Run()
+	if !bytes.Equal(arr.Data, write) || arr.Addr != dramBase {
+		t.Fatalf("write arrival = %+v", arr)
+	}
+	if !bytes.Equal(immRecv.Data, imm) || !immRecv.IsImm || immRecv.Imm != 7 {
+		t.Fatalf("write-imm completion = %+v", immRecv)
+	}
+	if !bytes.Equal(sendRecv.Data, send) || sendRecv.Addr != dramBase+8192 {
+		t.Fatalf("send completion = %+v", sendRecv)
+	}
+	if n := r.sdram.Footprint(); n != 0 {
+		t.Fatalf("write-only DRAM holds %d bytes, want 0", n)
+	}
+
+	r.k.Go("client", func(p *sim.Proc) {
+		if _, ok := cq.ReadAsync(dramBase, make([]byte, 16)).WaitTimeout(p, 2*time.Millisecond); ok {
+			t.Error("read of write-only DRAM completed")
+		}
+	})
+	r.k.RunFor(10 * time.Millisecond) // short of the first retransmit
+	if r.sn.AccessViolations != 1 {
+		t.Fatalf("AccessViolations = %d, want 1", r.sn.AccessViolations)
+	}
+}
+
 func TestSendBeforePostRecvIsHeld(t *testing.T) {
 	r := newRig(nil)
 	cq, sq := r.connect(RC)

@@ -15,8 +15,9 @@ import (
 // echoBench builds a one-client one-server cluster without *testing.T so
 // both benchmarks and AllocsPerRun tests can drive it.
 type echoBench struct {
-	k *sim.Kernel
-	c Client
+	k        *sim.Kernel
+	c        Client
+	cli, srv *host.Host
 	// procs is how many procs building the server and the connection
 	// spawned.
 	procs int
@@ -35,7 +36,7 @@ func newEchoBench(kind Kind, objSize int) (*echoBench, error) {
 	cfg := DefaultConfig()
 	s := NewServer(srv, store, cfg)
 	c := New(kind, cli, s, cfg)
-	return &echoBench{k: k, c: c, procs: k.Procs()}, nil
+	return &echoBench{k: k, c: c, cli: cli, srv: srv, procs: k.Procs()}, nil
 }
 
 // echo drives n durable write round trips (call + wait for server-side
@@ -145,6 +146,40 @@ func TestLargeReadAllocRegression(t *testing.T) {
 				t.Fatalf("%s 64 KiB read allocates %.2fx the object size, want <= %.2fx", kind, per, ceiling)
 			}
 			t.Logf("%s: %.2fx the object size per read", kind, per)
+		})
+	}
+}
+
+// TestLargeReadDRAMFootprint pins what host DRAM holds after 64 KiB reads:
+// only what a peer reads back with one-sided reads. Request and response
+// rings and receive buffers sit in the message region, whose bytes reach
+// software in their completions and are never stored, so every host's DRAM
+// stays empty except RFP's server, which deposits results for the client
+// to fetch, and ScaleRPC's client, which stages warm-up requests for the
+// server to fetch. FaSST is skipped: a 64 KiB reply exceeds its UD MTU.
+// A NIC that stores DMA into the message region fails on every kind: each
+// client's response ring then holds the replies' bytes.
+func TestLargeReadDRAMFootprint(t *testing.T) {
+	const size = 64 << 10
+	for _, kind := range append(append([]Kind{}, Kinds...), LITE, Hotpot, OctopusWFlush) {
+		if kind == FaSST {
+			continue
+		}
+		t.Run(kind.String(), func(t *testing.T) {
+			e, err := newReadBench(kind, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.read(20, size); err != nil {
+				t.Fatal(err)
+			}
+			for _, h := range []*host.Host{e.cli, e.srv} {
+				n := h.DRAM.Footprint()
+				reads := kind == RFP && h == e.srv || kind == ScaleRPC && h == e.cli
+				if reads && n == 0 || !reads && n != 0 {
+					t.Errorf("%s %s DRAM holds %d bytes, want them only where a peer reads", kind, h.Name, n)
+				}
+			}
 		})
 	}
 }

@@ -499,9 +499,11 @@ func (b *bufPool) put(buf []byte) {
 	}
 }
 
-// newConn wires QPs and rings. The request ring is server DRAM — durable
-// RPCs place their write payloads in the PM redo log directly and only use
-// the ring as a message buffer for non-mutating requests.
+// newConn wires QPs and rings. Both rings sit in their hosts' DRAM message
+// regions, which peers write but never read, so a request or reply reaches
+// software through its completion only. Durable RPCs place their write
+// payloads in the PM redo log directly and only use the request ring as a
+// message buffer for non-mutating requests.
 func newConn(kind Kind, cli *host.Host, srv *Server, cfg Config, tp rnic.Transport) *conn {
 	c := &conn{
 		kind: kind, cli: cli, srv: srv, cfg: cfg,
@@ -523,11 +525,11 @@ func newConn(kind Kind, cli *host.Host, srv *Server, cfg Config, tp rnic.Transpo
 
 	ringBytes := int64(cfg.RingSlots * cfg.SlotSize)
 	var err error
-	c.reqRing, err = srv.H.DRAMArena.Alloc(ringBytes)
+	c.reqRing, err = srv.H.MsgArena.Alloc(ringBytes)
 	if err != nil {
 		panic(err)
 	}
-	c.respRing, err = cli.DRAMArena.Alloc(ringBytes)
+	c.respRing, err = cli.MsgArena.Alloc(ringBytes)
 	if err != nil {
 		panic(err)
 	}

@@ -24,7 +24,7 @@ const l5FlagBytes = 8
 func NewL5(cli *host.Host, srv *Server, cfg Config) Client {
 	c := &l5Client{conn: newConn(L5, cli, srv, cfg, rnic.RC)}
 	var err error
-	c.flagRing, err = srv.H.DRAMArena.Alloc(int64(cfg.RingSlots) * l5FlagBytes)
+	c.flagRing, err = srv.H.MsgArena.Alloc(int64(cfg.RingSlots) * l5FlagBytes)
 	if err != nil {
 		panic(err)
 	}

@@ -12,7 +12,8 @@ import (
 // with RDMA reads — polling until the result appears.
 type rfpClient struct {
 	*conn
-	// resultRing holds results in the server's DRAM, fetched by the client.
+	// resultRing holds results in the server's readable DRAM region,
+	// fetched by the client.
 	resultRing int64
 	// hdr is the header-only result the deposit copies into the slot.
 	hdr [respHeaderBytes]byte
@@ -22,7 +23,7 @@ type rfpClient struct {
 func NewRFP(cli *host.Host, srv *Server, cfg Config) Client {
 	c := &rfpClient{conn: newConn(RFP, cli, srv, cfg, rnic.RC)}
 	var err error
-	c.resultRing, err = srv.H.DRAMArena.Alloc(int64(cfg.RingSlots * cfg.SlotSize))
+	c.resultRing, err = srv.H.ReadArena.Alloc(int64(cfg.RingSlots * cfg.SlotSize))
 	if err != nil {
 		panic(err)
 	}

@@ -476,6 +476,46 @@ func fillPMArena(h *host.Host) {
 	}
 }
 
+// TestStoreHomes pins where the store puts objects: key k below the
+// preallocated count lives where the k-th of NewStore's arena allocations
+// would, without a map entry; a key past it is homed on first touch by the
+// next allocation, and once the arena is exhausted a new key is a counted
+// PMFull drop while homed keys keep their addresses.
+func TestStoreHomes(t *testing.T) {
+	const n, size = 100, 200
+	k := sim.New()
+	h := host.New(k, "srv", fabric.New(k, fabric.DefaultParams(), 1), host.DefaultParams(), pmem.DefaultParams(), rnic.DefaultParams())
+	s, err := NewStore(h, n, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := pmem.NewArena(host.PMBase, host.PMSize)
+	homes := make([]int64, n)
+	for key := range homes {
+		homes[key], _ = ref.Alloc(size)
+		if got := s.Addr(uint64(key)); !s.Has(uint64(key)) || got != homes[key] {
+			t.Fatalf("key %d at %#x (has %v), want %#x", key, got, s.Has(uint64(key)), homes[key])
+		}
+	}
+	if len(s.addrs) != 0 {
+		t.Fatalf("preallocated keys filled %d map entries", len(s.addrs))
+	}
+	if s.Has(n) || s.Has(n+5) {
+		t.Fatal("a key past the preallocated ones exists before it is touched")
+	}
+	late, _ := ref.Alloc(size)
+	if got := s.Addr(n + 5); got != late || !s.Has(n+5) {
+		t.Fatalf("first-touch key at %#x, want the next allocation %#x", got, late)
+	}
+	fillPMArena(h)
+	if _, ok := s.tryAddr(n + 6); ok || s.PMFull != 1 || s.Has(n+6) {
+		t.Fatalf("new key on an exhausted arena: homed %v, PMFull %d, want a drop counted once", ok, s.PMFull)
+	}
+	if s.Addr(n+5) != late || s.Addr(n-1) != homes[n-1] {
+		t.Fatal("an exhausted arena moved a homed key")
+	}
+}
+
 // TestScanOp checks scan contents on every kind: each 64 B slot of the
 // reply holds its key's object, in key order. A scan crossing keys the PM
 // arena cannot home returns only the homed objects, still in key order,

@@ -15,8 +15,8 @@ import (
 type scaleClient struct {
 	*conn
 	calls int
-	// stageBuf is the client-DRAM staging area the server reads from
-	// during warm-ups.
+	// stageBuf is the staging area in the client's readable DRAM region
+	// that the server reads from during warm-ups.
 	stageBuf int64
 }
 
@@ -28,7 +28,7 @@ const warmupMark = 0x7FFFFFFF
 func NewScaleRPC(cli *host.Host, srv *Server, cfg Config) Client {
 	c := &scaleClient{conn: newConn(ScaleRPC, cli, srv, cfg, rnic.RC)}
 	var err error
-	c.stageBuf, err = cli.DRAMArena.Alloc(int64(cfg.SlotSize))
+	c.stageBuf, err = cli.ReadArena.Alloc(int64(cfg.SlotSize))
 	if err != nil {
 		panic(err)
 	}

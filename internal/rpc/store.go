@@ -15,7 +15,11 @@ type Store struct {
 	H       *host.Host
 	ObjSize int
 
-	addrs map[uint64]int64
+	// The n keys NewStore preallocates live at base + key·stride; addrs
+	// homes the keys inserted later, on first touch.
+	base, stride int64
+	n            uint64
+	addrs        map[uint64]int64
 
 	// VersionAt, when non-negative, is the byte offset of a little-endian
 	// uint32 version embedded in every write payload; the store then drops
@@ -45,17 +49,23 @@ type Store struct {
 	PMFull int64
 }
 
-// NewStore allocates n objects of objSize bytes in h's PM.
+// NewStore allocates n objects of objSize bytes in h's PM, one per key
+// below n.
 func NewStore(h *host.Host, n int, objSize int) (*Store, error) {
-	s := &Store{H: h, ObjSize: objSize, addrs: make(map[uint64]int64, n), VersionAt: -1}
-	for i := 0; i < n; i++ {
-		a, err := h.PMArena.Alloc(int64(objSize))
-		if err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
-		s.addrs[uint64(i)] = a
+	base, stride, err := h.PMArena.AllocArray(int64(objSize), n)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	return s, nil
+	return &Store{H: h, ObjSize: objSize, base: base, stride: stride, n: uint64(n), VersionAt: -1}, nil
+}
+
+// lookup returns the PM address of key, if it has one.
+func (s *Store) lookup(key uint64) (int64, bool) {
+	if key < s.n {
+		return s.base + int64(key)*s.stride, true
+	}
+	a, ok := s.addrs[key]
+	return a, ok
 }
 
 // Addr returns the PM address of key, allocating on first touch (inserts).
@@ -72,7 +82,7 @@ func (s *Store) Addr(key uint64) int64 {
 // tryAddr is Addr without the panic: ok is false when the key is absent and
 // the PM arena cannot fit another object, counting the drop in PMFull.
 func (s *Store) tryAddr(key uint64) (int64, bool) {
-	if a, ok := s.addrs[key]; ok {
+	if a, ok := s.lookup(key); ok {
 		return a, true
 	}
 	a, err := s.H.PMArena.Alloc(int64(s.ObjSize))
@@ -80,13 +90,16 @@ func (s *Store) tryAddr(key uint64) (int64, bool) {
 		s.PMFull++
 		return 0, false
 	}
+	if s.addrs == nil {
+		s.addrs = make(map[uint64]int64)
+	}
 	s.addrs[key] = a
 	return a, true
 }
 
 // Has reports whether key exists.
 func (s *Store) Has(key uint64) bool {
-	_, ok := s.addrs[key]
+	_, ok := s.lookup(key)
 	return ok
 }
 
@@ -232,7 +245,7 @@ func (a *storeApply) write() {
 	}
 	cur, ok := s.vers[req.Key]
 	if !ok {
-		if addr, exists := s.addrs[req.Key]; exists {
+		if addr, exists := s.lookup(req.Key); exists {
 			a.addr = addr
 			s.readTiming(4, a.verRead)
 			return
